@@ -32,7 +32,6 @@ from .newton_cg import (
     MAX_ITERATIONS,
     MEO,
     SOSP_CERTIFIED,
-    Counters,
     IterationRecord,
     LineSearchError,
     NcgParams,
@@ -52,6 +51,7 @@ from .newton_cg import (
 )
 from .oracle import (
     CountingOracle,
+    Counters,
     DerivativeCheckError,
     HolderClass,
     ProblemOracle,

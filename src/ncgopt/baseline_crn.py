@@ -25,7 +25,6 @@ from .newton_cg import (
     FOSP,
     LINE_SEARCH_FAILURE,
     MAX_ITERATIONS,
-    Counters,
     IterationRecord,
     SolveResult,
 )
@@ -132,7 +131,7 @@ def acrn_solve(
 
     weight = params.h0
     floor = params.h0 * params.weight_floor_ratio
-    counters = Counters()
+    counters = co.counters
     trace: list[IterationRecord] = []
     status = MAX_ITERATIONS
     detail: str | None = None
@@ -190,9 +189,6 @@ def acrn_solve(
             break
         gx = co.eval_grad(x)
 
-    counters.f_evals = co.f_evals
-    counters.grad_evals = co.grad_evals
-    counters.hvp_evals = co.hvp_evals
     return SolveResult(
         x_final=x,
         f_final=fx,

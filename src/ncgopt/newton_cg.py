@@ -1,26 +1,31 @@
 """Newton-CG driver for nonconvex minimization with known Hessian smoothness.
 
-The driver alternates capped-CG solves of the damped system
-(H + 2 (gamma_nu eps_g)^(1/2) I) d = -g with backtracking line searches,
-switching to a randomized minimum-eigenvalue oracle once the gradient is
-small when a second-order tolerance eps_H is requested.  The damping scale
-gamma_nu(eps_g) is computed from the smoothness class (nu, h_nu).
+Hosts the outer loop shared by both drivers.  Each outer iteration with a
+large gradient tries damping weights sigma in turn: capped CG on the damped
+system (H + 2 (sigma eps_g)^(1/2) I) d = -g, then the full-step test and a
+backtracking search on the SOL or scaled NC direction, until one trial
+yields a step.  Once the gradient is small and a second-order tolerance
+eps_H is requested, a randomized minimum-eigenvalue oracle either certifies
+the point or supplies a negative-curvature step.  This module's driver tries
+the single weight gamma_nu(eps_g), computed from the smoothness class
+(nu, h_nu), with unbounded searches.
 
-Also hosts the direction-scaling rules, the three line searches, and the
-worst-case iteration-bound calculators used by tests and budget defaults.
+Also hosts the direction-scaling rules, the backtracking loop with its SOL,
+NC and MEO searches, and the worst-case iteration-bound calculators used by
+tests and budget defaults.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import sampling
 from .capped_cg import NC, capped_cg
 from .meo import CERTIFICATE, estimate_operator_norm, minimum_eigenvalue_oracle
-from .oracle import CountingOracle, HolderClass, ProblemOracle
+from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
 Array = np.ndarray
 
@@ -33,6 +38,9 @@ MEO = "MEO"
 
 FULL_STEP = "full_step"
 ARMIJO = "armijo"
+
+SMALL_STEP = "small_step"
+NO_VALID_J = "no_valid_j"
 
 _FALLBACK_MAX_OUTER = 100_000
 
@@ -94,17 +102,20 @@ class IterationRecord:
     d_norm: float
     sigma: float | None
     inner_iterations: int
-    accepted_by: str | None = None  # full_step | armijo for SOL steps
+    accepted_by: str | None = None  # full_step | armijo for SOL steps; None otherwise
 
 
 @dataclass
-class Counters:
-    f_evals: int = 0
-    grad_evals: int = 0
-    hvp_evals: int = 0
-    capped_cg_calls: int = 0
-    meo_calls: int = 0
-    subproblems: int = 0
+class InnerTrialRecord:
+    """One damping trial inside an outer iteration."""
+
+    t: int
+    sigma_t: float
+    d_type: str
+    accepted: bool
+    alpha: float | None
+    reason: str | None  # small_step | no_valid_j when not accepted
+    cg_iterations: int
 
 
 @dataclass
@@ -119,12 +130,16 @@ class SolveResult:
 
 
 @dataclass
+class PfSolveResult(SolveResult):
+    trials: list[list[InnerTrialRecord]] = field(default_factory=list)
+    gamma_history: list[float] = field(default_factory=list)
+
+
+@dataclass
 class LineSearchOutcome:
     alpha: float
     j: int
     f_new: float
-    accepted_by: str
-    grad_new: Array | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -232,136 +247,79 @@ def scale_meo_direction(v: Array, hvp: Callable[[Array], Array], g: Array) -> Ar
 # Line searches.
 
 
+def _backtrack(
+    oracle,
+    x: Array,
+    d: Array,
+    f_x: float,
+    decrease: float,
+    theta: float,
+    j_max: int,
+    cap_message: str,
+    lower: float = 0.0,
+    f_first: float | None = None,
+) -> LineSearchOutcome | None:
+    """The one backtracking loop behind every search.
+
+    Scans j = 0, 1, ... while theta^j >= lower and accepts the smallest j with
+    f(x + theta^j d) <= f_x - decrease theta^(2j).  Returns None once the
+    window theta^j >= lower closes; passing j_max inside it raises.
+    ``f_first`` recycles an already-computed f(x + d) as the j = 0 trial.
+    """
+    j = 0
+    while theta**j >= lower:
+        if j > j_max:
+            raise LineSearchError(cap_message, j)
+        a = theta**j
+        f_trial = f_first if j == 0 and f_first is not None else oracle.eval_f(x + a * d)
+        if f_trial <= f_x - decrease * a * a:
+            return LineSearchOutcome(a, j, f_trial)
+        j += 1
+    return None
+
+
 def line_search_sol(
     oracle,
     x: Array,
     d: Array,
-    sigma_eps_sqrt: float,
+    sigma: float,
+    eps_g: float,
     theta: float,
     eta: float,
-    eps_g: float,
     j_max: int,
-    f_x: float | None = None,
+    f_x: float,
+    f_full: float | None = None,
 ) -> LineSearchOutcome:
-    """Line search for approximate-solution directions.
+    """Backtracking for approximate-solution directions.
 
-    Takes the full step when it already lands at small gradient without
-    increasing f; otherwise backtracks to the smallest j with
-    f(x + theta^j d) <= f(x) - eta sigma_eps_sqrt theta^(2j) ||d||^2.
+    Accepts the smallest j with
+    f(x + theta^j d) <= f(x) - eta (sigma eps_g)^(1/2) theta^(2j) ||d||^2.
+    ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
-    if f_x is None:
-        f_x = oracle.eval_f(x)
-    dn2 = float(d @ d)
-    f_full = oracle.eval_f(x + d)
-    grad_full = None
-    if f_full <= f_x:
-        grad_full = oracle.eval_grad(x + d)
-        if float(np.linalg.norm(grad_full)) <= eps_g:
-            return LineSearchOutcome(1.0, 0, f_full, FULL_STEP, grad_full)
-    j = 0
-    f_trial = f_full
-    while True:
-        a = theta**j
-        if f_trial <= f_x - eta * sigma_eps_sqrt * a * a * dn2:
-            return LineSearchOutcome(
-                a, j, f_trial, ARMIJO, grad_full if j == 0 else None
-            )
-        j += 1
-        if j > j_max:
-            raise LineSearchError("SOL backtracking exceeded its cap", j)
-        f_trial = oracle.eval_f(x + theta**j * d)
+    decrease = eta * math.sqrt(sigma * eps_g) * float(d @ d)
+    return _backtrack(
+        oracle, x, d, f_x, decrease, theta, j_max, "SOL backtracking exceeded its cap", f_first=f_full
+    )
 
 
 def line_search_nc(
-    oracle,
-    x: Array,
-    d: Array,
-    sigma: float,
-    theta: float,
-    eta: float,
-    j_max: int,
-    f_x: float | None = None,
+    oracle, x: Array, d: Array, sigma: float, theta: float, eta: float, j_max: int, f_x: float
 ) -> LineSearchOutcome:
     """Backtracking with the cubic decrease test for negative-curvature steps."""
-    if f_x is None:
-        f_x = oracle.eval_f(x)
-    dn3 = float(np.linalg.norm(d)) ** 3
-    factor = eta * min(1.0, sigma) * dn3 / 4.0
-    j = 0
-    while True:
-        a = theta**j
-        f_trial = oracle.eval_f(x + a * d)
-        if f_trial <= f_x - factor * a * a:
-            return LineSearchOutcome(a, j, f_trial, ARMIJO)
-        j += 1
-        if j > j_max:
-            raise LineSearchError("NC backtracking exceeded its cap", j)
+    decrease = eta * min(1.0, sigma) * float(np.linalg.norm(d)) ** 3 / 4.0
+    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, "NC backtracking exceeded its cap")
 
 
 def line_search_meo(
-    oracle,
-    x: Array,
-    d: Array,
-    theta: float,
-    eta: float,
-    j_max: int,
-    f_x: float | None = None,
+    oracle, x: Array, d: Array, theta: float, eta: float, j_max: int, f_x: float
 ) -> LineSearchOutcome:
     """Backtracking for eigenvalue-oracle steps; alpha = 1 is the j = 0 trial."""
-    if f_x is None:
-        f_x = oracle.eval_f(x)
-    factor = eta * float(np.linalg.norm(d)) ** 3 / 2.0
-    j = 0
-    while True:
-        a = theta**j
-        f_trial = oracle.eval_f(x + a * d)
-        if f_trial <= f_x - factor * a * a:
-            return LineSearchOutcome(a, j, f_trial, ARMIJO)
-        j += 1
-        if j > j_max:
-            raise LineSearchError("MEO backtracking exceeded its cap", j)
+    decrease = eta * float(np.linalg.norm(d)) ** 3 / 2.0
+    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, "MEO backtracking exceeded its cap")
 
 
 # ---------------------------------------------------------------------------
 # Driver.
-
-
-def _meo_attempt(
-    co: CountingOracle,
-    x: Array,
-    fx: float,
-    gx: Array,
-    eps_H: float,
-    delta: float,
-    theta: float,
-    eta: float,
-    j_max: int,
-    seed: int,
-    call_index: int,
-):
-    """Shared second-order stage: certify or produce one MEO step.
-
-    Returns ("certified", outcome) or ("step", (d, line_search, outcome)).
-    """
-    n = co.dim
-    hvp = lambda v: co.eval_hvp(x, v)
-    norm_h = estimate_operator_norm(
-        hvp, n, seed=seed, stream=sampling.STREAM_NORM_EST + call_index
-    )
-    outcome = minimum_eigenvalue_oracle(
-        hvp,
-        n,
-        eps_H,
-        delta,
-        norm_h,
-        seed=seed,
-        stream=sampling.STREAM_MEO_START + call_index,
-    )
-    if outcome.kind == CERTIFICATE:
-        return "certified", outcome
-    d = scale_meo_direction(outcome.v, hvp, gx)
-    ls = line_search_meo(co, x, d, theta, eta, j_max, f_x=fx)
-    return "step", (d, ls, outcome)
 
 
 def _default_max_outer(params: NcgParams, f0: float) -> int:
@@ -376,6 +334,137 @@ def _default_max_outer(params: NcgParams, f0: float) -> int:
     return _FALLBACK_MAX_OUTER
 
 
+def _drive(
+    oracle: ProblemOracle,
+    x0: Array,
+    params,
+    *,
+    weights: Callable[[float], Iterable[float]],
+    gamma0: float,
+    max_outer: Callable[[float], int],
+    cg: Callable,
+    search_sol: Callable,
+    search_nc: Callable,
+    parameter_free: bool,
+) -> SolveResult:
+    """The outer loop of both drivers; ``params`` is an NcgParams or a PfParams.
+
+    ``weights(gamma_prev)`` yields the damping trials of one outer iteration,
+    given the weight accepted last (``gamma0`` before the first); the first
+    trial whose direction yields a step ends the iteration.  ``search_sol``
+    and ``search_nc`` return None when their step-size window closes, which
+    moves on to the next trial.  ``max_outer(f0)`` sizes the budget.  The
+    parameter-free driver also rejects SOL directions too short for their
+    weight, and gets its trials and gamma history back in a PfSolveResult.
+    """
+    co = CountingOracle(oracle)
+    counters = co.counters
+    x = np.array(x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    fx = co.eval_f(x)
+    gx = co.eval_grad(x)
+    hvp = lambda v: co.eval_hvp(x, v)
+
+    trace: list[IterationRecord] = []
+    trials: list[list[InnerTrialRecord]] = []
+    gamma_history: list[float] = []
+    gamma_prev = gamma0
+    status = MAX_ITERATIONS
+    detail: str | None = None
+
+    try:
+        for _ in range(max_outer(fx)):
+            gnorm = float(np.linalg.norm(gx))
+            if gnorm > params.eps_g:
+                outer: list[InnerTrialRecord] = []
+                trials.append(outer)
+                for t, sigma in enumerate(weights(gamma_prev)):
+                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
+                    counters.capped_cg_calls += 1
+                    reason, accepted_by, grad_new = NO_VALID_J, None, None
+                    if cg_out.d_type == NC:
+                        d = scale_nc_direction(cg_out.d, hvp, gx, sigma)
+                        step = search_nc(co, x, d, sigma, params.theta, params.eta, params.j_max, fx)
+                    else:
+                        d = cg_out.d
+                        f_full = co.eval_f(x + d)
+                        grad_full = co.eval_grad(x + d) if f_full <= fx else None
+                        if grad_full is not None and float(np.linalg.norm(grad_full)) <= params.eps_g:
+                            step, accepted_by = LineSearchOutcome(1.0, 0, f_full), FULL_STEP
+                        elif parameter_free and 6.0 * float(np.linalg.norm(d)) < math.sqrt(params.eps_g / sigma):
+                            step, reason = None, SMALL_STEP
+                        else:
+                            step = search_sol(
+                                co, x, d, sigma, params.eps_g, params.theta, params.eta, params.j_max, fx, f_full
+                            )
+                            accepted_by = ARMIJO
+                        if step is not None and step.j == 0:
+                            grad_new = grad_full
+                    if step is not None:
+                        outer.append(InnerTrialRecord(t, sigma, cg_out.d_type, True, step.alpha, None, cg_out.iterations))
+                        break
+                    outer.append(InnerTrialRecord(t, sigma, cg_out.d_type, False, None, reason, cg_out.iterations))
+                else:
+                    status = LINE_SEARCH_FAILURE
+                    detail = f"damping trial limit t_max = {len(outer)} exhausted"
+                    break
+                gamma_prev = sigma
+                step_type, step_sigma, inner = cg_out.d_type, sigma, cg_out.iterations
+            elif params.eps_H is None:
+                status = FOSP
+                break
+            else:
+                call = counters.meo_calls
+                counters.meo_calls += 1
+                norm_h = estimate_operator_norm(
+                    hvp, co.dim, seed=params.seed, stream=sampling.STREAM_NORM_EST + call
+                )
+                meo = minimum_eigenvalue_oracle(
+                    hvp,
+                    co.dim,
+                    params.eps_H,
+                    params.delta,
+                    norm_h,
+                    seed=params.seed,
+                    stream=sampling.STREAM_MEO_START + call,
+                )
+                if meo.kind == CERTIFICATE:
+                    status = SOSP_CERTIFIED
+                    break
+                d = scale_meo_direction(meo.v, hvp, gx)
+                step = line_search_meo(co, x, d, params.theta, params.eta, params.j_max, fx)
+                trials.append([])
+                step_type, step_sigma, inner, accepted_by, grad_new = MEO, None, meo.iterations, None, None
+            gamma_history.append(gamma_prev)  # weight carried through MEO steps
+            trace.append(
+                IterationRecord(
+                    step_type=step_type,
+                    alpha=step.alpha,
+                    j=step.j,
+                    f_before=fx,
+                    f_after=step.f_new,
+                    grad_norm=gnorm,
+                    d_norm=float(np.linalg.norm(d)),
+                    sigma=step_sigma,
+                    inner_iterations=inner,
+                    accepted_by=accepted_by,
+                )
+            )
+            x = x + step.alpha * d
+            fx = step.f_new
+            gx = grad_new if grad_new is not None else co.eval_grad(x)
+    except LineSearchError as err:
+        status = LINE_SEARCH_FAILURE
+        detail = str(err)
+
+    counters.subproblems = counters.capped_cg_calls
+    result = SolveResult(x, fx, float(np.linalg.norm(gx)), status, detail, trace, counters)
+    if not parameter_free:
+        return result
+    return PfSolveResult(**vars(result), trials=trials, gamma_history=gamma_history)
+
+
 def newton_cg_solve(
     oracle: ProblemOracle, x0: Array, params: NcgParams
 ) -> SolveResult:
@@ -385,120 +474,16 @@ def newton_cg_solve(
     SOSP_certified once the eigenvalue oracle certifies the Hessian; returns
     MaxIterations / LineSearchFailure with the full trace otherwise.
     """
-    co = CountingOracle(oracle)
-    x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    fx = co.eval_f(x)
-    gx = co.eval_grad(x)
-
     gamma = gamma_nu(params.eps_g, params.holder)
-    eps_damp = math.sqrt(gamma * params.eps_g)
-    budget = _default_max_outer(params, fx)
-
-    trace: list[IterationRecord] = []
-    counters = Counters()
-    status = MAX_ITERATIONS
-    detail: str | None = None
-    meo_calls = 0
-
-    for _ in range(budget):
-        gnorm = float(np.linalg.norm(gx))
-        if gnorm > params.eps_g:
-            hvp = lambda v: co.eval_hvp(x, v)
-            cg = capped_cg(hvp, gx, eps_damp, params.zeta)
-            counters.capped_cg_calls += 1
-            try:
-                if cg.d_type == NC:
-                    d = scale_nc_direction(cg.d, hvp, gx, gamma)
-                    ls = line_search_nc(
-                        co, x, d, gamma, params.theta, params.eta, params.j_max, f_x=fx
-                    )
-                else:
-                    d = cg.d
-                    ls = line_search_sol(
-                        co,
-                        x,
-                        d,
-                        eps_damp,
-                        params.theta,
-                        params.eta,
-                        params.eps_g,
-                        params.j_max,
-                        f_x=fx,
-                    )
-            except LineSearchError as err:
-                status = LINE_SEARCH_FAILURE
-                detail = str(err)
-                break
-            trace.append(
-                IterationRecord(
-                    step_type=cg.d_type,
-                    alpha=ls.alpha,
-                    j=ls.j,
-                    f_before=fx,
-                    f_after=ls.f_new,
-                    grad_norm=gnorm,
-                    d_norm=float(np.linalg.norm(d)),
-                    sigma=gamma,
-                    inner_iterations=cg.iterations,
-                    accepted_by=ls.accepted_by,
-                )
-            )
-            x = x + ls.alpha * d
-            fx = ls.f_new
-            gx = ls.grad_new if ls.grad_new is not None else co.eval_grad(x)
-        elif params.eps_H is None:
-            status = FOSP
-            break
-        else:
-            kind, payload = _meo_attempt(
-                co,
-                x,
-                fx,
-                gx,
-                params.eps_H,
-                params.delta,
-                params.theta,
-                params.eta,
-                params.j_max,
-                params.seed,
-                meo_calls,
-            )
-            counters.meo_calls += 1
-            meo_calls += 1
-            if kind == "certified":
-                status = SOSP_CERTIFIED
-                break
-            d, ls, outcome = payload
-            trace.append(
-                IterationRecord(
-                    step_type=MEO,
-                    alpha=ls.alpha,
-                    j=ls.j,
-                    f_before=fx,
-                    f_after=ls.f_new,
-                    grad_norm=gnorm,
-                    d_norm=float(np.linalg.norm(d)),
-                    sigma=None,
-                    inner_iterations=outcome.iterations,
-                    accepted_by=None,
-                )
-            )
-            x = x + ls.alpha * d
-            fx = ls.f_new
-            gx = co.eval_grad(x)
-
-    counters.f_evals = co.f_evals
-    counters.grad_evals = co.grad_evals
-    counters.hvp_evals = co.hvp_evals
-    counters.subproblems = counters.capped_cg_calls
-    return SolveResult(
-        x_final=x,
-        f_final=fx,
-        grad_norm_final=float(np.linalg.norm(gx)),
-        status=status,
-        status_detail=detail,
-        trace=trace,
-        counters=counters,
+    return _drive(
+        oracle,
+        x0,
+        params,
+        weights=lambda _: (gamma,),
+        gamma0=gamma,
+        max_outer=lambda f0: _default_max_outer(params, f0),
+        cg=capped_cg,
+        search_sol=line_search_sol,
+        search_nc=line_search_nc,
+        parameter_free=False,
     )

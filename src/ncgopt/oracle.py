@@ -63,31 +63,42 @@ class DerivativeCheckError(RuntimeError):
         self.coordinate = coordinate
 
 
+@dataclass
+class Counters:
+    """Work done by one solve, as reported on its result."""
+
+    f_evals: int = 0
+    grad_evals: int = 0
+    hvp_evals: int = 0
+    capped_cg_calls: int = 0
+    meo_calls: int = 0
+    subproblems: int = 0
+
+
 class CountingOracle:
     """Mutable per-solve wrapper that counts f / grad / hvp evaluations.
 
     Exposes the same ``eval_*`` surface as :class:`ProblemOracle` so solver
-    code is agnostic to whether it counts.
+    code is agnostic to whether it counts.  The counts go straight into
+    ``counters``, which the solver completes and returns with its result.
     """
 
     def __init__(self, oracle: ProblemOracle):
         self._oracle = oracle
         self.dim = oracle.dim
         self.name = oracle.name
-        self.f_evals = 0
-        self.grad_evals = 0
-        self.hvp_evals = 0
+        self.counters = Counters()
 
     def eval_f(self, x: Array) -> float:
-        self.f_evals += 1
+        self.counters.f_evals += 1
         return float(self._oracle.eval_f(x))
 
     def eval_grad(self, x: Array) -> Array:
-        self.grad_evals += 1
+        self.counters.grad_evals += 1
         return self._oracle.eval_grad(x)
 
     def eval_hvp(self, x: Array, v: Array) -> Array:
-        self.hvp_evals += 1
+        self.counters.hvp_evals += 1
         return self._oracle.eval_hvp(x, v)
 
 

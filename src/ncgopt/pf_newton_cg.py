@@ -1,43 +1,37 @@
 """Parameter-free Newton-CG driver.
 
-Same outer structure as the known-smoothness driver, but the damping weight
-sigma is estimated per outer iteration by geometric backtracking: trial
-values sigma_t = r^t sigma_0 grow from sigma_0 = max{gamma_init,
-gamma_prev / r} until the capped-CG direction passes its step checks.  No
-knowledge of the Hessian smoothness class is required.
+Runs the outer loop shared with the known-smoothness driver
+(``newton_cg._drive``) and differs only in its damping policy: no knowledge
+of the Hessian smoothness class is required.  Per outer iteration, trial
+weights sigma_t = r^t sigma_0, t < t_max, grow geometrically from
+sigma_0 = max{gamma_init, gamma_prev / r}, where gamma_prev is the weight
+accepted last.  Each trial searches a bounded step-size window, and a SOL
+direction too short for its weight is rejected outright; a trial whose
+window holds no acceptable step moves on to the next weight.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .capped_cg import NC, capped_cg
-from .newton_cg import (
-    ARMIJO,
-    FOSP,
-    FULL_STEP,
-    LINE_SEARCH_FAILURE,
-    MAX_ITERATIONS,
-    MEO,
-    SOSP_CERTIFIED,
-    Counters,
-    IterationRecord,
-    LineSearchError,
-    SolveResult,
+from .capped_cg import capped_cg
+from .newton_cg import (  # the trial records and result type are re-exported here
     _FALLBACK_MAX_OUTER,
-    _meo_attempt,
+    NO_VALID_J,
+    SMALL_STEP,
+    InnerTrialRecord,
+    LineSearchOutcome,
+    PfSolveResult,
+    _backtrack,
+    _drive,
     c_nc,
     gamma_nu,
-    scale_nc_direction,
 )
-from .oracle import CountingOracle, HolderClass, ProblemOracle
+from .oracle import HolderClass, ProblemOracle
 
 Array = np.ndarray
-
-SMALL_STEP = "small_step"
-NO_VALID_J = "no_valid_j"
 
 
 @dataclass(frozen=True)
@@ -78,32 +72,6 @@ class PfParams:
             raise ValueError("t_max and j_max must be at least 1")
 
 
-@dataclass
-class InnerTrialRecord:
-    """One damping trial inside an outer iteration."""
-
-    t: int
-    sigma_t: float
-    d_type: str
-    accepted: bool
-    alpha: float | None
-    reason: str | None  # small_step | no_valid_j when not accepted
-    cg_iterations: int
-
-
-@dataclass
-class PfSolveResult(SolveResult):
-    trials: list[list[InnerTrialRecord]] = field(default_factory=list)
-    gamma_history: list[float] = field(default_factory=list)
-
-
-@dataclass
-class BoundedSearchResult:
-    found: bool
-    j: int | None = None
-    f_new: float | None = None
-
-
 def sigma_start(gamma_prev: float, gamma_init: float, r: float) -> float:
     """First trial weight of an outer iteration: max{gamma_init, gamma_prev / r}."""
     return max(gamma_init, gamma_prev / r)
@@ -120,31 +88,20 @@ def bounded_line_search_sol(
     j_max: int,
     f_x: float,
     f_full: float | None = None,
-) -> BoundedSearchResult:
+) -> LineSearchOutcome | None:
     """Search the bounded step-size window for a SOL direction.
 
     Scans j = 0, 1, ... while theta^j >= min{1, 2 (1-eta) theta
     (eps_g/sigma_t)^(1/4) / (3 ||d||^(1/2))} and accepts the smallest j with
     f(x + theta^j d) <= f(x) - eta (sigma_t eps_g)^(1/2) theta^(2j) ||d||^2.
-    NotFound means the window closed; hitting j_max inside the window raises.
+    None means the window closed; hitting j_max inside the window raises.
     ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
     dn = float(np.linalg.norm(d))
     window = min(1.0, 2.0 * (1.0 - eta) * theta * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
     decrease = eta * math.sqrt(sigma_t * eps_g) * dn * dn
-    j = 0
-    while theta**j >= window:
-        if j > j_max:
-            raise LineSearchError("bounded SOL search exceeded its cap in-window", j)
-        if j == 0 and f_full is not None:
-            f_trial = f_full
-        else:
-            f_trial = oracle.eval_f(x + theta**j * d)
-        a = theta**j
-        if f_trial <= f_x - decrease * a * a:
-            return BoundedSearchResult(True, j, f_trial)
-        j += 1
-    return BoundedSearchResult(False)
+    message = "bounded SOL search exceeded its cap in-window"
+    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, message, lower=window, f_first=f_full)
 
 
 def bounded_line_search_nc(
@@ -156,24 +113,17 @@ def bounded_line_search_nc(
     eta: float,
     j_max: int,
     f_x: float,
-) -> BoundedSearchResult:
+) -> LineSearchOutcome | None:
     """Bounded-window search for a scaled negative-curvature direction.
 
-    Window: theta^(j-1) >= min{1, 1/sigma_t}.  Decrease test:
+    Window: theta^(j-1) >= min{1, 1/sigma_t}, i.e. theta^j >= theta min{1, 1/sigma_t}.
+    Decrease test:
     f(x + theta^j d) <= f(x) - eta min{1, sigma_t} theta^(2j) ||d||^3 / 4.
     """
-    window = min(1.0, 1.0 / sigma_t)
+    window = theta * min(1.0, 1.0 / sigma_t)
     decrease = eta * min(1.0, sigma_t) * float(np.linalg.norm(d)) ** 3 / 4.0
-    j = 0
-    while theta ** (j - 1) >= window:
-        if j > j_max:
-            raise LineSearchError("bounded NC search exceeded its cap in-window", j)
-        a = theta**j
-        f_trial = oracle.eval_f(x + a * d)
-        if f_trial <= f_x - decrease * a * a:
-            return BoundedSearchResult(True, j, f_trial)
-        j += 1
-    return BoundedSearchResult(False)
+    message = "bounded NC search exceeded its cap in-window"
+    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, message, lower=window)
 
 
 def c_sol_hat(eta: float, theta: float) -> float:
@@ -210,178 +160,20 @@ def pf_newton_cg_solve(
     gradient, or the bounded line search finds a step.  gamma_k records the
     accepted weight and seeds the next iteration's start value.
     """
-    co = CountingOracle(oracle)
-    x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    fx = co.eval_f(x)
-    gx = co.eval_grad(x)
 
-    budget = params.max_outer if params.max_outer is not None else _FALLBACK_MAX_OUTER
-    gamma_prev = params.gamma_init
+    def weights(gamma_prev: float):
+        sigma0 = sigma_start(gamma_prev, params.gamma_init, params.r)
+        return (sigma0 * params.r**t for t in range(params.t_max))
 
-    trace: list[IterationRecord] = []
-    trials: list[list[InnerTrialRecord]] = []
-    gamma_history: list[float] = []
-    counters = Counters()
-    status = MAX_ITERATIONS
-    detail: str | None = None
-    meo_calls = 0
-
-    for _ in range(budget):
-        gnorm = float(np.linalg.norm(gx))
-        if gnorm > params.eps_g:
-            hvp = lambda v: co.eval_hvp(x, v)
-            sigma0 = sigma_start(gamma_prev, params.gamma_init, params.r)
-            outer_trials: list[InnerTrialRecord] = []
-            accepted: tuple[Array, float, int, float, Array | None, str, str, int] | None = None
-            try:
-                for t in range(params.t_max):
-                    sigma_t = sigma0 * params.r**t
-                    eps_t = math.sqrt(sigma_t * params.eps_g)
-                    cg = capped_cg(hvp, gx, eps_t, params.zeta)
-                    counters.capped_cg_calls += 1
-                    if cg.d_type == NC:
-                        d = scale_nc_direction(cg.d, hvp, gx, sigma_t)
-                        res = bounded_line_search_nc(
-                            co, x, d, sigma_t, params.theta, params.eta, params.j_max, fx
-                        )
-                        if res.found:
-                            alpha = params.theta**res.j
-                            outer_trials.append(
-                                InnerTrialRecord(t, sigma_t, NC, True, alpha, None, cg.iterations)
-                            )
-                            accepted = (d, alpha, res.j, res.f_new, None, NC, ARMIJO, cg.iterations)
-                            break
-                        outer_trials.append(
-                            InnerTrialRecord(t, sigma_t, NC, False, None, NO_VALID_J, cg.iterations)
-                        )
-                    else:
-                        d = cg.d
-                        f_full = co.eval_f(x + d)
-                        grad_full = None
-                        if f_full <= fx:
-                            grad_full = co.eval_grad(x + d)
-                            if float(np.linalg.norm(grad_full)) <= params.eps_g:
-                                outer_trials.append(
-                                    InnerTrialRecord(t, sigma_t, cg.d_type, True, 1.0, None, cg.iterations)
-                                )
-                                accepted = (d, 1.0, 0, f_full, grad_full, cg.d_type, FULL_STEP, cg.iterations)
-                                break
-                        if 6.0 * float(np.linalg.norm(d)) >= math.sqrt(params.eps_g / sigma_t):
-                            res = bounded_line_search_sol(
-                                co,
-                                x,
-                                d,
-                                sigma_t,
-                                params.eps_g,
-                                params.theta,
-                                params.eta,
-                                params.j_max,
-                                fx,
-                                f_full=f_full,
-                            )
-                            if res.found:
-                                alpha = params.theta**res.j
-                                grad_new = grad_full if res.j == 0 else None
-                                outer_trials.append(
-                                    InnerTrialRecord(t, sigma_t, cg.d_type, True, alpha, None, cg.iterations)
-                                )
-                                accepted = (d, alpha, res.j, res.f_new, grad_new, cg.d_type, ARMIJO, cg.iterations)
-                                break
-                            outer_trials.append(
-                                InnerTrialRecord(t, sigma_t, cg.d_type, False, None, NO_VALID_J, cg.iterations)
-                            )
-                        else:
-                            outer_trials.append(
-                                InnerTrialRecord(t, sigma_t, cg.d_type, False, None, SMALL_STEP, cg.iterations)
-                            )
-            except LineSearchError as err:
-                trials.append(outer_trials)
-                status = LINE_SEARCH_FAILURE
-                detail = str(err)
-                break
-            trials.append(outer_trials)
-            if accepted is None:
-                status = LINE_SEARCH_FAILURE
-                detail = f"damping trial limit t_max = {params.t_max} exhausted"
-                break
-            d, alpha, j, f_new, grad_new, d_type, accepted_by, cg_iters = accepted
-            gamma_k = outer_trials[-1].sigma_t
-            trace.append(
-                IterationRecord(
-                    step_type=d_type,
-                    alpha=alpha,
-                    j=j,
-                    f_before=fx,
-                    f_after=f_new,
-                    grad_norm=gnorm,
-                    d_norm=float(np.linalg.norm(d)),
-                    sigma=gamma_k,
-                    inner_iterations=cg_iters,
-                    accepted_by=accepted_by if d_type != NC else None,
-                )
-            )
-            gamma_history.append(gamma_k)
-            gamma_prev = gamma_k
-            x = x + alpha * d
-            fx = f_new
-            gx = grad_new if grad_new is not None else co.eval_grad(x)
-        elif params.eps_H is None:
-            status = FOSP
-            break
-        else:
-            kind, payload = _meo_attempt(
-                co,
-                x,
-                fx,
-                gx,
-                params.eps_H,
-                params.delta,
-                params.theta,
-                params.eta,
-                params.j_max,
-                params.seed,
-                meo_calls,
-            )
-            counters.meo_calls += 1
-            meo_calls += 1
-            if kind == "certified":
-                status = SOSP_CERTIFIED
-                break
-            d, ls, outcome = payload
-            trace.append(
-                IterationRecord(
-                    step_type=MEO,
-                    alpha=ls.alpha,
-                    j=ls.j,
-                    f_before=fx,
-                    f_after=ls.f_new,
-                    grad_norm=gnorm,
-                    d_norm=float(np.linalg.norm(d)),
-                    sigma=None,
-                    inner_iterations=outcome.iterations,
-                    accepted_by=None,
-                )
-            )
-            trials.append([])
-            gamma_history.append(gamma_prev)  # weight carried through MEO steps
-            x = x + ls.alpha * d
-            fx = ls.f_new
-            gx = co.eval_grad(x)
-
-    counters.f_evals = co.f_evals
-    counters.grad_evals = co.grad_evals
-    counters.hvp_evals = co.hvp_evals
-    counters.subproblems = counters.capped_cg_calls
-    return PfSolveResult(
-        x_final=x,
-        f_final=fx,
-        grad_norm_final=float(np.linalg.norm(gx)),
-        status=status,
-        status_detail=detail,
-        trace=trace,
-        counters=counters,
-        trials=trials,
-        gamma_history=gamma_history,
+    return _drive(
+        oracle,
+        x0,
+        params,
+        weights=weights,
+        gamma0=params.gamma_init,
+        max_outer=lambda f0: _FALLBACK_MAX_OUTER if params.max_outer is None else params.max_outer,
+        cg=capped_cg,
+        search_sol=bounded_line_search_sol,
+        search_nc=bounded_line_search_nc,
+        parameter_free=True,
     )

@@ -166,6 +166,12 @@ def test_criterion_3_driver_soundness():
             fs = [r.f_before for r in res2.trace] + [res2.f_final]
             assert all(fs[i + 1] <= fs[i] for i in range(len(fs) - 1))
 
+            # accepted_by tags SOL steps only, in both drivers.
+            for res in (res1, res2):
+                for r in res.trace:
+                    tags = ("full_step", "armijo") if r.step_type == ng.SOL else (None,)
+                    assert r.accepted_by in tags, (family, seed, r.step_type, r.accepted_by)
+
             if known_holder is not None:
                 f0 = oracle.eval_f(x0)
                 sigma_bar, t_bound, _ = ng.pf_bounds(params2, known_holder, f0, 0.0)

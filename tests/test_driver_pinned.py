@@ -93,5 +93,7 @@ def test_pinned_outputs(case):
 def test_alg2_takes_meo_step_from_saddle():
     res = solve("alg2", "quartic", 0, 1e-2)
     assert res.trace[0].step_type == ng.MEO
+    assert res.trace[0].accepted_by is None
     assert res.trials[0] == []
+    assert res.gamma_history[0] == 10.0  # gamma_init, carried through the MEO step
     assert res.status == ng.SOSP_CERTIFIED

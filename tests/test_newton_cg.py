@@ -9,8 +9,10 @@ from ncgopt import (
     MAX_ITERATIONS,
     MEO,
     HolderClass,
+    LINE_SEARCH_FAILURE,
     LineSearchError,
     NcgParams,
+    PfParams,
     ProblemOracle,
     c_meo,
     c_nc,
@@ -23,6 +25,7 @@ from ncgopt import (
     line_search_nc,
     line_search_sol,
     newton_cg_solve,
+    pf_newton_cg_solve,
     scale_meo_direction,
     scale_nc_direction,
     taylor_error_modulus,
@@ -185,10 +188,11 @@ def test_line_search_sol_quadratic_full_or_first():
     oracle = CountingOracle(make_norm_squared(4))
     x = np.array([1.0, 0.0, 0.0, 0.0])
     holder = HolderClass(1.0, 1e-8)
-    eps_damp = math.sqrt(gamma_nu(1e-4, holder) * 1e-4)
+    gamma = gamma_nu(1e-4, holder)
+    eps_damp = math.sqrt(gamma * 1e-4)
     cg = capped_cg(lambda v: oracle.eval_hvp(x, v), oracle.eval_grad(x), eps_damp, 0.5)
     assert cg.d_type == "SOL"
-    out = line_search_sol(oracle, x, cg.d, eps_damp, 0.5, 0.01, 1e-4, 60, f_x=0.5)
+    out = line_search_sol(oracle, x, cg.d, gamma, 1e-4, 0.5, 0.01, 60, f_x=0.5)
     assert out.alpha == 1.0
     assert out.f_new < 0.5
 
@@ -197,7 +201,8 @@ def test_line_search_sol_smallest_j_is_zero_on_descent():
     oracle = CountingOracle(make_norm_squared(3))
     x = np.array([2.0, 0.0, 0.0])
     d = np.array([-1.0, 0.0, 0.0])
-    out = line_search_sol(oracle, x, d, 0.5, 0.5, 0.01, eps_g=1e-4, j_max=60, f_x=2.0)
+    # (sigma eps_g)^(1/2) = 0.5
+    out = line_search_sol(oracle, x, d, 2500.0, 1e-4, 0.5, 0.01, j_max=60, f_x=2.0)
     assert out.j == 0 and out.alpha == 1.0
 
 
@@ -224,7 +229,8 @@ def test_line_search_sol_minimality_against_scan():
     d = np.array([-2.2])  # overshooting direction: the full step increases f
     sigma_eps, theta, eta = 2.0, 0.5, 0.5
     f_x = oracle.eval_f(x)
-    out = line_search_sol(oracle, x, d, sigma_eps, theta, eta, eps_g=1e-8, j_max=60, f_x=f_x)
+    # sigma = 4e8 with eps_g = 1e-8 gives (sigma eps_g)^(1/2) = sigma_eps exactly.
+    out = line_search_sol(oracle, x, d, 4e8, 1e-8, theta, eta, j_max=60, f_x=f_x)
     dn2 = float(d @ d)
     expected = exhaustive_smallest_j(
         lambda y: 0.5 * curv * float(y @ y),
@@ -413,3 +419,21 @@ def test_backtracking_cap_yields_line_search_failure_status():
     res = newton_cg_solve(lying, np.zeros(3), params)
     assert res.status == "LineSearchFailure"
     assert res.status_detail is not None
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+def test_meo_backtracking_cap_yields_line_search_failure_status(solver):
+    # f and its gradient vanish while the Hessian has curvature -1: the
+    # eigenvalue oracle finds a direction, but no step along it can decrease
+    # the constant f, so the MEO search exhausts its cap.
+    H = np.diag([-1.0, 1.0, 2.0, 3.0])
+    flat = ProblemOracle(4, lambda x: 0.0, lambda x: np.zeros(4), lambda x, v: H @ v, "flat-saddle")
+    if solver == "alg1":
+        res = newton_cg_solve(flat, np.zeros(4), NcgParams(eps_g=1e-4, eps_H=1e-2, holder=HolderClass(1.0, 1.0)))
+    else:
+        res = pf_newton_cg_solve(flat, np.zeros(4), PfParams(eps_g=1e-4, eps_H=1e-2))
+    assert res.status == LINE_SEARCH_FAILURE
+    assert res.status_detail == "MEO backtracking exceeded its cap (j = 61)"
+    assert res.trace == []
+    assert res.counters.meo_calls == 1
+    assert res.f_final == 0.0 and np.array_equal(res.x_final, np.zeros(4))

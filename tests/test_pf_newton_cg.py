@@ -51,7 +51,7 @@ def test_bounded_sol_accepts_steep_descent_at_zero():
     res = bounded_line_search_sol(
         oracle, x, d, sigma_t=10.0, eps_g=1e-4, theta=0.5, eta=0.01, j_max=60, f_x=4.5
     )
-    assert res.found and res.j == 0
+    assert res is not None and res.j == 0
 
 
 def test_bounded_sol_not_found_on_ascent():
@@ -65,7 +65,7 @@ def test_bounded_sol_not_found_on_ascent():
     res = bounded_line_search_sol(
         oracle, x, d, sigma_t=10.0, eps_g=1e-4, theta=0.5, eta=0.01, j_max=60, f_x=0.0
     )
-    assert not res.found
+    assert res is None
     # The exhaustive window scan agrees: every admissible j fails.
     window = min(1.0, 2.0 * 0.99 * 0.5 * (1e-4 / 10.0) ** 0.25 / (3.0 * 1.0))
     j = 0
@@ -81,7 +81,7 @@ def test_bounded_nc_not_found_on_ascent():
     res = bounded_line_search_nc(
         oracle, np.zeros(1), np.ones(1), sigma_t=4.0, theta=0.5, eta=0.01, j_max=60, f_x=0.0
     )
-    assert not res.found
+    assert res is None
 
 
 def test_bounded_nc_accepts_immediately_on_descent():
@@ -90,7 +90,7 @@ def test_bounded_nc_accepts_immediately_on_descent():
         oracle, np.array([2.0]), np.array([-1.0]), sigma_t=1.0, theta=0.5, eta=0.01,
         j_max=60, f_x=2.0,
     )
-    assert res.found and res.j == 0
+    assert res is not None and res.j == 0
 
 
 def test_bounded_sol_reuses_full_step_value():
@@ -106,7 +106,7 @@ def test_bounded_sol_reuses_full_step_value():
     res = bounded_line_search_sol(
         oracle, x, d, 10.0, 1e-4, 0.5, 0.01, 60, f_x=4.5, f_full=0.5
     )
-    assert res.found and res.j == 0 and calls["f"] == 0
+    assert res is not None and res.j == 0 and calls["f"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_bounded_searches_minimality_against_scan():
             first = j
             break
         j += 1
-    assert res.found and first is not None and res.j == first and res.j > 0
+    assert res is not None and first is not None and res.j == first and res.j > 0
 
     res = bounded_line_search_nc(oracle, x, d, sigma_t, theta, eta, 60, f_x)
     first = None
@@ -274,7 +274,7 @@ def test_bounded_searches_minimality_against_scan():
             first = j
             break
         j += 1
-    assert res.found and first is not None and res.j == first and res.j > 0
+    assert res is not None and first is not None and res.j == first and res.j > 0
 
 
 def test_concurrent_solves_share_one_oracle():
