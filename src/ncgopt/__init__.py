@@ -31,6 +31,7 @@ from .newton_cg import (
     LINE_SEARCH_FAILURE,
     MAX_ITERATIONS,
     MEO,
+    NUMERICAL_FAILURE,
     SOSP_CERTIFIED,
     IterationRecord,
     LineSearchError,

@@ -5,10 +5,19 @@ Either a unit direction v with v^T H v <= -eps/2 turns up (outcome
 ``direction``) or the run certifies lambda_min(H) >= -eps with probability
 at least 1 - delta (outcome ``certificate``).
 
-Directions are never returned on trust: when the smallest Ritz value dips
-below -eps/2, the candidate Ritz vector is checked against an actual
-Hessian-vector product before it is returned, so a positive semidefinite
-operator can never produce a direction, regardless of rounding.
+Each step asks whether the tridiagonal T_k has a Ritz value at or below
+s = -eps/2 with an inertia count (Sylvester's law): the pivots of the
+LDL^T factorization of T_k - s I are nested, so step k adds one pivot
+d_k = (alpha_k - s) - beta_{k-1}^2 / d_{k-1}, and the number of negative
+pivots is the number of Ritz values below s.  An exactly zero pivot is
+replaced by -tiny, so a Ritz value equal to s counts.  The test costs O(1)
+per step; the dense k x k eigensolve runs only once the count is positive.
+
+Directions are never returned on trust: the candidate Ritz vector is checked
+against an actual Hessian-vector product before it is returned, so a
+positive semidefinite operator can never produce a direction, regardless of
+rounding.  A non-finite Lanczos coefficient or norm estimate raises
+``NonFiniteError`` instead of ending in a certificate.
 """
 from __future__ import annotations
 
@@ -19,12 +28,17 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .tridiag import smallest_eigenpair, smallest_eigenvalue
 
 Array = np.ndarray
 
 CERTIFICATE = "certificate"
 DIRECTION = "direction"
+
+_TINY = float(np.finfo(float).tiny)
+
+
+class NonFiniteError(FloatingPointError):
+    """A Lanczos coefficient or the operator-norm estimate is NaN or infinite."""
 
 
 @dataclass
@@ -57,6 +71,34 @@ def lanczos_budget(n: int, eps: float, delta: float, norm_h: float) -> int:
     return min(n, raw)
 
 
+def shifted_pivot(alpha: float, shift: float, beta: float = 0.0, prev: float = 1.0) -> float:
+    """Next pivot of the LDL^T factorization of a tridiagonal minus shift I.
+
+    ``alpha`` is the new diagonal entry, ``beta`` the coupling to the
+    previous row and ``prev`` the previous pivot (the defaults give the first
+    pivot).  An exactly zero pivot comes back as -tiny, as with LAPACK's
+    ``pivmin`` guard, so it counts as negative and the next pivot is huge
+    (or +inf) rather than undefined.
+    """
+    pivot = (alpha - shift) - beta * beta / prev
+    return pivot if pivot != 0.0 else -_TINY
+
+
+def _tridiagonal(diag: Array, offdiag: Array) -> Array:
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+def smallest_eigenvalue(diag: Array, offdiag: Array) -> float:
+    """Smallest eigenvalue of the symmetric tridiagonal (diag, offdiag)."""
+    return float(np.linalg.eigvalsh(_tridiagonal(diag, offdiag))[0])
+
+
+def smallest_eigenpair(diag: Array, offdiag: Array) -> tuple[float, Array]:
+    """Smallest eigenvalue of the symmetric tridiagonal and a unit eigenvector."""
+    w, z = np.linalg.eigh(_tridiagonal(diag, offdiag))
+    return float(w[0]), z[:, 0]
+
+
 def minimum_eigenvalue_oracle(
     hvp: Callable[[Array], Array],
     n: int,
@@ -69,53 +111,65 @@ def minimum_eigenvalue_oracle(
     """Randomized Lanczos with full reorthogonalization.
 
     ``norm_h`` is a caller-supplied upper estimate of ||H|| used only for the
-    budget.  Deterministic given (seed, stream).
+    budget.  Deterministic given (seed, stream).  Raises ``NonFiniteError``
+    when ``norm_h`` or a Lanczos coefficient is not finite.
     """
+    if not math.isfinite(norm_h):
+        raise NonFiniteError(f"operator-norm estimate is {norm_h}")
     budget = lanczos_budget(n, eps, delta, norm_h)
     breakdown_tol = 1e-13 * max(1.0, norm_h)
+    shift = -eps / 2.0
 
     q = sampling.unit_vector(seed, n, stream)
     basis = np.empty((n, budget))
     basis[:, 0] = q
-    alphas: list[float] = []
-    betas: list[float] = []
-    best_ritz = math.inf
+    alphas = np.empty(budget)
+    betas = np.empty(budget)  # betas[k - 1] couples q_k and q_(k+1)
+    beta, pivot = 0.0, 1.0
+    below = 0  # Ritz values of T_k at or below the shift
 
     for k in range(1, budget + 1):
         w = np.asarray(hvp(q), dtype=float)
         a = float(q @ w)
-        alphas.append(a)
+        if not math.isfinite(a):
+            raise NonFiniteError(f"Lanczos alpha_{k} is {a}")
+        alphas[k - 1] = a
         w = w - a * q
         if k > 1:
-            w = w - betas[-1] * basis[:, k - 2]
+            w = w - beta * basis[:, k - 2]
         # Full reorthogonalization, two passes; eliminates spurious Ritz
         # values that would corrupt the -eps/2 test.
         for _ in range(2):
             w = w - basis[:, :k] @ (basis[:, :k].T @ w)
 
-        theta = smallest_eigenvalue(np.array(alphas), np.array(betas))
-        best_ritz = min(best_ritz, theta)
-        if theta <= -eps / 2.0:
-            theta, weights = smallest_eigenpair(np.array(alphas), np.array(betas))
+        pivot = shifted_pivot(a, shift, beta, pivot)
+        if pivot < 0.0:
+            below += 1
+        if below:
+            theta, weights = smallest_eigenpair(alphas[:k], betas[: k - 1])
             v = basis[:, :k] @ weights
             v = v / float(np.linalg.norm(v))
             curvature = float(v @ np.asarray(hvp(v), dtype=float))
-            if curvature <= -eps / 2.0:
+            if curvature <= shift:
                 return MeoOutcome(DIRECTION, v, k, budget, theta, curvature)
 
         beta = float(np.linalg.norm(w))
+        if not math.isfinite(beta):
+            raise NonFiniteError(f"Lanczos beta_{k} is {beta}")
         if beta <= breakdown_tol:
             # Exactly invariant subspace: its Ritz values are exact, and the
             # direction test above already ran on them.
-            return MeoOutcome(
-                CERTIFICATE, None, k, budget, best_ritz, breakdown=True
-            )
+            ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
+            return MeoOutcome(CERTIFICATE, None, k, budget, ritz, breakdown=True)
         if k < budget:
-            betas.append(beta)
+            betas[k - 1] = beta
             q = w / beta
             basis[:, k] = q
 
-    return MeoOutcome(CERTIFICATE, None, budget, budget, best_ritz)
+    # By Cauchy interlacing, the smallest Ritz value of the final T_k is the
+    # smallest one seen at any step.
+    ritz = smallest_eigenvalue(alphas, betas[: budget - 1])
+    return MeoOutcome(CERTIFICATE, None, budget, budget, ritz)
 
 
 def estimate_operator_norm(

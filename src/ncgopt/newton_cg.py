@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sampling
 from .capped_cg import NC, capped_cg
-from .meo import CERTIFICATE, estimate_operator_norm, minimum_eigenvalue_oracle
+from .meo import CERTIFICATE, NonFiniteError, estimate_operator_norm, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
 Array = np.ndarray
@@ -33,6 +33,7 @@ FOSP = "FOSP"
 SOSP_CERTIFIED = "SOSP_certified"
 MAX_ITERATIONS = "MaxIterations"
 LINE_SEARCH_FAILURE = "LineSearchFailure"
+NUMERICAL_FAILURE = "NumericalFailure"
 
 MEO = "MEO"
 
@@ -376,6 +377,10 @@ def _drive(
     try:
         for _ in range(max_outer(fx)):
             gnorm = float(np.linalg.norm(gx))
+            if not math.isfinite(gnorm):
+                status = NUMERICAL_FAILURE
+                detail = f"gradient norm is {gnorm}"
+                break
             if gnorm > params.eps_g:
                 outer: list[InnerTrialRecord] = []
                 trials.append(outer)
@@ -457,6 +462,9 @@ def _drive(
     except LineSearchError as err:
         status = LINE_SEARCH_FAILURE
         detail = str(err)
+    except NonFiniteError as err:
+        status = NUMERICAL_FAILURE
+        detail = f"eigenvalue oracle: {err}"
 
     counters.subproblems = counters.capped_cg_calls
     result = SolveResult(x, fx, float(np.linalg.norm(gx)), status, detail, trace, counters)
@@ -472,7 +480,9 @@ def newton_cg_solve(
 
     Terminates at FOSP (gradient norm <= eps_g) when eps_H is absent, or at
     SOSP_certified once the eigenvalue oracle certifies the Hessian; returns
-    MaxIterations / LineSearchFailure with the full trace otherwise.
+    MaxIterations / LineSearchFailure with the full trace otherwise, and
+    NumericalFailure when the gradient norm or the eigenvalue oracle's
+    Lanczos data is not finite.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
     return _drive(

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ncgopt import (
     lanczos_budget,
     minimum_eigenvalue_oracle,
 )
+from ncgopt.meo import NonFiniteError, shifted_pivot, smallest_eigenpair, smallest_eigenvalue
 from ncgopt.sampling import generator
 
 
@@ -20,6 +22,66 @@ def matvec(H):
 def random_symmetric(rng, n, lam):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * lam) @ q.T
+
+
+def dense(diag, off):
+    k = len(diag)
+    t = np.diag(diag).astype(float)
+    for i in range(k - 1):
+        t[i, i + 1] = t[i + 1, i] = off[i]
+    return t
+
+
+def negative_pivots(diag, off, shift):
+    """Inertia count the oracle keeps, one pivot per row."""
+    pivot, beta, count = 1.0, 0.0, 0
+    for i, a in enumerate(diag):
+        pivot = shifted_pivot(float(a), shift, beta, pivot)
+        count += pivot < 0.0
+        if i < len(off):
+            beta = float(off[i])
+    return count
+
+
+def test_pivot_count_against_dense_eigenvalues():
+    rng = generator(77, stream=5)
+    for trial in range(200):
+        k = int(rng.integers(1, 61))
+        d = rng.standard_normal(k) * 3.0
+        e = rng.standard_normal(k - 1) * 2.0
+        w = np.linalg.eigvalsh(dense(d, e))
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+        # A shift anywhere in (and around) the spectrum, and one placed on a
+        # computed eigenvalue, where rounding may put it on either side.
+        for shift in (float(rng.uniform(w[0] - 1.0, w[-1] + 1.0)), float(w[int(rng.integers(k))])):
+            count = negative_pivots(d, e, shift)
+            assert np.sum(w < shift - tol) <= count <= np.sum(w <= shift + tol)
+
+
+@pytest.mark.parametrize(
+    "diag, off, shift, expected",
+    [
+        ([0.0] * 6, [1.0] * 5, 0.0, 3),  # zero diagonal: eigenvalues 2 cos(j pi / 7)
+        ([0.0] * 5, [1.0] * 4, 0.0, 3),  # odd size: 0 is an eigenvalue and counts
+        ([2.0], [], 2.0, 1),
+        ([3.0, 3.0], [1.0], 2.0, 1),  # eigenvalues 2 and 4; the second pivot is zero
+        ([1.0, 2.0, 3.0], [0.0, 0.0], 2.0, 2),
+    ],
+)
+def test_pivot_count_with_shift_on_an_eigenvalue(diag, off, shift, expected):
+    # Exactly zero pivots: a Ritz value equal to the shift counts as below it.
+    assert negative_pivots(diag, off, shift) == expected
+
+
+def test_smallest_helpers():
+    d = np.array([2.0, -1.0, 4.0])
+    e = np.array([0.5, 0.25])
+    ref = np.linalg.eigvalsh(dense(d, e))
+    assert abs(smallest_eigenvalue(d, e) - ref[0]) <= 1e-12
+    val, vec = smallest_eigenpair(d, e)
+    assert abs(val - ref[0]) <= 1e-12
+    t = dense(d, e)
+    assert np.linalg.norm(t @ vec - val * vec) <= 1e-10
 
 
 def test_identity_always_certificate():
@@ -106,3 +168,38 @@ def test_parameter_validation():
         lanczos_budget(4, eps=0.0, delta=0.5, norm_h=1.0)
     with pytest.raises(ValueError):
         lanczos_budget(4, eps=0.5, delta=1.0, norm_h=1.0)
+
+
+@pytest.mark.parametrize("indefinite", [False, True])
+def test_large_operator_small_eps(indefinite):
+    # n = 400 with eps = 1e-3: the budget reaches n, so every Lanczos step
+    # runs the per-step test on a tridiagonal of up to 400 rows.
+    n, eps = 400, 1e-3
+    rng = generator(5, stream=3)
+    lam = rng.uniform(0.0, 3.0, size=n)
+    if indefinite:
+        lam[0] = -2.0 * eps
+    H = random_symmetric(rng, n, lam)
+    began = time.perf_counter()
+    out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, 3.0, seed=1)
+    elapsed = time.perf_counter() - began
+    assert out.budget == n
+    assert elapsed < 10.0
+    if indefinite:
+        assert out.kind == DIRECTION
+        assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-12
+    else:
+        assert out.kind == CERTIFICATE
+        assert out.ritz >= float(np.min(lam)) - 1e-10
+
+
+def test_non_finite_lanczos_data_raises():
+    n = 5
+    with pytest.raises(NonFiniteError, match="operator-norm estimate is nan"):
+        minimum_eigenvalue_oracle(matvec(np.eye(n)), n, 0.1, 0.01, math.nan)
+    with pytest.raises(NonFiniteError, match="alpha_1 is nan"):
+        minimum_eigenvalue_oracle(lambda v: np.full(n, np.nan), n, 0.1, 0.01, 1.0)
+    # H = 1e200 * 1 1^T is PSD, so no direction turns up, and the residual
+    # norm overflows.
+    with pytest.raises(NonFiniteError, match="beta_1 is inf"), np.errstate(over="ignore"):
+        minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1, 0.01, 1.0)

@@ -10,6 +10,7 @@ from ncgopt import (
     MEO,
     HolderClass,
     LINE_SEARCH_FAILURE,
+    NUMERICAL_FAILURE,
     LineSearchError,
     NcgParams,
     PfParams,
@@ -437,3 +438,47 @@ def test_meo_backtracking_cap_yields_line_search_failure_status(solver):
     assert res.trace == []
     assert res.counters.meo_calls == 1
     assert res.f_final == 0.0 and np.array_equal(res.x_final, np.zeros(4))
+
+
+def solve_with(solver, oracle, x0, eps_H):
+    if solver == "alg1":
+        return newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, eps_H=eps_H, holder=HolderClass(1.0, 1.0)))
+    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=eps_H))
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+@pytest.mark.parametrize(
+    "good_hvps, detail",
+    [
+        (0, "eigenvalue oracle: operator-norm estimate is nan"),
+        # The norm estimate's 100 products stay finite; the first Lanczos one does not.
+        (100, "eigenvalue oracle: Lanczos alpha_1 is nan"),
+    ],
+)
+def test_non_finite_hessian_never_certifies(solver, good_hvps, detail):
+    n, calls = 5, []
+
+    def hvp(x, v):
+        calls.append(None)
+        return 2.0 * v if len(calls) <= good_hvps else np.full(n, np.nan)
+
+    oracle = ProblemOracle(n, lambda x: float(x @ x), lambda x: 2.0 * x, hvp, "nan-hessian")
+    res = solve_with(solver, oracle, np.zeros(n), 1e-2)
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == detail
+    assert res.counters.meo_calls == 1
+    assert res.trace == []
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+@pytest.mark.parametrize("eps_H", [None, 1e-2])
+def test_nan_gradient_is_numerical_failure(solver, eps_H):
+    n = 5
+    oracle = ProblemOracle(
+        n, lambda x: float(x @ x), lambda x: np.full(n, np.nan), lambda x, v: 2.0 * v, "nan-grad"
+    )
+    res = solve_with(solver, oracle, np.ones(n), eps_H)
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == "gradient norm is nan"
+    assert math.isnan(res.grad_norm_final)
+    assert res.counters.meo_calls == 0 and res.counters.capped_cg_calls == 0
