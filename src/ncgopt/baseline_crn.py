@@ -20,11 +20,12 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .meo import estimate_operator_norm
+from .meo import NonFiniteError, estimate_operator_norm
 from .newton_cg import (
     FOSP,
     LINE_SEARCH_FAILURE,
     MAX_ITERATIONS,
+    NUMERICAL_FAILURE,
     IterationRecord,
     SolveResult,
 )
@@ -85,6 +86,7 @@ def cubic_subproblem_gd(
     Steps 1/(L + 2 M ||s||) with L an operator-norm bound on H; a persistent
     damping factor halves on model increase and recovers slowly, keeping the
     iteration monotone in m without extra Hessian products per trial.
+    Raises ``NonFiniteError`` when the model gradient is NaN or infinite.
     """
     if not weight > 0.0:
         raise ValueError("weight must be positive")
@@ -102,7 +104,7 @@ def cubic_subproblem_gd(
         gm = g + hs + weight * float(np.linalg.norm(s)) * s
         grad_norm = float(np.linalg.norm(gm))
         if not math.isfinite(grad_norm):
-            raise RuntimeError("non-finite cubic-model gradient")
+            raise NonFiniteError("non-finite cubic-model gradient")
         if grad_norm <= tol:
             return CubicSubproblemResult(s, m_val, grad_norm, iterations - 1, True)
         step = damping / (lipschitz_hint + 2.0 * weight * float(np.linalg.norm(s)) + 1e-12)
@@ -123,6 +125,8 @@ def acrn_solve(
     """Adaptive cubic-regularized Newton outer loop.
 
     Counts one subproblem per cubic model solved, including rejected trials.
+    Ends with NumericalFailure when the gradient norm or a cubic model's
+    gradient is not finite.
     """
     co = CountingOracle(oracle)
     x = np.array(x0, dtype=float)
@@ -140,6 +144,10 @@ def acrn_solve(
 
     for _ in range(params.max_outer):
         gnorm = float(np.linalg.norm(gx))
+        if not math.isfinite(gnorm):
+            status = NUMERICAL_FAILURE
+            detail = f"gradient norm is {gnorm}"
+            break
         if gnorm <= eps_g:
             status = FOSP
             break
@@ -155,9 +163,13 @@ def acrn_solve(
                 params.seed, n, stream=sampling.STREAM_CRN_SUBPROBLEM + draw
             )
             draw += 1
-            sub = cubic_subproblem_gd(
-                gx, hvp, weight, tol, s0, params.max_sub_iters, lipschitz_hint=norm_h
-            )
+            try:
+                sub = cubic_subproblem_gd(
+                    gx, hvp, weight, tol, s0, params.max_sub_iters, lipschitz_hint=norm_h
+                )
+            except NonFiniteError as err:
+                detail = f"cubic subproblem: {err}"
+                break
             counters.subproblems += 1
             f_try = co.eval_f(x + sub.s)
             # Accept only genuine model decrease; keeps f monotone.
@@ -183,6 +195,9 @@ def acrn_solve(
                 break
             weight *= params.increase
             attempts += 1
+        if detail is not None:
+            status = NUMERICAL_FAILURE
+            break
         if not stepped:
             status = LINE_SEARCH_FAILURE
             detail = "cubic step rejected at every trial weight"

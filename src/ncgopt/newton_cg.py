@@ -465,6 +465,9 @@ def _drive(
     except NonFiniteError as err:
         status = NUMERICAL_FAILURE
         detail = f"eigenvalue oracle: {err}"
+    except OverflowError as err:  # e.g. ||d||^3 of a runaway NC direction
+        status = NUMERICAL_FAILURE
+        detail = f"overflow: {err}"
 
     counters.subproblems = counters.capped_cg_calls
     result = SolveResult(x, fx, float(np.linalg.norm(gx)), status, detail, trace, counters)
@@ -482,7 +485,7 @@ def newton_cg_solve(
     SOSP_certified once the eigenvalue oracle certifies the Hessian; returns
     MaxIterations / LineSearchFailure with the full trace otherwise, and
     NumericalFailure when the gradient norm or the eigenvalue oracle's
-    Lanczos data is not finite.
+    Lanczos data is not finite, or when a step computation overflows.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
     return _drive(

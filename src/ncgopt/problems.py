@@ -22,6 +22,7 @@ with payload order A, b, c (infeasibility); a, b (repu); eigenvalues, basis
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,28 +92,81 @@ class QuadraticInstance:
         return self.eigenvalues.shape[0]
 
 
+def _point_key(x) -> tuple:
+    """Cache key for the value of x: its dtype, shape and bytes.
+
+    Bitwise, not numeric, equality: -0.0 and +0.0 are different points, and
+    a NaN point never matches a finite one.
+    """
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+def _last_point(compute: Callable[[Array, tuple], object]) -> Callable[[Array, tuple], object]:
+    """Memoize ``compute(x, key)`` for the last point seen, looked up by its key.
+
+    The slot holds one immutable ``(key, value)`` pair that is replaced whole,
+    so threads sharing it read a consistent entry; a miss only recomputes.
+    """
+    slot: tuple | None = None
+
+    def lookup(x: Array, key: tuple) -> object:
+        nonlocal slot
+        entry = slot
+        if entry is None or entry[0] != key:
+            entry = (key, compute(x, key))
+            slot = entry
+        return entry[1]
+
+    return lookup
+
+
+# Curvature data of the last point at which any infeasibility oracle took a
+# Hessian-vector product: (oracle token, point key, lin, w1, S).  One slot per
+# process rather than per oracle, so the n x n matrix S does not stay alive on
+# every oracle a caller keeps after its solve.  The tuple is replaced whole,
+# never mutated; threads that alternate between oracles only cost rebuilds.
+_infeasibility_curvature: tuple | None = None
+
+
 def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
+    """f, grad and HVP sharing the last point's A x and q.
+
+    The HVP at x is lin' diag(w1) lin v + 2 S v with lin = 2 A x + b and
+    S = sum_i w2_i A_i, so once S is built (one pass over A) each further
+    product at the same point costs O(n^2 + mn) instead of O(m n^2).
+    """
     A, b, c, p, m = inst.A, inst.b, inst.c, inst.p, inst.m
+    token = object()
+
+    def residuals(x: Array, _key: tuple) -> tuple[Array, Array]:
+        ax = A @ x
+        return ax, ax @ x + b @ x + c
+
+    point = _last_point(residuals)
 
     def eval_f(x: Array) -> float:
-        q = (A @ x) @ x + b @ x + c
+        _, q = point(x, _point_key(x))
         return float(np.sum(_pos_pow(q, p)) / m)
 
     def eval_grad(x: Array) -> Array:
-        ax = A @ x
-        q = ax @ x + b @ x + c
+        ax, q = point(x, _point_key(x))
         w = p * _pos_pow(q, p - 1.0)
         return (w[:, None] * (2.0 * ax + b)).sum(axis=0) / m
 
     def eval_hvp(x: Array, v: Array) -> Array:
-        ax = A @ x
-        q = ax @ x + b @ x + c
-        lin = 2.0 * ax + b
-        w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
-        w2 = p * _pos_pow(q, p - 1.0)
-        out = ((w1 * (lin @ v))[:, None] * lin).sum(axis=0)
-        out += 2.0 * (w2[:, None] * (A @ v)).sum(axis=0)
-        return out / m
+        global _infeasibility_curvature
+        key = _point_key(x)
+        entry = _infeasibility_curvature
+        if entry is None or entry[0] is not token or entry[1] != key:
+            ax, q = point(x, key)
+            lin = 2.0 * ax + b
+            w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
+            S = np.tensordot(p * _pos_pow(q, p - 1.0), A, axes=1)
+            entry = (token, key, lin, w1, S)
+            _infeasibility_curvature = entry
+        _, _, lin, w1, S = entry
+        return (lin.T @ (w1 * (lin @ v)) + 2.0 * (S @ v)) / m
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)
@@ -145,28 +199,35 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
 
 
 def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
+    """f, grad and HVP sharing the last point's a x and curvature weights."""
     a, b, p, m = inst.a, inst.b, inst.p, inst.m
+    point = _last_point(lambda x, _key: a @ x)
 
-    def eval_f(x: Array) -> float:
-        t = _pos_pow(a @ x, p) - b
-        return float(np.sum(t * t / (1.0 + t * t)) / m)
-
-    def eval_grad(x: Array) -> Array:
-        s = a @ x
-        t = _pos_pow(s, p) - b
-        dphi = 2.0 * t / (1.0 + t * t) ** 2
-        w = dphi * p * _pos_pow(s, p - 1.0)
-        return (w[:, None] * a).sum(axis=0) / m
-
-    def eval_hvp(x: Array, v: Array) -> Array:
-        s = a @ x
+    def weights(x: Array, key: tuple) -> Array:
+        s = point(x, key)
         u1 = p * _pos_pow(s, p - 1.0)
         u2 = p * (p - 1.0) * _pos_pow(s, p - 2.0)
         t = _pos_pow(s, p) - b
         denom = 1.0 + t * t
         dphi = 2.0 * t / denom**2
         d2phi = (2.0 - 6.0 * t * t) / denom**3
-        w = (d2phi * u1 * u1 + dphi * u2) * (a @ v)
+        return d2phi * u1 * u1 + dphi * u2
+
+    curvature = _last_point(weights)
+
+    def eval_f(x: Array) -> float:
+        t = _pos_pow(point(x, _point_key(x)), p) - b
+        return float(np.sum(t * t / (1.0 + t * t)) / m)
+
+    def eval_grad(x: Array) -> Array:
+        s = point(x, _point_key(x))
+        t = _pos_pow(s, p) - b
+        dphi = 2.0 * t / (1.0 + t * t) ** 2
+        w = dphi * p * _pos_pow(s, p - 1.0)
+        return (w[:, None] * a).sum(axis=0) / m
+
+    def eval_hvp(x: Array, v: Array) -> Array:
+        w = curvature(x, _point_key(x)) * (a @ v)
         return (w[:, None] * a).sum(axis=0) / m
 
     name = f"repu(n={inst.n},m={m},p={p},seed={inst.seed})"

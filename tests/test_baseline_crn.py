@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncgopt import CrnParams, acrn_solve, cubic_subproblem_gd
-from ncgopt.newton_cg import FOSP
+from ncgopt.newton_cg import FOSP, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator, unit_vector
 
@@ -99,3 +99,26 @@ def test_param_validation():
         cubic_subproblem_gd(
             np.ones(2), lambda v: v, weight=0.0, tol=1e-6, s0=np.zeros(2), max_iters=10
         )
+
+
+@pytest.mark.parametrize(
+    "bad, detail",
+    [
+        ("grad", "gradient norm is nan"),
+        ("hvp", "cubic subproblem: non-finite cubic-model gradient"),
+    ],
+)
+def test_acrn_non_finite_is_numerical_failure(bad, detail):
+    base = make_norm_squared(3)
+    nan = lambda *args: np.full(3, np.nan)
+    oracle = ProblemOracle(
+        3,
+        base.eval_f,
+        nan if bad == "grad" else base.eval_grad,
+        nan if bad == "hvp" else base.eval_hvp,
+        f"nan-{bad}",
+    )
+    res = acrn_solve(oracle, np.ones(3), 1e-4, CrnParams())
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == detail
+    assert res.trace == [] and res.counters.subproblems == 0

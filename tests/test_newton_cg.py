@@ -482,3 +482,22 @@ def test_nan_gradient_is_numerical_failure(solver, eps_H):
     assert res.status_detail == "gradient norm is nan"
     assert math.isnan(res.grad_norm_final)
     assert res.counters.meo_calls == 0 and res.counters.capped_cg_calls == 0
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+def test_unbounded_objective_overflow_is_numerical_failure(solver):
+    # f = -||x||^4 from x0 = (1, 1): the NC steps grow until ||d||^3 in
+    # scale_nc_direction overflows a Python float.
+    oracle = ProblemOracle(
+        2,
+        lambda x: -float(x @ x) ** 2,
+        lambda x: -4.0 * float(x @ x) * x,
+        lambda x, v: -4.0 * float(x @ x) * v - 8.0 * float(x @ v) * x,
+        "minus-norm-fourth",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = solve_with(solver, oracle, np.ones(2), None)
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail.startswith("overflow: ")
+    assert len(res.trace) > 0  # the steps taken before the overflow are kept
+    assert all(r.step_type == "NC" for r in res.trace)
