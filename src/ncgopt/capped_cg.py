@@ -5,7 +5,9 @@ side g != 0, and a damping eps > 0, solve (H + 2 eps I) d = -g approximately
 (outcome SOL) or return a direction of curvature below eps for H (outcome
 NC).  The method runs plain CG on the damped system while monitoring a
 running curvature cap U and a residual-growth envelope; any violation ends
-the run with a negative-curvature certificate.
+the run with a negative-curvature certificate.  Each iteration takes one
+Hessian-vector product, H p; the cap test's H r comes from the recurrence
+p = -r + beta p_prev, as H r = beta H p_prev - H p.
 
 Curvature and residual comparisons are strict floating-point comparisons;
 tolerance slack belongs to callers and tests, not to the branch predicates.
@@ -74,8 +76,8 @@ class CgOutcome:
     """Direction d with its type tag and run diagnostics.
 
     hvp_calls counts products with CG directions (one per iteration plus the
-    initial one); hvp_calls_aux counts the extra products spent on the
-    residual cap test ||H r^j||.
+    initial one), the only products the run takes.  hvp_calls_aux is always
+    0: the residual cap test takes H r^j from the recurrence, not a product.
     """
 
     d: Array
@@ -83,7 +85,7 @@ class CgOutcome:
     iterations: int
     final_params: CapParams
     hvp_calls: int
-    hvp_calls_aux: int
+    hvp_calls_aux: int = 0
 
 
 def psi(t: float, zeta: float) -> float:
@@ -132,13 +134,14 @@ def capped_cg(
 
     hp = np.asarray(hvp(p), dtype=float)
     hvp_calls = 1
-    hvp_aux = 0
     hbar_p = hp + two_eps * p
 
+    # Norms are sqrt(v @ v), bit-identical to np.linalg.norm of a real vector.
     pp = float(p @ p)
-    if float(p @ hbar_p) < eps * pp:
-        return CgOutcome(p, NC, 0, params, hvp_calls, hvp_aux)
-    norm_hp = float(np.linalg.norm(hp))
+    p_hbar_p = float(p @ hbar_p)
+    if p_hbar_p < eps * pp:
+        return CgOutcome(p, NC, 0, params, hvp_calls)
+    norm_hp = math.sqrt(float(hp @ hp))
     norm_p = math.sqrt(pp)
     if norm_hp > params.U * norm_p:
         params = update_cap_params(params, norm_hp / norm_p)
@@ -146,12 +149,11 @@ def capped_cg(
     hy = np.zeros(n)  # H y^j, maintained by the exact recurrence
     ys = [y]
     hys = [hy]
-    r0_norm = float(np.linalg.norm(r))
     rr = float(r @ r)
+    r0_norm = math.sqrt(rr)
     j = 0
 
     while True:
-        p_hbar_p = float(p @ hbar_p)
         if not p_hbar_p > 0.0:
             # The curvature tests below keep this positive in exact
             # arithmetic; reaching here means float breakdown.
@@ -168,38 +170,40 @@ def capped_cg(
         ys.append(y)
         hys.append(hy)
 
+        hp_prev = hp
         hp = np.asarray(hvp(p), dtype=float)
         hvp_calls += 1
         hbar_p = hp + two_eps * p
 
-        if not (np.isfinite(rr) and np.all(np.isfinite(p))):
+        # A NaN or inf entry of p reaches p @ p; so does an overflow of ||p||^2.
+        pp = float(p @ p)
+        if not (math.isfinite(rr) and math.isfinite(pp)):
             raise CappedCgError("non-finite CG iterate", j)
 
         # Cap updates, in the printed order: p, then y, then r.
-        norm_p = float(np.linalg.norm(p))
-        norm_hp = float(np.linalg.norm(hp))
+        norm_p = math.sqrt(pp)
+        norm_hp = math.sqrt(float(hp @ hp))
         if norm_hp > params.U * norm_p:
             params = update_cap_params(params, norm_hp / norm_p)
-        norm_y = float(np.linalg.norm(y))
-        norm_hy = float(np.linalg.norm(hy))
+        yy = float(y @ y)
+        norm_y = math.sqrt(yy)
+        norm_hy = math.sqrt(float(hy @ hy))
         if norm_y > 0.0 and norm_hy > params.U * norm_y:
             params = update_cap_params(params, norm_hy / norm_y)
         norm_r = math.sqrt(rr)
         if norm_r > 0.0:
-            hr = np.asarray(hvp(r), dtype=float)
-            hvp_aux += 1
-            norm_hr = float(np.linalg.norm(hr))
+            hr = beta * hp_prev - hp
+            norm_hr = math.sqrt(float(hr @ hr))
             if norm_hr > params.U * norm_r:
                 params = update_cap_params(params, norm_hr / norm_r)
 
-        yy = float(y @ y)
         if float(y @ hy) + two_eps * yy < eps * yy:
-            return CgOutcome(y, NC, j, params, hvp_calls, hvp_aux)
+            return CgOutcome(y, NC, j, params, hvp_calls)
         if norm_r <= params.zeta_hat * r0_norm:
-            return CgOutcome(y, SOL, j, params, hvp_calls, hvp_aux)
+            return CgOutcome(y, SOL, j, params, hvp_calls)
         p_hbar_p = float(p @ hbar_p)
         if p_hbar_p < eps * (norm_p * norm_p):
-            return CgOutcome(p, NC, j, params, hvp_calls, hvp_aux)
+            return CgOutcome(p, NC, j, params, hvp_calls)
         if norm_r > math.sqrt(params.T_cap) * params.tau ** (j / 2.0) * r0_norm:
             # Residual growth exceeds the convergence envelope: some pair of
             # iterates must reveal curvature below eps.
@@ -211,7 +215,7 @@ def capped_cg(
                 dd = float(dy @ dy)
                 curv = float(dy @ (hy_next - hys[i])) + two_eps * dd
                 if curv < eps * dd:
-                    return CgOutcome(dy, NC, j, params, hvp_calls, hvp_aux)
+                    return CgOutcome(dy, NC, j, params, hvp_calls)
             raise CappedCgError(
                 "residual blow-up without a negative-curvature pair", j
             )

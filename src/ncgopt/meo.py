@@ -94,9 +94,11 @@ def smallest_eigenvalue(diag: Array, offdiag: Array) -> float:
 
 
 def smallest_eigenpair(diag: Array, offdiag: Array) -> tuple[float, Array]:
-    """Smallest eigenvalue of the symmetric tridiagonal and a unit eigenvector."""
+    """Smallest eigenvalue of the symmetric tridiagonal and a unit eigenvector, signed
+    independently of LAPACK: its largest-magnitude component (the first on ties) is positive."""
     w, z = np.linalg.eigh(_tridiagonal(diag, offdiag))
-    return float(w[0]), z[:, 0]
+    v = z[:, 0]
+    return float(w[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
 def minimum_eigenvalue_oracle(

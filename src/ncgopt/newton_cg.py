@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import sampling
-from .capped_cg import NC, capped_cg
+from .capped_cg import NC, CappedCgError, capped_cg
 from .meo import CERTIFICATE, NonFiniteError, estimate_operator_norm, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
@@ -385,8 +385,8 @@ def _drive(
                 outer: list[InnerTrialRecord] = []
                 trials.append(outer)
                 for t, sigma in enumerate(weights(gamma_prev)):
+                    counters.capped_cg_calls += 1  # counted even if the call breaks down
                     cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
-                    counters.capped_cg_calls += 1
                     reason, accepted_by, grad_new = NO_VALID_J, None, None
                     if cg_out.d_type == NC:
                         d = scale_nc_direction(cg_out.d, hvp, gx, sigma)
@@ -468,6 +468,9 @@ def _drive(
     except OverflowError as err:  # e.g. ||d||^3 of a runaway NC direction
         status = NUMERICAL_FAILURE
         detail = f"overflow: {err}"
+    except CappedCgError as err:  # e.g. a NaN Hessian-vector product
+        status = NUMERICAL_FAILURE
+        detail = f"capped CG: {err}"
 
     counters.subproblems = counters.capped_cg_calls
     result = SolveResult(x, fx, float(np.linalg.norm(gx)), status, detail, trace, counters)
@@ -485,7 +488,8 @@ def newton_cg_solve(
     SOSP_certified once the eigenvalue oracle certifies the Hessian; returns
     MaxIterations / LineSearchFailure with the full trace otherwise, and
     NumericalFailure when the gradient norm or the eigenvalue oracle's
-    Lanczos data is not finite, or when a step computation overflows.
+    Lanczos data is not finite, when capped CG breaks down, or when a step
+    computation overflows.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
     return _drive(

@@ -36,9 +36,9 @@ _FORMAT_VERSION = 1
 
 
 def _pos_pow(q: Array, s: float) -> Array:
-    """(q)_+^s evaluated only on the positive part; exactly zero elsewhere."""
+    """(q)_+^s evaluated only on the positive part; exactly zero where q <= 0, NaN where q is."""
     out = np.zeros_like(q)
-    mask = q > 0.0
+    mask = ~(q <= 0.0)
     out[mask] = q[mask] ** s
     return out
 

@@ -13,6 +13,7 @@ from ncgopt import (
     iteration_cap,
     update_cap_params,
 )
+from ncgopt.capped_cg import CgOutcome
 from ncgopt.sampling import generator
 
 
@@ -25,6 +26,91 @@ def random_symmetric(rng, n, lo=-5.0, hi=5.0):
     lam = rng.uniform(lo, hi, size=n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * lam) @ q.T
+
+
+def reference_capped_cg(hvp, g, eps, zeta, U=0.0):
+    """The capped-CG loop with a direct product H r^j for the cap test.
+
+    Kept as the reference for ``capped_cg``, which takes H r^j from the
+    recurrence instead; assumes valid inputs.
+    """
+    n = g.shape[0]
+    params = CapParams.from_cap(U, eps, zeta)
+    two_eps = 2.0 * eps
+    y = np.zeros(n)
+    r = g.copy()
+    p = -g
+    hp = np.asarray(hvp(p), dtype=float)
+    hvp_calls, hvp_aux = 1, 0
+    hbar_p = hp + two_eps * p
+    pp = float(p @ p)
+    if float(p @ hbar_p) < eps * pp:
+        return CgOutcome(p, NC, 0, params, hvp_calls, hvp_aux)
+    norm_hp = float(np.linalg.norm(hp))
+    norm_p = math.sqrt(pp)
+    if norm_hp > params.U * norm_p:
+        params = update_cap_params(params, norm_hp / norm_p)
+    hy = np.zeros(n)
+    ys, hys = [y], [hy]
+    r0_norm = float(np.linalg.norm(r))
+    rr = float(r @ r)
+    j = 0
+    while True:
+        p_hbar_p = float(p @ hbar_p)
+        if not p_hbar_p > 0.0:
+            raise CappedCgError("loss of positive curvature along p", j)
+        alpha = rr / p_hbar_p
+        y = y + alpha * p
+        hy = hy + alpha * hp
+        r = r + alpha * hbar_p
+        rr_new = float(r @ r)
+        beta = rr_new / rr
+        p = -r + beta * p
+        rr = rr_new
+        j += 1
+        ys.append(y)
+        hys.append(hy)
+        hp = np.asarray(hvp(p), dtype=float)
+        hvp_calls += 1
+        hbar_p = hp + two_eps * p
+        if not (np.isfinite(rr) and np.all(np.isfinite(p))):
+            raise CappedCgError("non-finite CG iterate", j)
+        norm_p = float(np.linalg.norm(p))
+        norm_hp = float(np.linalg.norm(hp))
+        if norm_hp > params.U * norm_p:
+            params = update_cap_params(params, norm_hp / norm_p)
+        norm_y = float(np.linalg.norm(y))
+        norm_hy = float(np.linalg.norm(hy))
+        if norm_y > 0.0 and norm_hy > params.U * norm_y:
+            params = update_cap_params(params, norm_hy / norm_y)
+        norm_r = math.sqrt(rr)
+        if norm_r > 0.0:
+            hr = np.asarray(hvp(r), dtype=float)
+            hvp_aux += 1
+            norm_hr = float(np.linalg.norm(hr))
+            if norm_hr > params.U * norm_r:
+                params = update_cap_params(params, norm_hr / norm_r)
+        yy = float(y @ y)
+        if float(y @ hy) + two_eps * yy < eps * yy:
+            return CgOutcome(y, NC, j, params, hvp_calls, hvp_aux)
+        if norm_r <= params.zeta_hat * r0_norm:
+            return CgOutcome(y, SOL, j, params, hvp_calls, hvp_aux)
+        p_hbar_p = float(p @ hbar_p)
+        if p_hbar_p < eps * (norm_p * norm_p):
+            return CgOutcome(p, NC, j, params, hvp_calls, hvp_aux)
+        if norm_r > math.sqrt(params.T_cap) * params.tau ** (j / 2.0) * r0_norm:
+            alpha_b = rr / p_hbar_p
+            y_next = y + alpha_b * p
+            hy_next = hy + alpha_b * hp
+            for i in range(j):
+                dy = y_next - ys[i]
+                dd = float(dy @ dy)
+                curv = float(dy @ (hy_next - hys[i])) + two_eps * dd
+                if curv < eps * dd:
+                    return CgOutcome(dy, NC, j, params, hvp_calls, hvp_aux)
+            raise CappedCgError("residual blow-up without a negative-curvature pair", j)
+        if j > n + 5:
+            raise CappedCgError("failed to terminate within the dimension bound", j)
 
 
 def check_sol_contract(H, g, eps, zeta, out, slack=1e-8):
@@ -153,13 +239,46 @@ def test_nonfinite_operator_raises_with_iteration():
         capped_cg(bad, np.ones(3), 1.0, 0.5)
 
 
+def test_matches_reference_loop_on_random_systems():
+    # The recurrence for H r^j changes only the rounding of ||H r^j||, so
+    # the outcome must match the direct-product loop exactly and the cap U
+    # to rounding.
+    rng = generator(2025, stream=12)
+    eps_choices = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+    kinds = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 60))
+        if trial % 2:
+            H = random_symmetric(rng, n, lo=0.0, hi=float(rng.uniform(0.5, 100.0)))
+        else:
+            H = random_symmetric(rng, n, lo=-float(rng.uniform(0.01, 5.0)), hi=5.0)
+        g = rng.standard_normal(n)
+        eps = eps_choices[trial % len(eps_choices)]
+        out = capped_cg(matvec(H), g, eps, 0.5)
+        ref = reference_capped_cg(matvec(H), g, eps, 0.5)
+        assert out.d_type == ref.d_type
+        assert out.iterations == ref.iterations
+        np.testing.assert_array_equal(out.d, ref.d)
+        assert abs(out.final_params.U - ref.final_params.U) <= 1e-12 * ref.final_params.U
+        assert out.hvp_calls == ref.hvp_calls
+        kinds.add(out.d_type)
+    assert kinds == {SOL, NC}
+
+
 def test_hvp_budget_accounting():
     H = np.diag([3.0, 2.0, 1.0])
-    out = capped_cg(matvec(H), np.ones(3), 0.5, 0.5)
-    # One product per iteration plus the initial one, plus one cap-test
-    # product per completed loop pass.
-    assert out.hvp_calls == out.iterations + 1
-    assert out.hvp_calls_aux <= out.iterations
+    calls = 0
+
+    def hvp(v):
+        nonlocal calls
+        calls += 1
+        return H @ v
+
+    out = capped_cg(hvp, np.ones(3), 0.5, 0.5)
+    # Exactly one product per iteration plus the initial one.
+    assert out.iterations >= 2
+    assert calls == out.hvp_calls == out.iterations + 1
+    assert out.hvp_calls_aux == 0
 
 
 def test_nonzero_initial_cap_input():

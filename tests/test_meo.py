@@ -82,6 +82,15 @@ def test_smallest_helpers():
     assert abs(val - ref[0]) <= 1e-12
     t = dense(d, e)
     assert np.linalg.norm(t @ vec - val * vec) <= 1e-10
+    assert vec[np.argmax(np.abs(vec))] > 0.0  # sign convention
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_smallest_eigenpair_sign_tie_takes_first_component(sign, monkeypatch):
+    z = sign * np.array([[-0.5, 0.0], [0.5, 1.0]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([-1.0, 1.0]), z))
+    _, vec = smallest_eigenpair(np.zeros(2), np.ones(1))
+    np.testing.assert_array_equal(vec, np.array([0.5, -0.5]))
 
 
 def test_identity_always_certificate():

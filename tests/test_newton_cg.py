@@ -501,3 +501,25 @@ def test_unbounded_objective_overflow_is_numerical_failure(solver):
     assert res.status_detail.startswith("overflow: ")
     assert len(res.trace) > 0  # the steps taken before the overflow are kept
     assert all(r.step_type == "NC" for r in res.trace)
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+@pytest.mark.parametrize("good_points", [0, 1])
+def test_capped_cg_breakdown_is_numerical_failure(solver, good_points):
+    # A finite gradient with NaN Hessian-vector products, from the start or
+    # from the second iterate on: capped CG breaks down at its first pass.
+    n = 5
+    quad = gen_quadratic(n, [1.0, 2.0, 3.0, 4.0, 5.0], 0)
+    x0 = np.ones(n)
+
+    def hvp(x, v):
+        good = good_points and np.array_equal(x, x0)
+        return quad.eval_hvp(x, v) if good else np.full(n, np.nan)
+
+    oracle = ProblemOracle(n, quad.eval_f, quad.eval_grad, hvp, "nan-hvp")
+    res = solve_with(solver, oracle, x0, None)
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == "capped CG: loss of positive curvature along p (iteration 0)"
+    assert len(res.trace) == good_points  # the steps taken before the breakdown are kept
+    assert res.f_final == (res.trace[-1].f_after if good_points else quad.eval_f(x0))
+    assert res.counters.capped_cg_calls == good_points + 1

@@ -45,6 +45,15 @@ def test_infeasibility_dead_zone():
     assert np.linalg.norm(shifted.eval_hvp(x, np.ones(6))) == 0.0
 
 
+@pytest.mark.parametrize("family", [gen_infeasibility, gen_repu])
+def test_f_is_nan_at_a_nan_point(family):
+    oracle = family(10, 3, 2.25, 0)
+    x = np.zeros(10)
+    x[2] = np.nan
+    assert np.isnan(oracle.eval_f(x))
+    assert np.all(np.isnan(oracle.eval_grad(x)))
+
+
 def test_infeasibility_matrices_psd_and_symmetric():
     oracle = gen_infeasibility(15, 5, 2.25, seed=3)
     inst = oracle.meta
