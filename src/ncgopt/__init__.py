@@ -22,7 +22,6 @@ from .meo import (
     CERTIFICATE,
     DIRECTION,
     MeoOutcome,
-    estimate_operator_norm,
     lanczos_budget,
     minimum_eigenvalue_oracle,
 )

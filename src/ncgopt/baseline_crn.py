@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .meo import NonFiniteError, estimate_operator_norm
+from .meo import NonFiniteError
 from .newton_cg import (
     FOSP,
     LINE_SEARCH_FAILURE,
@@ -70,6 +70,33 @@ class CubicSubproblemResult:
 
 def _model_value(g: Array, hs: Array, s: Array, weight: float) -> float:
     return float(g @ s + 0.5 * s @ hs + weight / 3.0 * np.linalg.norm(s) ** 3)
+
+
+def estimate_operator_norm(
+    hvp: Callable[[Array], Array],
+    n: int,
+    seed: int = 0,
+    stream: int = sampling.STREAM_NORM_EST,
+    iters: int = 50,
+) -> float:
+    """Upper-style estimate of ||H|| by power iteration on H^2, inflated by 1.1.
+
+    Sets the gradient-descent step size of the cubic subproblem.
+    Deterministic given (seed, stream); returns the floor 1e-12 for a zero
+    operator (or a start vector annihilated by H).
+    """
+    floor = 1e-12
+    x = sampling.unit_vector(seed, n, stream)
+    rayleigh = 0.0
+    for _ in range(iters):
+        hx = np.asarray(hvp(x), dtype=float)
+        z = np.asarray(hvp(hx), dtype=float)
+        nz = float(np.linalg.norm(z))
+        rayleigh = float(x @ z)  # equals ||H x||^2 for unit x
+        if nz <= floor or rayleigh <= floor**2:
+            return floor
+        x = z / nz
+    return 1.1 * math.sqrt(rayleigh)
 
 
 def cubic_subproblem_gd(

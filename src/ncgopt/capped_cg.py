@@ -139,6 +139,10 @@ def capped_cg(
     # Norms are sqrt(v @ v), bit-identical to np.linalg.norm of a real vector.
     pp = float(p @ p)
     p_hbar_p = float(p @ hbar_p)
+    # A NaN p^T H p fails every comparison below, so it is named here; one
+    # that only overflowed, from a finite H p, goes on to the tests.
+    if not math.isfinite(p_hbar_p) and not np.all(np.isfinite(hp)):
+        raise CappedCgError("non-finite Hessian-vector product", 0)
     if p_hbar_p < eps * pp:
         return CgOutcome(p, NC, 0, params, hvp_calls)
     norm_hp = math.sqrt(float(hp @ hp))
@@ -179,6 +183,9 @@ def capped_cg(
         pp = float(p @ p)
         if not (math.isfinite(rr) and math.isfinite(pp)):
             raise CappedCgError("non-finite CG iterate", j)
+        p_hbar_p = float(p @ hbar_p)
+        if not math.isfinite(p_hbar_p) and not np.all(np.isfinite(hp)):
+            raise CappedCgError("non-finite Hessian-vector product", j)
 
         # Cap updates, in the printed order: p, then y, then r.
         norm_p = math.sqrt(pp)
@@ -201,7 +208,6 @@ def capped_cg(
             return CgOutcome(y, NC, j, params, hvp_calls)
         if norm_r <= params.zeta_hat * r0_norm:
             return CgOutcome(y, SOL, j, params, hvp_calls)
-        p_hbar_p = float(p @ hbar_p)
         if p_hbar_p < eps * (norm_p * norm_p):
             return CgOutcome(p, NC, j, params, hvp_calls)
         if norm_r > math.sqrt(params.T_cap) * params.tau ** (j / 2.0) * r0_norm:

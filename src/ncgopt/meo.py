@@ -1,9 +1,23 @@
 """Randomized Lanczos minimum-eigenvalue oracle.
 
-Runs Lanczos from a random unit start for a fixed budget of iterations.
-Either a unit direction v with v^T H v <= -eps/2 turns up (outcome
-``direction``) or the run certifies lambda_min(H) >= -eps with probability
-at least 1 - delta (outcome ``certificate``).
+Runs Lanczos from a random unit start.  Either a unit direction v with
+v^T H v <= -eps/2 turns up (outcome ``direction``) or the run certifies
+lambda_min(H) >= -eps with probability at least 1 - delta (outcome
+``certificate``).
+
+The iteration budget is the bound of Kuczynski and Wozniakowski (1992),
+min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(M / eps))}, for an upper
+bound M on ||H||.  It is monotone in M, and the run sizes it itself at no
+extra Hessian-vector product.  Every step already computes H q_k, so
+L = max_j ||H q_j|| is a lower bound on ||H||, and the budget is raised to
+the bound's value at L whenever L grows.  Once that value is n, the budget
+is proven (``bound = saturated``).  Below n, when step k reaches the budget,
+one eigensolve of T_k gives the estimate max(L, |theta_1|, |theta_k|) +
+beta_k of ||H|| from above (Zhou and Li 2011, *Bounding the spectrum of
+large Hermitian matrices*); the budget is raised from it, and the run stops
+only when k reaches the result (``bound = lanczos``: an estimate, not a
+proof).  A caller-given ``norm_h`` fixes the budget instead
+(``bound = given``).
 
 Each step asks whether the tridiagonal T_k has a Ritz value at or below
 s = -eps/2 with an inertia count (Sylvester's law): the pivots of the
@@ -16,7 +30,7 @@ per step; the dense k x k eigensolve runs only once the count is positive.
 Directions are never returned on trust: the candidate Ritz vector is checked
 against an actual Hessian-vector product before it is returned, so a
 positive semidefinite operator can never produce a direction, regardless of
-rounding.  A non-finite Lanczos coefficient or norm estimate raises
+rounding.  A non-finite Lanczos coefficient or given norm raises
 ``NonFiniteError`` instead of ending in a certificate.
 """
 from __future__ import annotations
@@ -34,11 +48,16 @@ Array = np.ndarray
 CERTIFICATE = "certificate"
 DIRECTION = "direction"
 
+# Where the Lanczos budget's norm bound came from (MeoOutcome.bound).
+GIVEN = "given"
+SATURATED = "saturated"
+LANCZOS = "lanczos"
+
 _TINY = float(np.finfo(float).tiny)
 
 
 class NonFiniteError(FloatingPointError):
-    """A Lanczos coefficient or the operator-norm estimate is NaN or infinite."""
+    """A Lanczos coefficient or the given operator norm is NaN or infinite."""
 
 
 @dataclass
@@ -46,8 +65,11 @@ class MeoOutcome:
     """Either a unit negative-curvature direction or a probabilistic certificate.
 
     ``curvature`` is the verified v^T H v when kind == direction; ``ritz``
-    is the smallest Ritz value seen.  ``breakdown`` marks runs that exhausted
-    an exactly invariant Krylov subspace before the budget.
+    is the smallest Ritz value seen.  ``bound`` says where the budget's norm
+    bound came from (``given``, ``saturated`` or ``lanczos``), and
+    ``norm_lower`` is max_j ||H q_j|| over the Lanczos vectors, a lower bound
+    on ||H||.  ``breakdown`` marks runs that exhausted an exactly invariant
+    Krylov subspace before the budget.
     """
 
     kind: str
@@ -55,6 +77,8 @@ class MeoOutcome:
     iterations: int
     budget: int
     ritz: float
+    bound: str
+    norm_lower: float
     curvature: float | None = None
     breakdown: bool = False
 
@@ -106,36 +130,54 @@ def minimum_eigenvalue_oracle(
     n: int,
     eps: float,
     delta: float,
-    norm_h: float,
+    norm_h: float | None = None,
     seed: int = 0,
     stream: int = sampling.STREAM_MEO_START,
 ) -> MeoOutcome:
     """Randomized Lanczos with full reorthogonalization.
 
-    ``norm_h`` is a caller-supplied upper estimate of ||H|| used only for the
-    budget.  Deterministic given (seed, stream).  Raises ``NonFiniteError``
-    when ``norm_h`` or a Lanczos coefficient is not finite.
+    Without ``norm_h`` the run sizes its own budget (see the module
+    docstring) and ``bound`` reads ``saturated`` or ``lanczos``; a given
+    ``norm_h``, an upper estimate of ||H||, fixes the budget up front and
+    ``bound`` reads ``given``.  The basis grows to at most n columns.
+    Deterministic given (seed, stream).  Raises ``NonFiniteError`` when
+    ``norm_h`` or a Lanczos coefficient is not finite.
     """
-    if not math.isfinite(norm_h):
+    given = norm_h is not None
+    if given and not math.isfinite(norm_h):
         raise NonFiniteError(f"operator-norm estimate is {norm_h}")
-    budget = lanczos_budget(n, eps, delta, norm_h)
-    breakdown_tol = 1e-13 * max(1.0, norm_h)
+    budget = lanczos_budget(n, eps, delta, norm_h if given else 0.0)
+    bound = GIVEN if given else SATURATED if budget == n else LANCZOS
+    lower = 0.0  # max_j ||H q_j||, a lower bound on ||H||
     shift = -eps / 2.0
 
     q = sampling.unit_vector(seed, n, stream)
-    basis = np.empty((n, budget))
-    basis[:, 0] = q
-    alphas = np.empty(budget)
-    betas = np.empty(budget)  # betas[k - 1] couples q_k and q_(k+1)
+    basis = np.empty((n, 0))  # sized once the first product has raised the budget
+    alphas = np.empty(n)
+    betas = np.empty(n)  # betas[k - 1] couples q_k and q_(k+1)
     beta, pivot = 0.0, 1.0
     below = 0  # Ritz values of T_k at or below the shift
 
-    for k in range(1, budget + 1):
+    for k in range(1, n + 1):
         w = np.asarray(hvp(q), dtype=float)
         a = float(q @ w)
         if not math.isfinite(a):
             raise NonFiniteError(f"Lanczos alpha_{k} is {a}")
         alphas[k - 1] = a
+        norm_hq = math.sqrt(float(w @ w))
+        if norm_hq > lower:
+            lower = norm_hq
+            if not given:
+                if lower == math.inf:  # it scales the breakdown test below
+                    raise NonFiniteError(f"Lanczos ||H q_{k}|| is inf")
+                grown = lanczos_budget(n, eps, delta, lower)
+                budget = max(budget, grown)
+                bound = SATURATED if grown == n else LANCZOS
+        if k > basis.shape[1]:
+            grown_basis = np.empty((n, min(n, max(budget, 2 * (k - 1)))))
+            grown_basis[:, : k - 1] = basis
+            basis = grown_basis
+        basis[:, k - 1] = q
         w = w - a * q
         if k > 1:
             w = w - beta * basis[:, k - 2]
@@ -153,48 +195,27 @@ def minimum_eigenvalue_oracle(
             v = v / float(np.linalg.norm(v))
             curvature = float(v @ np.asarray(hvp(v), dtype=float))
             if curvature <= shift:
-                return MeoOutcome(DIRECTION, v, k, budget, theta, curvature)
+                return MeoOutcome(DIRECTION, v, k, budget, theta, bound, lower, curvature)
 
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
             raise NonFiniteError(f"Lanczos beta_{k} is {beta}")
-        if beta <= breakdown_tol:
+        if beta <= 1e-13 * max(1.0, norm_h if given else lower):
             # Exactly invariant subspace: its Ritz values are exact, and the
             # direction test above already ran on them.
             ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
-            return MeoOutcome(CERTIFICATE, None, k, budget, ritz, breakdown=True)
-        if k < budget:
-            betas[k - 1] = beta
-            q = w / beta
-            basis[:, k] = q
+            return MeoOutcome(CERTIFICATE, None, k, budget, ritz, bound, lower, breakdown=True)
+        if k == budget < n and not given:
+            # Zhou-Li: max |Ritz value| + beta_k estimates ||H|| from above.
+            ritz_values = np.linalg.eigvalsh(_tridiagonal(alphas[:k], betas[: k - 1]))
+            estimate = max(lower, abs(float(ritz_values[0])), abs(float(ritz_values[-1]))) + beta
+            budget = max(budget, lanczos_budget(n, eps, delta, estimate))
+        if k == budget:
+            break
+        betas[k - 1] = beta
+        q = w / beta
 
     # By Cauchy interlacing, the smallest Ritz value of the final T_k is the
     # smallest one seen at any step.
-    ritz = smallest_eigenvalue(alphas, betas[: budget - 1])
-    return MeoOutcome(CERTIFICATE, None, budget, budget, ritz)
-
-
-def estimate_operator_norm(
-    hvp: Callable[[Array], Array],
-    n: int,
-    seed: int = 0,
-    stream: int = sampling.STREAM_NORM_EST,
-    iters: int = 50,
-) -> float:
-    """Upper-style estimate of ||H|| by power iteration on H^2, inflated by 1.1.
-
-    Deterministic given (seed, stream); returns the floor 1e-12 for a zero
-    operator (or a start vector annihilated by H).
-    """
-    floor = 1e-12
-    x = sampling.unit_vector(seed, n, stream)
-    rayleigh = 0.0
-    for _ in range(iters):
-        hx = np.asarray(hvp(x), dtype=float)
-        z = np.asarray(hvp(hx), dtype=float)
-        nz = float(np.linalg.norm(z))
-        rayleigh = float(x @ z)  # equals ||H x||^2 for unit x
-        if nz <= floor or rayleigh <= floor**2:
-            return floor
-        x = z / nz
-    return 1.1 * math.sqrt(rayleigh)
+    ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
+    return MeoOutcome(CERTIFICATE, None, k, budget, ritz, bound, lower)

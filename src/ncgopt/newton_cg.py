@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sampling
 from .capped_cg import NC, CappedCgError, capped_cg
-from .meo import CERTIFICATE, NonFiniteError, estimate_operator_norm, minimum_eigenvalue_oracle
+from .meo import CERTIFICATE, NonFiniteError, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
 Array = np.ndarray
@@ -422,20 +422,17 @@ def _drive(
             else:
                 call = counters.meo_calls
                 counters.meo_calls += 1
-                norm_h = estimate_operator_norm(
-                    hvp, co.dim, seed=params.seed, stream=sampling.STREAM_NORM_EST + call
-                )
                 meo = minimum_eigenvalue_oracle(
                     hvp,
                     co.dim,
                     params.eps_H,
                     params.delta,
-                    norm_h,
                     seed=params.seed,
                     stream=sampling.STREAM_MEO_START + call,
                 )
                 if meo.kind == CERTIFICATE:
                     status = SOSP_CERTIFIED
+                    detail = f"norm bound: {meo.bound}"
                     break
                 d = scale_meo_direction(meo.v, hvp, gx)
                 step = line_search_meo(co, x, d, params.theta, params.eta, params.j_max, fx)
@@ -485,7 +482,8 @@ def newton_cg_solve(
     """Minimize via damped-Newton capped-CG steps with known (nu, h_nu).
 
     Terminates at FOSP (gradient norm <= eps_g) when eps_H is absent, or at
-    SOSP_certified once the eigenvalue oracle certifies the Hessian; returns
+    SOSP_certified once the eigenvalue oracle certifies the Hessian (with
+    ``status_detail`` naming the certificate's norm bound); returns
     MaxIterations / LineSearchFailure with the full trace otherwise, and
     NumericalFailure when the gradient norm or the eigenvalue oracle's
     Lanczos data is not finite, when capped CG breaks down, or when a step

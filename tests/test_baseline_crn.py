@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncgopt import CrnParams, acrn_solve, cubic_subproblem_gd
+from ncgopt.baseline_crn import estimate_operator_norm
 from ncgopt.newton_cg import FOSP, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator, unit_vector
@@ -17,6 +18,10 @@ def make_norm_squared(n):
         eval_hvp=lambda x, v: v.copy(),
         name="half-norm-squared",
     )
+
+
+def matvec(H):
+    return lambda v: H @ v
 
 
 def model_grad(g, H, M, s):
@@ -122,3 +127,19 @@ def test_acrn_non_finite_is_numerical_failure(bad, detail):
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == detail
     assert res.trace == [] and res.counters.subproblems == 0
+
+
+def test_operator_norm_scaled_identity():
+    est = estimate_operator_norm(matvec(3.0 * np.eye(7)), 7, seed=0)
+    assert 3.0 <= est <= 3.3 + 1e-12
+
+
+def test_operator_norm_diagonal():
+    H = np.diag(np.arange(1.0, 11.0))
+    est = estimate_operator_norm(matvec(H), 10, seed=1, iters=50)
+    assert 9.0 <= est <= 11.0
+
+
+def test_operator_norm_zero():
+    est = estimate_operator_norm(matvec(np.zeros((4, 4))), 4, seed=2)
+    assert est == 1e-12

@@ -239,6 +239,22 @@ def test_nonfinite_operator_raises_with_iteration():
         capped_cg(bad, np.ones(3), 1.0, 0.5)
 
 
+@pytest.mark.parametrize("good_products, iteration", [(0, 0), (1, 1), (2, 2)])
+def test_non_finite_product_is_named(good_products, iteration):
+    # A NaN product fails every curvature comparison, so without its own test
+    # it would surface as a loss of positive curvature.
+    H = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    calls = 0
+
+    def hvp(v):
+        nonlocal calls
+        calls += 1
+        return H @ v if calls <= good_products else np.full_like(v, np.nan)
+
+    with pytest.raises(CappedCgError, match=rf"^non-finite Hessian-vector product \(iteration {iteration}\)$"):
+        capped_cg(hvp, np.ones(5), 1e-3, 0.5)
+
+
 def test_matches_reference_loop_on_random_systems():
     # The recurrence for H r^j changes only the rounding of ||H r^j||, so
     # the outcome must match the direct-product loop exactly and the cap U

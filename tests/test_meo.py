@@ -7,12 +7,18 @@ import pytest
 from ncgopt import (
     CERTIFICATE,
     DIRECTION,
-    estimate_operator_norm,
     lanczos_budget,
     minimum_eigenvalue_oracle,
 )
-from ncgopt.meo import NonFiniteError, shifted_pivot, smallest_eigenpair, smallest_eigenvalue
-from ncgopt.sampling import generator
+from ncgopt.meo import (
+    LANCZOS,
+    SATURATED,
+    NonFiniteError,
+    shifted_pivot,
+    smallest_eigenpair,
+    smallest_eigenvalue,
+)
+from ncgopt.sampling import STREAM_MEO_START, STREAM_NORM_EST, generator, unit_vector
 
 
 def matvec(H):
@@ -156,20 +162,70 @@ def test_breakdown_on_invariant_subspace():
     assert out.iterations < out.budget
 
 
-def test_operator_norm_scaled_identity():
-    est = estimate_operator_norm(matvec(3.0 * np.eye(7)), 7, seed=0)
-    assert 3.0 <= est <= 3.3 + 1e-12
+def power_iteration_norm(H, x, steps):
+    """||H x_k|| after k power steps from unit x: a lower estimate of ||H||."""
+    for _ in range(steps):
+        y = H @ x
+        x = y / np.linalg.norm(y)
+    return float(np.linalg.norm(H @ x))
 
 
-def test_operator_norm_diagonal():
-    H = np.diag(np.arange(1.0, 11.0))
-    est = estimate_operator_norm(matvec(H), 10, seed=1, iters=50)
-    assert 9.0 <= est <= 11.0
+def spiked(rng, n, eps, trial):
+    """Small bulk plus one large eigenvalue whose eigenvector is nearly
+    orthogonal to a power-iteration start x0, so that 5 power steps from x0
+    underestimate ||H||."""
+    x0 = unit_vector(trial, n, STREAM_NORM_EST)
+    z = rng.standard_normal(n)
+    u = z - (z @ x0) * x0
+    u = u / np.linalg.norm(u) + 1e-8 * x0
+    u = u / np.linalg.norm(u)
+    spike = float(rng.uniform(0.2, 5.0))
+    lam = rng.uniform(-1.2 * eps if trial % 2 else 0.0, 0.3 * spike, size=n - 1)
+    basis, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
+    H = (basis * np.concatenate([[spike], lam])) @ basis.T
+    assert power_iteration_norm(H, x0, 5) < 0.9 * spike
+    return H
 
 
-def test_operator_norm_zero():
-    est = estimate_operator_norm(matvec(np.zeros((4, 4))), 4, seed=2)
-    assert est == 1e-12
+def test_self_sized_certificates_agree_with_dense_eigenvalues():
+    rng = generator(606, stream=7)
+    eps, delta = 0.1, 0.01
+    agree = runs = 0
+    bounds = {SATURATED: 0, LANCZOS: 0}
+    estimated = estimated_enough = 0  # lanczos certificates; budget >= the budget at ||H||
+    for trial in range(300):
+        n = int(rng.integers(3, 61))
+        kind = trial % 3
+        if kind == 2:
+            H = spiked(rng, n, eps, trial)
+        else:
+            # ||H|| from about eps to 5, so that both bound kinds occur.
+            top = float(np.exp(rng.uniform(np.log(eps), np.log(5.0))))
+            lam = rng.uniform(0.0, top, size=n)
+            if kind == 0:
+                lam[0] = -eps * float(rng.uniform(1.0, 1.2))  # just below -eps
+            H = random_symmetric(rng, n, lam)
+        dense = np.linalg.eigvalsh(H)
+        norm_h = float(np.max(np.abs(dense)))
+        out = minimum_eigenvalue_oracle(matvec(H), n, eps, delta, seed=trial, stream=3)
+        runs += 1
+        assert out.iterations <= out.budget <= n
+        assert out.norm_lower <= norm_h * (1.0 + 1e-12)
+        saturated = lanczos_budget(n, eps, delta, out.norm_lower) == n
+        assert out.bound == (SATURATED if saturated else LANCZOS)
+        bounds[out.bound] += 1
+        if out.kind == DIRECTION:
+            assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
+            assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
+            agree += 1
+        else:
+            agree += dense[0] >= -eps
+            if out.bound == LANCZOS:
+                estimated += 1
+                estimated_enough += out.budget >= lanczos_budget(n, eps, delta, norm_h)
+    assert agree >= math.ceil((1.0 - delta) * runs)
+    assert min(bounds.values()) > 0 and estimated > 0
+    assert estimated_enough >= math.ceil((1.0 - delta) * estimated)
 
 
 def test_parameter_validation():
@@ -212,3 +268,14 @@ def test_non_finite_lanczos_data_raises():
     # norm overflows.
     with pytest.raises(NonFiniteError, match="beta_1 is inf"), np.errstate(over="ignore"):
         minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1, 0.01, 1.0)
+
+
+def test_self_sized_norm_overflow_raises():
+    # The start q_1 is H's top eigenvector, so ||H q_1||^2 overflows while the
+    # Lanczos residual stays small.  A breakdown test scaled by an infinite
+    # norm would certify this H, whose lambda_min is below -0.7, at once.
+    n = 5
+    q = unit_vector(0, n, STREAM_MEO_START)
+    H = 1e160 * np.outer(q, q) - np.diag([0.0, 1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"), np.errstate(over="ignore"):
+        minimum_eigenvalue_oracle(matvec(H), n, 0.1, 0.01)

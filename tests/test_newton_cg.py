@@ -450,24 +450,47 @@ def solve_with(solver, oracle, x0, eps_H):
 @pytest.mark.parametrize(
     "good_hvps, detail",
     [
-        (0, "eigenvalue oracle: operator-norm estimate is nan"),
-        # The norm estimate's 100 products stay finite; the first Lanczos one does not.
-        (100, "eigenvalue oracle: Lanczos alpha_1 is nan"),
+        (0, "eigenvalue oracle: Lanczos alpha_1 is nan"),
+        # The first Lanczos product stays finite; the second one does not.
+        (1, "eigenvalue oracle: Lanczos alpha_2 is nan"),
     ],
 )
 def test_non_finite_hessian_never_certifies(solver, good_hvps, detail):
+    # f = 1/2 x' D x from its stationary point x0 = 0; D is not a multiple of
+    # the identity, so the Lanczos run does not stop after one step.
     n, calls = 5, []
+    diag = np.arange(2.0, 2.0 + n)
 
     def hvp(x, v):
         calls.append(None)
-        return 2.0 * v if len(calls) <= good_hvps else np.full(n, np.nan)
+        return diag * v if len(calls) <= good_hvps else np.full(n, np.nan)
 
-    oracle = ProblemOracle(n, lambda x: float(x @ x), lambda x: 2.0 * x, hvp, "nan-hessian")
+    oracle = ProblemOracle(n, lambda x: 0.5 * float(x @ (diag * x)), lambda x: diag * x, hvp, "nan-hessian")
     res = solve_with(solver, oracle, np.zeros(n), 1e-2)
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == detail
     assert res.counters.meo_calls == 1
     assert res.trace == []
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+@pytest.mark.parametrize(
+    "spectrum, eps_H, bound, hvps",
+    [
+        # ||H|| = 5 with eps_H = 1e-2 needs the full budget n = 20: the run's
+        # own lower bound on ||H|| proves it.
+        (np.linspace(1.0, 5.0, 20), 1e-2, "saturated", 20),
+        # ||H|| = 0.01 with eps_H = 0.5 needs a budget of 2 steps, sized from
+        # the Lanczos estimate.
+        (np.linspace(0.001, 0.01, 20), 0.5, "lanczos", 2),
+    ],
+)
+def test_certificate_detail_names_the_norm_bound(solver, spectrum, eps_H, bound, hvps):
+    quad = gen_quadratic(20, spectrum, 0)
+    res = solve_with(solver, quad, np.zeros(20), eps_H)
+    assert res.status == "SOSP_certified"
+    assert res.status_detail == f"norm bound: {bound}"
+    assert res.counters.meo_calls == 1 and res.counters.hvp_evals == hvps
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
@@ -519,7 +542,7 @@ def test_capped_cg_breakdown_is_numerical_failure(solver, good_points):
     oracle = ProblemOracle(n, quad.eval_f, quad.eval_grad, hvp, "nan-hvp")
     res = solve_with(solver, oracle, x0, None)
     assert res.status == NUMERICAL_FAILURE
-    assert res.status_detail == "capped CG: loss of positive curvature along p (iteration 0)"
+    assert res.status_detail == "capped CG: non-finite Hessian-vector product (iteration 0)"
     assert len(res.trace) == good_points  # the steps taken before the breakdown are kept
     assert res.f_final == (res.trace[-1].f_after if good_points else quad.eval_f(x0))
     assert res.counters.capped_cg_calls == good_points + 1
