@@ -153,10 +153,15 @@ def acrn_solve(
 
     Counts one subproblem per cubic model solved, including rejected trials.
     Ends with NumericalFailure when the gradient norm or a cubic model's
-    gradient is not finite.
+    gradient is not finite.  Raises ``ValueError`` before any evaluation
+    unless eps_g lies in (0, 1) and x0 is finite.
     """
-    co = CountingOracle(oracle)
+    if not 0.0 < eps_g < 1.0:
+        raise ValueError("eps_g must lie in (0, 1)")
     x = np.array(x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    co = CountingOracle(oracle)
     fx = co.eval_f(x)
     n = co.dim
 

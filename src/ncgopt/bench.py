@@ -102,6 +102,13 @@ class ExperimentConfig:
             for n, m, p in self.grid:
                 if n < 1 or m < 1 or not p > 2.0:
                     raise ConfigError(f"invalid grid cell ({n}, {m}, {p})")
+        # The solver knobs' ranges live in the params classes.
+        try:
+            _pf_params(self, seed=0)
+            HolderClass(nu=self.nu, h_nu=self.h_nu)
+            CrnParams(h0=self.h0)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
 
 @dataclass(frozen=True)
@@ -240,6 +247,20 @@ def start_point(family: str, n: int) -> np.ndarray:
     return np.full(n, 10.0 / np.sqrt(n))
 
 
+def _pf_params(cfg: ExperimentConfig, seed: int) -> PfParams:
+    return PfParams(
+        eps_g=cfg.eps_g,
+        eps_H=cfg.eps_h,
+        zeta=cfg.zeta,
+        theta=cfg.theta,
+        eta=cfg.eta,
+        delta=cfg.delta,
+        gamma_init=cfg.gamma_init,
+        r=cfg.r,
+        seed=seed,
+    )
+
+
 def _solve(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: int):
     if solver == "alg1":
         params = NcgParams(
@@ -254,18 +275,7 @@ def _solve(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: 
         )
         return newton_cg_solve(oracle, x0, params)
     if solver == "alg2":
-        params = PfParams(
-            eps_g=cfg.eps_g,
-            eps_H=cfg.eps_h,
-            zeta=cfg.zeta,
-            theta=cfg.theta,
-            eta=cfg.eta,
-            delta=cfg.delta,
-            gamma_init=cfg.gamma_init,
-            r=cfg.r,
-            seed=seed,
-        )
-        return pf_newton_cg_solve(oracle, x0, params)
+        return pf_newton_cg_solve(oracle, x0, _pf_params(cfg, seed))
     return acrn_solve(oracle, x0, cfg.eps_g, CrnParams(h0=cfg.h0, seed=seed))
 
 

@@ -76,18 +76,22 @@ class NcgParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_g < 1.0:
-            raise ValueError("eps_g must lie in (0, 1)")
-        if self.eps_H is not None and not 0.0 < self.eps_H < 1.0:
-            raise ValueError("eps_H must lie in (0, 1)")
-        for name in ("zeta", "theta", "eta", "delta"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.j_max < 1:
-            raise ValueError("j_max must be at least 1")
-        if self.max_outer is not None and self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        _validate_shared(self)
+
+
+def _validate_shared(params) -> None:
+    """Range checks on the fields NcgParams and PfParams share."""
+    if not 0.0 < params.eps_g < 1.0:
+        raise ValueError("eps_g must lie in (0, 1)")
+    if params.eps_H is not None and not 0.0 < params.eps_H < 1.0:
+        raise ValueError("eps_H must lie in (0, 1)")
+    for name in ("zeta", "theta", "eta", "delta"):
+        if not 0.0 < getattr(params, name) < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1)")
+    if params.j_max < 1:
+        raise ValueError("j_max must be at least 1")
+    if params.max_outer is not None and params.max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
 
 
 @dataclass

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capped_cg import capped_cg
-from .newton_cg import (  # the trial records and result type are re-exported here
+from .newton_cg import (
     _FALLBACK_MAX_OUTER,
-    NO_VALID_J,
-    SMALL_STEP,
-    InnerTrialRecord,
     LineSearchOutcome,
     PfSolveResult,
     _backtrack,
     _drive,
+    _validate_shared,
     c_nc,
     gamma_nu,
 )
@@ -56,20 +54,13 @@ class PfParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_g < 1.0:
-            raise ValueError("eps_g must lie in (0, 1)")
-        if self.eps_H is not None and not 0.0 < self.eps_H < 1.0:
-            raise ValueError("eps_H must lie in (0, 1)")
-        for name in ("zeta", "theta", "eta", "delta"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        _validate_shared(self)
         if not self.gamma_init > 0.0:
             raise ValueError("gamma_init must be positive")
         if not self.r > 1.0:
             raise ValueError("r must exceed 1")
-        if self.t_max < 1 or self.j_max < 1:
-            raise ValueError("t_max and j_max must be at least 1")
+        if self.t_max < 1:
+            raise ValueError("t_max must be at least 1")
 
 
 def sigma_start(gamma_prev: float, gamma_init: float, r: float) -> float:

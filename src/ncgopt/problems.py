@@ -102,15 +102,17 @@ def _point_key(x) -> tuple:
     return x.dtype.str, x.shape, x.tobytes()
 
 
-def _last_point(compute: Callable[[Array, tuple], object]) -> Callable[[Array, tuple], object]:
-    """Memoize ``compute(x, key)`` for the last point seen, looked up by its key.
+def _last_point(compute: Callable[[Array, tuple], object] | None = None) -> Callable:
+    """Memoize ``compute(x, key)`` for the last key seen.
 
     The slot holds one immutable ``(key, value)`` pair that is replaced whole,
     so threads sharing it read a consistent entry; a miss only recomputes.
+    A slot shared by several callers takes each caller's ``compute`` per
+    lookup, and its keys must tell the callers apart.
     """
     slot: tuple | None = None
 
-    def lookup(x: Array, key: tuple) -> object:
+    def lookup(x: Array, key: tuple, compute: Callable = compute) -> object:
         nonlocal slot
         entry = slot
         if entry is None or entry[0] != key:
@@ -121,12 +123,12 @@ def _last_point(compute: Callable[[Array, tuple], object]) -> Callable[[Array, t
     return lookup
 
 
-# Curvature data of the last point at which any infeasibility oracle took a
-# Hessian-vector product: (oracle token, point key, lin, w1, S).  One slot per
-# process rather than per oracle, so the n x n matrix S does not stay alive on
-# every oracle a caller keeps after its solve.  The tuple is replaced whole,
-# never mutated; threads that alternate between oracles only cost rebuilds.
-_infeasibility_curvature: tuple | None = None
+# Curvature data (lin, w1, S) of the last point at which any infeasibility
+# oracle took a Hessian-vector product, keyed by (oracle token, point key).
+# One slot per process rather than per oracle, so the n x n matrix S does not
+# stay alive on every oracle a caller keeps after its solve; threads that
+# alternate between oracles only cost rebuilds.
+_infeasibility_curvature = _last_point()
 
 
 def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
@@ -154,18 +156,15 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         w = p * _pos_pow(q, p - 1.0)
         return (w[:, None] * (2.0 * ax + b)).sum(axis=0) / m
 
+    def curvature(x: Array, key: tuple) -> tuple[Array, Array, Array]:
+        ax, q = point(x, key[1])
+        lin = 2.0 * ax + b
+        w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
+        S = np.tensordot(p * _pos_pow(q, p - 1.0), A, axes=1)
+        return lin, w1, S
+
     def eval_hvp(x: Array, v: Array) -> Array:
-        global _infeasibility_curvature
-        key = _point_key(x)
-        entry = _infeasibility_curvature
-        if entry is None or entry[0] is not token or entry[1] != key:
-            ax, q = point(x, key)
-            lin = 2.0 * ax + b
-            w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
-            S = np.tensordot(p * _pos_pow(q, p - 1.0), A, axes=1)
-            entry = (token, key, lin, w1, S)
-            _infeasibility_curvature = entry
-        _, _, lin, w1, S = entry
+        lin, w1, S = _infeasibility_curvature(x, (token, _point_key(x)), curvature)
         return (lin.T @ (w1 * (lin @ v)) + 2.0 * (S @ v)) / m
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"

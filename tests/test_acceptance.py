@@ -10,6 +10,10 @@ import numpy as np
 
 import ncgopt as ng
 from ncgopt.bench import build_config, run_experiment
+from ncgopt.capped_cg import SOL, capped_cg, iteration_cap, psi
+from ncgopt.meo import CERTIFICATE, DIRECTION, lanczos_budget, minimum_eigenvalue_oracle
+from ncgopt.newton_cg import c_meo, c_nc, c_sol, complexity_bounds, gamma_nu, taylor_error_modulus
+from ncgopt.pf_newton_cg import c_sol_hat, pf_bounds
 from ncgopt.sampling import generator
 
 
@@ -41,9 +45,9 @@ def test_criterion_1_capped_cg_contracts():
         while np.linalg.norm(g) == 0.0:
             g = rng.standard_normal(n)
         eps = eps_grid[trial % len(eps_grid)]
-        out = ng.capped_cg(lambda v: H @ v, g, eps, zeta)
+        out = capped_cg(lambda v: H @ v, g, eps, zeta)
         d = out.d
-        if out.d_type == ng.SOL:
+        if out.d_type == SOL:
             n_sol += 1
             hbar_d = H @ d + 2.0 * eps * d
             quad = float(d @ hbar_d)
@@ -61,7 +65,7 @@ def test_criterion_1_capped_cg_contracts():
             assert float(d @ g) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(g)
             assert float(d @ (H @ d)) <= -eps * float(d @ d) * (1.0 - 1e-10)
         norm_h = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-        assert out.iterations <= ng.iteration_cap(norm_h, eps, zeta, n)
+        assert out.iterations <= iteration_cap(norm_h, eps, zeta, n)
         assert out.final_params.U <= norm_h + 1e-10
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
@@ -83,12 +87,12 @@ def test_criterion_2_meo_suite():
         lam[0] = rng.uniform(-5.0, -eps)
         H = random_symmetric(rng, n, lam)
         norm_h = float(np.max(np.abs(lam)))
-        out = ng.minimum_eigenvalue_oracle(
+        out = minimum_eigenvalue_oracle(
             lambda v: H @ v, n, eps, delta, norm_h, seed=trial, stream=0
         )
         runs += 1
         assert out.iterations <= out.budget
-        if out.kind == ng.DIRECTION:
+        if out.kind == DIRECTION:
             hits += 1
             assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
             assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
@@ -99,11 +103,11 @@ def test_criterion_2_meo_suite():
         n = int(rng.integers(2, 25))
         lam = rng.uniform(0.0, 5.0, size=n)
         H = random_symmetric(rng, n, lam)
-        out = ng.minimum_eigenvalue_oracle(
+        out = minimum_eigenvalue_oracle(
             lambda v: H @ v, n, eps, delta, float(np.max(lam)) + 1e-9, seed=trial, stream=5
         )
         psd_runs += 1
-        assert out.kind == ng.CERTIFICATE
+        assert out.kind == CERTIFICATE
         assert out.iterations <= out.budget
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
@@ -169,12 +173,12 @@ def test_criterion_3_driver_soundness():
             # accepted_by tags SOL steps only, in both drivers.
             for res in (res1, res2):
                 for r in res.trace:
-                    tags = ("full_step", "armijo") if r.step_type == ng.SOL else (None,)
+                    tags = ("full_step", "armijo") if r.step_type == SOL else (None,)
                     assert r.accepted_by in tags, (family, seed, r.step_type, r.accepted_by)
 
             if known_holder is not None:
                 f0 = oracle.eval_f(x0)
-                sigma_bar, t_bound, _ = ng.pf_bounds(params2, known_holder, f0, 0.0)
+                sigma_bar, t_bound, _ = pf_bounds(params2, known_holder, f0, 0.0)
                 assert all(g <= sigma_bar + 1e-12 for g in res2.gamma_history)
                 assert all(len(outer) <= t_bound for outer in res2.trials)
                 checked_bounds += 1
@@ -319,30 +323,30 @@ def test_criterion_7_formula_calculators():
                     assert abs(got - want_int) <= 1e-12 * want_int
 
             gamma = _mp_gamma_nu(m_eg, m_nu, m_h)
-            close(ng.gamma_nu(eps_g, holder), gamma)
+            close(gamma_nu(eps_g, holder), gamma)
 
             delta = float(rng.uniform(1e-4, 1.0))
             m_delta = mpmath.mpf(repr(delta))
             l_val = ((1 - m_nu) / (2 * m_delta * (1 + m_nu))) ** ((1 - m_nu) / (1 + m_nu)) * m_h ** (2 / (1 + m_nu))
-            close(ng.taylor_error_modulus(delta, holder), l_val)
+            close(taylor_error_modulus(delta, holder), l_val)
 
             csol = m_eta * min(
                 (2 / (4 + m_z + mpmath.sqrt((4 + m_z) ** 2 + 1))) ** 2,
                 (2 * (1 - m_eta) * m_th / 3) ** 2 / 6,
             )
-            close(ng.c_sol(eta, zeta, theta), csol)
+            close(c_sol(eta, zeta, theta), csol)
             cnc = m_eta * m_th**2 / 4
-            close(ng.c_nc(eta, theta), cnc)
+            close(c_nc(eta, theta), cnc)
             cmeo = (m_eta / 2) * min(1, m_th * ((1 - m_eta) / m_h) ** (1 / m_nu)) ** 2 * mpmath.mpf("0.5") ** ((2 + m_nu) / m_nu)
-            close(ng.c_meo(eta, theta, holder), cmeo)
+            close(c_meo(eta, theta, holder), cmeo)
             chat = (m_eta / 6) * min(mpmath.mpf(1) / 6, (2 * (1 - m_eta) * m_th / 3) ** 2)
-            close(ng.c_sol_hat(eta, theta), chat)
+            close(c_sol_hat(eta, theta), chat)
 
             f_gap = float(rng.uniform(0.0, 30.0))
             params = ng.NcgParams(
                 eps_g=eps_g, eps_H=eps_h, holder=holder, zeta=zeta, theta=theta, eta=eta
             )
-            k1, k2 = ng.complexity_bounds(params, f0=f_gap, f_low=0.0)
+            k1, k2 = complexity_bounds(params, f0=f_gap, f_low=0.0)
             m_gap = mpmath.mpf(repr(f_gap))
             k1_real = m_gap / min(csol, cnc) * mpmath.sqrt(gamma) * m_eg ** mpmath.mpf("-1.5")
             close_count(k1, int(mpmath.ceil(k1_real)) + 1)
@@ -354,7 +358,7 @@ def test_criterion_7_formula_calculators():
             pf_params = ng.PfParams(
                 eps_g=eps_g, zeta=zeta, theta=theta, eta=eta, gamma_init=gamma_init, r=r
             )
-            sigma_bar, t_bound, k1_bar = ng.pf_bounds(pf_params, holder, f_gap, 0.0)
+            sigma_bar, t_bound, k1_bar = pf_bounds(pf_params, holder, f_gap, 0.0)
             m_gi, m_r = mpmath.mpf(repr(gamma_init)), mpmath.mpf(repr(r))
             m_sigma = max(m_gi, m_r * gamma)
             close(sigma_bar, m_sigma)
@@ -370,12 +374,12 @@ def test_criterion_7_formula_calculators():
             budget_real = 1 + mpmath.ceil(
                 mpmath.log(mpmath.mpf("2.75") * m_n / m_dp**2) / 2 * mpmath.sqrt(m_nh / m_eh)
             )
-            assert ng.lanczos_budget(n_dim, eps_h, delta_p, norm_h) == min(n_dim, int(budget_real))
+            assert lanczos_budget(n_dim, eps_h, delta_p, norm_h) == min(n_dim, int(budget_real))
 
             t_arg = float(rng.uniform(0.01, 1e6))
             m_t_arg = mpmath.mpf(repr(t_arg))
             psi_real = mpmath.log(144 * (mpmath.sqrt(m_t_arg + 2) + 1) ** 2 * (m_t_arg + 2) ** 6 / m_z**2)
-            close(ng.psi(t_arg, zeta), psi_real)
+            close(psi(t_arg, zeta), psi_real)
 
         # Inequality L(eps_g / a) <= a gamma_nu(eps_g) / 8 for a >= 2, and the
         # two threshold reformulations of gamma >= gamma_nu(eps_g).
@@ -386,14 +390,14 @@ def test_criterion_7_formula_calculators():
             eps_g = float(rng.uniform(1e-6, 0.9))
             a = float(rng.uniform(2.0, 50.0))
             holder = ng.HolderClass(nu, h_nu)
-            lhs = ng.taylor_error_modulus(eps_g / a, holder)
-            assert lhs <= a * ng.gamma_nu(eps_g, holder) / 8.0 * (1.0 + 1e-12)
+            lhs = taylor_error_modulus(eps_g / a, holder)
+            assert lhs <= a * gamma_nu(eps_g, holder) / 8.0 * (1.0 + 1e-12)
 
             gamma = float(rng.uniform(1e-3, 1e4))
-            base = gamma >= ng.gamma_nu(eps_g, holder)
+            base = gamma >= gamma_nu(eps_g, holder)
             first = (gamma * eps_g) ** 0.5 / h_nu >= 2.0 ** (1.0 + nu) * (eps_g / gamma) ** (nu / 2.0)
             second = (gamma * eps_g) ** ((1.0 - nu) / 2.0) / h_nu >= 2.0 ** (1.0 + nu) / gamma**nu
-            margin = abs(gamma / ng.gamma_nu(eps_g, holder) - 1.0)
+            margin = abs(gamma / gamma_nu(eps_g, holder) - 1.0)
             if margin > 1e-9:
                 assert base == first == second
                 agree += 1

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ncgopt import CrnParams, acrn_solve, cubic_subproblem_gd
-from ncgopt.baseline_crn import estimate_operator_norm
+from ncgopt import CrnParams, acrn_solve, gen_quadratic
+from ncgopt.baseline_crn import cubic_subproblem_gd, estimate_operator_norm
 from ncgopt.newton_cg import FOSP, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator, unit_vector
@@ -143,3 +143,26 @@ def test_operator_norm_diagonal():
 def test_operator_norm_zero():
     est = estimate_operator_norm(matvec(np.zeros((4, 4))), 4, seed=2)
     assert est == 1e-12
+
+
+@pytest.mark.parametrize(
+    "eps_g, x0, message",
+    [
+        (-1.0, np.ones(10), "eps_g must lie in"),
+        (math.nan, np.ones(10), "eps_g must lie in"),
+        (1e-4, np.full(10, np.nan), "x0 must be finite"),
+    ],
+)
+def test_acrn_rejects_bad_inputs_before_any_oracle_call(eps_g, x0, message):
+    quad = gen_quadratic(10, np.linspace(1.0, 2.0, 10), 0)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn) or fn(*args)
+
+    oracle = ProblemOracle(
+        10, counted(quad.eval_f), counted(quad.eval_grad), counted(quad.eval_hvp), "quadratic"
+    )
+    with pytest.raises(ValueError, match=message):
+        acrn_solve(oracle, x0, eps_g, CrnParams())
+    assert calls == []

@@ -174,6 +174,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
 
 
+def test_cli_out_of_range_knob_is_config_error(tmp_path, capsys):
+    flags = ["--family", "quadratic", "--solver", "alg1", "--eps-g", "1.5"]
+    assert main(flags) == 1
+    assert "config error: eps_g must lie in (0, 1)" in capsys.readouterr().err
+    config = write_config(tmp_path, "config_version = 1\nfamily = quadratic\nzeta = 2\n")
+    assert main(["--config", config]) == 1
+    assert "config error: zeta must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
     from ncgopt.newton_cg import Counters, SolveResult
 

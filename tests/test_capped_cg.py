@@ -4,16 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from ncgopt import (
+from ncgopt.capped_cg import (
     NC,
     SOL,
     CapParams,
     CappedCgError,
+    CgOutcome,
     capped_cg,
     iteration_cap,
     update_cap_params,
 )
-from ncgopt.capped_cg import CgOutcome
 from ncgopt.sampling import generator
 
 

@@ -93,6 +93,7 @@ import numpy as np
 import pytest
 
 import ncgopt as ng
+from ncgopt.newton_cg import MEO
 
 HOLDER = ng.HolderClass(1.0, 1.0)
 EPS_G = 1e-4
@@ -177,7 +178,7 @@ def test_pinned_outputs(case):
 
 def test_alg2_takes_meo_step_from_saddle():
     res = solve("alg2", "quartic", 0, 1e-2)
-    assert res.trace[0].step_type == ng.MEO
+    assert res.trace[0].step_type == MEO
     assert res.trace[0].accepted_by is None
     assert res.trials[0] == []
     assert res.gamma_history[0] == 10.0  # gamma_init, carried through the MEO step
@@ -197,6 +198,6 @@ def test_meo_step_does_not_depend_on_eigenvector_sign(solver, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_flipped)
     res = solve(solver, "quartic", 0, 1e-2)
-    assert res.trace[0].step_type == ng.MEO
+    assert res.trace[0].step_type == MEO
     np.testing.assert_array_equal(res.x_final, expected.x_final)
     assert observed(res) == observed(expected)

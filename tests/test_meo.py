@@ -4,16 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from ncgopt import (
+from ncgopt.meo import (
     CERTIFICATE,
     DIRECTION,
-    lanczos_budget,
-    minimum_eigenvalue_oracle,
-)
-from ncgopt.meo import (
     LANCZOS,
     SATURATED,
     NonFiniteError,
+    lanczos_budget,
+    minimum_eigenvalue_oracle,
     shifted_pivot,
     smallest_eigenpair,
     smallest_eigenvalue,

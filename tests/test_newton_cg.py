@@ -7,26 +7,28 @@ import pytest
 from ncgopt import (
     FOSP,
     MAX_ITERATIONS,
-    MEO,
     HolderClass,
     LINE_SEARCH_FAILURE,
     NUMERICAL_FAILURE,
-    LineSearchError,
     NcgParams,
     PfParams,
     ProblemOracle,
+    gen_quadratic,
+    newton_cg_solve,
+    pf_newton_cg_solve,
+)
+from ncgopt.capped_cg import capped_cg
+from ncgopt.newton_cg import (
+    MEO,
+    LineSearchError,
     c_meo,
     c_nc,
     c_sol,
-    capped_cg,
     complexity_bounds,
     gamma_nu,
-    gen_quadratic,
     line_search_meo,
     line_search_nc,
     line_search_sol,
-    newton_cg_solve,
-    pf_newton_cg_solve,
     scale_meo_direction,
     scale_nc_direction,
     taylor_error_modulus,

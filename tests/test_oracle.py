@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ncgopt import (
-    DerivativeCheckError,
-    HolderClass,
-    ProblemOracle,
-    check_gradient_fd,
-    check_hvp_fd,
-    gen_infeasibility,
-    gen_repu,
-)
+from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu
+from ncgopt.oracle import DerivativeCheckError, check_gradient_fd, check_hvp_fd
 from ncgopt.sampling import standard_normals
 
 

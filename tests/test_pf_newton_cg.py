@@ -9,18 +9,19 @@ from ncgopt import (
     HolderClass,
     PfParams,
     ProblemOracle,
-    bounded_line_search_nc,
-    bounded_line_search_sol,
-    c_nc,
-    c_sol_hat,
-    gamma_nu,
     gen_infeasibility,
     gen_quadratic,
-    pf_bounds,
     pf_newton_cg_solve,
+)
+from ncgopt.newton_cg import c_nc, gamma_nu
+from ncgopt.oracle import CountingOracle
+from ncgopt.pf_newton_cg import (
+    bounded_line_search_nc,
+    bounded_line_search_sol,
+    c_sol_hat,
+    pf_bounds,
     sigma_start,
 )
-from ncgopt.oracle import CountingOracle
 
 
 def make_norm_squared(n):
@@ -235,6 +236,12 @@ def test_param_validation():
         PfParams(eps_g=2.0)
 
 
+@pytest.mark.parametrize("max_outer", [0, -3])
+def test_max_outer_must_be_positive(max_outer):
+    with pytest.raises(ValueError, match="max_outer must be at least 1"):
+        PfParams(eps_g=1e-4, max_outer=max_outer)
+
+
 def test_bounded_searches_minimality_against_scan():
     # Overshooting direction on a stiff 1-D quadratic: the accepted j must
     # equal the first acceptance of an exhaustive scan over the window.
@@ -350,7 +357,8 @@ def test_pf_sosp_certified_and_gamma_carry():
     assert all(g == 10.0 for g in res.gamma_history)
     assert len(res.gamma_history) == len(res.trace)
     # Outer iterations stay within the second-order worst-case budget.
-    from ncgopt import NcgParams, complexity_bounds
+    from ncgopt import NcgParams
+    from ncgopt.newton_cg import complexity_bounds
 
     holder = HolderClass(1.0, 1e-8)
     _, _, k1_bar = pf_bounds(params, holder, oracle.eval_f(x0), 0.0)

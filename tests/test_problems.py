@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from ncgopt import (
-    check_gradient_fd,
-    check_hvp_fd,
     gen_infeasibility,
     gen_quadratic,
     gen_repu,
@@ -17,6 +15,7 @@ from ncgopt import (
     PfParams,
     save_instance,
 )
+from ncgopt.oracle import check_gradient_fd, check_hvp_fd
 from ncgopt.problems import _pos_pow
 from ncgopt.sampling import standard_normals
 
