@@ -89,6 +89,39 @@ def test_emit_markdown_golden():
     )
 
 
+def failed_cell_table():
+    nan = float("nan")
+    return ResultsTable(
+        rows=[
+            ResultRow(100, 10, 2.25, "alg2", 7.1e-15, 0.01234, 10.3, 6.0, 0),
+            ResultRow(100, 10, 2.5, "acrn", nan, nan, nan, nan, 10),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "csv",
+            "n,m,p,solver,mean_objective,mean_wall_s,mean_subproblems,mean_outer,failures\n"
+            "100,10,2.25,alg2,7.1e-15,0.01,10.3,6.0,0\n"
+            "100,10,2.5,acrn,nan,nan,nan,nan,10\n",
+        ),
+        (
+            "markdown",
+            "| n   | m  | p    | solver | mean_objective | mean_wall_s | mean_subproblems | mean_outer | failures |\n"
+            "|-----|----|------|--------|----------------|-------------|------------------|------------|----------|\n"
+            "| 100 | 10 | 2.25 | alg2   | 7.100e-15      | 0.01        | 10.3             | 6.0        | 0        |\n"
+            "| 100 | 10 | 2.5  | acrn   | nan            | nan         | nan              | nan        | 10       |\n",
+        ),
+    ],
+)
+def test_emit_golden_with_failed_cell(fmt, expected):
+    # An all-failed cell has NaN means; its row must still render and align.
+    assert emit_table(failed_cell_table(), fmt) == expected
+
+
 def test_csv_round_trip():
     text = emit_table(golden_table(), "csv")
     parsed = parse_table_csv(text)
