@@ -13,18 +13,20 @@ required ``config_version = 1`` line.  Recognized keys::
     out                output path ("-" = stdout)
     format             csv | markdown
     jobs               parallel worker count (default 1)
-    zeta, theta, eta, delta, gamma_init, r     shared solver knobs
+    zeta, theta, eta, delta                    knobs alg1 and alg2 share
+    gamma_init, r      alg2's initial weight and weight ratio
     h_nu, nu           smoothness data handed to alg1 (heuristic on the
                        benchmark families, exact on quadratic)
     h0                 baseline initial weight
-    quad_lambda_min, quad_lambda_max           quadratic-family spectrum
+    quad_lambda_min, quad_lambda_max           quadratic-family spectrum (finite, >= 0)
 
 Command-line flags override file values.  Start points follow the benchmark
 protocol: the origin for infeasibility, (1/n, ..., 1/n) for repu, and a
 scaled all-ones vector for the quadratic family.  Instance seeds are
 base_seed + instance index; runs are bit-reproducible except wall time.
 
-Exit codes: 0 success, 1 config error, 2 run failures present.
+Exit codes: 0 success, 1 config error, 2 run failures present.  Each failed
+run is named on stderr with its cell, solver, seed and status.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ import argparse
 import concurrent.futures
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -44,8 +47,7 @@ from .problems import gen_infeasibility, gen_quadratic, gen_repu
 
 FAMILIES = ("infeasibility", "repu", "quadratic")
 SOLVERS = ("alg1", "alg2", "acrn")
-
-CSV_HEADER = "n,m,p,solver,mean_objective,mean_wall_s,mean_subproblems,mean_outer,failures"
+FORMATS = ("csv", "markdown")
 
 _DEFAULT_GRIDS = {
     "infeasibility": [(100, 10, 2.25)],
@@ -94,25 +96,32 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown solver {solver!r}")
         if self.instances_per_cell < 1:
             raise ConfigError("instances_per_cell must be at least 1")
-        if self.fmt not in ("csv", "markdown"):
+        if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if self.family != "quadratic":
+        if self.family == "quadratic":
+            # A negative eigenvalue makes f = x'Qx/2 unbounded below.
+            for name in ("quad_lambda_min", "quad_lambda_max"):
+                if not 0.0 <= getattr(self, name) < float("inf"):
+                    raise ConfigError(f"{name} must be finite and nonnegative")
+        else:
             for n, m, p in self.grid:
                 if n < 1 or m < 1 or not p > 2.0:
                     raise ConfigError(f"invalid grid cell ({n}, {m}, {p})")
         # The solver knobs' ranges live in the params classes.
         try:
-            _pf_params(self, seed=0)
-            HolderClass(nu=self.nu, h_nu=self.h_nu)
-            CrnParams(h0=self.h0)
+            for solver in SOLVERS:
+                _params(self, solver, seed=0)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
 
 @dataclass(frozen=True)
 class ResultRow:
+    """The cell, the solver, one mean per run-record value over the good runs
+    (see :func:`_run_one`), and the failure count; in the table's column order."""
+
     n: int
     m: int
     p: float
@@ -127,68 +136,41 @@ class ResultRow:
 @dataclass
 class ResultsTable:
     rows: list[ResultRow] = field(default_factory=list)
+    # One line per failed run: its cell, solver, seed and status.
+    failed_runs: list[str] = field(default_factory=list)
 
     @property
     def total_failures(self) -> int:
         return sum(row.failures for row in self.rows)
 
 
+COLUMNS = tuple(column.name for column in fields(ResultRow))
+CSV_HEADER = ",".join(COLUMNS)
+# Every column but the cell's three, the solver and the failure count.
+_MEAN_COUNT = len(COLUMNS) - 5
+_CELL_TYPES = tuple(get_type_hints(ResultRow)[name] for name in COLUMNS)
+
+
+def _float_repr(value) -> str:
+    return repr(float(value))
+
+
+# Each column's (CSV, markdown) text; the CSV round-trips all but wall time.
+_CELL_TEXT = {
+    "n": (str, str),
+    "m": (str, str),
+    "p": (_float_repr, "{:g}".format),
+    "solver": (str, str),
+    "mean_objective": (_float_repr, "{:.3e}".format),
+    "mean_wall_s": ("{:.2f}".format, "{:.2f}".format),
+    "mean_subproblems": (_float_repr, "{:.1f}".format),
+    "mean_outer": (_float_repr, "{:.1f}".format),
+    "failures": (str, str),
+}
+
+
 # ---------------------------------------------------------------------------
 # Config parsing.
-
-_INT_KEYS = {"config_version", "instances_per_cell", "base_seed", "jobs"}
-_FLOAT_KEYS = {
-    "eps_g",
-    "eps_h",
-    "zeta",
-    "theta",
-    "eta",
-    "delta",
-    "gamma_init",
-    "r",
-    "h_nu",
-    "nu",
-    "h0",
-    "quad_lambda_min",
-    "quad_lambda_max",
-}
-_STR_KEYS = {"family", "out", "format"}
-_LIST_KEYS = {"grid", "solvers"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
-
-
-def parse_config_file(path: str) -> dict:
-    """Parse a key = value config file into typed values."""
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                elif key == "grid":
-                    values[key] = _parse_grid(value)
-                elif key == "solvers":
-                    values[key] = tuple(s.strip() for s in value.split(",") if s.strip())
-                else:
-                    values[key] = value
-            except ConfigError:
-                raise
-            except ValueError as err:
-                raise ConfigError(f"{path}:{lineno}: {err}") from err
-    if values.get("config_version") != 1:
-        raise ConfigError(f"{path}: missing or unsupported config_version")
-    values.pop("config_version")
-    return values
 
 
 def _parse_grid(text: str) -> tuple[tuple[int, int, float], ...]:
@@ -204,6 +186,45 @@ def _parse_grid(text: str) -> tuple[tuple[int, int, float], ...]:
     if not cells:
         raise ConfigError("grid is empty")
     return tuple(cells)
+
+
+def _parse_solvers(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# Each config-file key and the parser of its value.
+_KEY_PARSERS = {
+    "grid": _parse_grid,
+    "solvers": _parse_solvers,
+    **dict.fromkeys(("config_version", "instances_per_cell", "base_seed", "jobs"), int),
+    **dict.fromkeys(("family", "out", "format"), str),
+    **dict.fromkeys(("eps_g", "eps_h", "zeta", "theta", "eta", "delta"), float),
+    **dict.fromkeys(("gamma_init", "r", "h_nu", "nu", "h0"), float),
+    **dict.fromkeys(("quad_lambda_min", "quad_lambda_max"), float),
+}
+
+
+def parse_config_file(path: str) -> dict:
+    """Parse a key = value config file into typed values."""
+    values: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _KEY_PARSERS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _KEY_PARSERS[key](value)
+            except ValueError as err:
+                raise ConfigError(f"{path}:{lineno}: {err}") from err
+    if values.get("config_version") != 1:
+        raise ConfigError(f"{path}: missing or unsupported config_version")
+    values.pop("config_version")
+    return values
 
 
 def build_config(file_values: dict | None = None, **overrides) -> ExperimentConfig:
@@ -247,125 +268,79 @@ def start_point(family: str, n: int) -> np.ndarray:
     return np.full(n, 10.0 / np.sqrt(n))
 
 
-def _pf_params(cfg: ExperimentConfig, seed: int) -> PfParams:
-    return PfParams(
-        eps_g=cfg.eps_g,
-        eps_H=cfg.eps_h,
-        zeta=cfg.zeta,
-        theta=cfg.theta,
-        eta=cfg.eta,
-        delta=cfg.delta,
-        gamma_init=cfg.gamma_init,
-        r=cfg.r,
-        seed=seed,
+def _params(cfg: ExperimentConfig, solver: str, seed: int):
+    """One solver's params; their constructors range-check the knobs."""
+    if solver == "acrn":
+        return CrnParams(h0=cfg.h0, seed=seed)
+    # The knobs NcgParams and PfParams share.
+    shared = dict(
+        eps_g=cfg.eps_g, eps_H=cfg.eps_h, zeta=cfg.zeta, theta=cfg.theta, eta=cfg.eta, delta=cfg.delta
     )
+    if solver == "alg1":
+        return NcgParams(holder=HolderClass(nu=cfg.nu, h_nu=cfg.h_nu), seed=seed, **shared)
+    return PfParams(gamma_init=cfg.gamma_init, r=cfg.r, seed=seed, **shared)
 
 
 def _solve(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: int):
+    params = _params(cfg, solver, seed)
     if solver == "alg1":
-        params = NcgParams(
-            eps_g=cfg.eps_g,
-            holder=HolderClass(nu=cfg.nu, h_nu=cfg.h_nu),
-            eps_H=cfg.eps_h,
-            zeta=cfg.zeta,
-            theta=cfg.theta,
-            eta=cfg.eta,
-            delta=cfg.delta,
-            seed=seed,
-        )
         return newton_cg_solve(oracle, x0, params)
     if solver == "alg2":
-        return pf_newton_cg_solve(oracle, x0, _pf_params(cfg, seed))
-    return acrn_solve(oracle, x0, cfg.eps_g, CrnParams(h0=cfg.h0, seed=seed))
+        return pf_newton_cg_solve(oracle, x0, params)
+    return acrn_solve(oracle, x0, cfg.eps_g, params)
 
 
-def _run_one(task: tuple) -> dict:
-    """Run one (cell, instance, solver) job; picklable for process pools."""
-    cfg_dict, n, m, p, seed, solver = task
-    cfg = ExperimentConfig(**cfg_dict)
+def _run_one(task: tuple) -> tuple[tuple | None, str]:
+    """Run one (cell, instance, solver) job; picklable for process pools.
+
+    Returns (the values ResultRow averages, in its order, or None; status)."""
+    cfg, n, m, p, seed, solver = task
     oracle = make_oracle(cfg, n, m, p, seed)
     x0 = start_point(cfg.family, n)
     began = time.perf_counter()
     try:
         result = _solve(cfg, solver, oracle, x0, seed)
-        wall = time.perf_counter() - began
-        success = result.status in (FOSP, SOSP_CERTIFIED)
-        return {
-            "n": n,
-            "m": m,
-            "p": p,
-            "solver": solver,
-            "seed": seed,
-            "ok": success,
-            "objective": result.f_final,
-            "subproblems": result.counters.subproblems,
-            "outer": len(result.trace),
-            "wall": wall,
-            "status": result.status,
-        }
     except Exception as err:  # solver blew up: flag, do not kill the grid
-        return {
-            "n": n,
-            "m": m,
-            "p": p,
-            "solver": solver,
-            "seed": seed,
-            "ok": False,
-            "objective": float("nan"),
-            "subproblems": 0,
-            "outer": 0,
-            "wall": time.perf_counter() - began,
-            "status": f"error: {err}",
-        }
+        return None, f"error: {err}"
+    wall = time.perf_counter() - began
+    detail = "" if result.status_detail is None else f" ({result.status_detail})"
+    status = result.status + detail
+    if result.status not in (FOSP, SOSP_CERTIFIED):
+        return None, status
+    return (result.f_final, wall, result.counters.subproblems, len(result.trace)), status
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     """Run the full grid and aggregate per-cell, per-solver means."""
     cfg.validate()
-    cfg_dict = {
-        key: getattr(cfg, key)
-        for key in ExperimentConfig.__dataclass_fields__
-        if key not in ("out", "jobs")
-    }
-    cfg_dict["out"] = None
-    cfg_dict["jobs"] = 1
     tasks = [
-        (cfg_dict, n, m, p, cfg.base_seed + idx, solver)
+        (cfg, n, m, p, cfg.base_seed + idx, solver)
         for (n, m, p) in cfg.grid
         for idx in range(cfg.instances_per_cell)
         for solver in cfg.solvers
     ]
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_run_one, tasks))
+            records = list(pool.map(_run_one, tasks))
     else:
-        outcomes = [_run_one(task) for task in tasks]
+        records = [_run_one(task) for task in tasks]
 
     table = ResultsTable()
-    for n, m, p in cfg.grid:
+    runs: dict = {(cell, solver): [] for cell in cfg.grid for solver in cfg.solvers}
+    for (_, n, m, p, seed, solver), (values, status) in zip(tasks, records):
+        runs[(n, m, p), solver].append(values)
+        if values is None:
+            table.failed_runs.append(f"cell ({n}, {m}, {p}), {solver}, seed {seed}: {status}")
+    for cell in cfg.grid:
         for solver in cfg.solvers:
-            runs = [
-                o
-                for o in outcomes
-                if (o["n"], o["m"], o["p"], o["solver"]) == (n, m, p, solver)
-            ]
-            good = [o for o in runs if o["ok"]]
-            failures = len(runs) - len(good)
+            good = [values for values in runs[cell, solver] if values is not None]
             if good:
-                row = ResultRow(
-                    n=n,
-                    m=m,
-                    p=p,
-                    solver=solver,
-                    mean_objective=float(np.mean([o["objective"] for o in good])),
-                    mean_wall_s=float(np.mean([o["wall"] for o in good])),
-                    mean_subproblems=float(np.mean([o["subproblems"] for o in good])),
-                    mean_outer=float(np.mean([o["outer"] for o in good])),
-                    failures=failures,
-                )
+                # Each mean sums its values in task order.
+                means = [float(np.mean(column)) for column in zip(*good)]
             else:
-                row = ResultRow(n, m, p, solver, float("nan"), float("nan"), float("nan"), float("nan"), failures)
-            table.rows.append(row)
+                means = [float("nan")] * _MEAN_COUNT
+            failures = len(runs[cell, solver]) - len(good)
+            table.rows.append(ResultRow(*cell, solver, *means, failures))
     return table
 
 
@@ -375,51 +350,19 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
 
 def emit_table(table: ResultsTable, fmt: str = "csv") -> str:
     """Render a results table; wall time is reported to 0.01 s."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
+    which = FORMATS.index(fmt)
+    body = [[_CELL_TEXT[name][which](getattr(row, name)) for name in COLUMNS] for row in table.rows]
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in table.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row.n),
-                        str(row.m),
-                        repr(float(row.p)),
-                        row.solver,
-                        repr(float(row.mean_objective)),
-                        format(row.mean_wall_s, ".2f"),
-                        repr(float(row.mean_subproblems)),
-                        repr(float(row.mean_outer)),
-                        str(row.failures),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        header = CSV_HEADER.split(",")
-        body = [
-            [
-                str(row.n),
-                str(row.m),
-                f"{row.p:g}",
-                row.solver,
-                f"{row.mean_objective:.3e}",
-                f"{row.mean_wall_s:.2f}",
-                f"{row.mean_subproblems:.1f}",
-                f"{row.mean_outer:.1f}",
-                str(row.failures),
-            ]
-            for row in table.rows
-        ]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-            for i in range(len(header))
-        ]
-        def fmt_row(cells):
-            return "| " + " | ".join(c.ljust(widths[i]) for i, c in enumerate(cells)) + " |"
-        lines = [fmt_row(header), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-        lines.extend(fmt_row(r) for r in body)
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}")
+        return "".join(",".join(cells) + "\n" for cells in [COLUMNS, *body])
+    widths = [max(len(text) for text in column) for column in zip(COLUMNS, *body)]
+    lines = [
+        "| " + " | ".join(text.ljust(w) for text, w in zip(cells, widths)) + " |"
+        for cells in [COLUMNS, *body]
+    ]
+    lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    return "\n".join(lines) + "\n"
 
 
 def parse_table_csv(text: str) -> ResultsTable:
@@ -429,20 +372,10 @@ def parse_table_csv(text: str) -> ResultsTable:
         raise ValueError("not an ncgopt results CSV")
     table = ResultsTable()
     for line in lines[1:]:
-        parts = line.split(",")
-        table.rows.append(
-            ResultRow(
-                n=int(parts[0]),
-                m=int(parts[1]),
-                p=float(parts[2]),
-                solver=parts[3],
-                mean_objective=float(parts[4]),
-                mean_wall_s=float(parts[5]),
-                mean_subproblems=float(parts[6]),
-                mean_outer=float(parts[7]),
-                failures=int(parts[8]),
-            )
-        )
+        cells = line.split(",")
+        if len(cells) != len(COLUMNS):
+            raise ValueError(f"row {line!r} has {len(cells)} cells; the header has {len(COLUMNS)}")
+        table.rows.append(ResultRow(*(kind(cell) for kind, cell in zip(_CELL_TYPES, cells))))
     return table
 
 
@@ -462,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--eps-h", type=float, dest="eps_h")
     parser.add_argument("--seed", type=int, dest="base_seed")
     parser.add_argument("--out", help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=("csv", "markdown"), dest="fmt")
+    parser.add_argument("--format", choices=FORMATS, dest="fmt")
     parser.add_argument("--jobs", type=int)
     try:
         args = parser.parse_args(argv)
@@ -472,14 +405,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if err.code == 0 else 1
 
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        solvers = None
-        if args.solver is not None:
-            solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
         cfg = build_config(
-            file_values,
+            parse_config_file(args.config) if args.config else {},
             family=args.family,
-            solvers=solvers,
+            solvers=None if args.solver is None else _parse_solvers(args.solver),
             eps_g=args.eps_g,
             eps_h=args.eps_h,
             base_seed=args.base_seed,
@@ -503,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cannot write {cfg.out}: {err}", file=sys.stderr)
             return 1
     if table.total_failures:
+        for line in table.failed_runs:
+            print(f"failed run: {line}", file=sys.stderr)
         print(f"{table.total_failures} run(s) failed", file=sys.stderr)
         return 2
     return 0

@@ -241,11 +241,13 @@ def scale_nc_direction(
     return (-sign * coef) * d
 
 
-def scale_meo_direction(v: Array, hvp: Callable[[Array], Array], g: Array) -> Array:
-    """Rescale a unit eigenvalue-oracle direction: -sgn(v.g) |v.Hv| v."""
-    curv = float(v @ np.asarray(hvp(v), dtype=float))
+def scale_meo_direction(v: Array, curvature: float, g: Array) -> Array:
+    """Rescale a unit eigenvalue-oracle direction: -sgn(v.g) |v.Hv| v.
+
+    ``curvature`` is v.Hv, which the oracle already computed to verify v.
+    """
     sign = 1.0 if float(v @ g) >= 0.0 else -1.0
-    return (-sign * abs(curv)) * v
+    return (-sign * abs(curvature)) * v
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def _drive(
                     status = SOSP_CERTIFIED
                     detail = f"norm bound: {meo.bound}"
                     break
-                d = scale_meo_direction(meo.v, hvp, gx)
+                d = scale_meo_direction(meo.v, meo.curvature, gx)
                 step = line_search_meo(co, x, d, params.theta, params.eta, params.j_max, fx)
                 trials.append([])
                 step_type, step_sigma, inner, accepted_by, grad_new = MEO, None, meo.iterations, None, None

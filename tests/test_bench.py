@@ -128,6 +128,16 @@ def test_csv_round_trip():
     assert emit_table(parsed, "csv") == text
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["100,10,2.25,alg2,7.1e-15,0.01,10.3,6.0", "100,10,2.25,alg2,7.1e-15,0.01,10.3,6.0,0,7"],
+)
+def test_parse_table_csv_rejects_wrong_cell_count(row):
+    text = emit_table(golden_table(), "csv") + row + "\n"
+    with pytest.raises(ValueError, match="cells; the header has 9"):
+        parse_table_csv(text)
+
+
 def test_run_experiment_quadratic_replays_and_matches_across_solvers():
     cfg = build_config(
         {
@@ -233,6 +243,20 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "_solve", always_fails)
     code = main(["--config", write_config(tmp_path, BASIC), "--out", "-"])
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    # One line per failed run, naming its cell, solver, seed and status.
+    assert "failed run: cell (8, 0, 0.0), alg2, seed 1: MaxIterations" in err
+    assert len([line for line in err if line.startswith("failed run: ")]) == 4
+    assert err[-1] == "4 run(s) failed"
+
+
+def test_unbounded_quadratic_is_config_error(tmp_path, capsys):
+    # f = x'Qx/2 with a negative eigenvalue is unbounded below.
+    for line in ("quad_lambda_min = -1", "quad_lambda_max = inf", "quad_lambda_min = nan"):
+        config = write_config(tmp_path, f"config_version = 1\nfamily = quadratic\n{line}\n")
+        assert main(["--config", config, "--solver", "alg2"]) == 1
+        name = line.split(" = ")[0]
+        assert f"config error: {name} must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_run_experiment_infeasibility_reference_row():
