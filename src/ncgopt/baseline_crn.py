@@ -7,9 +7,9 @@ m(s)/2, and adapts the weight M (double on rejection, halve on acceptance,
 floored at h0/16).  Subproblem tolerances follow the gradient norm down:
 tol_k = min(0.1, ||grad f(x_k)|| / 10).
 
-These update rules are this package's own documented choices; comparisons
-against the Newton-CG drivers are qualitative (ordering and order of
-magnitude), never bit-level.
+These rules, and the caps MAX_SUB_ITERS and MAX_WEIGHT_DOUBLINGS, are fixed
+constants and this package's own choices; comparisons against the Newton-CG
+drivers are qualitative (ordering and order of magnitude), never bit-level.
 """
 from __future__ import annotations
 
@@ -35,28 +35,23 @@ Array = np.ndarray
 
 CRN = "CRN"
 
+MAX_SUB_ITERS = 2000
+MAX_WEIGHT_DOUBLINGS = 60
+
 
 @dataclass(frozen=True)
 class CrnParams:
+    """Initial cubic weight, outer-iteration cap and sampling seed."""
+
     h0: float = 10.0
-    increase: float = 2.0
-    decrease: float = 0.5
-    weight_floor_ratio: float = 1.0 / 16.0
-    sub_tol_cap: float = 0.1
     max_outer: int = 500
-    max_sub_iters: int = 2000
-    max_weight_doublings: int = 60
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.h0 > 0.0:
             raise ValueError("h0 must be positive")
-        if not self.increase > 1.0:
-            raise ValueError("increase ratio must exceed 1")
-        if not 0.0 < self.decrease < 1.0:
-            raise ValueError("decrease ratio must lie in (0, 1)")
-        if self.max_outer < 1 or self.max_sub_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -106,11 +101,12 @@ def cubic_subproblem_gd(
     tol: float,
     s0: Array,
     max_iters: int,
-    lipschitz_hint: float | None = None,
+    lipschitz_hint: float,
 ) -> CubicSubproblemResult:
     """Gradient descent on the cubic model until ||grad m(s)|| <= tol.
 
-    Steps 1/(L + 2 M ||s||) with L an operator-norm bound on H; a persistent
+    Steps 1/(L + 2 M ||s||) with L = ``lipschitz_hint``, an operator-norm
+    bound on H such as ``estimate_operator_norm`` gives; a persistent
     damping factor halves on model increase and recovers slowly, keeping the
     iteration monotone in m without extra Hessian products per trial.
     Raises ``NonFiniteError`` when the model gradient is NaN or infinite.
@@ -120,8 +116,6 @@ def cubic_subproblem_gd(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     s = np.array(s0, dtype=float)
-    if lipschitz_hint is None:
-        lipschitz_hint = estimate_operator_norm(hvp, s.shape[0], seed=0, iters=20)
     hs = np.asarray(hvp(s), dtype=float)
     m_val = _model_value(g, hs, s, weight)
     damping = 1.0
@@ -166,7 +160,7 @@ def acrn_solve(
     n = co.dim
 
     weight = params.h0
-    floor = params.h0 * params.weight_floor_ratio
+    floor = params.h0 / 16.0
     counters = co.counters
     trace: list[IterationRecord] = []
     status = MAX_ITERATIONS
@@ -187,17 +181,17 @@ def acrn_solve(
         norm_h = estimate_operator_norm(
             hvp, n, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
         )
-        tol = min(params.sub_tol_cap, gnorm / 10.0)
+        tol = min(0.1, gnorm / 10.0)
         attempts = 0
         stepped = False
-        while attempts <= params.max_weight_doublings:
+        while attempts <= MAX_WEIGHT_DOUBLINGS:
             s0 = sampling.unit_vector(
                 params.seed, n, stream=sampling.STREAM_CRN_SUBPROBLEM + draw
             )
             draw += 1
             try:
                 sub = cubic_subproblem_gd(
-                    gx, hvp, weight, tol, s0, params.max_sub_iters, lipschitz_hint=norm_h
+                    gx, hvp, weight, tol, s0, MAX_SUB_ITERS, lipschitz_hint=norm_h
                 )
             except NonFiniteError as err:
                 detail = f"cubic subproblem: {err}"
@@ -222,10 +216,10 @@ def acrn_solve(
                 )
                 x = x + sub.s
                 fx = f_try
-                weight = max(weight * params.decrease, floor)
+                weight = max(weight * 0.5, floor)
                 stepped = True
                 break
-            weight *= params.increase
+            weight *= 2.0
             attempts += 1
         if detail is not None:
             status = NUMERICAL_FAILURE

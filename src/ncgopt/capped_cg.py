@@ -73,8 +73,11 @@ def update_cap_params(current: CapParams, candidate_U: float) -> CapParams:
 
 @dataclass
 class CgOutcome:
-    """Direction d with its type tag and run diagnostics.
+    """Direction d with its type tag, its curvature and run diagnostics.
 
+    curvature is d^T H d, read off products the run already took: H p for a
+    CG direction p, the recurrence's H y for an iterate y, or their
+    difference for a pair of iterates.
     hvp_calls counts products with CG directions (one per iteration plus the
     initial one), the only products the run takes.  hvp_calls_aux is always
     0: the residual cap test takes H r^j from the recurrence, not a product.
@@ -82,6 +85,7 @@ class CgOutcome:
 
     d: Array
     d_type: str
+    curvature: float
     iterations: int
     final_params: CapParams
     hvp_calls: int
@@ -106,7 +110,6 @@ def capped_cg(
     g: Array,
     eps: float,
     zeta: float,
-    U: float = 0.0,
 ) -> CgOutcome:
     """Run capped CG on (H + 2 eps I) d = -g.
 
@@ -125,7 +128,7 @@ def capped_cg(
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
 
-    params = CapParams.from_cap(U, eps, zeta)
+    params = CapParams.from_cap(0.0, eps, zeta)
     two_eps = 2.0 * eps
 
     y = np.zeros(n)
@@ -144,7 +147,7 @@ def capped_cg(
     if not math.isfinite(p_hbar_p) and not np.all(np.isfinite(hp)):
         raise CappedCgError("non-finite Hessian-vector product", 0)
     if p_hbar_p < eps * pp:
-        return CgOutcome(p, NC, 0, params, hvp_calls)
+        return CgOutcome(p, NC, float(p @ hp), 0, params, hvp_calls)
     norm_hp = math.sqrt(float(hp @ hp))
     norm_p = math.sqrt(pp)
     if norm_hp > params.U * norm_p:
@@ -204,12 +207,13 @@ def capped_cg(
             if norm_hr > params.U * norm_r:
                 params = update_cap_params(params, norm_hr / norm_r)
 
-        if float(y @ hy) + two_eps * yy < eps * yy:
-            return CgOutcome(y, NC, j, params, hvp_calls)
+        y_hy = float(y @ hy)
+        if y_hy + two_eps * yy < eps * yy:
+            return CgOutcome(y, NC, y_hy, j, params, hvp_calls)
         if norm_r <= params.zeta_hat * r0_norm:
-            return CgOutcome(y, SOL, j, params, hvp_calls)
+            return CgOutcome(y, SOL, y_hy, j, params, hvp_calls)
         if p_hbar_p < eps * (norm_p * norm_p):
-            return CgOutcome(p, NC, j, params, hvp_calls)
+            return CgOutcome(p, NC, float(p @ hp), j, params, hvp_calls)
         if norm_r > math.sqrt(params.T_cap) * params.tau ** (j / 2.0) * r0_norm:
             # Residual growth exceeds the convergence envelope: some pair of
             # iterates must reveal curvature below eps.
@@ -219,9 +223,9 @@ def capped_cg(
             for i in range(j):
                 dy = y_next - ys[i]
                 dd = float(dy @ dy)
-                curv = float(dy @ (hy_next - hys[i])) + two_eps * dd
-                if curv < eps * dd:
-                    return CgOutcome(dy, NC, j, params, hvp_calls)
+                dy_hdy = float(dy @ (hy_next - hys[i]))
+                if dy_hdy + two_eps * dd < eps * dd:
+                    return CgOutcome(dy, NC, dy_hdy, j, params, hvp_calls)
             raise CappedCgError(
                 "residual blow-up without a negative-curvature pair", j
             )

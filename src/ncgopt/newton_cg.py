@@ -11,8 +11,8 @@ the single weight gamma_nu(eps_g), computed from the smoothness class
 (nu, h_nu), with unbounded searches.
 
 Also hosts the direction-scaling rules, the backtracking loop with its SOL,
-NC and MEO searches, and the worst-case iteration-bound calculators used by
-tests and budget defaults.
+NC and MEO searches, and the worst-case iteration-bound calculators, which
+only tests use: the drivers' budget is the fixed ``max_outer``.
 """
 from __future__ import annotations
 
@@ -43,8 +43,6 @@ ARMIJO = "armijo"
 SMALL_STEP = "small_step"
 NO_VALID_J = "no_valid_j"
 
-_FALLBACK_MAX_OUTER = 100_000
-
 
 class LineSearchError(RuntimeError):
     """Backtracking exhausted its cap; signals numerical breakdown."""
@@ -58,9 +56,9 @@ class LineSearchError(RuntimeError):
 class NcgParams:
     """Inputs of the known-smoothness driver.
 
-    ``f_low`` is an optional lower bound on f used only to size the default
-    outer-iteration budget from the worst-case bounds; without it the budget
-    falls back to a large cap.
+    ``max_outer`` is a fixed cap on outer iterations, not sized from
+    ``complexity_bounds``: that bound needs a lower bound on f, and ranges
+    from 10 near the optimum to beyond 1e10 at a unit gap.
     """
 
     eps_g: float
@@ -71,8 +69,7 @@ class NcgParams:
     eta: float = 0.01
     delta: float = 0.01
     j_max: int = 60
-    max_outer: int | None = None
-    f_low: float | None = None
+    max_outer: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,7 +87,7 @@ def _validate_shared(params) -> None:
             raise ValueError(f"{name} must lie in (0, 1)")
     if params.j_max < 1:
         raise ValueError("j_max must be at least 1")
-    if params.max_outer is not None and params.max_outer < 1:
+    if params.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
 
 
@@ -224,20 +221,18 @@ def complexity_bounds(
 # Direction scalings.
 
 
-def scale_nc_direction(
-    d: Array, hvp: Callable[[Array], Array], g: Array, sigma: float
-) -> Array:
+def scale_nc_direction(d: Array, curvature: float, g: Array, sigma: float) -> Array:
     """Rescale a raw negative-curvature direction for the line search.
 
     Returns -sgn(d.g) max{1, 1/sigma} (|d.Hd| / ||d||^3) d, which makes the
     Rayleigh quotient equal -min{1, sigma} ||d|| and keeps d.g <= 0.
+    ``curvature`` is d.Hd, which capped CG already computed to classify d.
     """
     dn = float(np.linalg.norm(d))
     if dn == 0.0:
         raise ValueError("negative-curvature direction must be nonzero")
-    quad = float(d @ np.asarray(hvp(d), dtype=float))
     sign = 1.0 if float(d @ g) >= 0.0 else -1.0
-    coef = max(1.0, 1.0 / sigma) * abs(quad) / dn**3
+    coef = max(1.0, 1.0 / sigma) * abs(curvature) / dn**3
     return (-sign * coef) * d
 
 
@@ -329,18 +324,6 @@ def line_search_meo(
 # Driver.
 
 
-def _default_max_outer(params: NcgParams, f0: float) -> int:
-    if params.max_outer is not None:
-        return params.max_outer
-    if params.f_low is not None and f0 >= params.f_low:
-        k1, k2 = complexity_bounds(params, f0, params.f_low)
-        if params.eps_H is None:
-            return 10 * k1
-        if k2 is not None:
-            return 10 * (k1 + 2 * k2)
-    return _FALLBACK_MAX_OUTER
-
-
 def _drive(
     oracle: ProblemOracle,
     x0: Array,
@@ -348,8 +331,6 @@ def _drive(
     *,
     weights: Callable[[float], Iterable[float]],
     gamma0: float,
-    max_outer: Callable[[float], int],
-    cg: Callable,
     search_sol: Callable,
     search_nc: Callable,
     parameter_free: bool,
@@ -360,9 +341,9 @@ def _drive(
     given the weight accepted last (``gamma0`` before the first); the first
     trial whose direction yields a step ends the iteration.  ``search_sol``
     and ``search_nc`` return None when their step-size window closes, which
-    moves on to the next trial.  ``max_outer(f0)`` sizes the budget.  The
-    parameter-free driver also rejects SOL directions too short for their
-    weight, and gets its trials and gamma history back in a PfSolveResult.
+    moves on to the next trial.  The parameter-free driver also rejects SOL
+    directions too short for their weight, and gets its trials and gamma
+    history back in a PfSolveResult.
     """
     co = CountingOracle(oracle)
     counters = co.counters
@@ -381,7 +362,7 @@ def _drive(
     detail: str | None = None
 
     try:
-        for _ in range(max_outer(fx)):
+        for _ in range(params.max_outer):
             gnorm = float(np.linalg.norm(gx))
             if not math.isfinite(gnorm):
                 status = NUMERICAL_FAILURE
@@ -392,10 +373,10 @@ def _drive(
                 trials.append(outer)
                 for t, sigma in enumerate(weights(gamma_prev)):
                     counters.capped_cg_calls += 1  # counted even if the call breaks down
-                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
+                    cg_out = capped_cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
                     reason, accepted_by, grad_new = NO_VALID_J, None, None
                     if cg_out.d_type == NC:
-                        d = scale_nc_direction(cg_out.d, hvp, gx, sigma)
+                        d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
                         step = search_nc(co, x, d, sigma, params.theta, params.eta, params.j_max, fx)
                     else:
                         d = cg_out.d
@@ -502,8 +483,6 @@ def newton_cg_solve(
         params,
         weights=lambda _: (gamma,),
         gamma0=gamma,
-        max_outer=lambda f0: _default_max_outer(params, f0),
-        cg=capped_cg,
         search_sol=line_search_sol,
         search_nc=line_search_nc,
         parameter_free=False,

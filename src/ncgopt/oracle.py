@@ -93,7 +93,6 @@ class CountingOracle:
     def __init__(self, oracle: ProblemOracle):
         self._oracle = oracle
         self.dim = oracle.dim
-        self.name = oracle.name
         self.counters = Counters()
 
     def eval_f(self, x: Array) -> float:

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capped_cg import capped_cg
 from .newton_cg import (
-    _FALLBACK_MAX_OUTER,
     LineSearchOutcome,
     PfSolveResult,
     _backtrack,
@@ -50,7 +48,7 @@ class PfParams:
     r: float = 2.0
     t_max: int = 200
     j_max: int = 60
-    max_outer: int | None = None
+    max_outer: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -162,8 +160,6 @@ def pf_newton_cg_solve(
         params,
         weights=weights,
         gamma0=params.gamma_init,
-        max_outer=lambda f0: _FALLBACK_MAX_OUTER if params.max_outer is None else params.max_outer,
-        cg=capped_cg,
         search_sol=bounded_line_search_sol,
         search_nc=bounded_line_search_nc,
         parameter_free=True,

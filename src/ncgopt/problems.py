@@ -283,13 +283,9 @@ def gen_quadratic(n: int, eigenvalues, seed: int) -> ProblemOracle:
 # Serialization.
 
 
-def _instance_of(obj) -> object:
-    return obj.meta if isinstance(obj, ProblemOracle) else obj
-
-
-def save_instance(path: str, oracle_or_instance) -> None:
-    """Write an instance to the flat NCGPROB format."""
-    inst = _instance_of(oracle_or_instance)
+def save_instance(path: str, oracle: ProblemOracle) -> None:
+    """Write a generated oracle's instance to the flat NCGPROB format."""
+    inst = oracle.meta
     if isinstance(inst, InfeasibilityInstance):
         family, n, m, p = "infeasibility", inst.n, inst.m, inst.p
         arrays = [inst.A, inst.b, inst.c]

@@ -1,7 +1,10 @@
-"""The package's public API: its exact export list and the README quick start."""
+"""The package's public API: its exact export list, the params fields and the README quick start."""
+import dataclasses
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import ncgopt
 
@@ -35,6 +38,15 @@ PUBLIC_API = {
     "NUMERICAL_FAILURE",
 }
 
+# Every settable value of the three solvers; a new knob shows up as a diff.
+PARAMS_FIELDS = {
+    "NcgParams": ("eps_g", "holder", "eps_H", "zeta", "theta", "eta", "delta", "j_max", "max_outer", "seed"),
+    "PfParams": (
+        "eps_g", "eps_H", "zeta", "theta", "eta", "delta", "gamma_init", "r", "t_max", "j_max", "max_outer", "seed",
+    ),
+    "CrnParams": ("h0", "max_outer", "seed"),
+}
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -45,6 +57,11 @@ def test_public_names_are_exactly_the_user_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_API
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS_FIELDS))
+def test_params_fields_are_exactly_the_solver_knobs(name):
+    assert tuple(f.name for f in dataclasses.fields(getattr(ncgopt, name))) == PARAMS_FIELDS[name]
 
 
 def test_readme_quick_start_runs(capsys):

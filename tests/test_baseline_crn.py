@@ -31,8 +31,10 @@ def model_grad(g, H, M, s):
 def test_subproblem_vanishing_weight_recovers_newton_step():
     g = np.array([1.0, 0.0, 0.0])
     H = np.eye(3)
+    hvp = lambda v: H @ v
     res = cubic_subproblem_gd(
-        g, lambda v: H @ v, weight=1e-12, tol=1e-9, s0=unit_vector(0, 3), max_iters=5000
+        g, hvp, weight=1e-12, tol=1e-9, s0=unit_vector(0, 3), max_iters=5000,
+        lipschitz_hint=estimate_operator_norm(hvp, 3, seed=0, iters=20),
     )
     assert res.converged
     np.testing.assert_allclose(res.s, -g, atol=1e-8)
@@ -43,8 +45,10 @@ def test_subproblem_unit_weight_closed_form():
     # t (1 + t) = 1, i.e. t = (sqrt(5) - 1) / 2.
     g = np.array([1.0, 0.0])
     H = np.eye(2)
+    hvp = lambda v: H @ v
     res = cubic_subproblem_gd(
-        g, lambda v: H @ v, weight=1.0, tol=1e-10, s0=unit_vector(1, 2), max_iters=20000
+        g, hvp, weight=1.0, tol=1e-10, s0=unit_vector(1, 2), max_iters=20000,
+        lipschitz_hint=estimate_operator_norm(hvp, 2, seed=0, iters=20),
     )
     t = (math.sqrt(5.0) - 1.0) / 2.0
     assert res.converged
@@ -59,8 +63,10 @@ def test_subproblem_residual_when_converged():
         H = (H + H.T) / 2.0
         g = rng.standard_normal(n)
         M = float(rng.uniform(0.5, 4.0))
+        hvp = lambda v: H @ v
         res = cubic_subproblem_gd(
-            g, lambda v: H @ v, weight=M, tol=1e-6, s0=unit_vector(trial, n), max_iters=20000
+            g, hvp, weight=M, tol=1e-6, s0=unit_vector(trial, n), max_iters=20000,
+            lipschitz_hint=estimate_operator_norm(hvp, n, seed=0, iters=20),
         )
         if res.converged:
             assert np.linalg.norm(model_grad(g, H, M, res.s)) <= 1e-6
@@ -99,10 +105,10 @@ def test_param_validation():
     with pytest.raises(ValueError):
         CrnParams(h0=0.0)
     with pytest.raises(ValueError):
-        CrnParams(increase=1.0)
+        CrnParams(max_outer=0)
     with pytest.raises(ValueError):
         cubic_subproblem_gd(
-            np.ones(2), lambda v: v, weight=0.0, tol=1e-6, s0=np.zeros(2), max_iters=10
+            np.ones(2), lambda v: v, weight=0.0, tol=1e-6, s0=np.zeros(2), max_iters=10, lipschitz_hint=1.0
         )
 
 

@@ -28,14 +28,14 @@ def random_symmetric(rng, n, lo=-5.0, hi=5.0):
     return (q * lam) @ q.T
 
 
-def reference_capped_cg(hvp, g, eps, zeta, U=0.0):
+def reference_capped_cg(hvp, g, eps, zeta):
     """The capped-CG loop with a direct product H r^j for the cap test.
 
     Kept as the reference for ``capped_cg``, which takes H r^j from the
     recurrence instead; assumes valid inputs.
     """
     n = g.shape[0]
-    params = CapParams.from_cap(U, eps, zeta)
+    params = CapParams.from_cap(0.0, eps, zeta)
     two_eps = 2.0 * eps
     y = np.zeros(n)
     r = g.copy()
@@ -45,7 +45,7 @@ def reference_capped_cg(hvp, g, eps, zeta, U=0.0):
     hbar_p = hp + two_eps * p
     pp = float(p @ p)
     if float(p @ hbar_p) < eps * pp:
-        return CgOutcome(p, NC, 0, params, hvp_calls, hvp_aux)
+        return CgOutcome(p, NC, float(p @ hp), 0, params, hvp_calls, hvp_aux)
     norm_hp = float(np.linalg.norm(hp))
     norm_p = math.sqrt(pp)
     if norm_hp > params.U * norm_p:
@@ -91,13 +91,14 @@ def reference_capped_cg(hvp, g, eps, zeta, U=0.0):
             if norm_hr > params.U * norm_r:
                 params = update_cap_params(params, norm_hr / norm_r)
         yy = float(y @ y)
-        if float(y @ hy) + two_eps * yy < eps * yy:
-            return CgOutcome(y, NC, j, params, hvp_calls, hvp_aux)
+        y_hy = float(y @ hy)
+        if y_hy + two_eps * yy < eps * yy:
+            return CgOutcome(y, NC, y_hy, j, params, hvp_calls, hvp_aux)
         if norm_r <= params.zeta_hat * r0_norm:
-            return CgOutcome(y, SOL, j, params, hvp_calls, hvp_aux)
+            return CgOutcome(y, SOL, y_hy, j, params, hvp_calls, hvp_aux)
         p_hbar_p = float(p @ hbar_p)
         if p_hbar_p < eps * (norm_p * norm_p):
-            return CgOutcome(p, NC, j, params, hvp_calls, hvp_aux)
+            return CgOutcome(p, NC, float(p @ hp), j, params, hvp_calls, hvp_aux)
         if norm_r > math.sqrt(params.T_cap) * params.tau ** (j / 2.0) * r0_norm:
             alpha_b = rr / p_hbar_p
             y_next = y + alpha_b * p
@@ -105,9 +106,9 @@ def reference_capped_cg(hvp, g, eps, zeta, U=0.0):
             for i in range(j):
                 dy = y_next - ys[i]
                 dd = float(dy @ dy)
-                curv = float(dy @ (hy_next - hys[i])) + two_eps * dd
-                if curv < eps * dd:
-                    return CgOutcome(dy, NC, j, params, hvp_calls, hvp_aux)
+                dy_hdy = float(dy @ (hy_next - hys[i]))
+                if dy_hdy + two_eps * dd < eps * dd:
+                    return CgOutcome(dy, NC, dy_hdy, j, params, hvp_calls, hvp_aux)
             raise CappedCgError("residual blow-up without a negative-curvature pair", j)
         if j > n + 5:
             raise CappedCgError("failed to terminate within the dimension bound", j)
@@ -216,6 +217,9 @@ def test_fuzzed_contract_suite():
         else:
             n_nc += 1
             check_nc_contract(H, g, eps, out)
+            # d'Hd is read off products the run already took.
+            dense = float(out.d @ (H @ out.d))
+            assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
         assert out.iterations <= iteration_cap(norm_h, eps, zeta, n)
         assert out.final_params.U <= norm_h + 1e-10
     assert n_sol >= 20 and n_nc >= 20
@@ -277,6 +281,9 @@ def test_matches_reference_loop_on_random_systems():
         np.testing.assert_array_equal(out.d, ref.d)
         assert abs(out.final_params.U - ref.final_params.U) <= 1e-12 * ref.final_params.U
         assert out.hvp_calls == ref.hvp_calls
+        if out.d_type == NC:  # covers NC iterates y as well as CG directions p
+            dense = float(out.d @ (H @ out.d))
+            assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
         kinds.add(out.d_type)
     assert kinds == {SOL, NC}
 
@@ -296,13 +303,3 @@ def test_hvp_budget_accounting():
     assert calls == out.hvp_calls == out.iterations + 1
     assert out.hvp_calls_aux == 0
 
-
-def test_nonzero_initial_cap_input():
-    # Optional input U > 0 seeds the derived constants and still satisfies
-    # the SOL contract.
-    H = np.diag([4.0, 2.0, 1.0])
-    g = np.ones(3)
-    out = capped_cg(matvec(H), g, eps=0.1, zeta=0.5, U=4.0)
-    assert out.d_type == SOL
-    assert out.final_params.U == 4.0  # never exceeded by observed ratios
-    check_sol_contract(H, g, 0.1, 0.5, out)

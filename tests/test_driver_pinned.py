@@ -98,6 +98,30 @@ not.  Old -> new hvp_evals:
     ('alg2', 'quartic', 0, 1e-2)   50 ->  49
     ('alg2', 'quartic', 1, 1e-2)   42 ->  41
 
+The 16 repu and quartic hvp_evals were re-recorded once, when NC steps
+started to take d'Hd from capped CG (``CgOutcome.curvature``, read off the
+products the run already took) instead of one more product per NC trial.
+Only hvp_evals moved (-96 in total, one per NC trial); x_final, statuses,
+the other counters, traces and f_final did not.  The 12 'infeas' cases take
+no NC trial.  Old -> new hvp_evals:
+
+    ('alg1', 'quartic', 0, 1e-2)   40 ->  38
+    ('alg1', 'quartic', 1, 1e-2)   41 ->  39
+    ('alg1', 'repu', 0, 1e-2)      74 ->  64
+    ('alg1', 'repu', 0, None)      68 ->  58
+    ('alg1', 'repu', 1, 1e-2)      32 ->  29
+    ('alg1', 'repu', 1, None)      28 ->  25
+    ('alg1', 'repu', 2, 1e-2)      10 ->   9
+    ('alg1', 'repu', 2, None)       8 ->   7
+    ('alg2', 'quartic', 0, 1e-2)   49 ->  47
+    ('alg2', 'quartic', 1, 1e-2)   41 ->  39
+    ('alg2', 'repu', 0, 1e-2)      78 ->  59
+    ('alg2', 'repu', 0, None)      73 ->  54
+    ('alg2', 'repu', 1, 1e-2)      42 ->  36
+    ('alg2', 'repu', 1, None)      37 ->  31
+    ('alg2', 'repu', 2, 1e-2)      18 ->  13
+    ('alg2', 'repu', 2, None)      16 ->  11
+
 Each case is (solver, problem, seed, eps_H).
 """
 import numpy as np
@@ -157,28 +181,28 @@ EXPECTED = {
     ('alg1', 'infeas', 3, 1e-2): ('SOSP_certified', (7, 7, 75, 6, 1, 6), 6, '7.557128765100481e-11'),
     ('alg1', 'infeas', 4, None): ('FOSP', (8, 8, 67, 7, 0, 7), 7, '2.052441575907111e-11'),
     ('alg1', 'infeas', 4, 1e-2): ('SOSP_certified', (8, 8, 97, 7, 1, 7), 7, '2.052441575907111e-11'),
-    ('alg1', 'repu', 0, None): ('FOSP', (54, 16, 68, 15, 0, 15), 15, '3.341161665179258e-05'),
-    ('alg1', 'repu', 0, 1e-2): ('SOSP_certified', (54, 16, 74, 15, 1, 15), 15, '3.341161665179258e-05'),
-    ('alg1', 'repu', 1, None): ('FOSP', (22, 9, 28, 8, 0, 8), 8, '0.0852252454703133'),
-    ('alg1', 'repu', 1, 1e-2): ('SOSP_certified', (22, 9, 32, 8, 1, 8), 8, '0.0852252454703133'),
-    ('alg1', 'repu', 2, None): ('FOSP', (13, 5, 8, 4, 0, 4), 4, '0.35939061100891223'),
-    ('alg1', 'repu', 2, 1e-2): ('SOSP_certified', (13, 5, 10, 4, 1, 4), 4, '0.35939061100891223'),
-    ('alg1', 'quartic', 0, 1e-2): ('SOSP_certified', (13, 8, 40, 6, 2, 6), 7, '-0.8468130835333929'),
-    ('alg1', 'quartic', 1, 1e-2): ('SOSP_certified', (12, 8, 41, 6, 2, 6), 7, '-0.711657121571335'),
+    ('alg1', 'repu', 0, None): ('FOSP', (54, 16, 58, 15, 0, 15), 15, '3.341161665179258e-05'),
+    ('alg1', 'repu', 0, 1e-2): ('SOSP_certified', (54, 16, 64, 15, 1, 15), 15, '3.341161665179258e-05'),
+    ('alg1', 'repu', 1, None): ('FOSP', (22, 9, 25, 8, 0, 8), 8, '0.0852252454703133'),
+    ('alg1', 'repu', 1, 1e-2): ('SOSP_certified', (22, 9, 29, 8, 1, 8), 8, '0.0852252454703133'),
+    ('alg1', 'repu', 2, None): ('FOSP', (13, 5, 7, 4, 0, 4), 4, '0.35939061100891223'),
+    ('alg1', 'repu', 2, 1e-2): ('SOSP_certified', (13, 5, 9, 4, 1, 4), 4, '0.35939061100891223'),
+    ('alg1', 'quartic', 0, 1e-2): ('SOSP_certified', (13, 8, 38, 6, 2, 6), 7, '-0.8468130835333929'),
+    ('alg1', 'quartic', 1, 1e-2): ('SOSP_certified', (12, 8, 39, 6, 2, 6), 7, '-0.711657121571335'),
     ('alg2', 'infeas', 0, None): ('FOSP', (15, 15, 87, 14, 0, 14), 6, '1.014755991054616e-10'),
     ('alg2', 'infeas', 0, 1e-2): ('SOSP_certified', (15, 15, 117, 14, 1, 14), 6, '1.014755991054616e-10'),
     ('alg2', 'infeas', 3, None): ('FOSP', (16, 16, 77, 15, 0, 15), 6, '9.170034225555937e-11'),
     ('alg2', 'infeas', 3, 1e-2): ('SOSP_certified', (16, 16, 107, 15, 1, 15), 6, '9.170034225555937e-11'),
     ('alg2', 'infeas', 4, None): ('FOSP', (20, 20, 95, 19, 0, 19), 7, '2.6021630513205433e-11'),
     ('alg2', 'infeas', 4, 1e-2): ('SOSP_certified', (20, 20, 125, 19, 1, 19), 7, '2.6021630513205433e-11'),
-    ('alg2', 'repu', 0, None): ('FOSP', (109, 14, 73, 22, 0, 22), 13, '0.00026831745298591295'),
-    ('alg2', 'repu', 0, 1e-2): ('SOSP_certified', (109, 14, 78, 22, 1, 22), 13, '0.00026831745298591295'),
-    ('alg2', 'repu', 1, None): ('FOSP', (34, 9, 37, 10, 0, 10), 8, '0.0812941938846961'),
-    ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (34, 9, 42, 10, 1, 10), 8, '0.0812941938846961'),
-    ('alg2', 'repu', 2, None): ('FOSP', (39, 5, 16, 8, 0, 8), 4, '0.3593906110089125'),
-    ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 18, 8, 1, 8), 4, '0.3593906110089125'),
-    ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 49, 7, 2, 7), 8, '-0.8468130835048802'),
-    ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 41, 6, 2, 6), 7, '-0.7116571216427692'),
+    ('alg2', 'repu', 0, None): ('FOSP', (109, 14, 54, 22, 0, 22), 13, '0.00026831745298591295'),
+    ('alg2', 'repu', 0, 1e-2): ('SOSP_certified', (109, 14, 59, 22, 1, 22), 13, '0.00026831745298591295'),
+    ('alg2', 'repu', 1, None): ('FOSP', (34, 9, 31, 10, 0, 10), 8, '0.0812941938846961'),
+    ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (34, 9, 36, 10, 1, 10), 8, '0.0812941938846961'),
+    ('alg2', 'repu', 2, None): ('FOSP', (39, 5, 11, 8, 0, 8), 4, '0.3593906110089125'),
+    ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 13, 8, 1, 8), 4, '0.3593906110089125'),
+    ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 7, 2, 7), 8, '-0.8468130835048802'),
+    ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 39, 6, 2, 6), 7, '-0.7116571216427692'),
 }
 
 
