@@ -331,6 +331,7 @@ def _drive(
     *,
     weights: Callable[[float], Iterable[float]],
     gamma0: float,
+    cg: Callable,
     search_sol: Callable,
     search_nc: Callable,
     parameter_free: bool,
@@ -341,9 +342,10 @@ def _drive(
     given the weight accepted last (``gamma0`` before the first); the first
     trial whose direction yields a step ends the iteration.  ``search_sol``
     and ``search_nc`` return None when their step-size window closes, which
-    moves on to the next trial.  The parameter-free driver also rejects SOL
-    directions too short for their weight, and gets its trials and gamma
-    history back in a PfSolveResult.
+    moves on to the next trial.  ``cg`` is the caller's own ``capped_cg``
+    binding.  The parameter-free driver also rejects SOL directions too short
+    for their weight, and gets its trials and gamma history back in a
+    PfSolveResult.
     """
     co = CountingOracle(oracle)
     counters = co.counters
@@ -373,7 +375,7 @@ def _drive(
                 trials.append(outer)
                 for t, sigma in enumerate(weights(gamma_prev)):
                     counters.capped_cg_calls += 1  # counted even if the call breaks down
-                    cg_out = capped_cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
+                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
                     reason, accepted_by, grad_new = NO_VALID_J, None, None
                     if cg_out.d_type == NC:
                         d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
@@ -483,6 +485,7 @@ def newton_cg_solve(
         params,
         weights=lambda _: (gamma,),
         gamma0=gamma,
+        cg=capped_cg,
         search_sol=line_search_sol,
         search_nc=line_search_nc,
         parameter_free=False,

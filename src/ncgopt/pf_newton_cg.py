@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capped_cg import capped_cg
 from .newton_cg import (
     LineSearchOutcome,
     PfSolveResult,
@@ -160,6 +161,7 @@ def pf_newton_cg_solve(
         params,
         weights=weights,
         gamma0=params.gamma_init,
+        cg=capped_cg,
         search_sol=bounded_line_search_sol,
         search_nc=bounded_line_search_nc,
         parameter_free=True,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -257,6 +258,42 @@ def test_non_finite_product_is_named(good_products, iteration):
 
     with pytest.raises(CappedCgError, match=rf"^non-finite Hessian-vector product \(iteration {iteration}\)$"):
         capped_cg(hvp, np.ones(5), 1e-3, 0.5)
+
+
+def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
+    # No symmetric input is known to leave the residual envelope, whose
+    # constant T_cap grows like kappa^5, so the test shrinks T_cap.  With
+    # T_cap = 0.1 this system passes the test at j = 1 and leaves the
+    # envelope at j = 2, where the pair (y^3, y^1) has curvature
+    # 0.72 eps ||y^3 - y^1||^2 under H + 2 eps I.  With T_cap = 0 it leaves
+    # at j = 1, and its one pair (y^2, y^0) has curvature above eps.
+    original = CapParams.from_cap
+
+    def run(t_cap):
+        monkeypatch.setattr(
+            CapParams, "from_cap", staticmethod(lambda U, eps, zeta: replace(original(U, eps, zeta), T_cap=t_cap))
+        )
+        return capped_cg(matvec(H), g, eps=1.0, zeta=0.5)
+
+    H = np.diag([-1.3, 2.9, 2.1])
+    g = np.array([1.0, 3.0, 2.0])
+    out = run(0.1)
+    assert out.d_type == NC and out.iterations == 2
+    # Plain CG on (H + 2 I) y = -g gives the iterates y^0 .. y^3.
+    hbar = H + 2.0 * np.eye(3)
+    r, p, ys = g, -g, [np.zeros(3)]
+    for _ in range(3):
+        alpha = (r @ r) / (p @ hbar @ p)
+        ys.append(ys[-1] + alpha * p)
+        r_next = r + alpha * (hbar @ p)
+        p, r = -r_next + (r_next @ r_next) / (r @ r) * p, r_next
+    np.testing.assert_allclose(out.d, ys[3] - ys[1], rtol=1e-12)
+    check_nc_contract(H, g, 1.0, out)
+    dense = float(out.d @ (H @ out.d))
+    assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
+    with pytest.raises(CappedCgError, match="without a negative-curvature pair") as err:
+        run(0.0)
+    assert err.value.iteration == 1
 
 
 def test_matches_reference_loop_on_random_systems():

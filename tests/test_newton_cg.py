@@ -19,6 +19,7 @@ from ncgopt import (
     pf_newton_cg_solve,
 )
 from ncgopt import newton_cg as newton_cg_module
+from ncgopt import pf_newton_cg as pf_newton_cg_module
 from ncgopt.capped_cg import NC, capped_cg
 from ncgopt.newton_cg import (
     MEO,
@@ -178,7 +179,8 @@ def test_nc_trials_reuse_capped_cg_curvature(solver, monkeypatch):
             outcomes.append(out)
             return out
 
-        monkeypatch.setattr(newton_cg_module, "capped_cg", recorded)
+        for module in (newton_cg_module, pf_newton_cg_module):
+            monkeypatch.setattr(module, "capped_cg", recorded)
         oracle, x0 = gen_repu(30, 6, 2.25, 0), np.full(30, 1.0 / 30.0)
         if solver == "alg1":
             res = newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0)))
