@@ -66,7 +66,7 @@ def test_criterion_1_capped_cg_contracts():
             assert float(d @ (H @ d)) <= -eps * float(d @ d) * (1.0 - 1e-10)
         norm_h = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         assert out.iterations <= iteration_cap(norm_h, eps, zeta, n)
-        assert out.final_params.U <= norm_h + 1e-10
+        assert out.cap <= norm_h + 1e-10
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
     report(1, f"200 systems ({n_sol} SOL, {n_nc} NC) in {elapsed:.2f}s")

@@ -1,19 +1,18 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+import ncgopt.capped_cg as capped_cg_module
 from ncgopt.capped_cg import (
     NC,
     SOL,
-    CapParams,
     CappedCgError,
     CgOutcome,
+    cap_constants,
     capped_cg,
     iteration_cap,
-    update_cap_params,
 )
 from ncgopt.sampling import generator
 
@@ -22,35 +21,39 @@ def matvec(H):
     return lambda v: H @ v
 
 
+def rotated(rng, lam):
+    """Symmetric matrix with eigenvalues lam in a random orthonormal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    return (q * lam) @ q.T
+
+
 def random_symmetric(rng, n, lo=-5.0, hi=5.0):
     """Symmetric matrix with eigenvalues drawn uniformly from [lo, hi]."""
-    lam = rng.uniform(lo, hi, size=n)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (q * lam) @ q.T
+    return rotated(rng, rng.uniform(lo, hi, size=n))
 
 
 def reference_capped_cg(hvp, g, eps, zeta):
     """The capped-CG loop with a direct product H r^j for the cap test.
 
     Kept as the reference for ``capped_cg``, which takes H r^j from the
-    recurrence instead; assumes valid inputs.
+    recurrence instead and replays the run for the pair search where this
+    loop stores every iterate; assumes valid inputs.
     """
     n = g.shape[0]
-    params = CapParams.from_cap(0.0, eps, zeta)
+    U = 0.0
     two_eps = 2.0 * eps
     y = np.zeros(n)
     r = g.copy()
     p = -g
     hp = np.asarray(hvp(p), dtype=float)
-    hvp_calls, hvp_aux = 1, 0
     hbar_p = hp + two_eps * p
     pp = float(p @ p)
-    if float(p @ hbar_p) < eps * pp:
-        return CgOutcome(p, NC, float(p @ hp), 0, params, hvp_calls, hvp_aux)
     norm_hp = float(np.linalg.norm(hp))
     norm_p = math.sqrt(pp)
-    if norm_hp > params.U * norm_p:
-        params = update_cap_params(params, norm_hp / norm_p)
+    if norm_hp > U * norm_p:
+        U = max(U, norm_hp / norm_p)
+    if float(p @ hbar_p) < eps * pp:
+        return CgOutcome(p, NC, float(p @ hp), 0, U)
     hy = np.zeros(n)
     ys, hys = [y], [hy]
     r0_norm = float(np.linalg.norm(r))
@@ -72,35 +75,33 @@ def reference_capped_cg(hvp, g, eps, zeta):
         ys.append(y)
         hys.append(hy)
         hp = np.asarray(hvp(p), dtype=float)
-        hvp_calls += 1
         hbar_p = hp + two_eps * p
         if not (np.isfinite(rr) and np.all(np.isfinite(p))):
             raise CappedCgError("non-finite CG iterate", j)
         norm_p = float(np.linalg.norm(p))
         norm_hp = float(np.linalg.norm(hp))
-        if norm_hp > params.U * norm_p:
-            params = update_cap_params(params, norm_hp / norm_p)
+        if norm_hp > U * norm_p:
+            U = max(U, norm_hp / norm_p)
         norm_y = float(np.linalg.norm(y))
         norm_hy = float(np.linalg.norm(hy))
-        if norm_y > 0.0 and norm_hy > params.U * norm_y:
-            params = update_cap_params(params, norm_hy / norm_y)
+        if norm_y > 0.0 and norm_hy > U * norm_y:
+            U = max(U, norm_hy / norm_y)
         norm_r = math.sqrt(rr)
         if norm_r > 0.0:
-            hr = np.asarray(hvp(r), dtype=float)
-            hvp_aux += 1
-            norm_hr = float(np.linalg.norm(hr))
-            if norm_hr > params.U * norm_r:
-                params = update_cap_params(params, norm_hr / norm_r)
+            norm_hr = float(np.linalg.norm(hvp(r)))
+            if norm_hr > U * norm_r:
+                U = max(U, norm_hr / norm_r)
+        zeta_hat, tau, sqrt_t_cap, j_end = capped_cg_module.cap_constants(U, eps, zeta)
         yy = float(y @ y)
         y_hy = float(y @ hy)
         if y_hy + two_eps * yy < eps * yy:
-            return CgOutcome(y, NC, y_hy, j, params, hvp_calls, hvp_aux)
-        if norm_r <= params.zeta_hat * r0_norm:
-            return CgOutcome(y, SOL, y_hy, j, params, hvp_calls, hvp_aux)
+            return CgOutcome(y, NC, y_hy, j, U)
+        if norm_r <= zeta_hat * r0_norm:
+            return CgOutcome(y, SOL, y_hy, j, U)
         p_hbar_p = float(p @ hbar_p)
         if p_hbar_p < eps * (norm_p * norm_p):
-            return CgOutcome(p, NC, float(p @ hp), j, params, hvp_calls, hvp_aux)
-        if norm_r > math.sqrt(params.T_cap) * params.tau ** (j / 2.0) * r0_norm:
+            return CgOutcome(p, NC, float(p @ hp), j, U)
+        if norm_r > sqrt_t_cap * tau ** (j / 2.0) * r0_norm:
             alpha_b = rr / p_hbar_p
             y_next = y + alpha_b * p
             hy_next = hy + alpha_b * hp
@@ -109,10 +110,10 @@ def reference_capped_cg(hvp, g, eps, zeta):
                 dd = float(dy @ dy)
                 dy_hdy = float(dy @ (hy_next - hys[i]))
                 if dy_hdy + two_eps * dd < eps * dd:
-                    return CgOutcome(dy, NC, dy_hdy, j, params, hvp_calls, hvp_aux)
+                    return CgOutcome(dy, NC, dy_hdy, j, U)
             raise CappedCgError("residual blow-up without a negative-curvature pair", j)
-        if j > n + 5:
-            raise CappedCgError("failed to terminate within the dimension bound", j)
+        if j >= j_end:
+            raise CappedCgError("no termination test fired by pass J(U)", j)
 
 
 def check_sol_contract(H, g, eps, zeta, out, slack=1e-8):
@@ -171,26 +172,64 @@ def test_diagonal_sol_matches_dense_solve():
     assert np.linalg.norm(out.d - dense) <= bound + 1e-12
 
 
-def test_update_cap_params_direct_formulas():
-    base = CapParams.from_cap(0.0, eps=1.0, zeta=0.5)
-    up = update_cap_params(base, 1.0)
-    assert up.kappa == 3.0
-    assert up.zeta_hat == 0.5 / 9.0
-    assert up.tau == math.sqrt(3.0) / (math.sqrt(3.0) + 1.0)
+def test_cap_constants_direct_formulas():
+    zeta_hat, tau, _, _ = cap_constants(1.0, eps=1.0, zeta=0.5)  # kappa = 3
+    assert zeta_hat == 0.5 / 9.0
+    assert tau == math.sqrt(3.0) / (math.sqrt(3.0) + 1.0)
 
-    same = update_cap_params(up, up.U)
-    assert same == up
+    # kappa = 21, and kappa = 1e35 + 2, where 1 - sqrt(tau) rounds to 0.
+    for U, eps in ((10.0, 0.5), (1e35, 1.0)):
+        zeta_hat, tau, sqrt_t_cap, _ = cap_constants(U, eps, zeta=0.5)
+        with mpmath.workdps(50):
+            kappa = (mpmath.mpf(U) + 2 * mpmath.mpf(eps)) / mpmath.mpf(eps)
+            tau_ref = mpmath.sqrt(kappa) / (mpmath.sqrt(kappa) + 1)
+            t_cap = 4 * kappa**4 / (1 - mpmath.sqrt(tau_ref)) ** 2
+            assert abs(zeta_hat - float(mpmath.mpf("0.5") / (3 * kappa))) <= 1e-15 * zeta_hat
+            assert abs(tau - float(tau_ref)) <= 1e-15
+            assert abs(sqrt_t_cap**2 - float(t_cap)) <= 1e-12 * float(t_cap)
 
-    base2 = CapParams.from_cap(0.0, eps=0.5, zeta=0.5)
-    up2 = update_cap_params(base2, 10.0)
-    with mpmath.workdps(50):
-        kappa = (mpmath.mpf(10) + 2 * mpmath.mpf("0.5")) / mpmath.mpf("0.5")
-        tau = mpmath.sqrt(kappa) / (mpmath.sqrt(kappa) + 1)
-        t_cap = 4 * kappa**4 / (1 - mpmath.sqrt(tau)) ** 2
-        assert abs(up2.kappa - float(kappa)) <= 1e-12 * float(kappa)
-        assert abs(up2.zeta_hat - float(mpmath.mpf("0.5") / (3 * kappa))) <= 1e-15
-        assert abs(up2.tau - float(tau)) <= 1e-15
-        assert abs(up2.T_cap - float(t_cap)) <= 1e-12 * float(t_cap)
+
+def test_cap_constants_pass_bound_is_past_the_envelope_crossing():
+    # From pass J on, the exact envelope sqrt(T_cap) tau^(j/2) is at most
+    # zeta_hat, so the SOL test or the envelope ends the loop by J.  (J
+    # exceeds the crossing by about 1.5 / sqrt(kappa) relative, a margin
+    # that the rounding of J swamps once kappa passes about 1e30.)
+    for U in (0.0, 1e-3, 1.0, 1e3, 1e8, 1e20):
+        for zeta in (0.01, 0.5, 0.99):
+            j_end = math.ceil(cap_constants(U, 1.0, zeta)[3])
+            with mpmath.workdps(50):
+                kappa = mpmath.mpf(U) + 2
+                tau = mpmath.sqrt(kappa) / (mpmath.sqrt(kappa) + 1)
+                sqrt_t_cap = 2 * kappa**2 / (1 - mpmath.sqrt(tau))
+                assert sqrt_t_cap * tau ** (mpmath.mpf(j_end) / 2) <= mpmath.mpf(zeta) / (3 * kappa)
+    assert iteration_cap(1e3, 1e-4, 0.5, 10**9) == 377_130
+
+
+def test_cap_constants_recomputed_only_when_the_cap_grows(monkeypatch):
+    caps = []
+
+    def recording(U, eps, zeta):
+        caps.append(U)
+        return original(U, eps, zeta)
+
+    original = cap_constants
+    monkeypatch.setattr(capped_cg_module, "cap_constants", recording)
+    out = capped_cg(matvec(np.diag([10.0, 1.0, 0.1, 0.01])), np.ones(4), 1e-3, 0.5)
+    assert out.iterations >= 3
+    assert caps[0] == 0.0 and caps[-1] == out.cap
+    assert all(a < b for a, b in zip(caps, caps[1:]))
+
+
+def test_ill_conditioned_positive_definite_system_is_solved():
+    # Damped spectrum 1.2e-3 .. 1e3: floating-point CG needs more than n + 5
+    # steps, and the residual envelope, not the dimension, bounds the loop.
+    H = np.diag(np.logspace(-3.0, 3.0, 10))
+    g = np.ones(10)
+    eps, zeta = 1e-4, 0.5
+    out = capped_cg(matvec(H), g, eps, zeta)
+    assert out.d_type == SOL
+    check_sol_contract(H, g, eps, zeta, out)
+    assert out.iterations <= iteration_cap(1e3, eps, zeta, 10**9)
 
 
 def test_fuzzed_contract_suite():
@@ -222,7 +261,7 @@ def test_fuzzed_contract_suite():
             dense = float(out.d @ (H @ out.d))
             assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
         assert out.iterations <= iteration_cap(norm_h, eps, zeta, n)
-        assert out.final_params.U <= norm_h + 1e-10
+        assert out.cap <= norm_h + 1e-10
     assert n_sol >= 20 and n_nc >= 20
 
 
@@ -267,18 +306,34 @@ def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
     # envelope at j = 2, where the pair (y^3, y^1) has curvature
     # 0.72 eps ||y^3 - y^1||^2 under H + 2 eps I.  With T_cap = 0 it leaves
     # at j = 1, and its one pair (y^2, y^0) has curvature above eps.
-    original = CapParams.from_cap
+    # The pair search replays the run, j products more, and must find the
+    # pair the stored iterates of the reference loop give, bit for bit.
+    original = cap_constants
+    calls = 0
+
+    def hvp(v):
+        nonlocal calls
+        calls += 1
+        return H @ v
 
     def run(t_cap):
+        nonlocal calls
         monkeypatch.setattr(
-            CapParams, "from_cap", staticmethod(lambda U, eps, zeta: replace(original(U, eps, zeta), T_cap=t_cap))
+            capped_cg_module,
+            "cap_constants",
+            lambda U, eps, zeta: original(U, eps, zeta)[:2] + (math.sqrt(t_cap),) + original(U, eps, zeta)[3:],
         )
-        return capped_cg(matvec(H), g, eps=1.0, zeta=0.5)
+        calls = 0
+        return capped_cg(hvp, g, eps=1.0, zeta=0.5)
 
     H = np.diag([-1.3, 2.9, 2.1])
     g = np.array([1.0, 3.0, 2.0])
     out = run(0.1)
     assert out.d_type == NC and out.iterations == 2
+    assert calls == 2 * out.iterations + 1
+    ref = reference_capped_cg(matvec(H), g, 1.0, 0.5)
+    np.testing.assert_array_equal(out.d, ref.d)
+    assert out.curvature == ref.curvature and out.iterations == ref.iterations
     # Plain CG on (H + 2 I) y = -g gives the iterates y^0 .. y^3.
     hbar = H + 2.0 * np.eye(3)
     r, p, ys = g, -g, [np.zeros(3)]
@@ -296,28 +351,77 @@ def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
     assert err.value.iteration == 1
 
 
+def test_pass_bound_ends_the_loop_when_tau_rounds_to_one(monkeypatch):
+    # With kappa near 1e35, tau rounds to 1 and the envelope never shrinks;
+    # these systems still end by the SOL or the NC tests, within J(U).
+    for H in (np.diag(np.logspace(0.0, 35.0, 8)), np.diag([1.0, -1e20, 1e35, 3.0])):
+        g = np.ones(H.shape[0])
+        out = capped_cg(matvec(H), g, 1.0, 0.5)
+        assert cap_constants(out.cap, 1.0, 0.5)[1] == 1.0
+        assert out.iterations <= iteration_cap(1e35, 1.0, 0.5, 10**9)
+        if out.d_type == NC:
+            check_nc_contract(H, g, 1.0, out)
+    # A loop that no test ends stops at J(U): here J is shrunk to 6 and tau
+    # pinned to 1 on the ill-conditioned system that needs 17 passes.
+    original = cap_constants
+    monkeypatch.setattr(
+        capped_cg_module, "cap_constants", lambda U, eps, zeta: original(U, eps, zeta)[:1] + (1.0, 1e300, 6)
+    )
+    calls = 0
+
+    def hvp(v):
+        nonlocal calls
+        calls += 1
+        return v * np.logspace(-3.0, 3.0, 10)
+
+    with pytest.raises(CappedCgError, match="no termination test fired") as err:
+        capped_cg(hvp, np.ones(10), 1e-4, 0.5)
+    assert err.value.iteration == 6 and calls == 7
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_curvature_ratio_overflow_raises():
+    # ||H p|| overflows for finite H p, so kappa is inf and neither the
+    # envelope nor the pass bound can end the loop.
+    with pytest.raises(CappedCgError, match="curvature ratio overflow") as err:
+        capped_cg(matvec(np.diag([1e200, 1.0])), np.ones(2), 1.0, 0.5)
+    assert err.value.iteration == 0
+
+
 def test_matches_reference_loop_on_random_systems():
     # The recurrence for H r^j changes only the rounding of ||H r^j||, so
     # the outcome must match the direct-product loop exactly and the cap U
-    # to rounding.
+    # to rounding.  The log-spaced positive-definite spectra (trials 400 on)
+    # all take more than n steps in floating point, most more than n + 5.
     rng = generator(2025, stream=12)
     eps_choices = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
     kinds = set()
-    for trial in range(400):
+    for trial in range(500):
         n = int(rng.integers(2, 60))
-        if trial % 2:
+        eps = eps_choices[trial % len(eps_choices)]
+        if trial >= 400:
+            lo = float(rng.uniform(-3.0, 0.0))
+            H = rotated(rng, np.logspace(lo, lo + float(rng.uniform(6.0, 8.0)), n))
+            eps = 1e-4
+        elif trial % 2:
             H = random_symmetric(rng, n, lo=0.0, hi=float(rng.uniform(0.5, 100.0)))
         else:
             H = random_symmetric(rng, n, lo=-float(rng.uniform(0.01, 5.0)), hi=5.0)
         g = rng.standard_normal(n)
-        eps = eps_choices[trial % len(eps_choices)]
-        out = capped_cg(matvec(H), g, eps, 0.5)
+        calls = 0
+
+        def hvp(v):
+            nonlocal calls
+            calls += 1
+            return H @ v
+
+        out = capped_cg(hvp, g, eps, 0.5)
         ref = reference_capped_cg(matvec(H), g, eps, 0.5)
         assert out.d_type == ref.d_type
         assert out.iterations == ref.iterations
         np.testing.assert_array_equal(out.d, ref.d)
-        assert abs(out.final_params.U - ref.final_params.U) <= 1e-12 * ref.final_params.U
-        assert out.hvp_calls == ref.hvp_calls
+        assert abs(out.cap - ref.cap) <= 1e-12 * ref.cap
+        assert calls == ref.iterations + 1
         if out.d_type == NC:  # covers NC iterates y as well as CG directions p
             dense = float(out.d @ (H @ out.d))
             assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
@@ -337,6 +441,5 @@ def test_hvp_budget_accounting():
     out = capped_cg(hvp, np.ones(3), 0.5, 0.5)
     # Exactly one product per iteration plus the initial one.
     assert out.iterations >= 2
-    assert calls == out.hvp_calls == out.iterations + 1
-    assert out.hvp_calls_aux == 0
+    assert calls == out.iterations + 1
 

@@ -191,7 +191,7 @@ def test_nc_trials_reuse_capped_cg_curvature(solver, monkeypatch):
     res, outcomes = run(fresh_curvature=False)
     n_nc = sum(out.d_type == NC for out in outcomes)
     assert n_nc >= 10
-    assert res.counters.hvp_evals == sum(out.hvp_calls for out in outcomes)
+    assert res.counters.hvp_evals == sum(out.iterations + 1 for out in outcomes)
     fresh, _ = run(fresh_curvature=True)
     assert fresh.counters.hvp_evals - res.counters.hvp_evals == n_nc
     assert fresh.status == res.status == FOSP
@@ -576,3 +576,19 @@ def test_capped_cg_breakdown_is_numerical_failure(solver, good_points):
     assert len(res.trace) == good_points  # the steps taken before the breakdown are kept
     assert res.f_final == (res.trace[-1].f_after if good_points else quad.eval_f(x0))
     assert res.counters.capped_cg_calls == good_points + 1
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+def test_huge_curvature_ratio_reaches_fosp(solver):
+    # ||H|| / eps near 1e35 rounds capped CG's sqrt(tau) to 1; the envelope
+    # constant T_cap must still be finite.
+    lam = np.array([1.0, 1e35])
+    oracle = ProblemOracle(
+        2,
+        lambda x: 0.5 * float(x @ (lam * x)),
+        lambda x: lam * x,
+        lambda x, v: lam * v,
+        "stiff-quadratic",
+    )
+    res = solve_with(solver, oracle, np.ones(2), None)
+    assert res.status == FOSP
