@@ -12,18 +12,16 @@ required ``config_version = 1`` line.  Recognized keys::
     eps_g, eps_h       tolerances (eps_h optional)
     out                output path ("-" = stdout)
     format             csv | markdown
-    jobs               parallel worker count (default 1)
-    zeta, theta, eta, delta                    knobs alg1 and alg2 share
-    gamma_init, r      alg2's initial weight and weight ratio
     h_nu, nu           smoothness data handed to alg1 (heuristic on the
                        benchmark families, exact on quadratic)
-    h0                 baseline initial weight
     quad_lambda_min, quad_lambda_max           quadratic-family spectrum (finite, >= 0)
 
-Command-line flags override file values.  Start points follow the benchmark
-protocol: the origin for infeasibility, (1/n, ..., 1/n) for repu, and a
-scaled all-ones vector for the quadratic family.  Instance seeds are
-base_seed + instance index; runs are bit-reproducible except wall time.
+Command-line flags override file values; every other solver setting is its
+params class's default.  Start points follow the benchmark protocol: the
+origin for infeasibility, (1/n, ..., 1/n) for repu, and a scaled all-ones
+vector for the quadratic family.  Instance seeds are base_seed + instance
+index; each instance is generated once and run by every solver, serially.
+Runs are bit-reproducible except wall time.
 
 Exit codes: 0 success, 1 config error, 2 run failures present.  Each failed
 run is named on stderr with its cell, solver, seed and status.
@@ -31,7 +29,6 @@ run is named on stderr with its cell, solver, seed and status.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -71,16 +68,8 @@ class ExperimentConfig:
     eps_h: float | None = None
     out: str | None = None
     fmt: str = "csv"
-    jobs: int = 1
-    zeta: float = 0.5
-    theta: float = 0.5
-    eta: float = 0.01
-    delta: float = 0.01
-    gamma_init: float = 10.0
-    r: float = 2.0
     h_nu: float = 1.0
     nu: float = 1.0
-    h0: float = 10.0
     quad_lambda_min: float = 50.0
     quad_lambda_max: float = 100.0
 
@@ -98,18 +87,15 @@ class ExperimentConfig:
             raise ConfigError("instances_per_cell must be at least 1")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+        for n, m, p in self.grid:
+            if n < 1 or (self.family != "quadratic" and (m < 1 or not p > 2.0)):
+                raise ConfigError(f"invalid grid cell ({n}, {m}, {p})")
         if self.family == "quadratic":
             # A negative eigenvalue makes f = x'Qx/2 unbounded below.
             for name in ("quad_lambda_min", "quad_lambda_max"):
                 if not 0.0 <= getattr(self, name) < float("inf"):
                     raise ConfigError(f"{name} must be finite and nonnegative")
-        else:
-            for n, m, p in self.grid:
-                if n < 1 or m < 1 or not p > 2.0:
-                    raise ConfigError(f"invalid grid cell ({n}, {m}, {p})")
-        # The solver knobs' ranges live in the params classes.
+        # The tolerances' and the holder's ranges live in the params classes.
         try:
             for solver in SOLVERS:
                 _params(self, solver, seed=0)
@@ -196,11 +182,9 @@ def _parse_solvers(text: str) -> tuple[str, ...]:
 _KEY_PARSERS = {
     "grid": _parse_grid,
     "solvers": _parse_solvers,
-    **dict.fromkeys(("config_version", "instances_per_cell", "base_seed", "jobs"), int),
+    **dict.fromkeys(("config_version", "instances_per_cell", "base_seed"), int),
     **dict.fromkeys(("family", "out", "format"), str),
-    **dict.fromkeys(("eps_g", "eps_h", "zeta", "theta", "eta", "delta"), float),
-    **dict.fromkeys(("gamma_init", "r", "h_nu", "nu", "h0"), float),
-    **dict.fromkeys(("quad_lambda_min", "quad_lambda_max"), float),
+    **dict.fromkeys(("eps_g", "eps_h", "h_nu", "nu", "quad_lambda_min", "quad_lambda_max"), float),
 }
 
 
@@ -269,16 +253,13 @@ def start_point(family: str, n: int) -> np.ndarray:
 
 
 def _params(cfg: ExperimentConfig, solver: str, seed: int):
-    """One solver's params; their constructors range-check the knobs."""
+    """One solver's params: its class's defaults but for cfg's tolerances, holder and the seed."""
     if solver == "acrn":
-        return CrnParams(h0=cfg.h0, seed=seed)
-    # The knobs NcgParams and PfParams share.
-    shared = dict(
-        eps_g=cfg.eps_g, eps_H=cfg.eps_h, zeta=cfg.zeta, theta=cfg.theta, eta=cfg.eta, delta=cfg.delta
-    )
+        return CrnParams(seed=seed)
     if solver == "alg1":
-        return NcgParams(holder=HolderClass(nu=cfg.nu, h_nu=cfg.h_nu), seed=seed, **shared)
-    return PfParams(gamma_init=cfg.gamma_init, r=cfg.r, seed=seed, **shared)
+        holder = HolderClass(nu=cfg.nu, h_nu=cfg.h_nu)
+        return NcgParams(eps_g=cfg.eps_g, eps_H=cfg.eps_h, holder=holder, seed=seed)
+    return PfParams(eps_g=cfg.eps_g, eps_H=cfg.eps_h, seed=seed)
 
 
 def _solve(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: int):
@@ -290,18 +271,15 @@ def _solve(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: 
     return acrn_solve(oracle, x0, cfg.eps_g, params)
 
 
-def _run_one(task: tuple) -> tuple[tuple | None, str]:
-    """Run one (cell, instance, solver) job; picklable for process pools.
+def _run_one(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: int):
+    """Run one solver on one instance.
 
     Returns (the values ResultRow averages, in its order, or None; status)."""
-    cfg, n, m, p, seed, solver = task
-    oracle = make_oracle(cfg, n, m, p, seed)
-    x0 = start_point(cfg.family, n)
     began = time.perf_counter()
     try:
         result = _solve(cfg, solver, oracle, x0, seed)
     except Exception as err:  # solver blew up: flag, do not kill the grid
-        return None, f"error: {err}"
+        return None, f"error: {type(err).__name__}: {err}"
     wall = time.perf_counter() - began
     detail = "" if result.status_detail is None else f" ({result.status_detail})"
     status = result.status + detail
@@ -311,36 +289,28 @@ def _run_one(task: tuple) -> tuple[tuple | None, str]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
-    """Run the full grid and aggregate per-cell, per-solver means."""
+    """Run the grid serially, one row per grid entry and solver."""
     cfg.validate()
-    tasks = [
-        (cfg, n, m, p, cfg.base_seed + idx, solver)
-        for (n, m, p) in cfg.grid
-        for idx in range(cfg.instances_per_cell)
-        for solver in cfg.solvers
-    ]
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_run_one, tasks))
-    else:
-        records = [_run_one(task) for task in tasks]
-
     table = ResultsTable()
-    runs: dict = {(cell, solver): [] for cell in cfg.grid for solver in cfg.solvers}
-    for (_, n, m, p, seed, solver), (values, status) in zip(tasks, records):
-        runs[(n, m, p), solver].append(values)
-        if values is None:
-            table.failed_runs.append(f"cell ({n}, {m}, {p}), {solver}, seed {seed}: {status}")
-    for cell in cfg.grid:
-        for solver in cfg.solvers:
-            good = [values for values in runs[cell, solver] if values is not None]
-            if good:
-                # Each mean sums its values in task order.
-                means = [float(np.mean(column)) for column in zip(*good)]
+    for n, m, p in cfg.grid:
+        # The good runs' values, one list per solver entry.
+        good: list[list[tuple]] = [[] for _ in cfg.solvers]
+        for seed in range(cfg.base_seed, cfg.base_seed + cfg.instances_per_cell):
+            oracle = make_oracle(cfg, n, m, p, seed)
+            x0 = start_point(cfg.family, n)
+            for solver, runs in zip(cfg.solvers, good):
+                values, status = _run_one(cfg, solver, oracle, x0, seed)
+                if values is None:
+                    table.failed_runs.append(f"cell ({n}, {m}, {p}), {solver}, seed {seed}: {status}")
+                else:
+                    runs.append(values)
+        for solver, runs in zip(cfg.solvers, good):
+            if runs:
+                # Each mean sums its values in seed order.
+                means = [float(np.mean(column)) for column in zip(*runs)]
             else:
                 means = [float("nan")] * _MEAN_COUNT
-            failures = len(runs[cell, solver]) - len(good)
-            table.rows.append(ResultRow(*cell, solver, *means, failures))
+            table.rows.append(ResultRow(n, m, p, solver, *means, cfg.instances_per_cell - len(runs)))
     return table
 
 
@@ -396,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, dest="base_seed")
     parser.add_argument("--out", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=FORMATS, dest="fmt")
-    parser.add_argument("--jobs", type=int)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
@@ -414,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
             base_seed=args.base_seed,
             out=args.out,
             fmt=args.fmt,
-            jobs=args.jobs,
         )
     except (ConfigError, OSError, TypeError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -9,6 +9,7 @@ from ncgopt.bench import (
     build_config,
     emit_table,
     main,
+    make_oracle,
     parse_config_file,
     parse_table_csv,
     run_experiment,
@@ -43,8 +44,11 @@ def test_parse_config_file(tmp_path):
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config_file(write_config(tmp_path, "config_version = 1\nbogus = 3\n"))
+    # jobs and zeta are keys no longer: the runs are serial and each solver
+    # runs at its params defaults.
+    for line in ("bogus = 3", "jobs = 2", "zeta = 0.5"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_file(write_config(tmp_path, f"config_version = 1\n{line}\n"))
 
 
 def test_parse_config_requires_version(tmp_path):
@@ -183,20 +187,6 @@ def test_counter_consistency_with_direct_runs():
     assert table.rows[0].mean_subproblems == float(np.mean(subs))
 
 
-def test_parallel_jobs_match_serial():
-    base = {
-        "family": "quadratic",
-        "grid": ((8, 0, 0.0),),
-        "instances_per_cell": 2,
-        "solvers": ("alg2",),
-    }
-    serial = run_experiment(build_config(dict(base)))
-    parallel = run_experiment(build_config(dict(base), jobs=2))
-    for r1, r2 in zip(serial.rows, parallel.rows):
-        assert r1.mean_objective == r2.mean_objective
-        assert r1.mean_subproblems == r2.mean_subproblems
-
-
 def test_cli_success_and_output_file(tmp_path):
     out = tmp_path / "table.csv"
     code = main(
@@ -212,34 +202,40 @@ def test_cli_success_and_output_file(tmp_path):
     assert {row.solver for row in parsed.rows} == {"alg1", "alg2"}
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--config", write_config(tmp_path, "config_version = 1\n")]) == 1
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
+    # A cell with n < 1 is rejected for every family, the quadratic one too.
+    for family, cell in (("quadratic", "0,0,0"), ("quadratic", "-3,0,0"), ("repu", "0,20,2.25")):
+        config = write_config(tmp_path, f"config_version = 1\nfamily = {family}\ngrid = {cell}\n")
+        assert main(["--config", config]) == 1
+        assert "config error: invalid grid cell" in capsys.readouterr().err
 
 
 def test_cli_out_of_range_knob_is_config_error(tmp_path, capsys):
     flags = ["--family", "quadratic", "--solver", "alg1", "--eps-g", "1.5"]
     assert main(flags) == 1
     assert "config error: eps_g must lie in (0, 1)" in capsys.readouterr().err
-    config = write_config(tmp_path, "config_version = 1\nfamily = quadratic\nzeta = 2\n")
+    config = write_config(tmp_path, "config_version = 1\nfamily = quadratic\nnu = 2\n")
     assert main(["--config", config]) == 1
-    assert "config error: zeta must lie in (0, 1)" in capsys.readouterr().err
+    assert "config error: nu must lie in [0, 1]" in capsys.readouterr().err
+
+
+def always_fails(cfg, solver, oracle, x0, seed):
+    from ncgopt.newton_cg import Counters, SolveResult
+
+    return SolveResult(
+        x_final=np.asarray(x0, dtype=float),
+        f_final=1.0,
+        grad_norm_final=1.0,
+        status="MaxIterations",
+        status_detail=None,
+        trace=[],
+        counters=Counters(),
+    )
 
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
-    from ncgopt.newton_cg import Counters, SolveResult
-
-    def always_fails(cfg, solver, oracle, x0, seed):
-        return SolveResult(
-            x_final=np.asarray(x0, dtype=float),
-            f_final=1.0,
-            grad_norm_final=1.0,
-            status="MaxIterations",
-            status_detail=None,
-            trace=[],
-            counters=Counters(),
-        )
-
     monkeypatch.setattr(bench, "_solve", always_fails)
     code = main(["--config", write_config(tmp_path, BASIC), "--out", "-"])
     assert code == 2
@@ -247,6 +243,43 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
     # One line per failed run, naming its cell, solver, seed and status.
     assert "failed run: cell (8, 0, 0.0), alg2, seed 1: MaxIterations" in err
     assert len([line for line in err if line.startswith("failed run: ")]) == 4
+    assert err[-1] == "4 run(s) failed"
+
+
+def test_repeated_grid_cell_gets_its_own_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_solve", always_fails)
+    made = []
+
+    def counting_make_oracle(cfg, n, m, p, seed):
+        made.append((n, m, p, seed))
+        return make_oracle(cfg, n, m, p, seed)
+
+    monkeypatch.setattr(bench, "make_oracle", counting_make_oracle)
+    config = write_config(tmp_path, BASIC.replace("grid = 8,0,0", "grid = 8,0,0; 8,0,0"))
+    out = tmp_path / "table.csv"
+    assert main(["--config", config, "--solver", "alg2", "--out", str(out)]) == 2
+    rows = parse_table_csv(out.read_text()).rows
+    assert [(row.n, row.failures) for row in rows] == [(8, 2), (8, 2)]
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("failed run: ")]) == 4
+    assert err[-1] == "4 run(s) failed"
+    # Each instance is generated once per (cell, seed), not once per solver.
+    made.clear()
+    assert main(["--config", config, "--out", str(out)]) == 2
+    assert made == [(8, 0, 0.0, 0), (8, 0, 0.0, 1)] * 2
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("failed run: ")]) == 8
+    assert err[-1] == "8 run(s) failed"
+
+
+def test_raising_solver_is_a_named_failed_run(tmp_path, monkeypatch, capsys):
+    def raises(cfg, solver, oracle, x0, seed):
+        raise FloatingPointError("boom")
+
+    monkeypatch.setattr(bench, "_solve", raises)
+    assert main(["--config", write_config(tmp_path, BASIC), "--out", "-"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "failed run: cell (8, 0, 0.0), alg1, seed 0: error: FloatingPointError: boom" in err
     assert err[-1] == "4 run(s) failed"
 
 
