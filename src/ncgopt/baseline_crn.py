@@ -4,12 +4,13 @@ A deliberately simple comparison method: each outer iteration minimizes the
 cubic model m(s) = g's + s'Hs/2 + (M/3)||s||^3 by gradient descent from a
 random point on the unit sphere, accepts the step when f(x+s) <= f(x) +
 m(s)/2, and adapts the weight M (double on rejection, halve on acceptance,
-floored at h0/16).  Subproblem tolerances follow the gradient norm down:
+floored at H0/16).  Subproblem tolerances follow the gradient norm down:
 tol_k = min(0.1, ||grad f(x_k)|| / 10).
 
-These rules, and the caps MAX_SUB_ITERS and MAX_WEIGHT_DOUBLINGS, are fixed
-constants and this package's own choices; comparisons against the Newton-CG
-drivers are qualitative (ordering and order of magnitude), never bit-level.
+These rules, the initial weight H0 and the caps MAX_SUB_ITERS and
+MAX_WEIGHT_DOUBLINGS are fixed constants and this package's own choices;
+comparisons against the Newton-CG drivers are qualitative (ordering and
+order of magnitude), never bit-level.
 """
 from __future__ import annotations
 
@@ -35,21 +36,19 @@ Array = np.ndarray
 
 CRN = "CRN"
 
+H0 = 10.0
 MAX_SUB_ITERS = 2000
 MAX_WEIGHT_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
 class CrnParams:
-    """Initial cubic weight, outer-iteration cap and sampling seed."""
+    """Outer-iteration cap and sampling seed."""
 
-    h0: float = 10.0
     max_outer: int = 500
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.h0 > 0.0:
-            raise ValueError("h0 must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -148,19 +147,19 @@ def acrn_solve(
     Counts one subproblem per cubic model solved, including rejected trials.
     Ends with NumericalFailure when the gradient norm or a cubic model's
     gradient is not finite.  Raises ``ValueError`` before any evaluation
-    unless eps_g lies in (0, 1) and x0 is finite.
+    unless eps_g lies in (0, 1) and x0 is a finite (dim,) vector.
     """
     if not 0.0 < eps_g < 1.0:
         raise ValueError("eps_g must lie in (0, 1)")
     x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
+    if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite with shape ({oracle.dim},); got shape {x.shape}")
     co = CountingOracle(oracle)
     fx = co.eval_f(x)
     n = co.dim
 
-    weight = params.h0
-    floor = params.h0 / 16.0
+    weight = H0
+    floor = H0 / 16.0
     counters = co.counters
     trace: list[IterationRecord] = []
     status = MAX_ITERATIONS

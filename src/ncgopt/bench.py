@@ -16,12 +16,13 @@ required ``config_version = 1`` line.  Recognized keys::
                        benchmark families, exact on quadratic)
     quad_lambda_min, quad_lambda_max           quadratic-family spectrum (finite, >= 0)
 
-Command-line flags override file values; every other solver setting is its
-params class's default.  Start points follow the benchmark protocol: the
-origin for infeasibility, (1/n, ..., 1/n) for repu, and a scaled all-ones
-vector for the quadratic family.  Instance seeds are base_seed + instance
-index; each instance is generated once and run by every solver, serially.
-Runs are bit-reproducible except wall time.
+Command-line flags override file values.  Every other solver setting is
+fixed: the paper's working setting, kept as module constants, and each
+params class's default ``max_outer``.  Start points follow the benchmark
+protocol: the origin for infeasibility, (1/n, ..., 1/n) for repu, and a
+scaled all-ones vector for the quadratic family.  Instance seeds are
+base_seed + instance index; each instance is generated once and run by
+every solver, serially.  Runs are bit-reproducible except wall time.
 
 Exit codes: 0 success, 1 config error, 2 run failures present.  Each failed
 run is named on stderr with its cell, solver, seed and status.

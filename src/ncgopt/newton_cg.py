@@ -43,6 +43,14 @@ ARMIJO = "armijo"
 SMALL_STEP = "small_step"
 NO_VALID_J = "no_valid_j"
 
+# The paper's working setting for both drivers: capped CG's tolerance, the backtracking
+# factor, the decrease constant, the MEO's failure probability, the backtracking cap.
+ZETA = 0.5
+THETA = 0.5
+ETA = 0.01
+DELTA = 0.01
+J_MAX = 60
+
 
 class LineSearchError(RuntimeError):
     """Backtracking exhausted its cap; signals numerical breakdown."""
@@ -54,9 +62,10 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class NcgParams:
-    """Inputs of the known-smoothness driver.
+    """Inputs of the known-smoothness driver: tolerances, smoothness class, budget.
 
-    ``max_outer`` is a fixed cap on outer iterations, not sized from
+    The working setting is fixed as the module constants ZETA, THETA, ETA,
+    DELTA and J_MAX.  ``max_outer`` is a fixed cap on outer iterations, not sized from
     ``complexity_bounds``: that bound needs a lower bound on f, and ranges
     from 10 near the optimum to beyond 1e10 at a unit gap.
     """
@@ -64,11 +73,6 @@ class NcgParams:
     eps_g: float
     holder: HolderClass
     eps_H: float | None = None
-    zeta: float = 0.5
-    theta: float = 0.5
-    eta: float = 0.01
-    delta: float = 0.01
-    j_max: int = 60
     max_outer: int = 100_000
     seed: int = 0
 
@@ -82,11 +86,6 @@ def _validate_shared(params) -> None:
         raise ValueError("eps_g must lie in (0, 1)")
     if params.eps_H is not None and not 0.0 < params.eps_H < 1.0:
         raise ValueError("eps_H must lie in (0, 1)")
-    for name in ("zeta", "theta", "eta", "delta"):
-        if not 0.0 < getattr(params, name) < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1)")
-    if params.j_max < 1:
-        raise ValueError("j_max must be at least 1")
     if params.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
 
@@ -197,22 +196,22 @@ def c_meo(eta: float, theta: float, holder: HolderClass) -> float:
 
 
 def complexity_bounds(
-    params: NcgParams, f0: float, f_low: float
+    params: NcgParams, f0: float, f_low: float, *, eta: float = ETA, zeta: float = ZETA, theta: float = THETA
 ) -> tuple[int, int | None]:
     """Worst-case outer-iteration bounds (K1, K2).
 
     K2 is None when eps_H is not requested or when nu = 0, where the
-    second-order bound is undefined.
+    second-order bound is undefined.  The constants default to the driver's.
     """
     if f0 < f_low:
         raise ValueError("f0 must be at least f_low")
     gamma = gamma_nu(params.eps_g, params.holder)
-    c1 = min(c_sol(params.eta, params.zeta, params.theta), c_nc(params.eta, params.theta))
+    c1 = min(c_sol(eta, zeta, theta), c_nc(eta, theta))
     k1 = math.ceil((f0 - f_low) / c1 * math.sqrt(gamma) * params.eps_g ** (-1.5)) + 1
     k2: int | None = None
     if params.eps_H is not None and params.holder.nu > 0.0:
         nu = params.holder.nu
-        cm = c_meo(params.eta, params.theta, params.holder)
+        cm = c_meo(eta, theta, params.holder)
         k2 = math.ceil((f0 - f_low) / cm * params.eps_H ** (-(2.0 + nu) / nu)) + 1
     return k1, k2
 
@@ -347,11 +346,11 @@ def _drive(
     for their weight, and gets its trials and gamma history back in a
     PfSolveResult.
     """
+    x = np.array(x0, dtype=float)
+    if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite with shape ({oracle.dim},); got shape {x.shape}")
     co = CountingOracle(oracle)
     counters = co.counters
-    x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
     fx = co.eval_f(x)
     gx = co.eval_grad(x)
     hvp = lambda v: co.eval_hvp(x, v)
@@ -374,12 +373,12 @@ def _drive(
                 outer: list[InnerTrialRecord] = []
                 trials.append(outer)
                 for t, sigma in enumerate(weights(gamma_prev)):
-                    counters.capped_cg_calls += 1  # counted even if the call breaks down
-                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), params.zeta)
+                    counters.subproblems += 1  # counted even if the call breaks down
+                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), ZETA)
                     reason, accepted_by, grad_new = NO_VALID_J, None, None
                     if cg_out.d_type == NC:
                         d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
-                        step = search_nc(co, x, d, sigma, params.theta, params.eta, params.j_max, fx)
+                        step = search_nc(co, x, d, sigma, THETA, ETA, J_MAX, fx)
                     else:
                         d = cg_out.d
                         f_full = co.eval_f(x + d)
@@ -389,9 +388,7 @@ def _drive(
                         elif parameter_free and 6.0 * float(np.linalg.norm(d)) < math.sqrt(params.eps_g / sigma):
                             step, reason = None, SMALL_STEP
                         else:
-                            step = search_sol(
-                                co, x, d, sigma, params.eps_g, params.theta, params.eta, params.j_max, fx, f_full
-                            )
+                            step = search_sol(co, x, d, sigma, params.eps_g, THETA, ETA, J_MAX, fx, f_full)
                             accepted_by = ARMIJO
                         if step is not None and step.j == 0:
                             grad_new = grad_full
@@ -415,7 +412,7 @@ def _drive(
                     hvp,
                     co.dim,
                     params.eps_H,
-                    params.delta,
+                    DELTA,
                     seed=params.seed,
                     stream=sampling.STREAM_MEO_START + call,
                 )
@@ -424,7 +421,7 @@ def _drive(
                     detail = f"norm bound: {meo.bound}"
                     break
                 d = scale_meo_direction(meo.v, meo.curvature, gx)
-                step = line_search_meo(co, x, d, params.theta, params.eta, params.j_max, fx)
+                step = line_search_meo(co, x, d, THETA, ETA, J_MAX, fx)
                 trials.append([])
                 step_type, step_sigma, inner, accepted_by, grad_new = MEO, None, meo.iterations, None, None
             gamma_history.append(gamma_prev)  # weight carried through MEO steps
@@ -458,7 +455,6 @@ def _drive(
         status = NUMERICAL_FAILURE
         detail = f"capped CG: {err}"
 
-    counters.subproblems = counters.capped_cg_calls
     result = SolveResult(x, fx, float(np.linalg.norm(gx)), status, detail, trace, counters)
     if not parameter_free:
         return result
@@ -476,7 +472,8 @@ def newton_cg_solve(
     MaxIterations / LineSearchFailure with the full trace otherwise, and
     NumericalFailure when the gradient norm or the eigenvalue oracle's
     Lanczos data is not finite, when capped CG breaks down, or when a step
-    computation overflows.
+    computation overflows.  Raises ``ValueError`` before any evaluation
+    unless x0 is a finite (dim,) vector.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
     return _drive(

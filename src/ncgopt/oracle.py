@@ -46,7 +46,7 @@ class ProblemOracle:
 
 @dataclass(frozen=True)
 class HolderClass:
-    """Hessian smoothness class: exponent nu in [0, 1] and modulus h_nu > 0.
+    """Hessian smoothness class: exponent nu in [0, 1] and finite modulus h_nu > 0.
 
     nu = 1 is Lipschitz continuity of the Hessian; nu = 0 only bounds its
     variation.
@@ -58,8 +58,8 @@ class HolderClass:
     def __post_init__(self) -> None:
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError("nu must lie in [0, 1]")
-        if not self.h_nu > 0.0:
-            raise ValueError("h_nu must be positive")
+        if not 0.0 < self.h_nu < np.inf:
+            raise ValueError("h_nu must be positive and finite")
 
 
 class DerivativeCheckError(RuntimeError):
@@ -72,12 +72,11 @@ class DerivativeCheckError(RuntimeError):
 
 @dataclass
 class Counters:
-    """Work done by one solve, as reported on its result."""
+    """Work done by one solve; ``subproblems`` counts capped-CG calls or cubic models."""
 
     f_evals: int = 0
     grad_evals: int = 0
     hvp_evals: int = 0
-    capped_cg_calls: int = 0
     meo_calls: int = 0
     subproblems: int = 0
 

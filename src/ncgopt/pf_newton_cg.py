@@ -18,6 +18,8 @@ import numpy as np
 
 from .capped_cg import capped_cg
 from .newton_cg import (
+    ETA,
+    THETA,
     LineSearchOutcome,
     PfSolveResult,
     _backtrack,
@@ -30,36 +32,28 @@ from .oracle import HolderClass, ProblemOracle
 
 Array = np.ndarray
 
+# The damping policy's working setting: the first trial weight, the growth
+# factor between trials and the cap on trials per outer iteration.
+GAMMA_INIT = 10.0
+R = 2.0
+T_MAX = 200
+
 
 @dataclass(frozen=True)
 class PfParams:
-    """Inputs of the parameter-free driver.
+    """Inputs of the parameter-free driver: the tolerances and the work budget.
 
-    Defaults follow the working setting (zeta, gamma_init, theta, r, eta) =
-    (0.5, 10, 0.5, 2, 0.01).
+    The working setting (zeta, gamma_init, theta, r, eta) = (0.5, 10, 0.5, 2,
+    0.01) is fixed: GAMMA_INIT, R and T_MAX here, the rest in ``newton_cg``.
     """
 
     eps_g: float
     eps_H: float | None = None
-    zeta: float = 0.5
-    theta: float = 0.5
-    eta: float = 0.01
-    delta: float = 0.01
-    gamma_init: float = 10.0
-    r: float = 2.0
-    t_max: int = 200
-    j_max: int = 60
     max_outer: int = 100_000
     seed: int = 0
 
     def __post_init__(self) -> None:
         _validate_shared(self)
-        if not self.gamma_init > 0.0:
-            raise ValueError("gamma_init must be positive")
-        if not self.r > 1.0:
-            raise ValueError("r must exceed 1")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
 
 
 def sigma_start(gamma_prev: float, gamma_init: float, r: float) -> float:
@@ -122,20 +116,22 @@ def c_sol_hat(eta: float, theta: float) -> float:
 
 
 def pf_bounds(
-    params: PfParams, holder: HolderClass, f0: float, f_low: float
+    params: PfParams, holder: HolderClass, f0: float, f_low: float,
+    *, eta: float = ETA, theta: float = THETA, gamma_init: float = GAMMA_INIT, r: float = R,
 ) -> tuple[float, int, int]:
     """Test-side worst-case bounds (sigma_bar, T, K1_bar) for a known class.
 
     sigma_bar caps every gamma_k; T caps capped-CG calls per outer
     iteration; K1_bar caps outer iterations in first-order mode.  The solver
-    itself never sees the smoothness class.
+    itself never sees the smoothness class.  The constants default to the
+    driver's.
     """
     if f0 < f_low:
         raise ValueError("f0 must be at least f_low")
     gamma = gamma_nu(params.eps_g, holder)
-    sigma_bar = max(params.gamma_init, params.r * gamma)
-    t_bound = max(math.ceil(math.log(sigma_bar / params.gamma_init) / math.log(params.r)), 0) + 2
-    c1 = min(c_sol_hat(params.eta, params.theta), c_nc(params.eta, params.theta))
+    sigma_bar = max(gamma_init, r * gamma)
+    t_bound = max(math.ceil(math.log(sigma_bar / gamma_init) / math.log(r)), 0) + 2
+    c1 = min(c_sol_hat(eta, theta), c_nc(eta, theta))
     k1_bar = math.ceil((f0 - f_low) / c1 * math.sqrt(sigma_bar) * params.eps_g ** (-1.5)) + 1
     return sigma_bar, t_bound, k1_bar
 
@@ -148,19 +144,20 @@ def pf_newton_cg_solve(
     Per outer iteration with a large gradient, damping trials sigma_t grow
     geometrically until either the full step already reaches a small
     gradient, or the bounded line search finds a step.  gamma_k records the
-    accepted weight and seeds the next iteration's start value.
+    accepted weight and seeds the next iteration's start value.  Statuses and
+    input checks are those of ``newton_cg_solve``.
     """
 
     def weights(gamma_prev: float):
-        sigma0 = sigma_start(gamma_prev, params.gamma_init, params.r)
-        return (sigma0 * params.r**t for t in range(params.t_max))
+        sigma0 = sigma_start(gamma_prev, GAMMA_INIT, R)
+        return (sigma0 * R**t for t in range(T_MAX))
 
     return _drive(
         oracle,
         x0,
         params,
         weights=weights,
-        gamma0=params.gamma_init,
+        gamma0=GAMMA_INIT,
         cg=capped_cg,
         search_sol=bounded_line_search_sol,
         search_nc=bounded_line_search_nc,

@@ -8,8 +8,8 @@ Two benchmark families plus a synthetic quadratic sanity family:
 * random-basis quadratic: f(x) = x'Q x / 2 with prescribed eigenvalues
 
 All instances are bit-reproducible from (n, m, p, seed) via the package's
-counter-based sampling.  Exponents must satisfy p > 2 so the plus-part kink
-stays twice continuously differentiable.
+counter-based sampling.  Exponents must be finite with p > 2 so the
+plus-part kink stays twice continuously differentiable.
 
 Instances can be written to and read back from a flat file format::
 
@@ -43,9 +43,12 @@ def _pos_pow(q: Array, s: float) -> Array:
     return out
 
 
-def _require_p(p: float) -> None:
-    if not p > 2.0:
-        raise ValueError("exponent p must exceed 2 for a continuous Hessian")
+def _require_cell(n: int, m: int, p: float) -> None:
+    """The cell (n, m, p) of the infeasibility and repu families."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive")
+    if not 2.0 < p < np.inf:
+        raise ValueError("exponent p must be finite and exceed 2 for a continuous Hessian")
 
 
 @dataclass(frozen=True)
@@ -184,9 +187,7 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     objectives are attainable, and the steep linear terms let solvers drive
     the residual many orders below the gradient tolerance before stopping.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    _require_p(p)
+    _require_cell(n, m, p)
     draws = sampling.standard_normals(
         seed, m * n * n + m * n + m, stream=sampling.STREAM_INFEASIBILITY
     )
@@ -239,9 +240,7 @@ def gen_repu(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     Feature rows a_i are standard normal; targets b_i = |b| with b standard
     normal, so every b_i is nonnegative.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    _require_p(p)
+    _require_cell(n, m, p)
     draws = sampling.standard_normals(seed, m * n + m, stream=sampling.STREAM_REPU)
     a = draws[: m * n].reshape(m, n)
     b = np.abs(draws[m * n :])
@@ -305,7 +304,8 @@ def save_instance(path: str, oracle: ProblemOracle) -> None:
 
 
 def load_instance(path: str) -> ProblemOracle:
-    """Read an NCGPROB file back into a ProblemOracle."""
+    """Read an NCGPROB file back into a ProblemOracle; ValueError unless the header
+    gives n, m, p and seed, a cell the generators accept, and exactly its payload."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip()
         payload = fh.read()
@@ -316,31 +316,27 @@ def load_instance(path: str) -> ProblemOracle:
         raise ValueError(f"unsupported NCGPROB version {parts[1]}")
     family = parts[2]
     fields = dict(item.split("=", 1) for item in parts[3:])
+    if sorted(fields) != ["m", "n", "p", "seed"]:
+        raise ValueError(f"NCGPROB header must give n, m, p and seed: {header!r}")
     n, m = int(fields["n"]), int(fields["m"])
     p, seed = float(fields["p"]), int(fields["seed"])
+    shapes = {
+        "infeasibility": [(m, n, n), (m, n), (m,)],
+        "repu": [(m, n), (m,)],
+        "quadratic": [(n,), (n, n)],
+    }.get(family)
+    if shapes is None:
+        raise ValueError(f"unknown NCGPROB family {family!r}")
+    if family != "quadratic":
+        _require_cell(n, m, p)
+    sizes = [int(np.prod(shape)) for shape in shapes]
     data = np.frombuffer(payload, dtype="<f8").astype(float)
-
-    def take(count: int, offset: int) -> tuple[Array, int]:
-        if offset + count > data.size:
-            raise ValueError("truncated NCGPROB payload")
-        return data[offset : offset + count], offset + count
-
-    if family == "infeasibility":
-        flat_a, off = take(m * n * n, 0)
-        flat_b, off = take(m * n, off)
-        c, off = take(m, off)
-        inst = InfeasibilityInstance(
-            flat_a.reshape(m, n, n).copy(), flat_b.reshape(m, n).copy(), c.copy(), p, seed
-        )
-        return _infeasibility_oracle(inst)
-    if family == "repu":
-        flat_a, off = take(m * n, 0)
-        b, off = take(m, off)
-        return _repu_oracle(RepuInstance(flat_a.reshape(m, n).copy(), b.copy(), p, seed))
+    if data.size != sum(sizes):
+        raise ValueError(f"NCGPROB payload holds {data.size} values, the header implies {sum(sizes)}")
+    chunks = np.split(data, np.cumsum(sizes)[:-1])
+    arrays = [chunk.reshape(shape).copy() for chunk, shape in zip(chunks, shapes)]
     if family == "quadratic":
-        lam, off = take(n, 0)
-        flat_v, off = take(n * n, off)
-        return _quadratic_oracle(
-            QuadraticInstance(lam.copy(), flat_v.reshape(n, n).copy(), seed)
-        )
-    raise ValueError(f"unknown NCGPROB family {family!r}")
+        return _quadratic_oracle(QuadraticInstance(*arrays, seed))
+    if family == "infeasibility":
+        return _infeasibility_oracle(InfeasibilityInstance(*arrays, p, seed))
+    return _repu_oracle(RepuInstance(*arrays, p, seed))

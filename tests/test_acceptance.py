@@ -229,7 +229,7 @@ def test_criterion_5_infeasibility_cell():
         res = ng.pf_newton_cg_solve(oracle, np.zeros(100), ng.PfParams(eps_g=1e-4, seed=seed))
         assert res.status == ng.FOSP
         objs.append(res.f_final)
-        calls.append(res.counters.capped_cg_calls)
+        calls.append(res.counters.subproblems)
         acrn = ng.acrn_solve(oracle, np.zeros(100), 1e-4, ng.CrnParams(seed=seed))
         assert acrn.status == ng.FOSP
         acrn_subs.append(acrn.counters.subproblems)
@@ -261,7 +261,7 @@ def test_criterion_6_repu_cell():
         res = ng.pf_newton_cg_solve(oracle, x0, ng.PfParams(eps_g=1e-4, seed=seed))
         assert res.status == ng.FOSP
         objs.append(res.f_final)
-        calls.append(res.counters.capped_cg_calls)
+        calls.append(res.counters.subproblems)
         acrn = ng.acrn_solve(oracle, x0, 1e-4, ng.CrnParams(seed=seed))
         assert acrn.status == ng.FOSP
         acrn_subs.append(acrn.counters.subproblems)
@@ -343,10 +343,8 @@ def test_criterion_7_formula_calculators():
             close(c_sol_hat(eta, theta), chat)
 
             f_gap = float(rng.uniform(0.0, 30.0))
-            params = ng.NcgParams(
-                eps_g=eps_g, eps_H=eps_h, holder=holder, zeta=zeta, theta=theta, eta=eta
-            )
-            k1, k2 = complexity_bounds(params, f0=f_gap, f_low=0.0)
+            params = ng.NcgParams(eps_g=eps_g, eps_H=eps_h, holder=holder)
+            k1, k2 = complexity_bounds(params, f0=f_gap, f_low=0.0, eta=eta, zeta=zeta, theta=theta)
             m_gap = mpmath.mpf(repr(f_gap))
             k1_real = m_gap / min(csol, cnc) * mpmath.sqrt(gamma) * m_eg ** mpmath.mpf("-1.5")
             close_count(k1, int(mpmath.ceil(k1_real)) + 1)
@@ -355,10 +353,10 @@ def test_criterion_7_formula_calculators():
 
             gamma_init = float(rng.uniform(0.5, 30.0))
             r = float(rng.uniform(1.5, 4.0))
-            pf_params = ng.PfParams(
-                eps_g=eps_g, zeta=zeta, theta=theta, eta=eta, gamma_init=gamma_init, r=r
+            pf_params = ng.PfParams(eps_g=eps_g)
+            sigma_bar, t_bound, k1_bar = pf_bounds(
+                pf_params, holder, f_gap, 0.0, eta=eta, theta=theta, gamma_init=gamma_init, r=r
             )
-            sigma_bar, t_bound, k1_bar = pf_bounds(pf_params, holder, f_gap, 0.0)
             m_gi, m_r = mpmath.mpf(repr(gamma_init)), mpmath.mpf(repr(r))
             m_sigma = max(m_gi, m_r * gamma)
             close(sigma_bar, m_sigma)

@@ -40,11 +40,9 @@ PUBLIC_API = {
 
 # Every settable value of the three solvers; a new knob shows up as a diff.
 PARAMS_FIELDS = {
-    "NcgParams": ("eps_g", "holder", "eps_H", "zeta", "theta", "eta", "delta", "j_max", "max_outer", "seed"),
-    "PfParams": (
-        "eps_g", "eps_H", "zeta", "theta", "eta", "delta", "gamma_init", "r", "t_max", "j_max", "max_outer", "seed",
-    ),
-    "CrnParams": ("h0", "max_outer", "seed"),
+    "NcgParams": ("eps_g", "holder", "eps_H", "max_outer", "seed"),
+    "PfParams": ("eps_g", "eps_H", "max_outer", "seed"),
+    "CrnParams": ("max_outer", "seed"),
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -103,8 +103,6 @@ def test_acrn_determinism():
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        CrnParams(h0=0.0)
-    with pytest.raises(ValueError):
         CrnParams(max_outer=0)
     with pytest.raises(ValueError):
         cubic_subproblem_gd(

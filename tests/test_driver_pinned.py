@@ -168,41 +168,41 @@ def solve(solver, name, seed, eps_H):
 
 def observed(res):
     c = res.counters
-    counts = (c.f_evals, c.grad_evals, c.hvp_evals, c.capped_cg_calls, c.meo_calls, c.subproblems)
+    counts = (c.f_evals, c.grad_evals, c.hvp_evals, c.meo_calls, c.subproblems)
     return res.status, counts, len(res.trace), repr(res.f_final)
 
 
-# (solver, problem, seed, eps_H) -> (status, (f, grad, hvp, capped_cg,
-# meo, subproblems), len(trace), repr(f_final))
+# (solver, problem, seed, eps_H) -> (status, (f, grad, hvp, meo,
+# subproblems), len(trace), repr(f_final))
 EXPECTED = {
-    ('alg1', 'infeas', 0, None): ('FOSP', (7, 7, 50, 6, 0, 6), 6, '9.070664011386044e-11'),
-    ('alg1', 'infeas', 0, 1e-2): ('SOSP_certified', (7, 7, 80, 6, 1, 6), 6, '9.070664011386044e-11'),
-    ('alg1', 'infeas', 3, None): ('FOSP', (7, 7, 45, 6, 0, 6), 6, '7.557128765100481e-11'),
-    ('alg1', 'infeas', 3, 1e-2): ('SOSP_certified', (7, 7, 75, 6, 1, 6), 6, '7.557128765100481e-11'),
-    ('alg1', 'infeas', 4, None): ('FOSP', (8, 8, 67, 7, 0, 7), 7, '2.052441575907111e-11'),
-    ('alg1', 'infeas', 4, 1e-2): ('SOSP_certified', (8, 8, 97, 7, 1, 7), 7, '2.052441575907111e-11'),
-    ('alg1', 'repu', 0, None): ('FOSP', (54, 16, 58, 15, 0, 15), 15, '3.341161665179258e-05'),
-    ('alg1', 'repu', 0, 1e-2): ('SOSP_certified', (54, 16, 64, 15, 1, 15), 15, '3.341161665179258e-05'),
-    ('alg1', 'repu', 1, None): ('FOSP', (22, 9, 25, 8, 0, 8), 8, '0.0852252454703133'),
-    ('alg1', 'repu', 1, 1e-2): ('SOSP_certified', (22, 9, 29, 8, 1, 8), 8, '0.0852252454703133'),
-    ('alg1', 'repu', 2, None): ('FOSP', (13, 5, 7, 4, 0, 4), 4, '0.35939061100891223'),
-    ('alg1', 'repu', 2, 1e-2): ('SOSP_certified', (13, 5, 9, 4, 1, 4), 4, '0.35939061100891223'),
-    ('alg1', 'quartic', 0, 1e-2): ('SOSP_certified', (13, 8, 38, 6, 2, 6), 7, '-0.8468130835333929'),
-    ('alg1', 'quartic', 1, 1e-2): ('SOSP_certified', (12, 8, 39, 6, 2, 6), 7, '-0.711657121571335'),
-    ('alg2', 'infeas', 0, None): ('FOSP', (15, 15, 87, 14, 0, 14), 6, '1.014755991054616e-10'),
-    ('alg2', 'infeas', 0, 1e-2): ('SOSP_certified', (15, 15, 117, 14, 1, 14), 6, '1.014755991054616e-10'),
-    ('alg2', 'infeas', 3, None): ('FOSP', (16, 16, 77, 15, 0, 15), 6, '9.170034225555937e-11'),
-    ('alg2', 'infeas', 3, 1e-2): ('SOSP_certified', (16, 16, 107, 15, 1, 15), 6, '9.170034225555937e-11'),
-    ('alg2', 'infeas', 4, None): ('FOSP', (20, 20, 95, 19, 0, 19), 7, '2.6021630513205433e-11'),
-    ('alg2', 'infeas', 4, 1e-2): ('SOSP_certified', (20, 20, 125, 19, 1, 19), 7, '2.6021630513205433e-11'),
-    ('alg2', 'repu', 0, None): ('FOSP', (109, 14, 54, 22, 0, 22), 13, '0.00026831745298591295'),
-    ('alg2', 'repu', 0, 1e-2): ('SOSP_certified', (109, 14, 59, 22, 1, 22), 13, '0.00026831745298591295'),
-    ('alg2', 'repu', 1, None): ('FOSP', (34, 9, 31, 10, 0, 10), 8, '0.0812941938846961'),
-    ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (34, 9, 36, 10, 1, 10), 8, '0.0812941938846961'),
-    ('alg2', 'repu', 2, None): ('FOSP', (39, 5, 11, 8, 0, 8), 4, '0.3593906110089125'),
-    ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 13, 8, 1, 8), 4, '0.3593906110089125'),
-    ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 7, 2, 7), 8, '-0.8468130835048802'),
-    ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 39, 6, 2, 6), 7, '-0.7116571216427692'),
+    ('alg1', 'infeas', 0, None): ('FOSP', (7, 7, 50, 0, 6), 6, '9.070664011386044e-11'),
+    ('alg1', 'infeas', 0, 1e-2): ('SOSP_certified', (7, 7, 80, 1, 6), 6, '9.070664011386044e-11'),
+    ('alg1', 'infeas', 3, None): ('FOSP', (7, 7, 45, 0, 6), 6, '7.557128765100481e-11'),
+    ('alg1', 'infeas', 3, 1e-2): ('SOSP_certified', (7, 7, 75, 1, 6), 6, '7.557128765100481e-11'),
+    ('alg1', 'infeas', 4, None): ('FOSP', (8, 8, 67, 0, 7), 7, '2.052441575907111e-11'),
+    ('alg1', 'infeas', 4, 1e-2): ('SOSP_certified', (8, 8, 97, 1, 7), 7, '2.052441575907111e-11'),
+    ('alg1', 'repu', 0, None): ('FOSP', (54, 16, 58, 0, 15), 15, '3.341161665179258e-05'),
+    ('alg1', 'repu', 0, 1e-2): ('SOSP_certified', (54, 16, 64, 1, 15), 15, '3.341161665179258e-05'),
+    ('alg1', 'repu', 1, None): ('FOSP', (22, 9, 25, 0, 8), 8, '0.0852252454703133'),
+    ('alg1', 'repu', 1, 1e-2): ('SOSP_certified', (22, 9, 29, 1, 8), 8, '0.0852252454703133'),
+    ('alg1', 'repu', 2, None): ('FOSP', (13, 5, 7, 0, 4), 4, '0.35939061100891223'),
+    ('alg1', 'repu', 2, 1e-2): ('SOSP_certified', (13, 5, 9, 1, 4), 4, '0.35939061100891223'),
+    ('alg1', 'quartic', 0, 1e-2): ('SOSP_certified', (13, 8, 38, 2, 6), 7, '-0.8468130835333929'),
+    ('alg1', 'quartic', 1, 1e-2): ('SOSP_certified', (12, 8, 39, 2, 6), 7, '-0.711657121571335'),
+    ('alg2', 'infeas', 0, None): ('FOSP', (15, 15, 87, 0, 14), 6, '1.014755991054616e-10'),
+    ('alg2', 'infeas', 0, 1e-2): ('SOSP_certified', (15, 15, 117, 1, 14), 6, '1.014755991054616e-10'),
+    ('alg2', 'infeas', 3, None): ('FOSP', (16, 16, 77, 0, 15), 6, '9.170034225555937e-11'),
+    ('alg2', 'infeas', 3, 1e-2): ('SOSP_certified', (16, 16, 107, 1, 15), 6, '9.170034225555937e-11'),
+    ('alg2', 'infeas', 4, None): ('FOSP', (20, 20, 95, 0, 19), 7, '2.6021630513205433e-11'),
+    ('alg2', 'infeas', 4, 1e-2): ('SOSP_certified', (20, 20, 125, 1, 19), 7, '2.6021630513205433e-11'),
+    ('alg2', 'repu', 0, None): ('FOSP', (109, 14, 54, 0, 22), 13, '0.00026831745298591295'),
+    ('alg2', 'repu', 0, 1e-2): ('SOSP_certified', (109, 14, 59, 1, 22), 13, '0.00026831745298591295'),
+    ('alg2', 'repu', 1, None): ('FOSP', (34, 9, 31, 0, 10), 8, '0.0812941938846961'),
+    ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (34, 9, 36, 1, 10), 8, '0.0812941938846961'),
+    ('alg2', 'repu', 2, None): ('FOSP', (39, 5, 11, 0, 8), 4, '0.3593906110089125'),
+    ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 13, 1, 8), 4, '0.3593906110089125'),
+    ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 2, 7), 8, '-0.8468130835048802'),
+    ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 39, 2, 6), 7, '-0.7116571216427692'),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ncgopt import (
     FOSP,
+    CrnParams,
     MAX_ITERATIONS,
     HolderClass,
     LINE_SEARCH_FAILURE,
@@ -13,6 +14,7 @@ from ncgopt import (
     NcgParams,
     PfParams,
     ProblemOracle,
+    acrn_solve,
     gen_quadratic,
     gen_repu,
     newton_cg_solve,
@@ -22,6 +24,7 @@ from ncgopt import newton_cg as newton_cg_module
 from ncgopt import pf_newton_cg as pf_newton_cg_module
 from ncgopt.capped_cg import NC, capped_cg
 from ncgopt.newton_cg import (
+    ETA,
     MEO,
     LineSearchError,
     c_meo,
@@ -102,7 +105,7 @@ def test_complexity_bounds_trivial_and_cross_checked():
     assert k1 == 1  # ceil(0) + 1
     assert k2 is None
 
-    params = NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), eta=0.01, theta=0.5, zeta=0.5)
+    params = NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0))
     k1, _ = complexity_bounds(params, f0=1.0, f_low=0.0)
     with mpmath.workdps(60):
         eta, zeta, theta = mpmath.mpf("0.01"), mpmath.mpf("0.5"), mpmath.mpf("0.5")
@@ -343,7 +346,7 @@ def test_solver_immediate_exit():
     params = NcgParams(eps_g=1e-2, holder=HolderClass(1.0, 1.0))
     res = newton_cg_solve(oracle, np.full(4, 1e-6), params)
     assert res.status == FOSP
-    assert res.counters.capped_cg_calls == 0
+    assert res.counters.subproblems == 0
     assert res.counters.meo_calls == 0
     assert len(res.trace) == 0
 
@@ -387,9 +390,9 @@ def test_trace_step_inequalities_replay():
     eps_damp = math.sqrt(gamma_nu(params.eps_g, holder) * params.eps_g)
     for rec in res.trace:
         if rec.step_type == "SOL" and rec.accepted_by == "armijo":
-            assert rec.f_after <= rec.f_before - params.eta * eps_damp * rec.alpha**2 * rec.d_norm**2 + 1e-12
+            assert rec.f_after <= rec.f_before - ETA * eps_damp * rec.alpha**2 * rec.d_norm**2 + 1e-12
         elif rec.step_type == "NC":
-            assert rec.f_after <= rec.f_before - params.eta * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-12
+            assert rec.f_after <= rec.f_before - ETA * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-12
 
 
 def test_c_constants_positive():
@@ -435,10 +438,11 @@ def test_nc_steps_on_indefinite_quadratic():
     for rec in res.trace:
         assert rec.f_after <= rec.f_before
         if rec.step_type == "NC":
-            assert rec.f_after <= rec.f_before - params.eta * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-10
+            assert rec.f_after <= rec.f_before - ETA * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-10
 
 
-def test_backtracking_cap_yields_line_search_failure_status():
+def test_backtracking_cap_yields_line_search_failure_status(monkeypatch):
+    monkeypatch.setattr(newton_cg_module, "J_MAX", 10)
     lying = ProblemOracle(
         3,
         lambda x: 0.0,
@@ -446,10 +450,10 @@ def test_backtracking_cap_yields_line_search_failure_status():
         lambda x, v: v.copy(),
         "inconsistent",
     )
-    params = NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), j_max=10, max_outer=3)
+    params = NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), max_outer=3)
     res = newton_cg_solve(lying, np.zeros(3), params)
     assert res.status == "LineSearchFailure"
-    assert res.status_detail is not None
+    assert res.status_detail == "SOL backtracking exceeded its cap (j = 11)"
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
@@ -474,6 +478,26 @@ def solve_with(solver, oracle, x0, eps_H):
     if solver == "alg1":
         return newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, eps_H=eps_H, holder=HolderClass(1.0, 1.0)))
     return pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=eps_H))
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
+@pytest.mark.parametrize("shape", [(3,), (5, 1)], ids=str)
+def test_wrong_shaped_x0_is_rejected_before_any_oracle_call(solver, shape):
+    # Shape-agnostic callbacks would broadcast a short x0 all the way to a
+    # FOSP or SOSP_certified of the wrong dimension.
+    base = make_norm_squared(5)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn) or fn(*args)
+
+    oracle = ProblemOracle(5, counted(base.eval_f), counted(base.eval_grad), counted(base.eval_hvp), "counted")
+    with pytest.raises(ValueError, match="x0 must be finite with shape"):
+        if solver == "acrn":
+            acrn_solve(oracle, np.ones(shape), 1e-4, CrnParams())
+        else:
+            solve_with(solver, oracle, np.ones(shape), 1e-2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
@@ -534,7 +558,7 @@ def test_nan_gradient_is_numerical_failure(solver, eps_H):
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == "gradient norm is nan"
     assert math.isnan(res.grad_norm_final)
-    assert res.counters.meo_calls == 0 and res.counters.capped_cg_calls == 0
+    assert res.counters.meo_calls == 0 and res.counters.subproblems == 0
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
@@ -575,7 +599,7 @@ def test_capped_cg_breakdown_is_numerical_failure(solver, good_points):
     assert res.status_detail == "capped CG: non-finite Hessian-vector product (iteration 0)"
     assert len(res.trace) == good_points  # the steps taken before the breakdown are kept
     assert res.f_final == (res.trace[-1].f_after if good_points else quad.eval_f(x0))
-    assert res.counters.capped_cg_calls == good_points + 1
+    assert res.counters.subproblems == good_points + 1
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])

@@ -110,6 +110,8 @@ def test_holder_class_validation():
         HolderClass(1.5, 1.0)
     with pytest.raises(ValueError):
         HolderClass(0.5, 0.0)
+    with pytest.raises(ValueError):
+        HolderClass(0.5, float("inf"))
 
 
 def test_fd_preconditions():

@@ -13,7 +13,8 @@ from ncgopt import (
     gen_quadratic,
     pf_newton_cg_solve,
 )
-from ncgopt.newton_cg import c_nc, gamma_nu
+from ncgopt import pf_newton_cg as pf_newton_cg_module
+from ncgopt.newton_cg import ETA, THETA, c_nc, gamma_nu
 from ncgopt.oracle import CountingOracle
 from ncgopt.pf_newton_cg import (
     bounded_line_search_nc,
@@ -115,7 +116,7 @@ def test_bounded_sol_reuses_full_step_value():
 
 
 def test_pf_bounds_examples():
-    params = PfParams(eps_g=1e-4, gamma_init=10.0, r=2.0)
+    params = PfParams(eps_g=1e-4)
     holder = HolderClass(1.0, 1.0)
     sigma_bar, t_bound, k1_bar = pf_bounds(params, holder, f0=1.0, f_low=0.0)
     assert gamma_nu(1e-4, holder) == 4.0
@@ -165,7 +166,7 @@ def test_immediate_exit_no_trials():
     oracle = make_norm_squared(4)
     res = pf_newton_cg_solve(oracle, np.full(4, 1e-7), PfParams(eps_g=1e-3))
     assert res.status == FOSP
-    assert res.counters.capped_cg_calls == 0
+    assert res.counters.subproblems == 0
     assert res.trials == []
 
 
@@ -191,10 +192,10 @@ def test_trace_reverification_and_bounds_on_known_class():
     assert all(g <= sigma_bar + 1e-12 for g in res.gamma_history)
     assert all(len(outer) <= t_bound for outer in res.trials)
     assert len(res.trace) <= k1_bar
-    total_calls = res.counters.capped_cg_calls
+    total_calls = res.counters.subproblems
     assert total_calls <= t_bound + 2 * len(res.trace)
 
-    theta, eta = params.theta, params.eta
+    theta, eta = THETA, ETA
     for rec in res.trace:
         if rec.step_type == "SOL":
             if rec.accepted_by == "full_step":
@@ -228,10 +229,6 @@ def test_determinism_bit_identical():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        PfParams(eps_g=1e-4, r=1.0)
-    with pytest.raises(ValueError):
-        PfParams(eps_g=1e-4, gamma_init=0.0)
     with pytest.raises(ValueError):
         PfParams(eps_g=2.0)
 
@@ -313,8 +310,8 @@ def test_nc_trials_on_indefinite_quadratic():
     for rec in nc_steps:
         # Window condition (accepted alpha / theta within bound) and the
         # cubic decrease, replayed from the trace.
-        assert rec.alpha / params.theta >= min(1.0, 1.0 / rec.sigma) - 1e-15
-        assert rec.f_after <= rec.f_before - params.eta * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-10
+        assert rec.alpha / THETA >= min(1.0, 1.0 / rec.sigma) - 1e-15
+        assert rec.f_after <= rec.f_before - ETA * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-10
     fs = [r.f_before for r in res.trace] + [res.f_final]
     assert all(fs[i + 1] <= fs[i] for i in range(len(fs) - 1))
 
@@ -332,10 +329,9 @@ def lying_oracle(n):
     )
 
 
-def test_trial_cap_flags_inconsistent_oracle():
-    res = pf_newton_cg_solve(
-        lying_oracle(4), np.zeros(4), PfParams(eps_g=1e-4, t_max=8, max_outer=3)
-    )
+def test_trial_cap_flags_inconsistent_oracle(monkeypatch):
+    monkeypatch.setattr(pf_newton_cg_module, "T_MAX", 8)
+    res = pf_newton_cg_solve(lying_oracle(4), np.zeros(4), PfParams(eps_g=1e-4, max_outer=3))
     assert res.status == "LineSearchFailure"
     assert "t_max" in res.status_detail
     assert len(res.trials[0]) == 8

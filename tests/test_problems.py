@@ -119,6 +119,8 @@ def test_exponent_validation():
         gen_infeasibility(5, 2, 2.0, seed=0)
     with pytest.raises(ValueError):
         gen_repu(5, 2, 1.5, seed=0)
+    with pytest.raises(ValueError):
+        gen_repu(5, 2, float("inf"), seed=0)
 
 
 @pytest.mark.parametrize(
@@ -146,9 +148,21 @@ def test_serialization_round_trip(tmp_path, oracle):
 
 def test_serialization_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a real header\n\x00\x01")
-    with pytest.raises(ValueError):
-        load_instance(str(path))
+    save_instance(str(path), gen_repu(4, 2, 2.5, seed=0))
+    good = path.read_bytes()
+    for blob in (
+        b"not a real header\n\x00\x01",
+        good.replace(b" n=4 ", b" x=4 ", 1),  # no n=
+        good.replace(b" p=2.5 ", b" p=1.5 ", 1),  # the generators need a finite p > 2
+        good.replace(b" p=2.5 ", b" p=inf ", 1),
+        good.split(b"\n")[0].replace(b" m=2 ", b" m=0 ") + b"\n",  # and m >= 1
+        good + bytes(8),  # one value more than the header implies
+        good[:-8],  # one value fewer
+    ):
+        assert blob != good
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_instance(str(path))
 
 
 def test_serialization_rejects_unsupported_version(tmp_path):
