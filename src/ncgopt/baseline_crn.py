@@ -5,7 +5,10 @@ cubic model m(s) = g's + s'Hs/2 + (M/3)||s||^3 by gradient descent from a
 random point on the unit sphere, accepts the step when f(x+s) <= f(x) +
 m(s)/2, and adapts the weight M (double on rejection, halve on acceptance,
 floored at H0/16).  Subproblem tolerances follow the gradient norm down:
-tol_k = min(0.1, ||grad f(x_k)|| / 10).
+tol_k = min(0.1, ||grad f(x_k)|| / 10).  The gradient-descent step size
+comes from a power-iteration estimate of ||H|| at each iterate; a non-finite
+objective, gradient norm, estimate or model gradient ends the solve in
+NumericalFailure.
 
 These rules, the initial weight H0 and the caps MAX_SUB_ITERS and
 MAX_WEIGHT_DOUBLINGS are fixed constants and this package's own choices;
@@ -29,6 +32,7 @@ from .newton_cg import (
     NUMERICAL_FAILURE,
     IterationRecord,
     SolveResult,
+    _validate_budget,
 )
 from .oracle import CountingOracle, ProblemOracle
 
@@ -49,8 +53,7 @@ class CrnParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        _validate_budget(self)
 
 
 @dataclass
@@ -77,16 +80,19 @@ def estimate_operator_norm(
 
     Sets the gradient-descent step size of the cubic subproblem.
     Deterministic given (seed, stream); returns the floor 1e-12 for a zero
-    operator (or a start vector annihilated by H).
+    operator (or a start vector annihilated by H).  Raises ``NonFiniteError``
+    as soon as a power step's ||H^2 x|| or x'H^2 x is not finite.
     """
     floor = 1e-12
     x = sampling.unit_vector(seed, n, stream)
     rayleigh = 0.0
-    for _ in range(iters):
+    for step in range(1, iters + 1):
         hx = np.asarray(hvp(x), dtype=float)
         z = np.asarray(hvp(hx), dtype=float)
         nz = float(np.linalg.norm(z))
         rayleigh = float(x @ z)  # equals ||H x||^2 for unit x
+        if not (math.isfinite(nz) and math.isfinite(rayleigh)):
+            raise NonFiniteError(f"power step {step} gives ||H^2 x|| = {nz}, x'H^2 x = {rayleigh}")
         if nz <= floor or rayleigh <= floor**2:
             return floor
         x = z / nz
@@ -145,9 +151,10 @@ def acrn_solve(
     """Adaptive cubic-regularized Newton outer loop.
 
     Counts one subproblem per cubic model solved, including rejected trials.
-    Ends with NumericalFailure when the gradient norm or a cubic model's
-    gradient is not finite.  Raises ``ValueError`` before any evaluation
-    unless eps_g lies in (0, 1) and x0 is a finite (dim,) vector.
+    Ends with NumericalFailure when the objective, the gradient norm, the
+    operator-norm estimate or a cubic model's gradient is not finite.
+    Raises ``ValueError`` before any evaluation unless eps_g lies in (0, 1)
+    and x0 is a finite (dim,) vector.
     """
     if not 0.0 < eps_g < 1.0:
         raise ValueError("eps_g must lie in (0, 1)")
@@ -169,17 +176,22 @@ def acrn_solve(
 
     for _ in range(params.max_outer):
         gnorm = float(np.linalg.norm(gx))
-        if not math.isfinite(gnorm):
+        if not (math.isfinite(fx) and math.isfinite(gnorm)):
             status = NUMERICAL_FAILURE
-            detail = f"gradient norm is {gnorm}"
+            detail = f"objective is {fx}" if not math.isfinite(fx) else f"gradient norm is {gnorm}"
             break
         if gnorm <= eps_g:
             status = FOSP
             break
         hvp = lambda v: co.eval_hvp(x, v)
-        norm_h = estimate_operator_norm(
-            hvp, n, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
-        )
+        try:
+            norm_h = estimate_operator_norm(
+                hvp, n, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
+            )
+        except NonFiniteError as err:
+            status = NUMERICAL_FAILURE
+            detail = f"operator-norm estimate: {err}"
+            break
         tol = min(0.1, gnorm / 10.0)
         attempts = 0
         stepped = False

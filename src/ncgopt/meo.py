@@ -16,8 +16,7 @@ one eigensolve of T_k gives the estimate max(L, |theta_1|, |theta_k|) +
 beta_k of ||H|| from above (Zhou and Li 2011, *Bounding the spectrum of
 large Hermitian matrices*); the budget is raised from it, and the run stops
 only when k reaches the result (``bound = lanczos``: an estimate, not a
-proof).  A caller-given ``norm_h`` fixes the budget instead
-(``bound = given``).
+proof).
 
 Each step asks whether the tridiagonal T_k has a Ritz value at or below
 s = -eps/2 with an inertia count (Sylvester's law): the pivots of the
@@ -30,8 +29,8 @@ per step; the dense k x k eigensolve runs only once the count is positive.
 Directions are never returned on trust: the candidate Ritz vector is checked
 against an actual Hessian-vector product before it is returned, so a
 positive semidefinite operator can never produce a direction, regardless of
-rounding.  A non-finite Lanczos coefficient or given norm raises
-``NonFiniteError`` instead of ending in a certificate.
+rounding.  A non-finite Lanczos coefficient raises ``NonFiniteError``
+instead of ending in a certificate.
 """
 from __future__ import annotations
 
@@ -49,7 +48,6 @@ CERTIFICATE = "certificate"
 DIRECTION = "direction"
 
 # Where the Lanczos budget's norm bound came from (MeoOutcome.bound).
-GIVEN = "given"
 SATURATED = "saturated"
 LANCZOS = "lanczos"
 
@@ -57,7 +55,7 @@ _TINY = float(np.finfo(float).tiny)
 
 
 class NonFiniteError(FloatingPointError):
-    """A Lanczos coefficient or the given operator norm is NaN or infinite."""
+    """A Lanczos coefficient is NaN or infinite."""
 
 
 @dataclass
@@ -66,7 +64,7 @@ class MeoOutcome:
 
     ``curvature`` is the verified v^T H v when kind == direction; ``ritz``
     is the smallest Ritz value seen.  ``bound`` says where the budget's norm
-    bound came from (``given``, ``saturated`` or ``lanczos``), and
+    bound came from (``saturated`` or ``lanczos``), and
     ``norm_lower`` is max_j ||H q_j|| over the Lanczos vectors, a lower bound
     on ||H||.  ``breakdown`` marks runs that exhausted an exactly invariant
     Krylov subspace before the budget.
@@ -130,24 +128,18 @@ def minimum_eigenvalue_oracle(
     n: int,
     eps: float,
     delta: float,
-    norm_h: float | None = None,
     seed: int = 0,
     stream: int = sampling.STREAM_MEO_START,
 ) -> MeoOutcome:
     """Randomized Lanczos with full reorthogonalization.
 
-    Without ``norm_h`` the run sizes its own budget (see the module
-    docstring) and ``bound`` reads ``saturated`` or ``lanczos``; a given
-    ``norm_h``, an upper estimate of ||H||, fixes the budget up front and
-    ``bound`` reads ``given``.  The basis grows to at most n columns.
-    Deterministic given (seed, stream).  Raises ``NonFiniteError`` when
-    ``norm_h`` or a Lanczos coefficient is not finite.
+    The run sizes its own budget (see the module docstring), so ``bound``
+    reads ``saturated`` or ``lanczos``.  The basis grows to at most n columns.
+    Deterministic given (seed, stream).  Raises ``NonFiniteError`` when a
+    Lanczos coefficient is not finite.
     """
-    given = norm_h is not None
-    if given and not math.isfinite(norm_h):
-        raise NonFiniteError(f"operator-norm estimate is {norm_h}")
-    budget = lanczos_budget(n, eps, delta, norm_h if given else 0.0)
-    bound = GIVEN if given else SATURATED if budget == n else LANCZOS
+    budget = lanczos_budget(n, eps, delta, 0.0)
+    bound = SATURATED if budget == n else LANCZOS
     lower = 0.0  # max_j ||H q_j||, a lower bound on ||H||
     shift = -eps / 2.0
 
@@ -157,6 +149,7 @@ def minimum_eigenvalue_oracle(
     betas = np.empty(n)  # betas[k - 1] couples q_k and q_(k+1)
     beta, pivot = 0.0, 1.0
     below = 0  # Ritz values of T_k at or below the shift
+    breakdown = False
 
     for k in range(1, n + 1):
         w = np.asarray(hvp(q), dtype=float)
@@ -167,12 +160,11 @@ def minimum_eigenvalue_oracle(
         norm_hq = math.sqrt(float(w @ w))
         if norm_hq > lower:
             lower = norm_hq
-            if not given:
-                if lower == math.inf:  # it scales the breakdown test below
-                    raise NonFiniteError(f"Lanczos ||H q_{k}|| is inf")
-                grown = lanczos_budget(n, eps, delta, lower)
-                budget = max(budget, grown)
-                bound = SATURATED if grown == n else LANCZOS
+            if lower == math.inf:  # it scales the breakdown test below
+                raise NonFiniteError(f"Lanczos ||H q_{k}|| is inf")
+            grown = lanczos_budget(n, eps, delta, lower)
+            budget = max(budget, grown)
+            bound = SATURATED if grown == n else LANCZOS
         if k > basis.shape[1]:
             grown_basis = np.empty((n, min(n, max(budget, 2 * (k - 1)))))
             grown_basis[:, : k - 1] = basis
@@ -200,12 +192,12 @@ def minimum_eigenvalue_oracle(
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
             raise NonFiniteError(f"Lanczos beta_{k} is {beta}")
-        if beta <= 1e-13 * max(1.0, norm_h if given else lower):
-            # Exactly invariant subspace: its Ritz values are exact, and the
-            # direction test above already ran on them.
-            ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
-            return MeoOutcome(CERTIFICATE, None, k, budget, ritz, bound, lower, breakdown=True)
-        if k == budget < n and not given:
+        # Exactly invariant subspace: its Ritz values are exact, and the
+        # direction test above already ran on them.
+        breakdown = beta <= 1e-13 * max(1.0, lower)
+        if breakdown:
+            break
+        if k == budget < n:
             # Zhou-Li: max |Ritz value| + beta_k estimates ||H|| from above.
             ritz_values = np.linalg.eigvalsh(_tridiagonal(alphas[:k], betas[: k - 1]))
             estimate = max(lower, abs(float(ritz_values[0])), abs(float(ritz_values[-1]))) + beta
@@ -218,4 +210,4 @@ def minimum_eigenvalue_oracle(
     # By Cauchy interlacing, the smallest Ritz value of the final T_k is the
     # smallest one seen at any step.
     ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
-    return MeoOutcome(CERTIFICATE, None, k, budget, ritz, bound, lower)
+    return MeoOutcome(CERTIFICATE, None, k, budget, ritz, bound, lower, breakdown=breakdown)

@@ -86,6 +86,14 @@ def _validate_shared(params) -> None:
         raise ValueError("eps_g must lie in (0, 1)")
     if params.eps_H is not None and not 0.0 < params.eps_H < 1.0:
         raise ValueError("eps_H must lie in (0, 1)")
+    _validate_budget(params)
+
+
+def _validate_budget(params) -> None:
+    """Checks on ``max_outer`` and ``seed``, which every params record has."""
+    for name in ("max_outer", "seed"):
+        if not isinstance(getattr(params, name), int):
+            raise ValueError(f"{name} must be an integer; got {getattr(params, name)!r}")
     if params.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
 
@@ -365,9 +373,9 @@ def _drive(
     try:
         for _ in range(params.max_outer):
             gnorm = float(np.linalg.norm(gx))
-            if not math.isfinite(gnorm):
+            if not (math.isfinite(fx) and math.isfinite(gnorm)):
                 status = NUMERICAL_FAILURE
-                detail = f"gradient norm is {gnorm}"
+                detail = f"objective is {fx}" if not math.isfinite(fx) else f"gradient norm is {gnorm}"
                 break
             if gnorm > params.eps_g:
                 outer: list[InnerTrialRecord] = []
@@ -470,10 +478,10 @@ def newton_cg_solve(
     SOSP_certified once the eigenvalue oracle certifies the Hessian (with
     ``status_detail`` naming the certificate's norm bound); returns
     MaxIterations / LineSearchFailure with the full trace otherwise, and
-    NumericalFailure when the gradient norm or the eigenvalue oracle's
-    Lanczos data is not finite, when capped CG breaks down, or when a step
-    computation overflows.  Raises ``ValueError`` before any evaluation
-    unless x0 is a finite (dim,) vector.
+    NumericalFailure when the objective, the gradient norm or the
+    eigenvalue oracle's Lanczos data is not finite, when capped CG breaks
+    down, or when a step computation overflows.  Raises ``ValueError`` before
+    any evaluation unless x0 is a finite (dim,) vector.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
     return _drive(

@@ -104,6 +104,9 @@ def test_acrn_determinism():
 def test_param_validation():
     with pytest.raises(ValueError):
         CrnParams(max_outer=0)
+    for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CrnParams(**bad)
     with pytest.raises(ValueError):
         cubic_subproblem_gd(
             np.ones(2), lambda v: v, weight=0.0, tol=1e-6, s0=np.zeros(2), max_iters=10, lipschitz_hint=1.0
@@ -114,17 +117,26 @@ def test_param_validation():
     "bad, detail",
     [
         ("grad", "gradient norm is nan"),
+        ("hvp", "operator-norm estimate: power step 1 gives ||H^2 x|| = nan, x'H^2 x = nan"),
+        # NaN only after the 40 products of the estimate's 20 power steps.
         ("hvp", "cubic subproblem: non-finite cubic-model gradient"),
     ],
 )
 def test_acrn_non_finite_is_numerical_failure(bad, detail):
     base = make_norm_squared(3)
     nan = lambda *args: np.full(3, np.nan)
+    good_hvps = 40 if detail.startswith("cubic subproblem") else 0
+    calls = []
+
+    def hvp(x, v):
+        calls.append(None)
+        return base.eval_hvp(x, v) if len(calls) <= good_hvps else nan()
+
     oracle = ProblemOracle(
         3,
         base.eval_f,
         nan if bad == "grad" else base.eval_grad,
-        nan if bad == "hvp" else base.eval_hvp,
+        hvp if bad == "hvp" else base.eval_hvp,
         f"nan-{bad}",
     )
     res = acrn_solve(oracle, np.ones(3), 1e-4, CrnParams())

@@ -98,14 +98,14 @@ def test_smallest_eigenpair_sign_tie_takes_first_component(sign, monkeypatch):
 
 
 def test_identity_always_certificate():
-    out = minimum_eigenvalue_oracle(matvec(np.eye(5)), 5, eps=0.5, delta=0.01, norm_h=1.0)
+    out = minimum_eigenvalue_oracle(matvec(np.eye(5)), 5, eps=0.5, delta=0.01)
     assert out.kind == CERTIFICATE
     assert out.iterations <= out.budget
 
 
 def test_small_indefinite_returns_direction():
     H = np.diag([1.0, -2.0])
-    out = minimum_eigenvalue_oracle(matvec(H), 2, eps=1.0, delta=0.01, norm_h=2.0, seed=7)
+    out = minimum_eigenvalue_oracle(matvec(H), 2, eps=1.0, delta=0.01, seed=7)
     assert out.kind == DIRECTION
     assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
     assert float(out.v @ (H @ out.v)) <= -0.5 + 1e-10
@@ -129,10 +129,7 @@ def test_fuzzed_indefinite_and_psd():
         lam = rng.uniform(-5.0, 5.0, size=n)
         lam[0] = rng.uniform(-5.0, -eps)  # guarantee lambda_min <= -eps
         H = random_symmetric(rng, n, lam)
-        norm_h = float(np.max(np.abs(lam)))
-        out = minimum_eigenvalue_oracle(
-            matvec(H), n, eps, 0.01, norm_h, seed=trial, stream=0
-        )
+        out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, seed=trial, stream=0)
         assert out.iterations <= out.budget
         if out.kind == DIRECTION:
             hits += 1
@@ -144,9 +141,7 @@ def test_fuzzed_indefinite_and_psd():
         n = int(rng.integers(2, 25))
         lam = rng.uniform(0.0, 5.0, size=n)
         H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(
-            matvec(H), n, eps, 0.01, float(np.max(lam) + 1e-12), seed=trial, stream=1
-        )
+        out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, seed=trial, stream=1)
         assert out.kind == CERTIFICATE  # PSD never yields a direction
         assert out.iterations <= out.budget
 
@@ -154,7 +149,7 @@ def test_fuzzed_indefinite_and_psd():
 def test_breakdown_on_invariant_subspace():
     # Start vector confined to an eigenspace: Lanczos exhausts it instantly.
     H = np.diag([2.0, 2.0, 2.0])
-    out = minimum_eigenvalue_oracle(matvec(H), 3, eps=0.5, delta=0.01, norm_h=2.0)
+    out = minimum_eigenvalue_oracle(matvec(H), 3, eps=0.5, delta=0.01)
     assert out.kind == CERTIFICATE
     assert out.breakdown
     assert out.iterations < out.budget
@@ -235,8 +230,9 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize("indefinite", [False, True])
 def test_large_operator_small_eps(indefinite):
-    # n = 400 with eps = 1e-3: the budget reaches n, so every Lanczos step
-    # runs the per-step test on a tridiagonal of up to 400 rows.
+    # n = 400 with eps = 1e-3: the certificate's budget reaches n, so every
+    # Lanczos step runs the per-step test on a tridiagonal of up to 400 rows.
+    # The direction turns up within a self-sized budget below n.
     n, eps = 400, 1e-3
     rng = generator(5, stream=3)
     lam = rng.uniform(0.0, 3.0, size=n)
@@ -244,28 +240,29 @@ def test_large_operator_small_eps(indefinite):
         lam[0] = -2.0 * eps
     H = random_symmetric(rng, n, lam)
     began = time.perf_counter()
-    out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, 3.0, seed=1)
+    out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, seed=1)
     elapsed = time.perf_counter() - began
-    assert out.budget == n
     assert elapsed < 10.0
     if indefinite:
+        assert out.iterations <= out.budget <= n
+        saturated = lanczos_budget(n, eps, 0.01, out.norm_lower) == n
+        assert out.bound == (SATURATED if saturated else LANCZOS)
         assert out.kind == DIRECTION
         assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-12
     else:
+        assert out.budget == n
         assert out.kind == CERTIFICATE
         assert out.ritz >= float(np.min(lam)) - 1e-10
 
 
 def test_non_finite_lanczos_data_raises():
     n = 5
-    with pytest.raises(NonFiniteError, match="operator-norm estimate is nan"):
-        minimum_eigenvalue_oracle(matvec(np.eye(n)), n, 0.1, 0.01, math.nan)
     with pytest.raises(NonFiniteError, match="alpha_1 is nan"):
-        minimum_eigenvalue_oracle(lambda v: np.full(n, np.nan), n, 0.1, 0.01, 1.0)
-    # H = 1e200 * 1 1^T is PSD, so no direction turns up, and the residual
-    # norm overflows.
-    with pytest.raises(NonFiniteError, match="beta_1 is inf"), np.errstate(over="ignore"):
-        minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1, 0.01, 1.0)
+        minimum_eigenvalue_oracle(lambda v: np.full(n, np.nan), n, 0.1, 0.01)
+    # H = 1e200 * 1 1^T is PSD, so no direction turns up, and ||H q_1||^2
+    # overflows before the residual norm does.
+    with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"), np.errstate(over="ignore"):
+        minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1, 0.01)
 
 
 def test_self_sized_norm_overflow_raises():

@@ -616,3 +616,48 @@ def test_huge_curvature_ratio_reaches_fosp(solver):
     )
     res = solve_with(solver, oracle, np.ones(2), None)
     assert res.status == FOSP
+
+
+def hostile(base, bad, value, k):
+    """``base`` with callback ``bad`` (f, grad or hvp) returning ``value`` at its k-th call."""
+    calls = {"f": 0, "grad": 0, "hvp": 0}
+
+    def wrap(name, fn):
+        def call(*args):
+            calls[name] += 1
+            if name == bad and calls[name] == k:
+                return value if name == "f" else np.full(base.dim, value)
+            return fn(*args)
+
+        return call
+
+    return ProblemOracle(
+        base.dim, wrap("f", base.eval_f), wrap("grad", base.eval_grad), wrap("hvp", base.eval_hvp), "hostile"
+    )
+
+
+@pytest.mark.parametrize("solver, eps_H", [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)])
+@pytest.mark.parametrize("bad", ["f", "grad", "hvp"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
+    # One non-finite value from one callback ends in an explicit status; a
+    # success must still hold at the returned point with the honest oracle.
+    base = gen_repu(10, 3, 2.25, 0)
+    oracle, x0, eps_g = hostile(base, bad, value, k), np.full(10, 0.1), 1e-4
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf inside the HVP algebra
+        if solver == "acrn":
+            res = acrn_solve(oracle, x0, eps_g, CrnParams(max_outer=50))
+        elif solver == "alg1":
+            res = newton_cg_solve(oracle, x0, NcgParams(eps_g, HolderClass(1.0, 1.0), eps_H, max_outer=50))
+        else:
+            res = pf_newton_cg_solve(oracle, x0, PfParams(eps_g, eps_H, max_outer=50))
+    if res.status in (FOSP, "SOSP_certified"):
+        assert math.isfinite(res.f_final)
+        assert float(np.linalg.norm(base.eval_grad(res.x_final))) <= eps_g
+    if bad == "f" and k == 1 and math.isnan(value):
+        assert res.status == NUMERICAL_FAILURE and res.status_detail == "objective is nan"
+        assert res.counters.f_evals == 1 and res.counters.hvp_evals == 0
+    if solver == "acrn" and bad == "hvp" and k == 1 and math.isnan(value):
+        assert res.status == NUMERICAL_FAILURE
+        assert res.trace == [] and res.counters.subproblems == 0

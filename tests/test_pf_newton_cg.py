@@ -7,6 +7,7 @@ import pytest
 from ncgopt import (
     FOSP,
     HolderClass,
+    NcgParams,
     PfParams,
     ProblemOracle,
     gen_infeasibility,
@@ -231,6 +232,11 @@ def test_determinism_bit_identical():
 def test_param_validation():
     with pytest.raises(ValueError):
         PfParams(eps_g=2.0)
+    for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PfParams(eps_g=1e-4, **bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), **bad)
 
 
 @pytest.mark.parametrize("max_outer", [0, -3])
