@@ -81,18 +81,21 @@ def estimate_operator_norm(
     Sets the gradient-descent step size of the cubic subproblem.
     Deterministic given (seed, stream); returns the floor 1e-12 for a zero
     operator (or a start vector annihilated by H).  Raises ``NonFiniteError``
-    as soon as a power step's ||H^2 x|| or x'H^2 x is not finite.
+    as soon as a power step's H x or H^2 x is not finite, before it enters
+    a product.
     """
     floor = 1e-12
     x = sampling.unit_vector(seed, n, stream)
     rayleigh = 0.0
     for step in range(1, iters + 1):
         hx = np.asarray(hvp(x), dtype=float)
+        if not np.all(np.isfinite(hx)):
+            raise NonFiniteError(f"power step {step} gives a non-finite H x")
         z = np.asarray(hvp(hx), dtype=float)
         nz = float(np.linalg.norm(z))
-        rayleigh = float(x @ z)  # equals ||H x||^2 for unit x
-        if not (math.isfinite(nz) and math.isfinite(rayleigh)):
-            raise NonFiniteError(f"power step {step} gives ||H^2 x|| = {nz}, x'H^2 x = {rayleigh}")
+        if not math.isfinite(nz):
+            raise NonFiniteError(f"power step {step} gives ||H^2 x|| = {nz}")
+        rayleigh = float(x @ z)  # equals ||H x||^2 for unit x, and |x'z| <= ||z||
         if nz <= floor or rayleigh <= floor**2:
             return floor
         x = z / nz

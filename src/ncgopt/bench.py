@@ -41,7 +41,7 @@ from .baseline_crn import CrnParams, acrn_solve
 from .newton_cg import FOSP, SOSP_CERTIFIED, NcgParams, newton_cg_solve
 from .oracle import HolderClass, ProblemOracle
 from .pf_newton_cg import PfParams, pf_newton_cg_solve
-from .problems import gen_infeasibility, gen_quadratic, gen_repu
+from .problems import _require_cell, gen_infeasibility, gen_quadratic, gen_repu
 
 FAMILIES = ("infeasibility", "repu", "quadratic")
 SOLVERS = ("alg1", "alg2", "acrn")
@@ -89,8 +89,13 @@ class ExperimentConfig:
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
         for n, m, p in self.grid:
-            if n < 1 or (self.family != "quadratic" and (m < 1 or not p > 2.0)):
-                raise ConfigError(f"invalid grid cell ({n}, {m}, {p})")
+            try:
+                if self.family != "quadratic":
+                    _require_cell(n, m, p)
+                elif n < 1:
+                    raise ValueError("n must be positive")
+            except ValueError as err:
+                raise ConfigError(f"invalid grid cell ({n}, {m}, {p}): {err}") from err
         if self.family == "quadratic":
             # A negative eigenvalue makes f = x'Qx/2 unbounded below.
             for name in ("quad_lambda_min", "quad_lambda_max"):

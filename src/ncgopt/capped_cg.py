@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,9 @@ Array = np.ndarray
 
 SOL = "SOL"
 NC = "NC"
+
+# The residual tolerance of the paper's working setting, in (0, 1).
+ZETA = 0.5
 
 
 class CappedCgError(RuntimeError):
@@ -96,20 +99,31 @@ def iteration_cap(norm_h: float, eps: float, zeta: float, n: int) -> int:
 def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
     """Plain CG on (H + 2 eps I) d = -g from d = 0, one product H p per pass.
 
-    Pass j yields y^j, H y^j (by the exact recurrence), ||r^j||^2, p^j, H p^j,
-    H r^j = beta H p^(j-1) - H p^j and p^j' (H + 2 eps I) p^j; resuming takes
-    the step alpha = rr / p_hbar_p.  A second run replays the first bit for bit.
+    Pass j yields y^j, H y^j (by the exact recurrence), ||r^j||^2, p^j and
+    ||p^j||^2, H p^j and ||H p^j||^2, H r^j = beta H p^(j-1) - H p^j and
+    p^j' (H + 2 eps I) p^j; resuming takes the step alpha = rr / p_hbar_p.
+    A second run replays the first bit for bit.
     """
     n = g.shape[0]
     y, hy, r, p = np.zeros(n), np.zeros(n), g.copy(), -g
     hp, beta = np.zeros(n), 0.0
     rr = float(r @ r)
-    while True:
+    for j in count():
         hp_prev = hp
         hp = np.asarray(hvp(p), dtype=float)
+        # Norms are sqrt(v @ v), bit-identical to np.linalg.norm of a real
+        # vector.  A NaN or inf entry of p or of H p, or an overflow of
+        # ||p||^2, raises here, before it enters p' H p; an overflow of
+        # ||H p||^2 from a finite H p goes on to the tests.
+        pp = float(p @ p)
+        if not (math.isfinite(rr) and math.isfinite(pp)):
+            raise CappedCgError("non-finite CG iterate", j)
+        hp_hp = float(hp @ hp)
+        if not math.isfinite(hp_hp) and not np.all(np.isfinite(hp)):
+            raise CappedCgError("non-finite Hessian-vector product", j)
         hbar_p = hp + two_eps * p
         p_hbar_p = float(p @ hbar_p)
-        yield y, hy, rr, p, hp, beta * hp_prev - hp, p_hbar_p
+        yield y, hy, rr, p, pp, hp, hp_hp, beta * hp_prev - hp, p_hbar_p
         alpha = rr / p_hbar_p
         y = y + alpha * p
         hy = hy + alpha * hp
@@ -120,16 +134,11 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
         rr = rr_new
 
 
-def capped_cg(
-    hvp: Callable[[Array], Array],
-    g: Array,
-    eps: float,
-    zeta: float,
-) -> CgOutcome:
+def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
     """Run capped CG on (H + 2 eps I) d = -g.
 
     Returns a SOL direction with relative residual below zeta_hat (which
-    implies the final residual bound zeta * eps * ||d|| / 2) or an NC
+    implies the final residual bound ZETA * eps * ||d|| / 2) or an NC
     direction with d^T H d < -eps ||d||^2 and d^T g <= 0.
     """
     g = np.asarray(g, dtype=float)
@@ -139,36 +148,23 @@ def capped_cg(
         raise ValueError("g must be nonzero")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("zeta must lie in (0, 1)")
 
     U = 0.0
-    zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, zeta)
+    zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, ZETA)
     two_eps = 2.0 * eps
     r0_norm = math.sqrt(float(g @ g))
 
-    for j, (y, hy, rr, p, hp, hr, p_hbar_p) in enumerate(_cg_passes(hvp, g, two_eps)):
-        # Norms are sqrt(v @ v), bit-identical to np.linalg.norm of a real
-        # vector.  A NaN or inf entry of p reaches p @ p; so does an overflow
-        # of ||p||^2.
-        pp = float(p @ p)
-        if not (math.isfinite(rr) and math.isfinite(pp)):
-            raise CappedCgError("non-finite CG iterate", j)
-        # A NaN p^T H p fails every comparison below, so it is named here; one
-        # that only overflowed, from a finite H p, goes on to the tests.
-        if not math.isfinite(p_hbar_p) and not np.all(np.isfinite(hp)):
-            raise CappedCgError("non-finite Hessian-vector product", j)
-
+    for j, (y, hy, rr, p, pp, hp, hp_hp, hr, p_hbar_p) in enumerate(_cg_passes(hvp, g, two_eps)):
         # Cap updates, in the printed order: p, then y, then r.
         yy = float(y @ y)
         norm_r = math.sqrt(rr)
         grown = U
-        for norm_v, hv in ((math.sqrt(pp), hp), (math.sqrt(yy), hy), (norm_r, hr)):
-            norm_hv = math.sqrt(float(hv @ hv))
+        for norm_v, hv_hv in ((math.sqrt(pp), hp_hp), (math.sqrt(yy), float(hy @ hy)), (norm_r, float(hr @ hr))):
+            norm_hv = math.sqrt(hv_hv)
             if norm_v > 0.0 and norm_hv > U * norm_v:
                 U = max(U, norm_hv / norm_v)
         if U > grown:
-            zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, zeta)
+            zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, ZETA)
 
         y_hy = float(y @ hy)
         if y_hy + two_eps * yy < eps * yy:

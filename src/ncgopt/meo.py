@@ -3,7 +3,7 @@
 Runs Lanczos from a random unit start.  Either a unit direction v with
 v^T H v <= -eps/2 turns up (outcome ``direction``) or the run certifies
 lambda_min(H) >= -eps with probability at least 1 - delta (outcome
-``certificate``).
+``certificate``), where delta is the paper's working setting ``DELTA``.
 
 The iteration budget is the bound of Kuczynski and Wozniakowski (1992),
 min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(M / eps))}, for an upper
@@ -46,6 +46,9 @@ Array = np.ndarray
 
 CERTIFICATE = "certificate"
 DIRECTION = "direction"
+
+# The certificate's failure probability in the paper's working setting.
+DELTA = 0.01
 
 # Where the Lanczos budget's norm bound came from (MeoOutcome.bound).
 SATURATED = "saturated"
@@ -127,7 +130,6 @@ def minimum_eigenvalue_oracle(
     hvp: Callable[[Array], Array],
     n: int,
     eps: float,
-    delta: float,
     seed: int = 0,
     stream: int = sampling.STREAM_MEO_START,
 ) -> MeoOutcome:
@@ -138,7 +140,7 @@ def minimum_eigenvalue_oracle(
     Deterministic given (seed, stream).  Raises ``NonFiniteError`` when a
     Lanczos coefficient is not finite.
     """
-    budget = lanczos_budget(n, eps, delta, 0.0)
+    budget = lanczos_budget(n, eps, DELTA, 0.0)
     bound = SATURATED if budget == n else LANCZOS
     lower = 0.0  # max_j ||H q_j||, a lower bound on ||H||
     shift = -eps / 2.0
@@ -162,7 +164,7 @@ def minimum_eigenvalue_oracle(
             lower = norm_hq
             if lower == math.inf:  # it scales the breakdown test below
                 raise NonFiniteError(f"Lanczos ||H q_{k}|| is inf")
-            grown = lanczos_budget(n, eps, delta, lower)
+            grown = lanczos_budget(n, eps, DELTA, lower)
             budget = max(budget, grown)
             bound = SATURATED if grown == n else LANCZOS
         if k > basis.shape[1]:
@@ -201,7 +203,7 @@ def minimum_eigenvalue_oracle(
             # Zhou-Li: max |Ritz value| + beta_k estimates ||H|| from above.
             ritz_values = np.linalg.eigvalsh(_tridiagonal(alphas[:k], betas[: k - 1]))
             estimate = max(lower, abs(float(ritz_values[0])), abs(float(ritz_values[-1]))) + beta
-            budget = max(budget, lanczos_budget(n, eps, delta, estimate))
+            budget = max(budget, lanczos_budget(n, eps, DELTA, estimate))
         if k == budget:
             break
         betas[k - 1] = beta

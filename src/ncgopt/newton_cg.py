@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import sampling
-from .capped_cg import NC, CappedCgError, capped_cg
+from .capped_cg import NC, ZETA, CappedCgError, capped_cg
 from .meo import CERTIFICATE, NonFiniteError, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
@@ -43,12 +43,10 @@ ARMIJO = "armijo"
 SMALL_STEP = "small_step"
 NO_VALID_J = "no_valid_j"
 
-# The paper's working setting for both drivers: capped CG's tolerance, the backtracking
-# factor, the decrease constant, the MEO's failure probability, the backtracking cap.
-ZETA = 0.5
+# The line searches' working setting for both drivers: the backtracking factor, the
+# decrease constant and the backtracking cap.  ZETA lives in capped_cg, DELTA in meo.
 THETA = 0.5
 ETA = 0.01
-DELTA = 0.01
 J_MAX = 60
 
 
@@ -64,8 +62,8 @@ class LineSearchError(RuntimeError):
 class NcgParams:
     """Inputs of the known-smoothness driver: tolerances, smoothness class, budget.
 
-    The working setting is fixed as the module constants ZETA, THETA, ETA,
-    DELTA and J_MAX.  ``max_outer`` is a fixed cap on outer iterations, not sized from
+    The working setting is fixed as module constants: THETA, ETA and J_MAX
+    here, ``capped_cg.ZETA`` and ``meo.DELTA``.  ``max_outer`` is a fixed cap on outer iterations, not sized from
     ``complexity_bounds``: that bound needs a lower bound on f, and ranges
     from 10 near the optimum to beyond 1e10 at a unit gap.
     """
@@ -262,24 +260,22 @@ def _backtrack(
     d: Array,
     f_x: float,
     decrease: float,
-    theta: float,
-    j_max: int,
     cap_message: str,
     lower: float = 0.0,
     f_first: float | None = None,
 ) -> LineSearchOutcome | None:
     """The one backtracking loop behind every search.
 
-    Scans j = 0, 1, ... while theta^j >= lower and accepts the smallest j with
-    f(x + theta^j d) <= f_x - decrease theta^(2j).  Returns None once the
-    window theta^j >= lower closes; passing j_max inside it raises.
+    Scans j = 0, 1, ... while THETA^j >= lower and accepts the smallest j with
+    f(x + THETA^j d) <= f_x - decrease THETA^(2j).  Returns None once the
+    window THETA^j >= lower closes; passing J_MAX inside it raises.
     ``f_first`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
     j = 0
-    while theta**j >= lower:
-        if j > j_max:
+    while THETA**j >= lower:
+        if j > J_MAX:
             raise LineSearchError(cap_message, j)
-        a = theta**j
+        a = THETA**j
         f_trial = f_first if j == 0 and f_first is not None else oracle.eval_f(x + a * d)
         if f_trial <= f_x - decrease * a * a:
             return LineSearchOutcome(a, j, f_trial)
@@ -293,38 +289,29 @@ def line_search_sol(
     d: Array,
     sigma: float,
     eps_g: float,
-    theta: float,
-    eta: float,
-    j_max: int,
     f_x: float,
     f_full: float | None = None,
 ) -> LineSearchOutcome:
     """Backtracking for approximate-solution directions.
 
     Accepts the smallest j with
-    f(x + theta^j d) <= f(x) - eta (sigma eps_g)^(1/2) theta^(2j) ||d||^2.
+    f(x + THETA^j d) <= f(x) - ETA (sigma eps_g)^(1/2) THETA^(2j) ||d||^2.
     ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
-    decrease = eta * math.sqrt(sigma * eps_g) * float(d @ d)
-    return _backtrack(
-        oracle, x, d, f_x, decrease, theta, j_max, "SOL backtracking exceeded its cap", f_first=f_full
-    )
+    decrease = ETA * math.sqrt(sigma * eps_g) * float(d @ d)
+    return _backtrack(oracle, x, d, f_x, decrease, "SOL backtracking exceeded its cap", f_first=f_full)
 
 
-def line_search_nc(
-    oracle, x: Array, d: Array, sigma: float, theta: float, eta: float, j_max: int, f_x: float
-) -> LineSearchOutcome:
+def line_search_nc(oracle, x: Array, d: Array, sigma: float, f_x: float) -> LineSearchOutcome:
     """Backtracking with the cubic decrease test for negative-curvature steps."""
-    decrease = eta * min(1.0, sigma) * float(np.linalg.norm(d)) ** 3 / 4.0
-    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, "NC backtracking exceeded its cap")
+    decrease = ETA * min(1.0, sigma) * float(np.linalg.norm(d)) ** 3 / 4.0
+    return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap")
 
 
-def line_search_meo(
-    oracle, x: Array, d: Array, theta: float, eta: float, j_max: int, f_x: float
-) -> LineSearchOutcome:
+def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome:
     """Backtracking for eigenvalue-oracle steps; alpha = 1 is the j = 0 trial."""
-    decrease = eta * float(np.linalg.norm(d)) ** 3 / 2.0
-    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, "MEO backtracking exceeded its cap")
+    decrease = ETA * float(np.linalg.norm(d)) ** 3 / 2.0
+    return _backtrack(oracle, x, d, f_x, decrease, "MEO backtracking exceeded its cap")
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +369,11 @@ def _drive(
                 trials.append(outer)
                 for t, sigma in enumerate(weights(gamma_prev)):
                     counters.subproblems += 1  # counted even if the call breaks down
-                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g), ZETA)
+                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g))
                     reason, accepted_by, grad_new = NO_VALID_J, None, None
                     if cg_out.d_type == NC:
                         d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
-                        step = search_nc(co, x, d, sigma, THETA, ETA, J_MAX, fx)
+                        step = search_nc(co, x, d, sigma, fx)
                     else:
                         d = cg_out.d
                         f_full = co.eval_f(x + d)
@@ -396,7 +383,7 @@ def _drive(
                         elif parameter_free and 6.0 * float(np.linalg.norm(d)) < math.sqrt(params.eps_g / sigma):
                             step, reason = None, SMALL_STEP
                         else:
-                            step = search_sol(co, x, d, sigma, params.eps_g, THETA, ETA, J_MAX, fx, f_full)
+                            step = search_sol(co, x, d, sigma, params.eps_g, fx, f_full)
                             accepted_by = ARMIJO
                         if step is not None and step.j == 0:
                             grad_new = grad_full
@@ -417,19 +404,14 @@ def _drive(
                 call = counters.meo_calls
                 counters.meo_calls += 1
                 meo = minimum_eigenvalue_oracle(
-                    hvp,
-                    co.dim,
-                    params.eps_H,
-                    DELTA,
-                    seed=params.seed,
-                    stream=sampling.STREAM_MEO_START + call,
+                    hvp, co.dim, params.eps_H, seed=params.seed, stream=sampling.STREAM_MEO_START + call
                 )
                 if meo.kind == CERTIFICATE:
                     status = SOSP_CERTIFIED
                     detail = f"norm bound: {meo.bound}"
                     break
                 d = scale_meo_direction(meo.v, meo.curvature, gx)
-                step = line_search_meo(co, x, d, THETA, ETA, J_MAX, fx)
+                step = line_search_meo(co, x, d, fx)
                 trials.append([])
                 step_type, step_sigma, inner, accepted_by, grad_new = MEO, None, meo.iterations, None, None
             gamma_history.append(gamma_prev)  # weight carried through MEO steps

@@ -87,24 +87,42 @@ class CountingOracle:
     Exposes the same ``eval_*`` surface as :class:`ProblemOracle` so solver
     code is agnostic to whether it counts.  The counts go straight into
     ``counters``, which the solver completes and returns with its result.
+    A callback output of the wrong shape (f not a scalar, grad or HVP not of
+    shape (dim,)) raises ``ValueError`` naming the callback and the shape.
     """
 
     def __init__(self, oracle: ProblemOracle):
         self._oracle = oracle
         self.dim = oracle.dim
+        self._vector = (oracle.dim,)
         self.counters = Counters()
 
     def eval_f(self, x: Array) -> float:
         self.counters.f_evals += 1
-        return float(self._oracle.eval_f(x))
+        value = self._oracle.eval_f(x)
+        if not isinstance(value, float):
+            _require_shape("eval_f", value, ())
+        return float(value)
 
     def eval_grad(self, x: Array) -> Array:
         self.counters.grad_evals += 1
-        return self._oracle.eval_grad(x)
+        g = self._oracle.eval_grad(x)
+        if getattr(g, "shape", None) != self._vector:
+            _require_shape("eval_grad", g, self._vector)
+        return g
 
     def eval_hvp(self, x: Array, v: Array) -> Array:
         self.counters.hvp_evals += 1
-        return self._oracle.eval_hvp(x, v)
+        hv = self._oracle.eval_hvp(x, v)
+        if getattr(hv, "shape", None) != self._vector:
+            _require_shape("eval_hvp", hv, self._vector)
+        return hv
+
+
+def _require_shape(name: str, value, shape: tuple) -> None:
+    """The slow path of CountingOracle's checks, for a non-float f or an output without ``shape``."""
+    if np.shape(value) != shape:
+        raise ValueError(f"{name} must return shape {shape}; got shape {np.shape(value)}")
 
 
 def _fd_step(x: Array, h: float | None) -> float:

@@ -44,7 +44,8 @@ class PfParams:
     """Inputs of the parameter-free driver: the tolerances and the work budget.
 
     The working setting (zeta, gamma_init, theta, r, eta) = (0.5, 10, 0.5, 2,
-    0.01) is fixed: GAMMA_INIT, R and T_MAX here, the rest in ``newton_cg``.
+    0.01) is fixed: GAMMA_INIT, R and T_MAX here, THETA, ETA and J_MAX in
+    ``newton_cg``, ZETA in ``capped_cg``.
     """
 
     eps_g: float
@@ -56,9 +57,9 @@ class PfParams:
         _validate_shared(self)
 
 
-def sigma_start(gamma_prev: float, gamma_init: float, r: float) -> float:
-    """First trial weight of an outer iteration: max{gamma_init, gamma_prev / r}."""
-    return max(gamma_init, gamma_prev / r)
+def sigma_start(gamma_prev: float) -> float:
+    """First trial weight of an outer iteration: max{GAMMA_INIT, gamma_prev / R}."""
+    return max(GAMMA_INIT, gamma_prev / R)
 
 
 def bounded_line_search_sol(
@@ -67,47 +68,35 @@ def bounded_line_search_sol(
     d: Array,
     sigma_t: float,
     eps_g: float,
-    theta: float,
-    eta: float,
-    j_max: int,
     f_x: float,
     f_full: float | None = None,
 ) -> LineSearchOutcome | None:
     """Search the bounded step-size window for a SOL direction.
 
-    Scans j = 0, 1, ... while theta^j >= min{1, 2 (1-eta) theta
+    Scans j = 0, 1, ... while THETA^j >= min{1, 2 (1-ETA) THETA
     (eps_g/sigma_t)^(1/4) / (3 ||d||^(1/2))} and accepts the smallest j with
-    f(x + theta^j d) <= f(x) - eta (sigma_t eps_g)^(1/2) theta^(2j) ||d||^2.
-    None means the window closed; hitting j_max inside the window raises.
+    f(x + THETA^j d) <= f(x) - ETA (sigma_t eps_g)^(1/2) THETA^(2j) ||d||^2.
+    None means the window closed; hitting J_MAX inside the window raises.
     ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
     dn = float(np.linalg.norm(d))
-    window = min(1.0, 2.0 * (1.0 - eta) * theta * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
-    decrease = eta * math.sqrt(sigma_t * eps_g) * dn * dn
+    window = min(1.0, 2.0 * (1.0 - ETA) * THETA * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
+    decrease = ETA * math.sqrt(sigma_t * eps_g) * dn * dn
     message = "bounded SOL search exceeded its cap in-window"
-    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, message, lower=window, f_first=f_full)
+    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window, f_first=f_full)
 
 
-def bounded_line_search_nc(
-    oracle,
-    x: Array,
-    d: Array,
-    sigma_t: float,
-    theta: float,
-    eta: float,
-    j_max: int,
-    f_x: float,
-) -> LineSearchOutcome | None:
+def bounded_line_search_nc(oracle, x: Array, d: Array, sigma_t: float, f_x: float) -> LineSearchOutcome | None:
     """Bounded-window search for a scaled negative-curvature direction.
 
-    Window: theta^(j-1) >= min{1, 1/sigma_t}, i.e. theta^j >= theta min{1, 1/sigma_t}.
+    Window: THETA^(j-1) >= min{1, 1/sigma_t}, i.e. THETA^j >= THETA min{1, 1/sigma_t}.
     Decrease test:
-    f(x + theta^j d) <= f(x) - eta min{1, sigma_t} theta^(2j) ||d||^3 / 4.
+    f(x + THETA^j d) <= f(x) - ETA min{1, sigma_t} THETA^(2j) ||d||^3 / 4.
     """
-    window = theta * min(1.0, 1.0 / sigma_t)
-    decrease = eta * min(1.0, sigma_t) * float(np.linalg.norm(d)) ** 3 / 4.0
+    window = THETA * min(1.0, 1.0 / sigma_t)
+    decrease = ETA * min(1.0, sigma_t) * float(np.linalg.norm(d)) ** 3 / 4.0
     message = "bounded NC search exceeded its cap in-window"
-    return _backtrack(oracle, x, d, f_x, decrease, theta, j_max, message, lower=window)
+    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
 
 
 def c_sol_hat(eta: float, theta: float) -> float:
@@ -149,7 +138,7 @@ def pf_newton_cg_solve(
     """
 
     def weights(gamma_prev: float):
-        sigma0 = sigma_start(gamma_prev, GAMMA_INIT, R)
+        sigma0 = sigma_start(gamma_prev)
         return (sigma0 * R**t for t in range(T_MAX))
 
     return _drive(

@@ -10,7 +10,7 @@ import numpy as np
 
 import ncgopt as ng
 from ncgopt.bench import build_config, run_experiment
-from ncgopt.capped_cg import SOL, capped_cg, iteration_cap, psi
+from ncgopt.capped_cg import SOL, ZETA, capped_cg, iteration_cap, psi
 from ncgopt.meo import CERTIFICATE, DIRECTION, lanczos_budget, minimum_eigenvalue_oracle
 from ncgopt.newton_cg import c_meo, c_nc, c_sol, complexity_bounds, gamma_nu, taylor_error_modulus
 from ncgopt.pf_newton_cg import c_sol_hat, pf_bounds
@@ -34,7 +34,7 @@ def test_criterion_1_capped_cg_contracts():
     began = time.perf_counter()
     rng = generator(101, stream=1)
     eps_grid = [1e-3, 1e-2, 1e-1, 1.0]
-    zeta = 0.5
+    zeta = ZETA
     slack = 1e-8
     n_sol = n_nc = 0
     for trial in range(200):
@@ -45,7 +45,7 @@ def test_criterion_1_capped_cg_contracts():
         while np.linalg.norm(g) == 0.0:
             g = rng.standard_normal(n)
         eps = eps_grid[trial % len(eps_grid)]
-        out = capped_cg(lambda v: H @ v, g, eps, zeta)
+        out = capped_cg(lambda v: H @ v, g, eps)
         d = out.d
         if out.d_type == SOL:
             n_sol += 1
@@ -79,14 +79,14 @@ def test_criterion_1_capped_cg_contracts():
 def test_criterion_2_meo_suite():
     began = time.perf_counter()
     rng = generator(202, stream=2)
-    eps, delta = 0.1, 0.01
+    eps = 0.1
     hits = runs = 0
     for trial in range(200):
         n = int(rng.integers(3, 31))
         lam = rng.uniform(-5.0, 5.0, size=n)
         lam[0] = rng.uniform(-5.0, -eps)
         H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, delta, seed=trial, stream=0)
+        out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, seed=trial, stream=0)
         runs += 1
         assert out.iterations <= out.budget
         if out.kind == DIRECTION:
@@ -100,7 +100,7 @@ def test_criterion_2_meo_suite():
         n = int(rng.integers(2, 25))
         lam = rng.uniform(0.0, 5.0, size=n)
         H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, delta, seed=trial, stream=5)
+        out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, seed=trial, stream=5)
         psd_runs += 1
         assert out.kind == CERTIFICATE
         assert out.iterations <= out.budget

@@ -206,7 +206,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--config", write_config(tmp_path, "config_version = 1\n")]) == 1
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
     # A cell with n < 1 is rejected for every family, the quadratic one too.
-    for family, cell in (("quadratic", "0,0,0"), ("quadratic", "-3,0,0"), ("repu", "0,20,2.25")):
+    for family, cell in (("quadratic", "0,0,0"), ("quadratic", "-3,0,0"), ("repu", "0,20,2.25"), ("repu", "10,3,inf")):
         config = write_config(tmp_path, f"config_version = 1\nfamily = {family}\ngrid = {cell}\n")
         assert main(["--config", config]) == 1
         assert "config error: invalid grid cell" in capsys.readouterr().err

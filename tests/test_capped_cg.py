@@ -8,6 +8,7 @@ import ncgopt.capped_cg as capped_cg_module
 from ncgopt.capped_cg import (
     NC,
     SOL,
+    ZETA,
     CappedCgError,
     CgOutcome,
     cap_constants,
@@ -142,7 +143,7 @@ def test_identity_system_single_step():
     for n in (1, 4, 10):
         g = np.zeros(n)
         g[0] = 1.0
-        out = capped_cg(matvec(np.eye(n)), g, eps=1.0, zeta=0.5)
+        out = capped_cg(matvec(np.eye(n)), g, eps=1.0)
         assert out.d_type == SOL
         assert out.iterations == 1
         np.testing.assert_allclose(out.d, -g / 3.0, rtol=0, atol=1e-14)
@@ -152,7 +153,7 @@ def test_zero_damped_operator_is_immediate_nc():
     # H = -I with eps = 0.5 makes H + 2 eps I the zero operator, so the
     # pre-loop curvature test fires and returns p0 = -g.
     g = np.array([1.0, 0.0, 0.0])
-    out = capped_cg(matvec(-np.eye(3)), g, eps=0.5, zeta=0.5)
+    out = capped_cg(matvec(-np.eye(3)), g, eps=0.5)
     assert out.d_type == NC
     assert out.iterations == 0
     np.testing.assert_array_equal(out.d, -g)
@@ -162,8 +163,8 @@ def test_zero_damped_operator_is_immediate_nc():
 def test_diagonal_sol_matches_dense_solve():
     H = np.diag([10.0, 1.0, 0.1])
     g = np.ones(3)
-    eps, zeta = 0.01, 0.5
-    out = capped_cg(matvec(H), g, eps, zeta)
+    eps, zeta = 0.01, ZETA
+    out = capped_cg(matvec(H), g, eps)
     assert out.d_type == SOL
     check_sol_contract(H, g, eps, zeta, out)
     dense = np.linalg.solve(H + 2 * eps * np.eye(3), -g)
@@ -214,7 +215,7 @@ def test_cap_constants_recomputed_only_when_the_cap_grows(monkeypatch):
 
     original = cap_constants
     monkeypatch.setattr(capped_cg_module, "cap_constants", recording)
-    out = capped_cg(matvec(np.diag([10.0, 1.0, 0.1, 0.01])), np.ones(4), 1e-3, 0.5)
+    out = capped_cg(matvec(np.diag([10.0, 1.0, 0.1, 0.01])), np.ones(4), 1e-3)
     assert out.iterations >= 3
     assert caps[0] == 0.0 and caps[-1] == out.cap
     assert all(a < b for a, b in zip(caps, caps[1:]))
@@ -225,8 +226,8 @@ def test_ill_conditioned_positive_definite_system_is_solved():
     # steps, and the residual envelope, not the dimension, bounds the loop.
     H = np.diag(np.logspace(-3.0, 3.0, 10))
     g = np.ones(10)
-    eps, zeta = 1e-4, 0.5
-    out = capped_cg(matvec(H), g, eps, zeta)
+    eps, zeta = 1e-4, ZETA
+    out = capped_cg(matvec(H), g, eps)
     assert out.d_type == SOL
     check_sol_contract(H, g, eps, zeta, out)
     assert out.iterations <= iteration_cap(1e3, eps, zeta, 10**9)
@@ -248,8 +249,8 @@ def test_fuzzed_contract_suite():
         while np.linalg.norm(g) == 0.0:
             g = rng.standard_normal(n)
         eps = eps_choices[trial % len(eps_choices)]
-        zeta = 0.5
-        out = capped_cg(matvec(H), g, eps, zeta)
+        zeta = ZETA
+        out = capped_cg(matvec(H), g, eps)
         norm_h = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         if out.d_type == SOL:
             n_sol += 1
@@ -267,11 +268,9 @@ def test_fuzzed_contract_suite():
 
 def test_preconditions():
     with pytest.raises(ValueError):
-        capped_cg(matvec(np.eye(2)), np.zeros(2), 1.0, 0.5)
+        capped_cg(matvec(np.eye(2)), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
-        capped_cg(matvec(np.eye(2)), np.ones(2), 0.0, 0.5)
-    with pytest.raises(ValueError):
-        capped_cg(matvec(np.eye(2)), np.ones(2), 1.0, 1.5)
+        capped_cg(matvec(np.eye(2)), np.ones(2), 0.0)
 
 
 def test_nonfinite_operator_raises_with_iteration():
@@ -280,7 +279,7 @@ def test_nonfinite_operator_raises_with_iteration():
         return out
 
     with pytest.raises((CappedCgError, ValueError)):
-        capped_cg(bad, np.ones(3), 1.0, 0.5)
+        capped_cg(bad, np.ones(3), 1.0)
 
 
 @pytest.mark.parametrize("good_products, iteration", [(0, 0), (1, 1), (2, 2)])
@@ -296,7 +295,7 @@ def test_non_finite_product_is_named(good_products, iteration):
         return H @ v if calls <= good_products else np.full_like(v, np.nan)
 
     with pytest.raises(CappedCgError, match=rf"^non-finite Hessian-vector product \(iteration {iteration}\)$"):
-        capped_cg(hvp, np.ones(5), 1e-3, 0.5)
+        capped_cg(hvp, np.ones(5), 1e-3)
 
 
 def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
@@ -324,7 +323,7 @@ def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
             lambda U, eps, zeta: original(U, eps, zeta)[:2] + (math.sqrt(t_cap),) + original(U, eps, zeta)[3:],
         )
         calls = 0
-        return capped_cg(hvp, g, eps=1.0, zeta=0.5)
+        return capped_cg(hvp, g, eps=1.0)
 
     H = np.diag([-1.3, 2.9, 2.1])
     g = np.array([1.0, 3.0, 2.0])
@@ -356,7 +355,7 @@ def test_pass_bound_ends_the_loop_when_tau_rounds_to_one(monkeypatch):
     # these systems still end by the SOL or the NC tests, within J(U).
     for H in (np.diag(np.logspace(0.0, 35.0, 8)), np.diag([1.0, -1e20, 1e35, 3.0])):
         g = np.ones(H.shape[0])
-        out = capped_cg(matvec(H), g, 1.0, 0.5)
+        out = capped_cg(matvec(H), g, 1.0)
         assert cap_constants(out.cap, 1.0, 0.5)[1] == 1.0
         assert out.iterations <= iteration_cap(1e35, 1.0, 0.5, 10**9)
         if out.d_type == NC:
@@ -375,7 +374,7 @@ def test_pass_bound_ends_the_loop_when_tau_rounds_to_one(monkeypatch):
         return v * np.logspace(-3.0, 3.0, 10)
 
     with pytest.raises(CappedCgError, match="no termination test fired") as err:
-        capped_cg(hvp, np.ones(10), 1e-4, 0.5)
+        capped_cg(hvp, np.ones(10), 1e-4)
     assert err.value.iteration == 6 and calls == 7
 
 
@@ -384,7 +383,7 @@ def test_curvature_ratio_overflow_raises():
     # ||H p|| overflows for finite H p, so kappa is inf and neither the
     # envelope nor the pass bound can end the loop.
     with pytest.raises(CappedCgError, match="curvature ratio overflow") as err:
-        capped_cg(matvec(np.diag([1e200, 1.0])), np.ones(2), 1.0, 0.5)
+        capped_cg(matvec(np.diag([1e200, 1.0])), np.ones(2), 1.0)
     assert err.value.iteration == 0
 
 
@@ -415,7 +414,7 @@ def test_matches_reference_loop_on_random_systems():
             calls += 1
             return H @ v
 
-        out = capped_cg(hvp, g, eps, 0.5)
+        out = capped_cg(hvp, g, eps)
         ref = reference_capped_cg(matvec(H), g, eps, 0.5)
         assert out.d_type == ref.d_type
         assert out.iterations == ref.iterations
@@ -438,7 +437,7 @@ def test_hvp_budget_accounting():
         calls += 1
         return H @ v
 
-    out = capped_cg(hvp, np.ones(3), 0.5, 0.5)
+    out = capped_cg(hvp, np.ones(3), 0.5)
     # Exactly one product per iteration plus the initial one.
     assert out.iterations >= 2
     assert calls == out.iterations + 1

@@ -8,6 +8,7 @@ from ncgopt.meo import (
     CERTIFICATE,
     DIRECTION,
     LANCZOS,
+    DELTA,
     SATURATED,
     NonFiniteError,
     lanczos_budget,
@@ -98,14 +99,14 @@ def test_smallest_eigenpair_sign_tie_takes_first_component(sign, monkeypatch):
 
 
 def test_identity_always_certificate():
-    out = minimum_eigenvalue_oracle(matvec(np.eye(5)), 5, eps=0.5, delta=0.01)
+    out = minimum_eigenvalue_oracle(matvec(np.eye(5)), 5, eps=0.5)
     assert out.kind == CERTIFICATE
     assert out.iterations <= out.budget
 
 
 def test_small_indefinite_returns_direction():
     H = np.diag([1.0, -2.0])
-    out = minimum_eigenvalue_oracle(matvec(H), 2, eps=1.0, delta=0.01, seed=7)
+    out = minimum_eigenvalue_oracle(matvec(H), 2, eps=1.0, seed=7)
     assert out.kind == DIRECTION
     assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
     assert float(out.v @ (H @ out.v)) <= -0.5 + 1e-10
@@ -129,7 +130,7 @@ def test_fuzzed_indefinite_and_psd():
         lam = rng.uniform(-5.0, 5.0, size=n)
         lam[0] = rng.uniform(-5.0, -eps)  # guarantee lambda_min <= -eps
         H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, seed=trial, stream=0)
+        out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=0)
         assert out.iterations <= out.budget
         if out.kind == DIRECTION:
             hits += 1
@@ -141,7 +142,7 @@ def test_fuzzed_indefinite_and_psd():
         n = int(rng.integers(2, 25))
         lam = rng.uniform(0.0, 5.0, size=n)
         H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, seed=trial, stream=1)
+        out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=1)
         assert out.kind == CERTIFICATE  # PSD never yields a direction
         assert out.iterations <= out.budget
 
@@ -149,7 +150,7 @@ def test_fuzzed_indefinite_and_psd():
 def test_breakdown_on_invariant_subspace():
     # Start vector confined to an eigenspace: Lanczos exhausts it instantly.
     H = np.diag([2.0, 2.0, 2.0])
-    out = minimum_eigenvalue_oracle(matvec(H), 3, eps=0.5, delta=0.01)
+    out = minimum_eigenvalue_oracle(matvec(H), 3, eps=0.5)
     assert out.kind == CERTIFICATE
     assert out.breakdown
     assert out.iterations < out.budget
@@ -182,7 +183,7 @@ def spiked(rng, n, eps, trial):
 
 def test_self_sized_certificates_agree_with_dense_eigenvalues():
     rng = generator(606, stream=7)
-    eps, delta = 0.1, 0.01
+    eps, delta = 0.1, DELTA
     agree = runs = 0
     bounds = {SATURATED: 0, LANCZOS: 0}
     estimated = estimated_enough = 0  # lanczos certificates; budget >= the budget at ||H||
@@ -200,7 +201,7 @@ def test_self_sized_certificates_agree_with_dense_eigenvalues():
             H = random_symmetric(rng, n, lam)
         dense = np.linalg.eigvalsh(H)
         norm_h = float(np.max(np.abs(dense)))
-        out = minimum_eigenvalue_oracle(matvec(H), n, eps, delta, seed=trial, stream=3)
+        out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=3)
         runs += 1
         assert out.iterations <= out.budget <= n
         assert out.norm_lower <= norm_h * (1.0 + 1e-12)
@@ -240,12 +241,12 @@ def test_large_operator_small_eps(indefinite):
         lam[0] = -2.0 * eps
     H = random_symmetric(rng, n, lam)
     began = time.perf_counter()
-    out = minimum_eigenvalue_oracle(matvec(H), n, eps, 0.01, seed=1)
+    out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=1)
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
     if indefinite:
         assert out.iterations <= out.budget <= n
-        saturated = lanczos_budget(n, eps, 0.01, out.norm_lower) == n
+        saturated = lanczos_budget(n, eps, DELTA, out.norm_lower) == n
         assert out.bound == (SATURATED if saturated else LANCZOS)
         assert out.kind == DIRECTION
         assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-12
@@ -258,11 +259,11 @@ def test_large_operator_small_eps(indefinite):
 def test_non_finite_lanczos_data_raises():
     n = 5
     with pytest.raises(NonFiniteError, match="alpha_1 is nan"):
-        minimum_eigenvalue_oracle(lambda v: np.full(n, np.nan), n, 0.1, 0.01)
+        minimum_eigenvalue_oracle(lambda v: np.full(n, np.nan), n, 0.1)
     # H = 1e200 * 1 1^T is PSD, so no direction turns up, and ||H q_1||^2
     # overflows before the residual norm does.
     with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"), np.errstate(over="ignore"):
-        minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1, 0.01)
+        minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1)
 
 
 def test_self_sized_norm_overflow_raises():
@@ -273,4 +274,4 @@ def test_self_sized_norm_overflow_raises():
     q = unit_vector(0, n, STREAM_MEO_START)
     H = 1e160 * np.outer(q, q) - np.diag([0.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"), np.errstate(over="ignore"):
-        minimum_eigenvalue_oracle(matvec(H), n, 0.1, 0.01)
+        minimum_eigenvalue_oracle(matvec(H), n, 0.1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -25,7 +26,9 @@ from ncgopt import pf_newton_cg as pf_newton_cg_module
 from ncgopt.capped_cg import NC, capped_cg
 from ncgopt.newton_cg import (
     ETA,
+    J_MAX,
     MEO,
+    THETA,
     LineSearchError,
     c_meo,
     c_nc,
@@ -156,7 +159,7 @@ def test_scale_nc_direction_rayleigh_property():
         H = (q * lam) @ q.T
         g = rng.standard_normal(n)
         eps = 0.3
-        out = capped_cg(lambda v: H @ v, g, eps, 0.5)
+        out = capped_cg(lambda v: H @ v, g, eps)
         if out.d_type != "NC":
             continue
         sigma = float(rng.uniform(0.2, 5.0))
@@ -175,8 +178,8 @@ def test_nc_trials_reuse_capped_cg_curvature(solver, monkeypatch):
     def run(fresh_curvature):
         outcomes = []
 
-        def recorded(hvp, g, eps, zeta):
-            out = capped_cg(hvp, g, eps, zeta)
+        def recorded(hvp, g, eps):
+            out = capped_cg(hvp, g, eps)
             if fresh_curvature and out.d_type == NC:
                 out.curvature = float(out.d @ hvp(out.d))
             outcomes.append(out)
@@ -231,9 +234,9 @@ def test_line_search_sol_quadratic_full_or_first():
     holder = HolderClass(1.0, 1e-8)
     gamma = gamma_nu(1e-4, holder)
     eps_damp = math.sqrt(gamma * 1e-4)
-    cg = capped_cg(lambda v: oracle.eval_hvp(x, v), oracle.eval_grad(x), eps_damp, 0.5)
+    cg = capped_cg(lambda v: oracle.eval_hvp(x, v), oracle.eval_grad(x), eps_damp)
     assert cg.d_type == "SOL"
-    out = line_search_sol(oracle, x, cg.d, gamma, 1e-4, 0.5, 0.01, 60, f_x=0.5)
+    out = line_search_sol(oracle, x, cg.d, gamma, 1e-4, f_x=0.5)
     assert out.alpha == 1.0
     assert out.f_new < 0.5
 
@@ -243,14 +246,14 @@ def test_line_search_sol_smallest_j_is_zero_on_descent():
     x = np.array([2.0, 0.0, 0.0])
     d = np.array([-1.0, 0.0, 0.0])
     # (sigma eps_g)^(1/2) = 0.5
-    out = line_search_sol(oracle, x, d, 2500.0, 1e-4, 0.5, 0.01, j_max=60, f_x=2.0)
+    out = line_search_sol(oracle, x, d, 2500.0, 1e-4, f_x=2.0)
     assert out.j == 0 and out.alpha == 1.0
 
 
-def exhaustive_smallest_j(f, x, d, rhs, theta, j_max):
-    """Independent oracle: scan every j and return the first acceptance."""
-    for j in range(j_max + 1):
-        if f(x + theta**j * d) <= rhs(j):
+def exhaustive_smallest_j(f, x, d, rhs):
+    """Independent oracle: scan every j <= J_MAX and return the first acceptance."""
+    for j in range(J_MAX + 1):
+        if f(x + THETA**j * d) <= rhs(j):
             return j
     return None
 
@@ -268,23 +271,21 @@ def test_line_search_sol_minimality_against_scan():
     )
     x = np.array([1.0])
     d = np.array([-2.2])  # overshooting direction: the full step increases f
-    sigma_eps, theta, eta = 2.0, 0.5, 0.5
+    sigma_eps = 2.0
     f_x = oracle.eval_f(x)
     # sigma = 4e8 with eps_g = 1e-8 gives (sigma eps_g)^(1/2) = sigma_eps exactly.
-    out = line_search_sol(oracle, x, d, 4e8, 1e-8, theta, eta, j_max=60, f_x=f_x)
+    out = line_search_sol(oracle, x, d, 4e8, 1e-8, f_x=f_x)
     dn2 = float(d @ d)
     expected = exhaustive_smallest_j(
         lambda y: 0.5 * curv * float(y @ y),
         x,
         d,
-        lambda j: f_x - eta * sigma_eps * theta ** (2 * j) * dn2,
-        theta,
-        60,
+        lambda j: f_x - ETA * sigma_eps * THETA ** (2 * j) * dn2,
     )
     assert out.j == expected and out.j > 0
     # j - 1 must fail the Armijo inequality.
     jm = out.j - 1
-    assert 0.5 * curv * float((x + theta**jm * d)[0] ** 2) > f_x - eta * sigma_eps * theta ** (2 * jm) * dn2
+    assert 0.5 * curv * float((x + THETA**jm * d)[0] ** 2) > f_x - ETA * sigma_eps * THETA ** (2 * jm) * dn2
 
 
 @pytest.mark.parametrize("search,extra", [(line_search_nc, (2.0,)), (line_search_meo, ())])
@@ -300,17 +301,14 @@ def test_cubic_line_searches_minimality(search, extra):
     )
     x = np.array([1.0])
     d = np.array([-1.8])
-    theta, eta = 0.5, 0.9
     f_x = oracle.eval_f(x)
-    out = search(oracle, x, d, *extra, theta, eta, 60, f_x)
+    out = search(oracle, x, d, *extra, f_x)
     dn3 = abs(d[0]) ** 3
     if search is line_search_nc:
-        rhs = lambda j: f_x - eta * min(1.0, extra[0]) * theta ** (2 * j) * dn3 / 4.0
+        rhs = lambda j: f_x - ETA * min(1.0, extra[0]) * THETA ** (2 * j) * dn3 / 4.0
     else:
-        rhs = lambda j: f_x - eta * theta ** (2 * j) * dn3 / 2.0
-    expected = exhaustive_smallest_j(
-        lambda y: 0.5 * curv * float(y @ y), x, d, rhs, theta, 60
-    )
+        rhs = lambda j: f_x - ETA * THETA ** (2 * j) * dn3 / 2.0
+    expected = exhaustive_smallest_j(lambda y: 0.5 * curv * float(y @ y), x, d, rhs)
     assert out.j == expected
 
 
@@ -320,7 +318,7 @@ def test_line_search_failure_raises():
         ProblemOracle(1, lambda x: float(x[0]), lambda x: np.ones(1), lambda x, v: np.zeros(1))
     )
     with pytest.raises(LineSearchError):
-        line_search_nc(oracle, np.zeros(1), np.ones(1), 1.0, 0.5, 0.5, 20, f_x=0.0)
+        line_search_nc(oracle, np.zeros(1), np.ones(1), 1.0, f_x=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +616,17 @@ def test_huge_curvature_ratio_reaches_fosp(solver):
     assert res.status == FOSP
 
 
-def hostile(base, bad, value, k):
-    """``base`` with callback ``bad`` (f, grad or hvp) returning ``value`` at its k-th call."""
+def hostile(base, bad, value, k, shape=None):
+    """``base`` with callback ``bad`` (f, grad or hvp) returning ``value`` at its k-th call:
+    filled into ``shape`` when given, else as a scalar f or a (dim,) vector."""
     calls = {"f": 0, "grad": 0, "hvp": 0}
 
     def wrap(name, fn):
         def call(*args):
             calls[name] += 1
             if name == bad and calls[name] == k:
+                if shape is not None:
+                    return np.full(shape, value)
                 return value if name == "f" else np.full(base.dim, value)
             return fn(*args)
 
@@ -636,6 +637,15 @@ def hostile(base, bad, value, k):
     )
 
 
+def solve_hostile(solver, eps_H, oracle, eps_g):
+    x0 = np.full(oracle.dim, 0.1)
+    if solver == "acrn":
+        return acrn_solve(oracle, x0, eps_g, CrnParams(max_outer=50))
+    if solver == "alg1":
+        return newton_cg_solve(oracle, x0, NcgParams(eps_g, HolderClass(1.0, 1.0), eps_H, max_outer=50))
+    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g, eps_H, max_outer=50))
+
+
 @pytest.mark.parametrize("solver, eps_H", [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)])
 @pytest.mark.parametrize("bad", ["f", "grad", "hvp"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -644,14 +654,8 @@ def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
     # One non-finite value from one callback ends in an explicit status; a
     # success must still hold at the returned point with the honest oracle.
     base = gen_repu(10, 3, 2.25, 0)
-    oracle, x0, eps_g = hostile(base, bad, value, k), np.full(10, 0.1), 1e-4
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf inside the HVP algebra
-        if solver == "acrn":
-            res = acrn_solve(oracle, x0, eps_g, CrnParams(max_outer=50))
-        elif solver == "alg1":
-            res = newton_cg_solve(oracle, x0, NcgParams(eps_g, HolderClass(1.0, 1.0), eps_H, max_outer=50))
-        else:
-            res = pf_newton_cg_solve(oracle, x0, PfParams(eps_g, eps_H, max_outer=50))
+    eps_g = 1e-4
+    res = solve_hostile(solver, eps_H, hostile(base, bad, value, k), eps_g)
     if res.status in (FOSP, "SOSP_certified"):
         assert math.isfinite(res.f_final)
         assert float(np.linalg.norm(base.eval_grad(res.x_final))) <= eps_g
@@ -661,3 +665,16 @@ def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
     if solver == "acrn" and bad == "hvp" and k == 1 and math.isnan(value):
         assert res.status == NUMERICAL_FAILURE
         assert res.trace == [] and res.counters.subproblems == 0
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
+@pytest.mark.parametrize("bad, shape", [("f", (2,)), ("grad", (9,)), ("hvp", (10, 1))])
+@pytest.mark.parametrize("k", [1, 2])
+def test_hostile_oracle_wrong_shape_raises(solver, bad, shape, k):
+    # A callback output of the wrong shape is the caller's error: it raises
+    # ValueError naming the callback and the shape, not a numpy error.
+    oracle = hostile(gen_repu(10, 3, 2.25, 0), bad, 0.1, k, shape)
+    expected = {"f": "()", "grad": "(10,)", "hvp": "(10,)"}[bad]
+    message = f"eval_{bad} must return shape {expected}; got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_hostile(solver, None, oracle, 1e-4)

@@ -18,6 +18,8 @@ from ncgopt import pf_newton_cg as pf_newton_cg_module
 from ncgopt.newton_cg import ETA, THETA, c_nc, gamma_nu
 from ncgopt.oracle import CountingOracle
 from ncgopt.pf_newton_cg import (
+    GAMMA_INIT,
+    R,
     bounded_line_search_nc,
     bounded_line_search_sol,
     c_sol_hat,
@@ -37,10 +39,11 @@ def make_norm_squared(n):
 
 
 def test_sigma_start_cases():
-    assert sigma_start(10.0, 10.0, 2.0) == 10.0
-    assert sigma_start(80.0, 10.0, 2.0) == 40.0
-    # First outer iteration with the default setting.
-    assert sigma_start(10.0, 10.0, 2.0) == 10.0
+    assert (GAMMA_INIT, R) == (10.0, 2.0)
+    assert sigma_start(4.0) == 10.0
+    assert sigma_start(80.0) == 40.0
+    # First outer iteration: gamma_prev = GAMMA_INIT.
+    assert sigma_start(GAMMA_INIT) == 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +55,7 @@ def test_bounded_sol_accepts_steep_descent_at_zero():
     x = np.array([3.0, 0.0])
     d = np.array([-2.0, 0.0])
     res = bounded_line_search_sol(
-        oracle, x, d, sigma_t=10.0, eps_g=1e-4, theta=0.5, eta=0.01, j_max=60, f_x=4.5
+        oracle, x, d, sigma_t=10.0, eps_g=1e-4, f_x=4.5
     )
     assert res is not None and res.j == 0
 
@@ -66,7 +69,7 @@ def test_bounded_sol_not_found_on_ascent():
     x = np.zeros(1)
     d = np.ones(1)
     res = bounded_line_search_sol(
-        oracle, x, d, sigma_t=10.0, eps_g=1e-4, theta=0.5, eta=0.01, j_max=60, f_x=0.0
+        oracle, x, d, sigma_t=10.0, eps_g=1e-4, f_x=0.0
     )
     assert res is None
     # The exhaustive window scan agrees: every admissible j fails.
@@ -82,7 +85,7 @@ def test_bounded_nc_not_found_on_ascent():
         ProblemOracle(1, lambda x: float(x[0]), lambda x: np.ones(1), lambda x, v: np.zeros(1))
     )
     res = bounded_line_search_nc(
-        oracle, np.zeros(1), np.ones(1), sigma_t=4.0, theta=0.5, eta=0.01, j_max=60, f_x=0.0
+        oracle, np.zeros(1), np.ones(1), sigma_t=4.0, f_x=0.0
     )
     assert res is None
 
@@ -90,8 +93,7 @@ def test_bounded_nc_not_found_on_ascent():
 def test_bounded_nc_accepts_immediately_on_descent():
     oracle = CountingOracle(make_norm_squared(1))
     res = bounded_line_search_nc(
-        oracle, np.array([2.0]), np.array([-1.0]), sigma_t=1.0, theta=0.5, eta=0.01,
-        j_max=60, f_x=2.0,
+        oracle, np.array([2.0]), np.array([-1.0]), sigma_t=1.0, f_x=2.0
     )
     assert res is not None and res.j == 0
 
@@ -106,9 +108,7 @@ def test_bounded_sol_reuses_full_step_value():
     oracle = CountingOracle(ProblemOracle(1, f, lambda x: x.copy(), lambda x, v: v.copy()))
     x = np.array([3.0])
     d = np.array([-2.0])
-    res = bounded_line_search_sol(
-        oracle, x, d, 10.0, 1e-4, 0.5, 0.01, 60, f_x=4.5, f_full=0.5
-    )
+    res = bounded_line_search_sol(oracle, x, d, 10.0, 1e-4, f_x=4.5, f_full=0.5)
     assert res is not None and res.j == 0 and calls["f"] == 0
 
 
@@ -259,11 +259,11 @@ def test_bounded_searches_minimality_against_scan():
     )
     x = np.array([1.0])
     d = np.array([-2.1])
-    theta, eta, eps_g, sigma_t = 0.5, 0.5, 1e-2, 4.0
+    theta, eta, eps_g, sigma_t = THETA, ETA, 1e-2, 4.0
     f_x = 0.5 * curv
     dn = abs(d[0])
 
-    res = bounded_line_search_sol(oracle, x, d, sigma_t, eps_g, theta, eta, 60, f_x)
+    res = bounded_line_search_sol(oracle, x, d, sigma_t, eps_g, f_x)
     window = min(1.0, 2.0 * (1.0 - eta) * theta * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
     first = None
     j = 0
@@ -275,7 +275,7 @@ def test_bounded_searches_minimality_against_scan():
         j += 1
     assert res is not None and first is not None and res.j == first and res.j > 0
 
-    res = bounded_line_search_nc(oracle, x, d, sigma_t, theta, eta, 60, f_x)
+    res = bounded_line_search_nc(oracle, x, d, sigma_t, f_x)
     first = None
     j = 0
     while theta ** (j - 1) >= min(1.0, 1.0 / sigma_t):
