@@ -1,19 +1,24 @@
 """Adaptive cubic-regularized Newton baseline.
 
-A deliberately simple comparison method: each outer iteration minimizes the
-cubic model m(s) = g's + s'Hs/2 + (M/3)||s||^3 by gradient descent from a
-random point on the unit sphere, accepts the step when f(x+s) <= f(x) +
-m(s)/2, and adapts the weight M (double on rejection, halve on acceptance,
-floored at H0/16).  Subproblem tolerances follow the gradient norm down:
-tol_k = min(0.1, ||grad f(x_k)|| / 10).  The gradient-descent step size
-comes from a power-iteration estimate of ||H|| at each iterate; a non-finite
-objective, gradient norm, estimate or model gradient ends the solve in
-NumericalFailure.
+A deliberately simple comparison method in the style of Cartis, Gould and
+Toint (2011, *Adaptive cubic regularisation methods*, Part I), run on the
+drivers' outer loop (``newton_cg._drive``) with its own damping trial.
+Each trial minimizes the cubic model m(s) = g's + s'Hs/2 + (M/3)||s||^3 by
+gradient descent from a random point on the unit sphere and accepts the
+step when f(x+s) <= f(x) + m(s)/2.  The trial weights of an outer iteration
+are M_t = 2^t max{H0/16, M_prev/2}, t <= MAX_WEIGHT_DOUBLINGS, where M_prev
+is the weight accepted last (2 H0 before the first, so that M_0 = H0):
+double on rejection, halve on acceptance, floored at H0/16.  Subproblem
+tolerances follow the gradient norm down: tol_k = min(0.1, ||grad f(x_k)|| /
+10).  The gradient-descent step size comes from a power-iteration estimate
+of ||H||, taken at the first trial of each iterate.  The loop's statuses
+apply: a non-finite objective, gradient norm, estimate or model gradient
+ends the solve in NumericalFailure, and running out of trial weights in
+LineSearchFailure (``damping trial limit t_max = 61 exhausted``).
 
-These rules, the initial weight H0 and the caps MAX_SUB_ITERS and
-MAX_WEIGHT_DOUBLINGS are fixed constants and this package's own choices;
-comparisons against the Newton-CG drivers are qualitative (ordering and
-order of magnitude), never bit-level.
+These rules and the constants H0, MAX_SUB_ITERS and MAX_WEIGHT_DOUBLINGS
+are this package's own choices; comparisons against the Newton-CG drivers
+are qualitative (ordering and order of magnitude), never bit-level.
 """
 from __future__ import annotations
 
@@ -25,16 +30,9 @@ import numpy as np
 
 from . import sampling
 from .meo import NonFiniteError
-from .newton_cg import (
-    FOSP,
-    LINE_SEARCH_FAILURE,
-    MAX_ITERATIONS,
-    NUMERICAL_FAILURE,
-    IterationRecord,
-    SolveResult,
-    _validate_budget,
-)
-from .oracle import CountingOracle, ProblemOracle
+from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _drive, _norm, _validate_budget
+from .oracle import ProblemOracle
+from .pf_newton_cg import PfParams
 
 Array = np.ndarray
 
@@ -90,11 +88,11 @@ def estimate_operator_norm(
     for step in range(1, iters + 1):
         hx = np.asarray(hvp(x), dtype=float)
         if not np.all(np.isfinite(hx)):
-            raise NonFiniteError(f"power step {step} gives a non-finite H x")
+            raise NonFiniteError(f"operator-norm estimate: power step {step} gives a non-finite H x")
         z = np.asarray(hvp(hx), dtype=float)
-        nz = float(np.linalg.norm(z))
+        nz = _norm(z)  # inf when the square of a finite H^2 x overflows
         if not math.isfinite(nz):
-            raise NonFiniteError(f"power step {step} gives ||H^2 x|| = {nz}")
+            raise NonFiniteError(f"operator-norm estimate: power step {step} gives ||H^2 x|| = {nz}")
         rayleigh = float(x @ z)  # equals ||H x||^2 for unit x, and |x'z| <= ||z||
         if nz <= floor or rayleigh <= floor**2:
             return floor
@@ -133,7 +131,7 @@ def cubic_subproblem_gd(
         gm = g + hs + weight * float(np.linalg.norm(s)) * s
         grad_norm = float(np.linalg.norm(gm))
         if not math.isfinite(grad_norm):
-            raise NonFiniteError("non-finite cubic-model gradient")
+            raise NonFiniteError("cubic subproblem: non-finite cubic-model gradient")
         if grad_norm <= tol:
             return CubicSubproblemResult(s, m_val, grad_norm, iterations - 1, True)
         step = damping / (lipschitz_hint + 2.0 * weight * float(np.linalg.norm(s)) + 1e-12)
@@ -151,105 +149,37 @@ def cubic_subproblem_gd(
 def acrn_solve(
     oracle: ProblemOracle, x0: Array, eps_g: float, params: CrnParams
 ) -> SolveResult:
-    """Adaptive cubic-regularized Newton outer loop.
+    """Adaptive cubic-regularized Newton on the drivers' outer loop.
 
     Counts one subproblem per cubic model solved, including rejected trials.
     Ends with NumericalFailure when the objective, the gradient norm, the
-    operator-norm estimate or a cubic model's gradient is not finite.
-    Raises ``ValueError`` before any evaluation unless eps_g lies in (0, 1)
-    and x0 is a finite (dim,) vector.
+    operator-norm estimate or a cubic model's gradient is not finite, and
+    with LineSearchFailure when no trial weight is accepted.  Raises
+    ``ValueError`` before any evaluation unless eps_g lies in (0, 1) and x0
+    is a finite (dim,) vector.
     """
-    if not 0.0 < eps_g < 1.0:
-        raise ValueError("eps_g must lie in (0, 1)")
-    x = np.array(x0, dtype=float)
-    if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"x0 must be finite with shape ({oracle.dim},); got shape {x.shape}")
-    co = CountingOracle(oracle)
-    fx = co.eval_f(x)
-    n = co.dim
+    # The loop reads eps_g, eps_H, max_outer and seed off its params record.
+    loop_params = PfParams(eps_g, max_outer=params.max_outer, seed=params.seed)
+    draw = 0  # cubic models started so far; numbers the sampling streams
+    norm_h = tol = 0.0
 
-    weight = H0
-    floor = H0 / 16.0
-    counters = co.counters
-    trace: list[IterationRecord] = []
-    status = MAX_ITERATIONS
-    detail: str | None = None
-    gx = co.eval_grad(x)
-    draw = 0
-
-    for _ in range(params.max_outer):
-        gnorm = float(np.linalg.norm(gx))
-        if not (math.isfinite(fx) and math.isfinite(gnorm)):
-            status = NUMERICAL_FAILURE
-            detail = f"objective is {fx}" if not math.isfinite(fx) else f"gradient norm is {gnorm}"
-            break
-        if gnorm <= eps_g:
-            status = FOSP
-            break
-        hvp = lambda v: co.eval_hvp(x, v)
-        try:
+    def trial(co, hvp, x, fx, gx, t, weight):
+        nonlocal draw, norm_h, tol
+        if t == 0:
             norm_h = estimate_operator_norm(
-                hvp, n, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
+                hvp, co.dim, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
             )
-        except NonFiniteError as err:
-            status = NUMERICAL_FAILURE
-            detail = f"operator-norm estimate: {err}"
-            break
-        tol = min(0.1, gnorm / 10.0)
-        attempts = 0
-        stepped = False
-        while attempts <= MAX_WEIGHT_DOUBLINGS:
-            s0 = sampling.unit_vector(
-                params.seed, n, stream=sampling.STREAM_CRN_SUBPROBLEM + draw
-            )
-            draw += 1
-            try:
-                sub = cubic_subproblem_gd(
-                    gx, hvp, weight, tol, s0, MAX_SUB_ITERS, lipschitz_hint=norm_h
-                )
-            except NonFiniteError as err:
-                detail = f"cubic subproblem: {err}"
-                break
-            counters.subproblems += 1
-            f_try = co.eval_f(x + sub.s)
-            # Accept only genuine model decrease; keeps f monotone.
-            if sub.model_value <= 0.0 and f_try <= fx + 0.5 * sub.model_value:
-                trace.append(
-                    IterationRecord(
-                        step_type=CRN,
-                        alpha=1.0,
-                        j=attempts,
-                        f_before=fx,
-                        f_after=f_try,
-                        grad_norm=gnorm,
-                        d_norm=float(np.linalg.norm(sub.s)),
-                        sigma=weight,
-                        inner_iterations=sub.iterations,
-                        accepted_by=None,
-                    )
-                )
-                x = x + sub.s
-                fx = f_try
-                weight = max(weight * 0.5, floor)
-                stepped = True
-                break
-            weight *= 2.0
-            attempts += 1
-        if detail is not None:
-            status = NUMERICAL_FAILURE
-            break
-        if not stepped:
-            status = LINE_SEARCH_FAILURE
-            detail = "cubic step rejected at every trial weight"
-            break
-        gx = co.eval_grad(x)
+            tol = min(0.1, float(np.linalg.norm(gx)) / 10.0)
+        s0 = sampling.unit_vector(params.seed, co.dim, stream=sampling.STREAM_CRN_SUBPROBLEM + draw)
+        draw += 1
+        sub = cubic_subproblem_gd(gx, hvp, weight, tol, s0, MAX_SUB_ITERS, lipschitz_hint=norm_h)
+        co.counters.subproblems += 1
+        f_try = co.eval_f(x + sub.s)
+        # Accept only genuine model decrease; keeps f monotone.
+        accepted = sub.model_value <= 0.0 and f_try <= fx + 0.5 * sub.model_value
+        step = LineSearchOutcome(1.0, t, f_try) if accepted else None
+        return CRN, sub.s, step, sub.iterations, None, None, NO_VALID_J
 
-    return SolveResult(
-        x_final=x,
-        f_final=fx,
-        grad_norm_final=float(np.linalg.norm(gx)),
-        status=status,
-        status_detail=detail,
-        trace=trace,
-        counters=counters,
-    )
+    # Double on rejection, halve on acceptance, floored at H0/16; starts at H0.
+    weights = lambda prev: (max(H0 / 16.0, prev / 2.0) * 2.0**t for t in range(MAX_WEIGHT_DOUBLINGS + 1))
+    return _drive(oracle, x0, loop_params, weights=weights, gamma0=2.0 * H0, trial=trial)[0]

@@ -113,14 +113,20 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
         hp = np.asarray(hvp(p), dtype=float)
         # Norms are sqrt(v @ v), bit-identical to np.linalg.norm of a real
         # vector.  A NaN or inf entry of p or of H p, or an overflow of
-        # ||p||^2, raises here, before it enters p' H p; an overflow of
-        # ||H p||^2 from a finite H p goes on to the tests.
-        pp = float(p @ p)
+        # ||p||^2 or ||H p||^2, raises here, before it enters p' H p.
+        try:
+            pp, hp_hp = float(p @ p), float(hp @ hp)
+        except (RuntimeWarning, FloatingPointError):
+            # numpy's settings made an overflow an exception; taken again
+            # quietly, the square is inf.
+            with np.errstate(all="ignore"):
+                pp, hp_hp = float(p @ p), float(hp @ hp)
         if not (math.isfinite(rr) and math.isfinite(pp)):
             raise CappedCgError("non-finite CG iterate", j)
-        hp_hp = float(hp @ hp)
-        if not math.isfinite(hp_hp) and not np.all(np.isfinite(hp)):
-            raise CappedCgError("non-finite Hessian-vector product", j)
+        if not math.isfinite(hp_hp):
+            # A finite H p with an infinite squared norm makes the cap U infinite.
+            finite = np.all(np.isfinite(hp))
+            raise CappedCgError("curvature ratio overflow" if finite else "non-finite Hessian-vector product", j)
         hbar_p = hp + two_eps * p
         p_hbar_p = float(p @ hbar_p)
         yield y, hy, rr, p, pp, hp, hp_hp, beta * hp_prev - hp, p_hbar_p

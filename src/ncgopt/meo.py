@@ -58,7 +58,7 @@ _TINY = float(np.finfo(float).tiny)
 
 
 class NonFiniteError(FloatingPointError):
-    """A Lanczos coefficient is NaN or infinite."""
+    """A NaN or infinite value inside a building block; the message names the block."""
 
 
 @dataclass
@@ -157,13 +157,13 @@ def minimum_eigenvalue_oracle(
         w = np.asarray(hvp(q), dtype=float)
         a = float(q @ w)
         if not math.isfinite(a):
-            raise NonFiniteError(f"Lanczos alpha_{k} is {a}")
+            raise NonFiniteError(f"eigenvalue oracle: Lanczos alpha_{k} is {a}")
         alphas[k - 1] = a
         norm_hq = math.sqrt(float(w @ w))
         if norm_hq > lower:
             lower = norm_hq
             if lower == math.inf:  # it scales the breakdown test below
-                raise NonFiniteError(f"Lanczos ||H q_{k}|| is inf")
+                raise NonFiniteError(f"eigenvalue oracle: Lanczos ||H q_{k}|| is inf")
             grown = lanczos_budget(n, eps, DELTA, lower)
             budget = max(budget, grown)
             bound = SATURATED if grown == n else LANCZOS
@@ -193,7 +193,7 @@ def minimum_eigenvalue_oracle(
 
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
-            raise NonFiniteError(f"Lanczos beta_{k} is {beta}")
+            raise NonFiniteError(f"eigenvalue oracle: Lanczos beta_{k} is {beta}")
         # Exactly invariant subspace: its Ritz values are exact, and the
         # direction test above already ran on them.
         breakdown = beta <= 1e-13 * max(1.0, lower)

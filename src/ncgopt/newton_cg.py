@@ -1,14 +1,15 @@
 """Newton-CG driver for nonconvex minimization with known Hessian smoothness.
 
-Hosts the outer loop shared by both drivers.  Each outer iteration with a
-large gradient tries damping weights sigma in turn: capped CG on the damped
-system (H + 2 (sigma eps_g)^(1/2) I) d = -g, then the full-step test and a
-backtracking search on the SOL or scaled NC direction, until one trial
-yields a step.  Once the gradient is small and a second-order tolerance
-eps_H is requested, a randomized minimum-eigenvalue oracle either certifies
-the point or supplies a negative-curvature step.  This module's driver tries
-the single weight gamma_nu(eps_g), computed from the smoothness class
-(nu, h_nu), with unbounded searches.
+Hosts the one outer loop of all three solvers.  Each outer iteration with a
+large gradient tries damping weights sigma in turn, one solver-specific
+trial each, until one trial yields a step.  The drivers' trial runs capped
+CG on the damped system (H + 2 (sigma eps_g)^(1/2) I) d = -g, then the
+full-step test and a backtracking search on the SOL or scaled NC direction.
+Once the gradient is small and a second-order tolerance eps_H is requested,
+a randomized minimum-eigenvalue oracle either certifies the point or
+supplies a negative-curvature step.  This module's driver tries the single
+weight gamma_nu(eps_g), computed from the smoothness class (nu, h_nu), with
+unbounded searches.
 
 Also hosts the direction-scaling rules, the backtracking loop with its SOL,
 NC and MEO searches, and the worst-case iteration-bound calculators, which
@@ -17,6 +18,7 @@ only tests use: the drivers' budget is the fixed ``max_outer``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -88,10 +90,12 @@ def _validate_shared(params) -> None:
 
 
 def _validate_budget(params) -> None:
-    """Checks on ``max_outer`` and ``seed``, which every params record has."""
+    """Checks on ``max_outer`` and ``seed``, which every params record has: integers but bools, stored as ints."""
     for name in ("max_outer", "seed"):
-        if not isinstance(getattr(params, name), int):
-            raise ValueError(f"{name} must be an integer; got {getattr(params, name)!r}")
+        value = getattr(params, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer; got {value!r}")
+        object.__setattr__(params, name, int(value))  # the records are frozen
     if params.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
 
@@ -318,6 +322,52 @@ def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome
 # Driver.
 
 
+def _norm(v: Array) -> float:
+    """||v||, inf when its square overflows, even where numpy's settings make that an exception.
+
+    Only then is the norm taken again with floating-point errors quiet; the usual path pays nothing.
+    """
+    try:
+        return float(np.linalg.norm(v))
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return float(np.linalg.norm(v))
+
+
+def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: Callable, reject_short: bool):
+    """The damping trial of both drivers, as ``_drive``'s ``trial``.
+
+    Runs ``cg``, the caller's own ``capped_cg`` binding, on the damped
+    system; then ``search_nc`` on the scaled NC direction, or the full-step
+    test and ``search_sol`` on a SOL direction.  ``reject_short`` rejects SOL
+    directions too short for their weight, as the parameter-free driver does.
+    """
+
+    def trial(co, hvp, x, fx, gx, t, sigma):
+        co.counters.subproblems += 1  # counted even if the call breaks down
+        cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g))
+        reason, accepted_by, grad_new = NO_VALID_J, None, None
+        if cg_out.d_type == NC:
+            d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
+            step = search_nc(co, x, d, sigma, fx)
+        else:
+            d = cg_out.d
+            f_full = co.eval_f(x + d)
+            grad_full = co.eval_grad(x + d) if f_full <= fx else None
+            if grad_full is not None and _norm(grad_full) <= eps_g:
+                step, accepted_by = LineSearchOutcome(1.0, 0, f_full), FULL_STEP
+            elif reject_short and 6.0 * float(np.linalg.norm(d)) < math.sqrt(eps_g / sigma):
+                step, reason = None, SMALL_STEP
+            else:
+                step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
+                accepted_by = ARMIJO
+            if step is not None and step.j == 0:
+                grad_new = grad_full
+        return cg_out.d_type, d, step, cg_out.iterations, accepted_by, grad_new, reason
+
+    return trial
+
+
 def _drive(
     oracle: ProblemOracle,
     x0: Array,
@@ -325,21 +375,21 @@ def _drive(
     *,
     weights: Callable[[float], Iterable[float]],
     gamma0: float,
-    cg: Callable,
-    search_sol: Callable,
-    search_nc: Callable,
-    parameter_free: bool,
-) -> SolveResult:
-    """The outer loop of both drivers; ``params`` is an NcgParams or a PfParams.
+    trial: Callable,
+) -> tuple[SolveResult, list[list[InnerTrialRecord]], list[float]]:
+    """The one outer loop of all three solvers; ``params`` is an NcgParams or a PfParams.
 
     ``weights(gamma_prev)`` yields the damping trials of one outer iteration,
-    given the weight accepted last (``gamma0`` before the first); the first
-    trial whose direction yields a step ends the iteration.  ``search_sol``
-    and ``search_nc`` return None when their step-size window closes, which
-    moves on to the next trial.  ``cg`` is the caller's own ``capped_cg``
-    binding.  The parameter-free driver also rejects SOL directions too short
-    for their weight, and gets its trials and gamma history back in a
-    PfSolveResult.
+    given the weight accepted last (``gamma0`` before the first).
+    ``trial(co, hvp, x, fx, gx, t, sigma)`` runs the t-th of them, at weight
+    sigma, from x with value fx and gradient gx, and counts its own
+    subproblem.  It returns the step type, the direction d, the step (a
+    LineSearchOutcome, or None to move on to the next weight), the inner
+    iteration count, ``accepted_by``, the gradient at the new point if it has
+    it, and the rejection reason.  The first trial with a step ends the
+    iteration; running out of weights ends the solve in LineSearchFailure.
+    Returns the result, the trials of every outer iteration and the weight
+    carried out of each.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
@@ -359,7 +409,7 @@ def _drive(
 
     try:
         for _ in range(params.max_outer):
-            gnorm = float(np.linalg.norm(gx))
+            gnorm = _norm(gx)
             if not (math.isfinite(fx) and math.isfinite(gnorm)):
                 status = NUMERICAL_FAILURE
                 detail = f"objective is {fx}" if not math.isfinite(fx) else f"gradient norm is {gnorm}"
@@ -368,35 +418,16 @@ def _drive(
                 outer: list[InnerTrialRecord] = []
                 trials.append(outer)
                 for t, sigma in enumerate(weights(gamma_prev)):
-                    counters.subproblems += 1  # counted even if the call breaks down
-                    cg_out = cg(hvp, gx, math.sqrt(sigma * params.eps_g))
-                    reason, accepted_by, grad_new = NO_VALID_J, None, None
-                    if cg_out.d_type == NC:
-                        d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
-                        step = search_nc(co, x, d, sigma, fx)
-                    else:
-                        d = cg_out.d
-                        f_full = co.eval_f(x + d)
-                        grad_full = co.eval_grad(x + d) if f_full <= fx else None
-                        if grad_full is not None and float(np.linalg.norm(grad_full)) <= params.eps_g:
-                            step, accepted_by = LineSearchOutcome(1.0, 0, f_full), FULL_STEP
-                        elif parameter_free and 6.0 * float(np.linalg.norm(d)) < math.sqrt(params.eps_g / sigma):
-                            step, reason = None, SMALL_STEP
-                        else:
-                            step = search_sol(co, x, d, sigma, params.eps_g, fx, f_full)
-                            accepted_by = ARMIJO
-                        if step is not None and step.j == 0:
-                            grad_new = grad_full
+                    step_type, d, step, inner, accepted_by, grad_new, reason = trial(co, hvp, x, fx, gx, t, sigma)
                     if step is not None:
-                        outer.append(InnerTrialRecord(t, sigma, cg_out.d_type, True, step.alpha, None, cg_out.iterations))
+                        outer.append(InnerTrialRecord(t, sigma, step_type, True, step.alpha, None, inner))
                         break
-                    outer.append(InnerTrialRecord(t, sigma, cg_out.d_type, False, None, reason, cg_out.iterations))
+                    outer.append(InnerTrialRecord(t, sigma, step_type, False, None, reason, inner))
                 else:
                     status = LINE_SEARCH_FAILURE
                     detail = f"damping trial limit t_max = {len(outer)} exhausted"
                     break
-                gamma_prev = sigma
-                step_type, step_sigma, inner = cg_out.d_type, sigma, cg_out.iterations
+                gamma_prev = step_sigma = sigma
             elif params.eps_H is None:
                 status = FOSP
                 break
@@ -435,9 +466,9 @@ def _drive(
     except LineSearchError as err:
         status = LINE_SEARCH_FAILURE
         detail = str(err)
-    except NonFiniteError as err:
+    except NonFiniteError as err:  # its message names its source
         status = NUMERICAL_FAILURE
-        detail = f"eigenvalue oracle: {err}"
+        detail = str(err)
     except OverflowError as err:  # e.g. ||d||^3 of a runaway NC direction
         status = NUMERICAL_FAILURE
         detail = f"overflow: {err}"
@@ -445,10 +476,7 @@ def _drive(
         status = NUMERICAL_FAILURE
         detail = f"capped CG: {err}"
 
-    result = SolveResult(x, fx, float(np.linalg.norm(gx)), status, detail, trace, counters)
-    if not parameter_free:
-        return result
-    return PfSolveResult(**vars(result), trials=trials, gamma_history=gamma_history)
+    return SolveResult(x, fx, _norm(gx), status, detail, trace, counters), trials, gamma_history
 
 
 def newton_cg_solve(
@@ -466,14 +494,5 @@ def newton_cg_solve(
     any evaluation unless x0 is a finite (dim,) vector.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
-    return _drive(
-        oracle,
-        x0,
-        params,
-        weights=lambda _: (gamma,),
-        gamma0=gamma,
-        cg=capped_cg,
-        search_sol=line_search_sol,
-        search_nc=line_search_nc,
-        parameter_free=False,
-    )
+    trial = _newton_trial(params.eps_g, capped_cg, line_search_sol, line_search_nc, reject_short=False)
+    return _drive(oracle, x0, params, weights=lambda _: (gamma,), gamma0=gamma, trial=trial)[0]

@@ -1,6 +1,6 @@
 """Parameter-free Newton-CG driver.
 
-Runs the outer loop shared with the known-smoothness driver
+Runs the outer loop and the damping trial of the known-smoothness driver
 (``newton_cg._drive``) and differs only in its damping policy: no knowledge
 of the Hessian smoothness class is required.  Per outer iteration, trial
 weights sigma_t = r^t sigma_0, t < t_max, grow geometrically from
@@ -24,6 +24,7 @@ from .newton_cg import (
     PfSolveResult,
     _backtrack,
     _drive,
+    _newton_trial,
     _validate_shared,
     c_nc,
     gamma_nu,
@@ -141,14 +142,6 @@ def pf_newton_cg_solve(
         sigma0 = sigma_start(gamma_prev)
         return (sigma0 * R**t for t in range(T_MAX))
 
-    return _drive(
-        oracle,
-        x0,
-        params,
-        weights=weights,
-        gamma0=GAMMA_INIT,
-        cg=capped_cg,
-        search_sol=bounded_line_search_sol,
-        search_nc=bounded_line_search_nc,
-        parameter_free=True,
-    )
+    trial = _newton_trial(params.eps_g, capped_cg, bounded_line_search_sol, bounded_line_search_nc, reject_short=True)
+    result, trials, gamma_history = _drive(oracle, x0, params, weights=weights, gamma0=GAMMA_INIT, trial=trial)
+    return PfSolveResult(**vars(result), trials=trials, gamma_history=gamma_history)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ncgopt import CrnParams, acrn_solve, gen_quadratic
+from ncgopt import baseline_crn
 from ncgopt.baseline_crn import cubic_subproblem_gd, estimate_operator_norm
-from ncgopt.newton_cg import FOSP, NUMERICAL_FAILURE
+from ncgopt.newton_cg import FOSP, LINE_SEARCH_FAILURE, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator, unit_vector
 
@@ -104,9 +105,12 @@ def test_acrn_determinism():
 def test_param_validation():
     with pytest.raises(ValueError):
         CrnParams(max_outer=0)
-    for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}):
+    for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}, {"max_outer": True}, {"seed": False}):
         with pytest.raises(ValueError, match="must be an integer"):
             CrnParams(**bad)
+    params = CrnParams(max_outer=np.int32(5), seed=np.int64(3))
+    assert (params.max_outer, params.seed) == (5, 3)
+    assert type(params.max_outer) is int and type(params.seed) is int
     with pytest.raises(ValueError):
         cubic_subproblem_gd(
             np.ones(2), lambda v: v, weight=0.0, tol=1e-6, s0=np.zeros(2), max_iters=10, lipschitz_hint=1.0
@@ -143,6 +147,25 @@ def test_acrn_non_finite_is_numerical_failure(bad, detail):
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == detail
     assert res.trace == [] and res.counters.subproblems == 0
+
+
+def test_acrn_rejecting_every_trial_weight_is_line_search_failure(monkeypatch):
+    # f rises on every call, so no cubic step passes the acceptance test: the
+    # weight doubles MAX_WEIGHT_DOUBLINGS times and the solve ends after the
+    # last trial of its first outer iteration.
+    monkeypatch.setattr(baseline_crn, "MAX_WEIGHT_DOUBLINGS", 3)
+    calls = []
+
+    def rising(x):
+        calls.append(None)
+        return float(len(calls))
+
+    oracle = ProblemOracle(3, rising, lambda x: np.ones(3), lambda x, v: v.copy(), "rising")
+    res = acrn_solve(oracle, np.zeros(3), 1e-4, CrnParams())
+    assert res.status == LINE_SEARCH_FAILURE
+    assert res.status_detail == "damping trial limit t_max = 4 exhausted"
+    assert res.counters.subproblems == 4 and res.counters.f_evals == 5
+    assert res.trace == [] and np.array_equal(res.x_final, np.zeros(3)) and res.f_final == 1.0
 
 
 def test_operator_norm_scaled_identity():

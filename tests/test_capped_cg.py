@@ -378,10 +378,10 @@ def test_pass_bound_ends_the_loop_when_tau_rounds_to_one(monkeypatch):
     assert err.value.iteration == 6 and calls == 7
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_curvature_ratio_overflow_raises():
-    # ||H p|| overflows for finite H p, so kappa is inf and neither the
-    # envelope nor the pass bound can end the loop.
+    # ||H p||^2 overflows for finite H p, so kappa would be inf and neither
+    # the envelope nor the pass bound could end the loop; the pass raises
+    # before numpy can warn.
     with pytest.raises(CappedCgError, match="curvature ratio overflow") as err:
         capped_cg(matvec(np.diag([1e200, 1.0])), np.ones(2), 1.0)
     assert err.value.iteration == 0

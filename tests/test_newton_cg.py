@@ -559,23 +559,42 @@ def test_nan_gradient_is_numerical_failure(solver, eps_H):
     assert res.counters.meo_calls == 0 and res.counters.subproblems == 0
 
 
-@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+def quiet(fn):
+    """``fn`` with numpy's overflow and invalid-value warnings silenced inside it only."""
+
+    def call(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
 def test_unbounded_objective_overflow_is_numerical_failure(solver):
-    # f = -||x||^4 from x0 = (1, 1): the NC steps grow until ||d||^3 in
-    # scale_nc_direction overflows a Python float.
-    oracle = ProblemOracle(
-        2,
-        lambda x: -float(x @ x) ** 2,
-        lambda x: -4.0 * float(x @ x) * x,
-        lambda x, v: -4.0 * float(x @ x) * v - 8.0 * float(x @ v) * x,
-        "minus-norm-fourth",
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = solve_with(solver, oracle, np.ones(2), None)
-    assert res.status == NUMERICAL_FAILURE
-    assert res.status_detail.startswith("overflow: ")
-    assert len(res.trace) > 0  # the steps taken before the overflow are kept
-    assert all(r.step_type == "NC" for r in res.trace)
+    # f = -||x||^4 from x0 = (1, ..., 1): the steps grow until a finite
+    # Hessian-vector product or gradient has a squared norm that overflows.
+    # Only the oracle's own arithmetic runs with numpy's warnings silenced,
+    # so the solvers must end the solve before numpy warns.
+    details = {
+        2: "gradient norm is inf",
+        5: "operator-norm estimate: power step 1 gives ||H^2 x|| = inf",
+    } if solver == "acrn" else dict.fromkeys((2, 5), "capped CG: curvature ratio overflow (iteration 0)")
+    for n, detail in details.items():
+        oracle = ProblemOracle(
+            n,
+            quiet(lambda x: -float(x @ x) ** 2),
+            quiet(lambda x: -4.0 * float(x @ x) * x),
+            quiet(lambda x, v: -4.0 * float(x @ x) * v - 8.0 * float(x @ v) * x),
+            "minus-norm-fourth",
+        )
+        if solver == "acrn":
+            res = acrn_solve(oracle, np.ones(n), 1e-4, CrnParams())
+        else:
+            res = solve_with(solver, oracle, np.ones(n), None)
+        assert res.status == NUMERICAL_FAILURE
+        assert res.status_detail == detail
+        assert len(res.trace) > 0  # the steps taken before the overflow are kept
+        assert all(r.step_type == ("CRN" if solver == "acrn" else "NC") for r in res.trace)
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
@@ -637,16 +656,19 @@ def hostile(base, bad, value, k, shape=None):
     )
 
 
-def solve_hostile(solver, eps_H, oracle, eps_g):
+def solve_hostile(solver, eps_H, oracle, eps_g, max_outer=50):
     x0 = np.full(oracle.dim, 0.1)
     if solver == "acrn":
-        return acrn_solve(oracle, x0, eps_g, CrnParams(max_outer=50))
+        return acrn_solve(oracle, x0, eps_g, CrnParams(max_outer=max_outer))
     if solver == "alg1":
-        return newton_cg_solve(oracle, x0, NcgParams(eps_g, HolderClass(1.0, 1.0), eps_H, max_outer=50))
-    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g, eps_H, max_outer=50))
+        return newton_cg_solve(oracle, x0, NcgParams(eps_g, HolderClass(1.0, 1.0), eps_H, max_outer=max_outer))
+    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g, eps_H, max_outer=max_outer))
 
 
-@pytest.mark.parametrize("solver, eps_H", [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)])
+SOLVER_MODES = [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)]
+
+
+@pytest.mark.parametrize("solver, eps_H", SOLVER_MODES)
 @pytest.mark.parametrize("bad", ["f", "grad", "hvp"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -664,6 +686,34 @@ def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
         assert res.counters.f_evals == 1 and res.counters.hvp_evals == 0
     if solver == "acrn" and bad == "hvp" and k == 1 and math.isnan(value):
         assert res.status == NUMERICAL_FAILURE
+        assert res.trace == [] and res.counters.subproblems == 0
+
+
+def degenerate(kind, n=5):
+    """A linear f (zero Hessian), f = 0 (every start stationary) or f = -||x||^2."""
+    c = np.arange(1.0, n + 1.0)
+    callbacks = {
+        "linear": (lambda x: float(c @ x), lambda x: c.copy(), lambda x, v: np.zeros(n)),
+        "zero": (lambda x: 0.0, lambda x: np.zeros(n), lambda x, v: np.zeros(n)),
+        "concave": (lambda x: -float(x @ x), lambda x: -2.0 * x, lambda x, v: -2.0 * v),
+    }[kind]
+    return ProblemOracle(n, *callbacks, kind)
+
+
+@pytest.mark.parametrize("solver, eps_H", SOLVER_MODES)
+@pytest.mark.parametrize("kind, status", [("linear", MAX_ITERATIONS), ("zero", FOSP), ("concave", MAX_ITERATIONS)])
+def test_degenerate_objective_never_fakes_success(solver, eps_H, kind, status):
+    # Unbounded below with a zero or negative definite Hessian, or flat
+    # everywhere: the solves stay finite, and only the flat one succeeds.
+    oracle, eps_g = degenerate(kind), 1e-4
+    res = solve_hostile(solver, eps_H, oracle, eps_g, max_outer=200)
+    assert res.status == ("SOSP_certified" if kind == "zero" and eps_H else status)
+    assert math.isfinite(res.f_final)
+    if res.status == MAX_ITERATIONS:
+        assert len(res.trace) == 200
+        assert float(np.linalg.norm(oracle.eval_grad(res.x_final))) > eps_g
+    else:
+        assert float(np.linalg.norm(oracle.eval_grad(res.x_final))) <= eps_g
         assert res.trace == [] and res.counters.subproblems == 0
 
 

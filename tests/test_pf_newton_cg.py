@@ -232,11 +232,27 @@ def test_determinism_bit_identical():
 def test_param_validation():
     with pytest.raises(ValueError):
         PfParams(eps_g=2.0)
-    for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}):
+    for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}, {"max_outer": True}, {"seed": False}):
         with pytest.raises(ValueError, match="must be an integer"):
             PfParams(eps_g=1e-4, **bad)
         with pytest.raises(ValueError, match="must be an integer"):
             NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), **bad)
+    # numpy integers are integers, stored as Python ints.
+    for params in (
+        PfParams(eps_g=1e-4, max_outer=np.int32(5), seed=np.int64(3)),
+        NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), max_outer=np.int32(5), seed=np.int64(3)),
+    ):
+        assert (params.max_outer, params.seed) == (5, 3)
+        assert type(params.max_outer) is int and type(params.seed) is int
+    # The seed reaches the eigenvalue oracle's start vectors: a numpy seed
+    # must give the same solve, bit for bit.
+    oracle, x0 = gen_infeasibility(20, 4, 2.25, 0), np.zeros(20)
+    a = pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=1e-3, seed=np.int64(3)))
+    b = pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=1e-3, seed=3))
+    assert a.counters.meo_calls >= 1
+    assert a.status == b.status and a.status_detail == b.status_detail and a.counters == b.counters
+    assert np.array_equal(a.x_final, b.x_final) and a.f_final == b.f_final
+    assert a.trace == b.trace and a.trials == b.trials and a.gamma_history == b.gamma_history
 
 
 @pytest.mark.parametrize("max_outer", [0, -3])
