@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .meo import NonFiniteError
-from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _drive, _norm, _validate_budget
+from .meo import NonFiniteError, _norm
+from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _drive, _validate_budget
 from .oracle import ProblemOracle
 from .pf_newton_cg import PfParams
 

@@ -1,22 +1,19 @@
 """Randomized Lanczos minimum-eigenvalue oracle.
 
-Runs Lanczos from a random unit start.  Either a unit direction v with
-v^T H v <= -eps/2 turns up (outcome ``direction``) or the run certifies
-lambda_min(H) >= -eps with probability at least 1 - delta (outcome
-``certificate``), where delta is the paper's working setting ``DELTA``.
+Runs Lanczos with full reorthogonalization from a random unit start until
+one of three ends: a unit direction v with v^T H v <= -eps/2 turns up and is
+verified (outcome ``direction``); the Krylov subspace is exactly invariant
+(``breakdown``); or the run reaches k = n.  The last two certify
+lambda_min(H) >= -eps (outcome ``certificate``).
 
-The iteration budget is the bound of Kuczynski and Wozniakowski (1992),
-min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(M / eps))}, for an upper
-bound M on ||H||.  It is monotone in M, and the run sizes it itself at no
-extra Hessian-vector product.  Every step already computes H q_k, so
-L = max_j ||H q_j|| is a lower bound on ||H||, and the budget is raised to
-the bound's value at L whenever L grows.  Once that value is n, the budget
-is proven (``bound = saturated``).  Below n, when step k reaches the budget,
-one eigensolve of T_k gives the estimate max(L, |theta_1|, |theta_k|) +
-beta_k of ||H|| from above (Zhou and Li 2011, *Bounding the spectrum of
-large Hermitian matrices*); the budget is raised from it, and the run stops
-only when k reaches the result (``bound = lanczos``: an estimate, not a
-proof).
+Kuczynski and Wozniakowski (1992) bound the failure probability of such a
+certificate by delta once the run has taken
+min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(M / eps))} steps, for an
+upper bound M on ||H||.  A run to k = n meets that budget whatever ||H|| is,
+so the certificate holds with probability at least 1 - ``DELTA`` with no
+norm bound at all, and it costs at most n Hessian-vector products.  A
+budget below n needs a proven upper bound on ||H||, which the oracle is not
+given; ``lanczos_budget`` is the formula, for callers and tests.
 
 Each step asks whether the tridiagonal T_k has a Ritz value at or below
 s = -eps/2 with an inertia count (Sylvester's law): the pivots of the
@@ -50,10 +47,6 @@ DIRECTION = "direction"
 # The certificate's failure probability in the paper's working setting.
 DELTA = 0.01
 
-# Where the Lanczos budget's norm bound came from (MeoOutcome.bound).
-SATURATED = "saturated"
-LANCZOS = "lanczos"
-
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -61,31 +54,39 @@ class NonFiniteError(FloatingPointError):
     """A NaN or infinite value inside a building block; the message names the block."""
 
 
+def _norm(v: Array) -> float:
+    """||v||, inf when its square overflows, even where numpy's settings make that an exception.
+
+    Only then is the norm taken again with floating-point errors quiet; the usual path pays nothing.
+    """
+    try:
+        return float(np.linalg.norm(v))
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return float(np.linalg.norm(v))
+
+
 @dataclass
 class MeoOutcome:
     """Either a unit negative-curvature direction or a probabilistic certificate.
 
-    ``curvature`` is the verified v^T H v when kind == direction; ``ritz``
-    is the smallest Ritz value seen.  ``bound`` says where the budget's norm
-    bound came from (``saturated`` or ``lanczos``), and
-    ``norm_lower`` is max_j ||H q_j|| over the Lanczos vectors, a lower bound
-    on ||H||.  ``breakdown`` marks runs that exhausted an exactly invariant
-    Krylov subspace before the budget.
+    ``iterations`` is the Krylov dimension k reached; ``curvature`` is the
+    verified v^T H v when kind == direction; ``ritz`` is the smallest Ritz
+    value seen.  ``breakdown`` marks certificates from an exactly invariant
+    Krylov subspace, reached before k = n.
     """
 
     kind: str
     v: Array | None
     iterations: int
-    budget: int
     ritz: float
-    bound: str
-    norm_lower: float
     curvature: float | None = None
     breakdown: bool = False
 
 
 def lanczos_budget(n: int, eps: float, delta: float, norm_h: float) -> int:
-    """Iteration budget min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(|H|/eps))}."""
+    """Iteration budget min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(|H|/eps))}
+    for an upper bound ``norm_h`` on ||H||; the oracle itself runs to n."""
     if n < 1:
         raise ValueError("n must be positive")
     if not eps > 0.0:
@@ -133,20 +134,18 @@ def minimum_eigenvalue_oracle(
     seed: int = 0,
     stream: int = sampling.STREAM_MEO_START,
 ) -> MeoOutcome:
-    """Randomized Lanczos with full reorthogonalization.
+    """Randomized Lanczos with full reorthogonalization, run to a verified
+    direction, an exactly invariant Krylov subspace or k = n (see the module
+    docstring), so a certificate costs at most n Hessian-vector products.
 
-    The run sizes its own budget (see the module docstring), so ``bound``
-    reads ``saturated`` or ``lanczos``.  The basis grows to at most n columns.
     Deterministic given (seed, stream).  Raises ``NonFiniteError`` when a
     Lanczos coefficient is not finite.
     """
-    budget = lanczos_budget(n, eps, DELTA, 0.0)
-    bound = SATURATED if budget == n else LANCZOS
-    lower = 0.0  # max_j ||H q_j||, a lower bound on ||H||
+    lower = 0.0  # max_j ||H q_j||, a lower bound on ||H|| that scales the breakdown test
     shift = -eps / 2.0
 
     q = sampling.unit_vector(seed, n, stream)
-    basis = np.empty((n, 0))  # sized once the first product has raised the budget
+    basis = np.empty((n, n))
     alphas = np.empty(n)
     betas = np.empty(n)  # betas[k - 1] couples q_k and q_(k+1)
     beta, pivot = 0.0, 1.0
@@ -159,18 +158,9 @@ def minimum_eigenvalue_oracle(
         if not math.isfinite(a):
             raise NonFiniteError(f"eigenvalue oracle: Lanczos alpha_{k} is {a}")
         alphas[k - 1] = a
-        norm_hq = math.sqrt(float(w @ w))
-        if norm_hq > lower:
-            lower = norm_hq
-            if lower == math.inf:  # it scales the breakdown test below
-                raise NonFiniteError(f"eigenvalue oracle: Lanczos ||H q_{k}|| is inf")
-            grown = lanczos_budget(n, eps, DELTA, lower)
-            budget = max(budget, grown)
-            bound = SATURATED if grown == n else LANCZOS
-        if k > basis.shape[1]:
-            grown_basis = np.empty((n, min(n, max(budget, 2 * (k - 1)))))
-            grown_basis[:, : k - 1] = basis
-            basis = grown_basis
+        lower = max(lower, _norm(w))
+        if lower == math.inf:
+            raise NonFiniteError(f"eigenvalue oracle: Lanczos ||H q_{k}|| is inf")
         basis[:, k - 1] = q
         w = w - a * q
         if k > 1:
@@ -189,7 +179,7 @@ def minimum_eigenvalue_oracle(
             v = v / float(np.linalg.norm(v))
             curvature = float(v @ np.asarray(hvp(v), dtype=float))
             if curvature <= shift:
-                return MeoOutcome(DIRECTION, v, k, budget, theta, bound, lower, curvature)
+                return MeoOutcome(DIRECTION, v, k, theta, curvature)
 
         beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
@@ -197,14 +187,7 @@ def minimum_eigenvalue_oracle(
         # Exactly invariant subspace: its Ritz values are exact, and the
         # direction test above already ran on them.
         breakdown = beta <= 1e-13 * max(1.0, lower)
-        if breakdown:
-            break
-        if k == budget < n:
-            # Zhou-Li: max |Ritz value| + beta_k estimates ||H|| from above.
-            ritz_values = np.linalg.eigvalsh(_tridiagonal(alphas[:k], betas[: k - 1]))
-            estimate = max(lower, abs(float(ritz_values[0])), abs(float(ritz_values[-1]))) + beta
-            budget = max(budget, lanczos_budget(n, eps, DELTA, estimate))
-        if k == budget:
+        if breakdown or k == n:
             break
         betas[k - 1] = beta
         q = w / beta
@@ -212,4 +195,4 @@ def minimum_eigenvalue_oracle(
     # By Cauchy interlacing, the smallest Ritz value of the final T_k is the
     # smallest one seen at any step.
     ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
-    return MeoOutcome(CERTIFICATE, None, k, budget, ritz, bound, lower, breakdown=breakdown)
+    return MeoOutcome(CERTIFICATE, None, k, ritz, breakdown=breakdown)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import sampling
 from .capped_cg import NC, ZETA, CappedCgError, capped_cg
-from .meo import CERTIFICATE, NonFiniteError, minimum_eigenvalue_oracle
+from .meo import CERTIFICATE, NonFiniteError, _norm, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
 Array = np.ndarray
@@ -322,18 +322,6 @@ def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome
 # Driver.
 
 
-def _norm(v: Array) -> float:
-    """||v||, inf when its square overflows, even where numpy's settings make that an exception.
-
-    Only then is the norm taken again with floating-point errors quiet; the usual path pays nothing.
-    """
-    try:
-        return float(np.linalg.norm(v))
-    except (RuntimeWarning, FloatingPointError):
-        with np.errstate(all="ignore"):
-            return float(np.linalg.norm(v))
-
-
 def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: Callable, reject_short: bool):
     """The damping trial of both drivers, as ``_drive``'s ``trial``.
 
@@ -439,7 +427,7 @@ def _drive(
                 )
                 if meo.kind == CERTIFICATE:
                     status = SOSP_CERTIFIED
-                    detail = f"norm bound: {meo.bound}"
+                    detail = f"Lanczos: k = {meo.iterations} of n = {co.dim}"
                     break
                 d = scale_meo_direction(meo.v, meo.curvature, gx)
                 step = line_search_meo(co, x, d, fx)
@@ -485,8 +473,9 @@ def newton_cg_solve(
     """Minimize via damped-Newton capped-CG steps with known (nu, h_nu).
 
     Terminates at FOSP (gradient norm <= eps_g) when eps_H is absent, or at
-    SOSP_certified once the eigenvalue oracle certifies the Hessian (with
-    ``status_detail`` naming the certificate's norm bound); returns
+    SOSP_certified once the eigenvalue oracle certifies the Hessian from a
+    Lanczos run to an exactly invariant subspace or to k = n (with
+    ``status_detail`` ``Lanczos: k = <k> of n = <n>``); returns
     MaxIterations / LineSearchFailure with the full trace otherwise, and
     NumericalFailure when the objective, the gradient norm or the
     eigenvalue oracle's Lanczos data is not finite, when capped CG breaks

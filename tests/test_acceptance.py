@@ -88,7 +88,7 @@ def test_criterion_2_meo_suite():
         H = random_symmetric(rng, n, lam)
         out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, seed=trial, stream=0)
         runs += 1
-        assert out.iterations <= out.budget
+        assert out.iterations <= n
         if out.kind == DIRECTION:
             hits += 1
             assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
@@ -103,7 +103,7 @@ def test_criterion_2_meo_suite():
         out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, seed=trial, stream=5)
         psd_runs += 1
         assert out.kind == CERTIFICATE
-        assert out.iterations <= out.budget
+        assert out.iterations <= n
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
     report(

@@ -7,9 +7,7 @@ import pytest
 from ncgopt.meo import (
     CERTIFICATE,
     DIRECTION,
-    LANCZOS,
     DELTA,
-    SATURATED,
     NonFiniteError,
     lanczos_budget,
     minimum_eigenvalue_oracle,
@@ -17,6 +15,9 @@ from ncgopt.meo import (
     smallest_eigenpair,
     smallest_eigenvalue,
 )
+from ncgopt.newton_cg import MEO, SOSP_CERTIFIED, NcgParams, newton_cg_solve
+from ncgopt.oracle import HolderClass, ProblemOracle
+from ncgopt.pf_newton_cg import PfParams, pf_newton_cg_solve
 from ncgopt.sampling import STREAM_MEO_START, STREAM_NORM_EST, generator, unit_vector
 
 
@@ -101,7 +102,7 @@ def test_smallest_eigenpair_sign_tie_takes_first_component(sign, monkeypatch):
 def test_identity_always_certificate():
     out = minimum_eigenvalue_oracle(matvec(np.eye(5)), 5, eps=0.5)
     assert out.kind == CERTIFICATE
-    assert out.iterations <= out.budget
+    assert out.iterations <= 5
 
 
 def test_small_indefinite_returns_direction():
@@ -131,7 +132,7 @@ def test_fuzzed_indefinite_and_psd():
         lam[0] = rng.uniform(-5.0, -eps)  # guarantee lambda_min <= -eps
         H = random_symmetric(rng, n, lam)
         out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=0)
-        assert out.iterations <= out.budget
+        assert out.iterations <= n
         if out.kind == DIRECTION:
             hits += 1
             assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
@@ -144,7 +145,7 @@ def test_fuzzed_indefinite_and_psd():
         H = random_symmetric(rng, n, lam)
         out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=1)
         assert out.kind == CERTIFICATE  # PSD never yields a direction
-        assert out.iterations <= out.budget
+        assert out.iterations <= n
 
 
 def test_breakdown_on_invariant_subspace():
@@ -153,7 +154,7 @@ def test_breakdown_on_invariant_subspace():
     out = minimum_eigenvalue_oracle(matvec(H), 3, eps=0.5)
     assert out.kind == CERTIFICATE
     assert out.breakdown
-    assert out.iterations < out.budget
+    assert out.iterations < 3
 
 
 def power_iteration_norm(H, x, steps):
@@ -164,20 +165,30 @@ def power_iteration_norm(H, x, steps):
     return float(np.linalg.norm(H @ x))
 
 
-def spiked(rng, n, eps, trial):
-    """Small bulk plus one large eigenvalue whose eigenvector is nearly
-    orthogonal to a power-iteration start x0, so that 5 power steps from x0
-    underestimate ||H||."""
-    x0 = unit_vector(trial, n, STREAM_NORM_EST)
+def spiked(rng, n, eps, trial, hidden_negative=False):
+    """One spike eigenvalue whose eigenvector is nearly orthogonal to a unit
+    start x0 (a 1e-8 component), over a bulk of n - 1 eigenvalues.
+
+    By default the spike is large, x0 is a power-iteration start and 5 power
+    steps from x0 underestimate ||H||.  With ``hidden_negative`` the spike is
+    -1 below a bulk in [0, 0.01], and x0 is the eigenvalue oracle's own start
+    at seed ``trial``: its early Krylov subspaces see only the bulk, so a run
+    that stops short of n certifies lambda_min >= -eps wrongly for eps < 1.
+    """
+    x0 = unit_vector(trial, n, STREAM_MEO_START if hidden_negative else STREAM_NORM_EST)
     z = rng.standard_normal(n)
     u = z - (z @ x0) * x0
     u = u / np.linalg.norm(u) + 1e-8 * x0
     u = u / np.linalg.norm(u)
-    spike = float(rng.uniform(0.2, 5.0))
-    lam = rng.uniform(-1.2 * eps if trial % 2 else 0.0, 0.3 * spike, size=n - 1)
+    if hidden_negative:
+        spike, lam = -1.0, rng.uniform(0.0, 0.01, size=n - 1)
+    else:
+        spike = float(rng.uniform(0.2, 5.0))
+        lam = rng.uniform(-1.2 * eps if trial % 2 else 0.0, 0.3 * spike, size=n - 1)
     basis, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
     H = (basis * np.concatenate([[spike], lam])) @ basis.T
-    assert power_iteration_norm(H, x0, 5) < 0.9 * spike
+    if not hidden_negative:
+        assert power_iteration_norm(H, x0, 5) < 0.9 * spike
     return H
 
 
@@ -185,41 +196,53 @@ def test_self_sized_certificates_agree_with_dense_eigenvalues():
     rng = generator(606, stream=7)
     eps, delta = 0.1, DELTA
     agree = runs = 0
-    bounds = {SATURATED: 0, LANCZOS: 0}
-    estimated = estimated_enough = 0  # lanczos certificates; budget >= the budget at ||H||
     for trial in range(300):
         n = int(rng.integers(3, 61))
         kind = trial % 3
         if kind == 2:
             H = spiked(rng, n, eps, trial)
         else:
-            # ||H|| from about eps to 5, so that both bound kinds occur.
+            # ||H|| from about eps to 5.
             top = float(np.exp(rng.uniform(np.log(eps), np.log(5.0))))
             lam = rng.uniform(0.0, top, size=n)
             if kind == 0:
                 lam[0] = -eps * float(rng.uniform(1.0, 1.2))  # just below -eps
             H = random_symmetric(rng, n, lam)
         dense = np.linalg.eigvalsh(H)
-        norm_h = float(np.max(np.abs(dense)))
         out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=3)
         runs += 1
-        assert out.iterations <= out.budget <= n
-        assert out.norm_lower <= norm_h * (1.0 + 1e-12)
-        saturated = lanczos_budget(n, eps, delta, out.norm_lower) == n
-        assert out.bound == (SATURATED if saturated else LANCZOS)
-        bounds[out.bound] += 1
+        assert out.iterations <= n
         if out.kind == DIRECTION:
             assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
             assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
             agree += 1
         else:
             agree += dense[0] >= -eps
-            if out.bound == LANCZOS:
-                estimated += 1
-                estimated_enough += out.budget >= lanczos_budget(n, eps, delta, norm_h)
     assert agree >= math.ceil((1.0 - delta) * runs)
-    assert min(bounds.values()) > 0 and estimated > 0
-    assert estimated_enough >= math.ceil((1.0 - delta) * estimated)
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("seed", range(5))
+def test_negative_spike_hidden_from_the_start_is_never_certified(n, seed):
+    # lambda_min = -1 with eps = 0.5, behind a bulk of norm 0.01 that a
+    # budget sized from the first Lanczos steps would take for all of H.
+    eps = 0.5
+    H = spiked(generator(seed, stream=9), n, eps, seed, hidden_negative=True)
+    lam_min = float(np.linalg.eigvalsh(H)[0])
+    out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=seed)
+    if out.kind == DIRECTION:
+        assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
+    else:
+        assert lam_min >= -eps
+    # Both drivers start at the saddle x = 0 and call the oracle with the
+    # same seed and stream first.
+    quad = ProblemOracle(n, lambda x: 0.5 * float(x @ (H @ x)), lambda x: H @ x, lambda x, v: H @ v, "hidden")
+    for res in (
+        newton_cg_solve(quad, np.zeros(n), NcgParams(1e-4, HolderClass(1.0, 1.0), eps, max_outer=5, seed=seed)),
+        pf_newton_cg_solve(quad, np.zeros(n), PfParams(1e-4, eps, max_outer=5, seed=seed)),
+    ):
+        assert res.status != SOSP_CERTIFIED
+        assert res.counters.meo_calls >= 1 and res.trace[0].step_type == MEO
 
 
 def test_parameter_validation():
@@ -231,9 +254,8 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize("indefinite", [False, True])
 def test_large_operator_small_eps(indefinite):
-    # n = 400 with eps = 1e-3: the certificate's budget reaches n, so every
+    # n = 400 with eps = 1e-3: the certificate runs to k = n, so every
     # Lanczos step runs the per-step test on a tridiagonal of up to 400 rows.
-    # The direction turns up within a self-sized budget below n.
     n, eps = 400, 1e-3
     rng = generator(5, stream=3)
     lam = rng.uniform(0.0, 3.0, size=n)
@@ -245,13 +267,11 @@ def test_large_operator_small_eps(indefinite):
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
     if indefinite:
-        assert out.iterations <= out.budget <= n
-        saturated = lanczos_budget(n, eps, DELTA, out.norm_lower) == n
-        assert out.bound == (SATURATED if saturated else LANCZOS)
+        assert out.iterations <= n
         assert out.kind == DIRECTION
         assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-12
     else:
-        assert out.budget == n
+        assert out.iterations == n
         assert out.kind == CERTIFICATE
         assert out.ritz >= float(np.min(lam)) - 1e-10
 
@@ -262,7 +282,7 @@ def test_non_finite_lanczos_data_raises():
         minimum_eigenvalue_oracle(lambda v: np.full(n, np.nan), n, 0.1)
     # H = 1e200 * 1 1^T is PSD, so no direction turns up, and ||H q_1||^2
     # overflows before the residual norm does.
-    with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"), np.errstate(over="ignore"):
+    with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"):
         minimum_eigenvalue_oracle(lambda v: 1e200 * v.sum() * np.ones(n), n, 0.1)
 
 
@@ -273,5 +293,5 @@ def test_self_sized_norm_overflow_raises():
     n = 5
     q = unit_vector(0, n, STREAM_MEO_START)
     H = 1e160 * np.outer(q, q) - np.diag([0.0, 1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"), np.errstate(over="ignore"):
+    with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"):
         minimum_eigenvalue_oracle(matvec(H), n, 0.1)
