@@ -27,6 +27,6 @@ from .newton_cg import (
 )
 from .oracle import Counters, HolderClass, ProblemOracle
 from .pf_newton_cg import PfParams, pf_newton_cg_solve
-from .problems import gen_infeasibility, gen_quadratic, gen_repu, load_instance, save_instance
+from .problems import gen_infeasibility, gen_quadratic, gen_repu
 
 __version__ = "0.1.0"

@@ -14,11 +14,11 @@ required ``config_version = 1`` line.  Recognized keys::
     format             csv | markdown
     h_nu, nu           smoothness data handed to alg1 (heuristic on the
                        benchmark families, exact on quadratic)
-    quad_lambda_min, quad_lambda_max           quadratic-family spectrum (finite, >= 0)
 
 Command-line flags override file values.  Every other solver setting is
 fixed: the paper's working setting, kept as module constants, and each
-params class's default ``max_outer``.  Start points follow the benchmark
+params class's default ``max_outer``.  The quadratic family's spectrum is
+n evenly spaced eigenvalues from 50 to 100.  Start points follow the benchmark
 protocol: the origin for infeasibility, (1/n, ..., 1/n) for repu, and a
 scaled all-ones vector for the quadratic family.  Instance seeds are
 base_seed + instance index; each instance is generated once and run by
@@ -33,7 +33,6 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from typing import get_type_hints
 
 import numpy as np
 
@@ -52,6 +51,8 @@ _DEFAULT_GRIDS = {
     "repu": [(100, 20, 2.25)],
     "quadratic": [(50, 0, 0.0)],
 }
+# The quadratic family's eigenvalues run evenly from the first to the second.
+_QUADRATIC_SPECTRUM = (50.0, 100.0)
 
 
 class ConfigError(ValueError):
@@ -71,8 +72,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     h_nu: float = 1.0
     nu: float = 1.0
-    quad_lambda_min: float = 50.0
-    quad_lambda_max: float = 100.0
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -96,11 +95,6 @@ class ExperimentConfig:
                     raise ValueError("n must be positive")
             except ValueError as err:
                 raise ConfigError(f"invalid grid cell ({n}, {m}, {p}): {err}") from err
-        if self.family == "quadratic":
-            # A negative eigenvalue makes f = x'Qx/2 unbounded below.
-            for name in ("quad_lambda_min", "quad_lambda_max"):
-                if not 0.0 <= getattr(self, name) < float("inf"):
-                    raise ConfigError(f"{name} must be finite and nonnegative")
         # The tolerances' and the holder's ranges live in the params classes.
         try:
             for solver in SOLVERS:
@@ -131,23 +125,17 @@ class ResultsTable:
     # One line per failed run: its cell, solver, seed and status.
     failed_runs: list[str] = field(default_factory=list)
 
-    @property
-    def total_failures(self) -> int:
-        return sum(row.failures for row in self.rows)
-
 
 COLUMNS = tuple(column.name for column in fields(ResultRow))
-CSV_HEADER = ",".join(COLUMNS)
 # Every column but the cell's three, the solver and the failure count.
 _MEAN_COUNT = len(COLUMNS) - 5
-_CELL_TYPES = tuple(get_type_hints(ResultRow)[name] for name in COLUMNS)
 
 
 def _float_repr(value) -> str:
     return repr(float(value))
 
 
-# Each column's (CSV, markdown) text; the CSV round-trips all but wall time.
+# Each column's (CSV, markdown) text.
 _CELL_TEXT = {
     "n": (str, str),
     "m": (str, str),
@@ -190,27 +178,31 @@ _KEY_PARSERS = {
     "solvers": _parse_solvers,
     **dict.fromkeys(("config_version", "instances_per_cell", "base_seed"), int),
     **dict.fromkeys(("family", "out", "format"), str),
-    **dict.fromkeys(("eps_g", "eps_h", "h_nu", "nu", "quad_lambda_min", "quad_lambda_max"), float),
+    **dict.fromkeys(("eps_g", "eps_h", "h_nu", "nu"), float),
 }
 
 
 def parse_config_file(path: str) -> dict:
     """Parse a key = value config file into typed values."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _KEY_PARSERS[key](value)
-            except ValueError as err:
-                raise ConfigError(f"{path}:{lineno}: {err}") from err
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _KEY_PARSERS[key](value)
+        except ValueError as err:
+            raise ConfigError(f"{path}:{lineno}: {err}") from err
     if values.get("config_version") != 1:
         raise ConfigError(f"{path}: missing or unsupported config_version")
     values.pop("config_version")
@@ -246,7 +238,7 @@ def make_oracle(cfg: ExperimentConfig, n: int, m: int, p: float, seed: int) -> P
         return gen_infeasibility(n, m, p, seed)
     if cfg.family == "repu":
         return gen_repu(n, m, p, seed)
-    eigenvalues = np.linspace(cfg.quad_lambda_min, cfg.quad_lambda_max, n)
+    eigenvalues = np.linspace(*_QUADRATIC_SPECTRUM, n)
     return gen_quadratic(n, eigenvalues, seed)
 
 
@@ -341,20 +333,6 @@ def emit_table(table: ResultsTable, fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table_csv(text: str) -> ResultsTable:
-    """Read back a CSV emitted by :func:`emit_table`."""
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("not an ncgopt results CSV")
-    table = ResultsTable()
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(COLUMNS):
-            raise ValueError(f"row {line!r} has {len(cells)} cells; the header has {len(COLUMNS)}")
-        table.rows.append(ResultRow(*(kind(cell) for kind, cell in zip(_CELL_TYPES, cells))))
-    return table
-
-
 # ---------------------------------------------------------------------------
 # CLI.
 
@@ -405,10 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as err:
             print(f"cannot write {cfg.out}: {err}", file=sys.stderr)
             return 1
-    if table.total_failures:
+    if table.failed_runs:
         for line in table.failed_runs:
             print(f"failed run: {line}", file=sys.stderr)
-        print(f"{table.total_failures} run(s) failed", file=sys.stderr)
+        print(f"{len(table.failed_runs)} run(s) failed", file=sys.stderr)
         return 2
     return 0
 

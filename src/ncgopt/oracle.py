@@ -7,6 +7,7 @@ test-side verification, never used inside solvers.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,9 +21,9 @@ class ProblemOracle:
     """Callbacks for one problem instance.
 
     Immutable after construction and safe to share across concurrent solver
-    runs; each run keeps its own workspace vectors.  ``meta`` optionally
-    carries the raw instance data (generator-specific) for tests and
-    serialization.
+    runs; each run keeps its own workspace vectors.  ``dim`` is a positive
+    integer (any ``Integral`` but a bool, stored as ``int``).  ``meta``
+    optionally carries the raw instance data (generator-specific) for tests.
 
     The generated infeasibility and repu oracles keep data of the last point
     they were called at (its A x or a x, and the HVP's curvature terms),
@@ -40,8 +41,9 @@ class ProblemOracle:
     meta: object | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        if not isinstance(self.dim, numbers.Integral) or isinstance(self.dim, bool) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer; got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))  # the record is frozen
 
 
 @dataclass(frozen=True)

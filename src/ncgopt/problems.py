@@ -10,14 +10,6 @@ Two benchmark families plus a synthetic quadratic sanity family:
 All instances are bit-reproducible from (n, m, p, seed) via the package's
 counter-based sampling.  Exponents must be finite with p > 2 so the
 plus-part kink stays twice continuously differentiable.
-
-Instances can be written to and read back from a flat file format::
-
-    NCGPROB 1 <family> n=<n> m=<m> p=<p> seed=<seed>\n
-    <payload: float64 little-endian, row-major, concatenated>
-
-with payload order A, b, c (infeasibility); a, b (repu); eigenvalues, basis
-(quadratic).
 """
 from __future__ import annotations
 
@@ -30,9 +22,6 @@ from . import sampling
 from .oracle import ProblemOracle
 
 Array = np.ndarray
-
-_HEADER_MAGIC = "NCGPROB"
-_FORMAT_VERSION = 1
 
 
 def _pos_pow(q: Array, s: float) -> Array:
@@ -276,67 +265,3 @@ def gen_quadratic(n: int, eigenvalues, seed: int) -> ProblemOracle:
     signs[signs == 0.0] = 1.0
     v = q * signs[None, :]
     return _quadratic_oracle(QuadraticInstance(lam.copy(), v, seed))
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-
-
-def save_instance(path: str, oracle: ProblemOracle) -> None:
-    """Write a generated oracle's instance to the flat NCGPROB format."""
-    inst = oracle.meta
-    if isinstance(inst, InfeasibilityInstance):
-        family, n, m, p = "infeasibility", inst.n, inst.m, inst.p
-        arrays = [inst.A, inst.b, inst.c]
-    elif isinstance(inst, RepuInstance):
-        family, n, m, p = "repu", inst.n, inst.m, inst.p
-        arrays = [inst.a, inst.b]
-    elif isinstance(inst, QuadraticInstance):
-        family, n, m, p = "quadratic", inst.n, 0, 0.0
-        arrays = [inst.eigenvalues, inst.basis]
-    else:
-        raise TypeError(f"cannot serialize {type(inst).__name__}")
-    header = f"{_HEADER_MAGIC} {_FORMAT_VERSION} {family} n={n} m={m} p={p!r} seed={inst.seed}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_instance(path: str) -> ProblemOracle:
-    """Read an NCGPROB file back into a ProblemOracle; ValueError unless the header
-    gives n, m, p and seed, a cell the generators accept, and exactly its payload."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        payload = fh.read()
-    parts = header.split()
-    if len(parts) != 7 or parts[0] != _HEADER_MAGIC:
-        raise ValueError(f"not an NCGPROB file: {header!r}")
-    if int(parts[1]) != _FORMAT_VERSION:
-        raise ValueError(f"unsupported NCGPROB version {parts[1]}")
-    family = parts[2]
-    fields = dict(item.split("=", 1) for item in parts[3:])
-    if sorted(fields) != ["m", "n", "p", "seed"]:
-        raise ValueError(f"NCGPROB header must give n, m, p and seed: {header!r}")
-    n, m = int(fields["n"]), int(fields["m"])
-    p, seed = float(fields["p"]), int(fields["seed"])
-    shapes = {
-        "infeasibility": [(m, n, n), (m, n), (m,)],
-        "repu": [(m, n), (m,)],
-        "quadratic": [(n,), (n, n)],
-    }.get(family)
-    if shapes is None:
-        raise ValueError(f"unknown NCGPROB family {family!r}")
-    if family != "quadratic":
-        _require_cell(n, m, p)
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    data = np.frombuffer(payload, dtype="<f8").astype(float)
-    if data.size != sum(sizes):
-        raise ValueError(f"NCGPROB payload holds {data.size} values, the header implies {sum(sizes)}")
-    chunks = np.split(data, np.cumsum(sizes)[:-1])
-    arrays = [chunk.reshape(shape).copy() for chunk, shape in zip(chunks, shapes)]
-    if family == "quadratic":
-        return _quadratic_oracle(QuadraticInstance(*arrays, seed))
-    if family == "infeasibility":
-        return _infeasibility_oracle(InfeasibilityInstance(*arrays, p, seed))
-    return _repu_oracle(RepuInstance(*arrays, p, seed))

@@ -28,8 +28,6 @@ PUBLIC_API = {
     "gen_infeasibility",
     "gen_repu",
     "gen_quadratic",
-    "save_instance",
-    "load_instance",
     # statuses
     "FOSP",
     "SOSP_CERTIFIED",

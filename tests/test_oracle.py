@@ -104,6 +104,17 @@ def test_nonfinite_f_reports_coordinate():
     assert err.value.coordinate == 2
 
 
+@pytest.mark.parametrize("dim", [3.0, True, 0, -1, "3"])
+def test_dim_must_be_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        ProblemOracle(dim, lambda x: 0.0, lambda x: x, lambda x, v: v)
+
+
+def test_integral_dim_is_stored_as_int():
+    oracle = ProblemOracle(np.int64(3), lambda x: 0.0, lambda x: x, lambda x, v: v)
+    assert type(oracle.dim) is int and oracle.dim == 3
+
+
 def test_holder_class_validation():
     HolderClass(0.5, 1.0)
     with pytest.raises(ValueError):

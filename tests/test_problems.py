@@ -10,10 +10,8 @@ from ncgopt import (
     gen_infeasibility,
     gen_quadratic,
     gen_repu,
-    load_instance,
     pf_newton_cg_solve,
     PfParams,
-    save_instance,
 )
 from ncgopt.oracle import check_gradient_fd, check_hvp_fd
 from ncgopt.problems import _pos_pow
@@ -121,58 +119,6 @@ def test_exponent_validation():
         gen_repu(5, 2, 1.5, seed=0)
     with pytest.raises(ValueError):
         gen_repu(5, 2, float("inf"), seed=0)
-
-
-@pytest.mark.parametrize(
-    "oracle",
-    [
-        gen_infeasibility(8, 3, 2.25, seed=13),
-        gen_repu(8, 4, 2.75, seed=14),
-        gen_quadratic(8, np.linspace(1.0, 3.0, 8), seed=15),
-    ],
-    ids=["infeasibility", "repu", "quadratic"],
-)
-def test_serialization_round_trip(tmp_path, oracle):
-    path = tmp_path / "instance.ncgprob"
-    save_instance(str(path), oracle)
-    loaded = load_instance(str(path))
-    x = standard_normals(123, 8, stream=7) * 0.4
-    v = standard_normals(124, 8, stream=8)
-    assert loaded.eval_f(x) == oracle.eval_f(x)
-    assert np.array_equal(loaded.eval_grad(x), oracle.eval_grad(x))
-    assert np.array_equal(loaded.eval_hvp(x, v), oracle.eval_hvp(x, v))
-    inst, linst = oracle.meta, loaded.meta
-    assert type(inst) is type(linst)
-    assert inst.seed == linst.seed
-
-
-def test_serialization_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    save_instance(str(path), gen_repu(4, 2, 2.5, seed=0))
-    good = path.read_bytes()
-    for blob in (
-        b"not a real header\n\x00\x01",
-        good.replace(b" n=4 ", b" x=4 ", 1),  # no n=
-        good.replace(b" p=2.5 ", b" p=1.5 ", 1),  # the generators need a finite p > 2
-        good.replace(b" p=2.5 ", b" p=inf ", 1),
-        good.split(b"\n")[0].replace(b" m=2 ", b" m=0 ") + b"\n",  # and m >= 1
-        good + bytes(8),  # one value more than the header implies
-        good[:-8],  # one value fewer
-    ):
-        assert blob != good
-        path.write_bytes(blob)
-        with pytest.raises(ValueError):
-            load_instance(str(path))
-
-
-def test_serialization_rejects_unsupported_version(tmp_path):
-    oracle = gen_repu(4, 2, 2.5, seed=0)
-    path = tmp_path / "inst.ncgprob"
-    save_instance(str(path), oracle)
-    blob = path.read_bytes().replace(b"NCGPROB 1 ", b"NCGPROB 9 ", 1)
-    path.write_bytes(blob)
-    with pytest.raises(ValueError, match="version"):
-        load_instance(str(path))
 
 
 # ---------------------------------------------------------------------------
