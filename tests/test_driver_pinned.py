@@ -2,6 +2,8 @@
 
 The expected values were recorded from the two drivers before they were
 merged into one outer loop; the merged driver must reproduce them exactly.
+The six 'acrn' entries were recorded later, from the cubic-regularization
+baseline as it ran on that loop; it takes no eps_H, so theirs is None.
 The f_final of ('alg2', 'quartic', 1, 1e-2) was re-recorded once, when the
 Ritz pairs moved to numpy's eigensolver: it moved by one ulp.
 
@@ -160,6 +162,8 @@ def problem(name, seed):
 
 def solve(solver, name, seed, eps_H):
     oracle, x0 = problem(name, seed)
+    if solver == "acrn":
+        return ng.acrn_solve(oracle, x0, EPS_G, ng.CrnParams(seed=seed))
     if solver == "alg1":
         params = ng.NcgParams(eps_g=EPS_G, holder=HOLDER, eps_H=eps_H, seed=seed)
         return ng.newton_cg_solve(oracle, x0, params)
@@ -203,6 +207,12 @@ EXPECTED = {
     ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 13, 1, 8), 4, '0.3593906110089125'),
     ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 2, 7), 8, '-0.8468130835048802'),
     ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 39, 2, 6), 7, '-0.7116571216427692'),
+    ('acrn', 'infeas', 0, None): ('FOSP', (26, 8, 9669, 0, 25), 7, '4.453143990421821e-12'),
+    ('acrn', 'infeas', 3, None): ('FOSP', (24, 8, 9714, 0, 23), 7, '1.2386747603881537e-11'),
+    ('acrn', 'infeas', 4, None): ('FOSP', (24, 8, 8240, 0, 23), 7, '5.6635144125620604e-11'),
+    ('acrn', 'repu', 0, None): ('FOSP', (45, 22, 19487, 0, 44), 21, '3.3411660280244464e-05'),
+    ('acrn', 'repu', 1, None): ('FOSP', (22, 10, 7957, 0, 21), 9, '0.08129419388012873'),
+    ('acrn', 'repu', 2, None): ('FOSP', (18, 5, 5911, 0, 17), 4, '0.35939061100903996'),
 }
 
 
