@@ -25,11 +25,8 @@ Array = np.ndarray
 
 
 def _pos_pow(q: Array, s: float) -> Array:
-    """(q)_+^s evaluated only on the positive part; exactly zero where q <= 0, NaN where q is."""
-    out = np.zeros_like(q)
-    mask = ~(q <= 0.0)
-    out[mask] = q[mask] ** s
-    return out
+    """(q)_+^s for s > 0: +0.0 where q <= 0 (also at -0.0), NaN where q is."""
+    return np.maximum(q, 0.0) ** s
 
 
 def _require_cell(n: int, m: int, p: float) -> None:

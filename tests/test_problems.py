@@ -121,6 +121,24 @@ def test_exponent_validation():
         gen_repu(5, 2, float("inf"), seed=0)
 
 
+def _pos_pow_masked(q, s):
+    """The masked form _pos_pow replaced: power only where q is not <= 0."""
+    out = np.zeros_like(q)
+    mask = ~(q <= 0.0)
+    out[mask] = q[mask] ** s
+    return out
+
+
+@pytest.mark.parametrize("p", [2.25, 3.0])
+def test_pos_pow_bits_match_masked_form(p):
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e3 * tiny, 1e300, -1e300]
+    q = np.concatenate([standard_normals(60, 10_000, stream=95) * 10.0, special])
+    for s in (p, p - 1.0, p - 2.0):
+        with np.errstate(over="ignore"):  # 1e300 ** s overflows in both forms
+            assert _pos_pow(q, s).tobytes() == _pos_pow_masked(q, s).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Last-point caches of the generated oracles, against the per-call formulas
 # they replaced.
