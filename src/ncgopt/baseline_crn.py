@@ -63,8 +63,8 @@ class CubicSubproblemResult:
     converged: bool
 
 
-def _model_value(g: Array, hs: Array, s: Array, weight: float) -> float:
-    return float(g @ s + 0.5 * s @ hs + weight / 3.0 * np.linalg.norm(s) ** 3)
+def _model_value(g: Array, hs: Array, s: Array, norm_s: float, weight: float) -> float:
+    return float(g @ s + 0.5 * s @ hs + weight / 3.0 * norm_s**3)
 
 
 def estimate_operator_norm(
@@ -123,23 +123,25 @@ def cubic_subproblem_gd(
         raise ValueError("tol must be positive")
     s = np.array(s0, dtype=float)
     hs = np.asarray(hvp(s), dtype=float)
-    m_val = _model_value(g, hs, s, weight)
+    norm_s = np.linalg.norm(s)
+    m_val = _model_value(g, hs, s, norm_s, weight)
     damping = 1.0
     grad_norm = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        gm = g + hs + weight * float(np.linalg.norm(s)) * s
+        gm = g + hs + weight * float(norm_s) * s
         grad_norm = float(np.linalg.norm(gm))
         if not math.isfinite(grad_norm):
             raise NonFiniteError("cubic subproblem: non-finite cubic-model gradient")
         if grad_norm <= tol:
             return CubicSubproblemResult(s, m_val, grad_norm, iterations - 1, True)
-        step = damping / (lipschitz_hint + 2.0 * weight * float(np.linalg.norm(s)) + 1e-12)
+        step = damping / (lipschitz_hint + 2.0 * weight * float(norm_s) + 1e-12)
         s_try = s - step * gm
         hs_try = np.asarray(hvp(s_try), dtype=float)
-        m_try = _model_value(g, hs_try, s_try, weight)
+        norm_try = np.linalg.norm(s_try)
+        m_try = _model_value(g, hs_try, s_try, norm_try, weight)
         if m_try <= m_val:
-            s, hs, m_val = s_try, hs_try, m_try
+            s, hs, norm_s, m_val = s_try, hs_try, norm_try, m_try
             damping = min(1.0, damping * 1.25)
         else:
             damping *= 0.5
