@@ -26,7 +26,7 @@ class ProblemOracle:
     optionally carries the raw instance data (generator-specific) for tests.
 
     The generated infeasibility and repu oracles keep data of the last point
-    they were called at (its A x or a x, and the HVP's curvature terms),
+    they were called at (its A x or a x, and the Hessian or its weights),
     keyed by the bytes of x, so repeated f, grad and HVP calls at one point
     share that work.  Each cache entry is an immutable tuple replaced whole,
     so sharing an oracle across threads stays safe; results do not depend on

@@ -112,20 +112,20 @@ def _last_point(compute: Callable[[Array, tuple], object] | None = None) -> Call
     return lookup
 
 
-# Curvature data (lin, w1, S) of the last point at which any infeasibility
-# oracle took a Hessian-vector product, keyed by (oracle token, point key).
-# One slot per process rather than per oracle, so the n x n matrix S does not
-# stay alive on every oracle a caller keeps after its solve; threads that
-# alternate between oracles only cost rebuilds.
+# The Hessian of the last point at which any infeasibility oracle took a
+# Hessian-vector product, keyed by (oracle token, point key).  One slot per
+# process rather than per oracle, so the n x n matrix does not stay alive on
+# every oracle a caller keeps after its solve; threads that alternate
+# between oracles only cost rebuilds.
 _infeasibility_curvature = _last_point()
 
 
 def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
     """f, grad and HVP sharing the last point's A x and q.
 
-    The HVP at x is lin' diag(w1) lin v + 2 S v with lin = 2 A x + b and
-    S = sum_i w2_i A_i, so once S is built (one pass over A) each further
-    product at the same point costs O(n^2 + mn) instead of O(m n^2).
+    The Hessian at x is H = (2 sum_i w2_i A_i + lin' diag(w1) lin) / m with
+    lin = 2 A x + b.  The first HVP at a point assembles H (one pass over A
+    and one rank-m product); each HVP is then one n x n product H v.
     """
     A, b, c, p, m = inst.A, inst.b, inst.c, inst.p, inst.m
     token = object()
@@ -145,16 +145,16 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         w = p * _pos_pow(q, p - 1.0)
         return (w[:, None] * (2.0 * ax + b)).sum(axis=0) / m
 
-    def curvature(x: Array, key: tuple) -> tuple[Array, Array, Array]:
+    def curvature(x: Array, key: tuple) -> Array:
         ax, q = point(x, key[1])
         lin = 2.0 * ax + b
         w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
-        S = np.tensordot(p * _pos_pow(q, p - 1.0), A, axes=1)
-        return lin, w1, S
+        H = np.tensordot(2.0 * p * _pos_pow(q, p - 1.0), A, axes=1)
+        H += lin.T @ (w1[:, None] * lin)
+        return H / m
 
     def eval_hvp(x: Array, v: Array) -> Array:
-        lin, w1, S = _infeasibility_curvature(x, (token, _point_key(x)), curvature)
-        return (lin.T @ (w1 * (lin @ v)) + 2.0 * (S @ v)) / m
+        return _infeasibility_curvature(x, (token, _point_key(x)), curvature) @ v
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)

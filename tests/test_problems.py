@@ -292,7 +292,7 @@ def test_infeasibility_cache_retains_one_matrix():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # One n x n matrix for the whole process, and O(mn) bytes (A x, lin and
+    # One n x n matrix for the whole process, and O(mn) bytes (A x, q and
     # a few object headers) per oracle; a matrix per oracle would add 576 kB.
     assert grown <= 8 * n * n + count * (8 * 4 * m * n + 2048)
 
