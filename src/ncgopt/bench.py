@@ -93,6 +93,8 @@ class ExperimentConfig:
                     _require_cell(n, m, p)
                 elif n < 1:
                     raise ValueError("n must be positive")
+                elif (m, p) != (0, 0):
+                    raise ValueError("the quadratic family ignores m and p, so both must be 0")
             except ValueError as err:
                 raise ConfigError(f"invalid grid cell ({n}, {m}, {p}): {err}") from err
         # The tolerances' and the holder's ranges live in the params classes.
@@ -337,6 +339,17 @@ def emit_table(table: ResultsTable, fmt: str = "csv") -> str:
 # CLI.
 
 
+def _cannot_write(path: str, mode: str, text: str = "") -> bool:
+    """Write text to path in mode; on failure say so on stderr and return True."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"cannot write {path}: {err}", file=sys.stderr)
+        return True
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ncgopt-bench",
@@ -372,17 +385,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
 
+    to_file = cfg.out not in (None, "-")
+    # Appending nothing first fails on an unwritable path before the grid runs.
+    if to_file and _cannot_write(cfg.out, "a"):
+        return 1
     table = run_experiment(cfg)
     rendered = emit_table(table, cfg.fmt)
-    if cfg.out in (None, "-"):
+    if not to_file:
         sys.stdout.write(rendered)
-    else:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as err:
-            print(f"cannot write {cfg.out}: {err}", file=sys.stderr)
-            return 1
+    elif _cannot_write(cfg.out, "w", rendered):
+        return 1
     if table.failed_runs:
         for line in table.failed_runs:
             print(f"failed run: {line}", file=sys.stderr)

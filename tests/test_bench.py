@@ -197,6 +197,27 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert "config error: invalid grid cell" in capsys.readouterr().err
 
 
+def test_quadratic_cell_requires_zero_m_and_p(tmp_path, capsys):
+    # The quadratic family ignores m and p, so any other value is a typo.
+    for cell in ("8,0,nan", "8,3,0", "8,0,2.25"):
+        config = write_config(tmp_path, f"config_version = 1\nfamily = quadratic\ngrid = {cell}\n")
+        assert main(["--config", config]) == 1
+        assert f"config error: invalid grid cell (8, {cell.split(',')[1]}, " in capsys.readouterr().err
+    config = write_config(tmp_path, "config_version = 1\nfamily = quadratic\ngrid = 8,0,0\ninstances_per_cell = 1\n")
+    assert main(["--config", config, "--out", str(tmp_path / "table.csv")]) == 0
+
+
+def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("run_experiment called with an unwritable --out")
+
+    monkeypatch.setattr(bench, "run_experiment", never)
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["--config", write_config(tmp_path, BASIC), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+    assert not out.parent.exists()
+
+
 def test_cli_out_of_range_knob_is_config_error(tmp_path, capsys):
     flags = ["--family", "quadratic", "--solver", "alg1", "--eps-g", "1.5"]
     assert main(flags) == 1
