@@ -190,21 +190,19 @@ def test_cli_success_and_output_file(tmp_path):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["--config", write_config(tmp_path, "config_version = 1\n")]) == 1
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
-    # A cell with n < 1 is rejected for every family, the quadratic one too.
-    for family, cell in (("quadratic", "0,0,0"), ("quadratic", "-3,0,0"), ("repu", "0,20,2.25"), ("repu", "10,3,inf")):
+    # A cell with n < 1 is rejected for every family, the quadratic one too,
+    # and the quadratic family, which ignores m and p, takes only m = p = 0.
+    for family, cell in (
+        ("quadratic", "0,0,0"),
+        ("quadratic", "-3,0,0"),
+        ("quadratic", "8,0,nan"),
+        ("quadratic", "8,3,0"),
+        ("repu", "0,20,2.25"),
+        ("repu", "10,3,inf"),
+    ):
         config = write_config(tmp_path, f"config_version = 1\nfamily = {family}\ngrid = {cell}\n")
         assert main(["--config", config]) == 1
         assert "config error: invalid grid cell" in capsys.readouterr().err
-
-
-def test_quadratic_cell_requires_zero_m_and_p(tmp_path, capsys):
-    # The quadratic family ignores m and p, so any other value is a typo.
-    for cell in ("8,0,nan", "8,3,0", "8,0,2.25"):
-        config = write_config(tmp_path, f"config_version = 1\nfamily = quadratic\ngrid = {cell}\n")
-        assert main(["--config", config]) == 1
-        assert f"config error: invalid grid cell (8, {cell.split(',')[1]}, " in capsys.readouterr().err
-    config = write_config(tmp_path, "config_version = 1\nfamily = quadratic\ngrid = 8,0,0\ninstances_per_cell = 1\n")
-    assert main(["--config", config, "--out", str(tmp_path / "table.csv")]) == 0
 
 
 def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
