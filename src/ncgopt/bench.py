@@ -18,13 +18,15 @@ required ``config_version = 1`` line.  Recognized keys::
 Command-line flags override file values.  Every other solver setting is
 fixed: the paper's working setting, kept as module constants, and each
 params class's default ``max_outer``.  The quadratic family's spectrum is
-n evenly spaced eigenvalues from 50 to 100.  Start points follow the benchmark
-protocol: the origin for infeasibility, (1/n, ..., 1/n) for repu, and a
-scaled all-ones vector for the quadratic family.  Instance seeds are
-base_seed + instance index; each instance is generated once and run by
-every solver, serially.  Runs are bit-reproducible except wall time.
+n evenly spaced eigenvalues from 50 to 100, and its cells take m = p = 0.
+Start points follow the benchmark protocol: the origin for infeasibility,
+(1/n, ..., 1/n) for repu, and a scaled all-ones vector for the quadratic
+family.  Instance seeds are base_seed + instance index; each instance is
+generated once and run by every solver, serially.  Runs are bit-reproducible
+except wall time.
 
-Exit codes: 0 success, 1 config error, 2 run failures present.  Each failed
+Exit codes: 0 success, 1 config error or an ``out`` path that cannot be
+written (checked before the first solve), 2 run failures present.  Each failed
 run is named on stderr with its cell, solver, seed and status.
 """
 from __future__ import annotations
