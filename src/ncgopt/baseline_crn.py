@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .meo import NonFiniteError, _norm
+from .meo import NonFiniteError
 from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _drive, _validate_budget
 from .oracle import ProblemOracle
 from .pf_newton_cg import PfParams
@@ -61,6 +61,15 @@ class CubicSubproblemResult:
     grad_norm: float
     iterations: int
     converged: bool
+
+
+def _norm(v: Array) -> float:
+    """sqrt(v @ v), the bits of np.linalg.norm of a real vector; inf, not numpy's warning, when the square overflows."""
+    try:
+        return math.sqrt(float(v @ v))
+    except (RuntimeWarning, FloatingPointError):
+        with np.errstate(all="ignore"):
+            return math.sqrt(float(v @ v))
 
 
 def _model_value(g: Array, hs: Array, s: Array, norm_s: float, weight: float) -> float:
@@ -123,22 +132,24 @@ def cubic_subproblem_gd(
         raise ValueError("tol must be positive")
     s = np.array(s0, dtype=float)
     hs = np.asarray(hvp(s), dtype=float)
-    norm_s = np.linalg.norm(s)
+    norm_s = _norm(s)
     m_val = _model_value(g, hs, s, norm_s, weight)
     damping = 1.0
     grad_norm = math.inf
     iterations = 0
+    gm, scaled = np.empty_like(s), np.empty_like(s)  # the model gradient, then a scaled vector
     for iterations in range(1, max_iters + 1):
-        gm = g + hs + weight * float(norm_s) * s
-        grad_norm = float(np.linalg.norm(gm))
+        np.add(g, hs, out=gm)
+        gm += np.multiply(s, weight * norm_s, out=scaled)
+        grad_norm = _norm(gm)
         if not math.isfinite(grad_norm):
             raise NonFiniteError("cubic subproblem: non-finite cubic-model gradient")
         if grad_norm <= tol:
             return CubicSubproblemResult(s, m_val, grad_norm, iterations - 1, True)
-        step = damping / (lipschitz_hint + 2.0 * weight * float(norm_s) + 1e-12)
-        s_try = s - step * gm
+        step = damping / (lipschitz_hint + 2.0 * weight * norm_s + 1e-12)
+        s_try = s - np.multiply(gm, step, out=scaled)
         hs_try = np.asarray(hvp(s_try), dtype=float)
-        norm_try = np.linalg.norm(s_try)
+        norm_try = _norm(s_try)
         m_try = _model_value(g, hs_try, s_try, norm_try, weight)
         if m_try <= m_val:
             s, hs, norm_s, m_val = s_try, hs_try, norm_try, m_try

@@ -11,7 +11,10 @@ H r = beta H p_prev - H p.  The loop ends by its own tests: the SOL
 test, the curvature tests on y and p, and the residual envelope
 ||r_j|| <= sqrt(T_cap) tau^(j/2) ||r_0||, whose violation yields a pair of
 iterates with curvature below eps; the pair search replays the run rather
-than store it, so memory is O(n).  In exact arithmetic the envelope ends
+than store it, so memory is O(n).  A run keeps its vectors in one 7 x n
+workspace, updated in place, and takes its squared norms as row dot
+products; the HVP gets a fresh copy of p and the returned d is a copy, so no
+caller sees the workspace.  In exact arithmetic the envelope ends
 the loop by pass J(U) (``iteration_cap`` without its min(n, .)).  Rounding
 can keep it going (tau rounds to 1 once kappa passes about 8e31), so a
 pass j >= J(U) that no test ends raises CappedCgError.
@@ -100,43 +103,51 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
     """Plain CG on (H + 2 eps I) d = -g from d = 0, one product H p per pass.
 
     Pass j yields y^j, H y^j (by the exact recurrence), ||r^j||^2, p^j and
-    ||p^j||^2, H p^j and ||H p^j||^2, H r^j = beta H p^(j-1) - H p^j and
+    ||p^j||^2, H p^j and ||H p^j||^2, ||y^j||^2, ||H y^j||^2,
+    ||H r^j||^2 with H r^j = beta H p^(j-1) - H p^j, and
     p^j' (H + 2 eps I) p^j; resuming takes the step alpha = rr / p_hbar_p.
-    A second run replays the first bit for bit.
+    The vectors live in one 7 x n workspace, so a yielded vector is valid
+    only until the pass resumes.  A second run replays the first bit for bit.
     """
     n = g.shape[0]
-    y, hy, r, p = np.zeros(n), np.zeros(n), g.copy(), -g
-    hp, beta = np.zeros(n), 0.0
-    rr = float(r @ r)
+    work = np.zeros((7, n))
+    steps, iterates = work[:3], work[3:6]  # r, y and H y move along H-bar p, p and H p
+    hbar_p, p, hp, r, y, hy, hr = work
+    p_hp, y_hy_hr = work[1:3], work[4:7]
+    np.negative(g, out=p)
+    r[:] = g
+    rr, beta = float(r @ r), 0.0
     for j in count():
-        hp_prev = hp
-        hp = np.asarray(hvp(p), dtype=float)
-        # Norms are sqrt(v @ v), bit-identical to np.linalg.norm of a real
-        # vector.  A NaN or inf entry of p or of H p, or an overflow of
+        hp_new = hvp(p.copy())
+        np.multiply(hp, beta, out=hr)  # beta H p^(j-1), before H p^j overwrites it
+        hp[:] = hp_new
+        # Squared norms are row dot products v @ v; sqrt(v @ v) has the bits of
+        # np.linalg.norm.  A NaN or inf entry of p or H p, or an overflow of
         # ||p||^2 or ||H p||^2, raises here, before it enters p' H p.
         try:
-            pp, hp_hp = float(p @ p), float(hp @ hp)
+            pp, hp_hp = np.vecdot(p_hp, p_hp).tolist()
         except (RuntimeWarning, FloatingPointError):
             # numpy's settings made an overflow an exception; taken again
             # quietly, the square is inf.
             with np.errstate(all="ignore"):
-                pp, hp_hp = float(p @ p), float(hp @ hp)
+                pp, hp_hp = np.vecdot(p_hp, p_hp).tolist()
         if not (math.isfinite(rr) and math.isfinite(pp)):
             raise CappedCgError("non-finite CG iterate", j)
         if not math.isfinite(hp_hp):
             # A finite H p with an infinite squared norm makes the cap U infinite.
             finite = np.all(np.isfinite(hp))
             raise CappedCgError("curvature ratio overflow" if finite else "non-finite Hessian-vector product", j)
-        hbar_p = hp + two_eps * p
+        np.multiply(p, two_eps, out=hbar_p)
+        hbar_p += hp
+        hr -= hp
         p_hbar_p = float(p @ hbar_p)
-        yield y, hy, rr, p, pp, hp, hp_hp, beta * hp_prev - hp, p_hbar_p
-        alpha = rr / p_hbar_p
-        y = y + alpha * p
-        hy = hy + alpha * hp
-        r = r + alpha * hbar_p
+        yy, hy_hy, hr_hr = np.vecdot(y_hy_hr, y_hy_hr).tolist()
+        yield y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p
+        iterates += steps * (rr / p_hbar_p)
         rr_new = float(r @ r)
         beta = rr_new / rr
-        p = -r + beta * p
+        p *= beta
+        p -= r
         rr = rr_new
 
 
@@ -150,7 +161,8 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
-    if float(np.linalg.norm(g)) == 0.0:
+    r0_norm = math.sqrt(float(g @ g))
+    if r0_norm == 0.0:
         raise ValueError("g must be nonzero")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -158,14 +170,12 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
     U = 0.0
     zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, ZETA)
     two_eps = 2.0 * eps
-    r0_norm = math.sqrt(float(g @ g))
 
-    for j, (y, hy, rr, p, pp, hp, hp_hp, hr, p_hbar_p) in enumerate(_cg_passes(hvp, g, two_eps)):
+    for j, (y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p) in enumerate(_cg_passes(hvp, g, two_eps)):
         # Cap updates, in the printed order: p, then y, then r.
-        yy = float(y @ y)
         norm_r = math.sqrt(rr)
         grown = U
-        for norm_v, hv_hv in ((math.sqrt(pp), hp_hp), (math.sqrt(yy), float(hy @ hy)), (norm_r, float(hr @ hr))):
+        for norm_v, hv_hv in ((math.sqrt(pp), hp_hp), (math.sqrt(yy), hy_hy), (norm_r, hr_hr)):
             norm_hv = math.sqrt(hv_hv)
             if norm_v > 0.0 and norm_hv > U * norm_v:
                 U = max(U, norm_hv / norm_v)
@@ -174,11 +184,11 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
 
         y_hy = float(y @ hy)
         if y_hy + two_eps * yy < eps * yy:
-            return CgOutcome(y, NC, y_hy, j, U)
+            return CgOutcome(y.copy(), NC, y_hy, j, U)
         if norm_r <= zeta_hat * r0_norm:
-            return CgOutcome(y, SOL, y_hy, j, U)
+            return CgOutcome(y.copy(), SOL, y_hy, j, U)
         if p_hbar_p < eps * pp:
-            return CgOutcome(p, NC, float(p @ hp), j, U)
+            return CgOutcome(p.copy(), NC, float(p @ hp), j, U)
 
         if math.isinf(U / eps):
             raise CappedCgError("curvature ratio overflow", j)

@@ -73,6 +73,34 @@ def test_subproblem_residual_when_converged():
             assert np.linalg.norm(model_grad(g, H, M, res.s)) <= 1e-6
 
 
+def test_subproblem_step_is_the_callers_own():
+    # The model gradient and the scaled step live in buffers reused across
+    # iterations; no vector the HVP receives and no returned s may be one.
+    rng = generator(18, stream=42)
+    H = rng.standard_normal((20, 20))
+    H = (H + H.T) / 2.0
+    g = rng.standard_normal(20)
+    seen = []
+
+    def recording(v):
+        seen.append((v, v.copy()))
+        return H @ v
+
+    def solve(seed):
+        return cubic_subproblem_gd(
+            g, recording, weight=1.0, tol=1e-6, s0=unit_vector(seed, 20), max_iters=200, lipschitz_hint=20.0
+        )
+
+    res = solve(0)
+    assert len(seen) > 2
+    for i, (v, snapshot) in enumerate(seen):
+        np.testing.assert_array_equal(v, snapshot)
+        assert not any(np.shares_memory(v, w) for w, _ in seen[i + 1 :])
+    s = res.s.copy()
+    solve(1)
+    np.testing.assert_array_equal(res.s, s)
+
+
 def test_acrn_quadratic_converges_with_few_subproblems():
     oracle = make_norm_squared(6)
     x0 = np.zeros(6)
@@ -124,23 +152,27 @@ def test_param_validation():
         ("hvp", "operator-norm estimate: power step 1 gives a non-finite H x"),
         # NaN only after the 40 products of the estimate's 20 power steps.
         ("hvp", "cubic subproblem: non-finite cubic-model gradient"),
+        # 1e200 v after those 40 products: the model gradient is finite, but
+        # its squared norm overflows.
+        ("huge-hvp", "cubic subproblem: non-finite cubic-model gradient"),
     ],
 )
 def test_acrn_non_finite_is_numerical_failure(bad, detail):
     base = make_norm_squared(3)
     nan = lambda *args: np.full(3, np.nan)
+    late = (lambda v: 1e200 * v) if bad == "huge-hvp" else nan
     good_hvps = 40 if detail.startswith("cubic subproblem") else 0
     calls = []
 
     def hvp(x, v):
         calls.append(None)
-        return base.eval_hvp(x, v) if len(calls) <= good_hvps else nan()
+        return base.eval_hvp(x, v) if len(calls) <= good_hvps else late(v)
 
     oracle = ProblemOracle(
         3,
         base.eval_f,
         nan if bad == "grad" else base.eval_grad,
-        hvp if bad == "hvp" else base.eval_hvp,
+        base.eval_hvp if bad == "grad" else hvp,
         f"nan-{bad}",
     )
     res = acrn_solve(oracle, np.ones(3), 1e-4, CrnParams())

@@ -392,21 +392,9 @@ def test_matches_reference_loop_on_random_systems():
     # the outcome must match the direct-product loop exactly and the cap U
     # to rounding.  The log-spaced positive-definite spectra (trials 400 on)
     # all take more than n steps in floating point, most more than n + 5.
-    rng = generator(2025, stream=12)
-    eps_choices = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-    kinds = set()
-    for trial in range(500):
-        n = int(rng.integers(2, 60))
-        eps = eps_choices[trial % len(eps_choices)]
-        if trial >= 400:
-            lo = float(rng.uniform(-3.0, 0.0))
-            H = rotated(rng, np.logspace(lo, lo + float(rng.uniform(6.0, 8.0)), n))
-            eps = 1e-4
-        elif trial % 2:
-            H = random_symmetric(rng, n, lo=0.0, hi=float(rng.uniform(0.5, 100.0)))
-        else:
-            H = random_symmetric(rng, n, lo=-float(rng.uniform(0.01, 5.0)), hi=5.0)
-        g = rng.standard_normal(n)
+    # The systems at the benchmark's sizes, n = 100 and 400, also check that
+    # the workspace's row dot products equal the reference's per-vector ones.
+    def check(H, g, eps):
         calls = 0
 
         def hvp(v):
@@ -424,8 +412,37 @@ def test_matches_reference_loop_on_random_systems():
         if out.d_type == NC:  # covers NC iterates y as well as CG directions p
             dense = float(out.d @ (H @ out.d))
             assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
-        kinds.add(out.d_type)
+        return out.d_type
+
+    rng = generator(2025, stream=12)
+    eps_choices = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+    kinds = set()
+    for trial in range(500):
+        n = int(rng.integers(2, 60))
+        eps = eps_choices[trial % len(eps_choices)]
+        if trial >= 400:
+            lo = float(rng.uniform(-3.0, 0.0))
+            H = rotated(rng, np.logspace(lo, lo + float(rng.uniform(6.0, 8.0)), n))
+            eps = 1e-4
+        elif trial % 2:
+            H = random_symmetric(rng, n, lo=0.0, hi=float(rng.uniform(0.5, 100.0)))
+        else:
+            H = random_symmetric(rng, n, lo=-float(rng.uniform(0.01, 5.0)), hi=5.0)
+        g = rng.standard_normal(n)
+        kinds.add(check(H, g, eps))
     assert kinds == {SOL, NC}
+
+    rng = generator(2026, stream=12)
+    for n in (100, 400):
+        kinds = set()
+        for H, eps in (
+            (random_symmetric(rng, n, lo=0.0, hi=70.0), 1e-3),
+            (rotated(rng, np.logspace(-2.0, 2.0, n)), 1e-4),
+            (random_symmetric(rng, n, lo=-1.0, hi=70.0), 1e-3),
+            (rotated(rng, np.concatenate([[-0.05], np.logspace(-2.0, 2.0, n - 1)])), 1e-4),
+        ):
+            kinds.add(check(H, rng.standard_normal(n), eps))
+        assert kinds == {SOL, NC}
 
 
 def test_hvp_budget_accounting():
@@ -442,3 +459,28 @@ def test_hvp_budget_accounting():
     assert out.iterations >= 2
     assert calls == out.iterations + 1
 
+
+def test_workspace_never_leaks():
+    # One run lives in a single reused workspace; no vector handed to the HVP
+    # and no returned direction may be a view of it.
+    rng = generator(2027, stream=14)
+    kinds = set()
+    for H in (random_symmetric(rng, 30, lo=0.1, hi=5.0), rotated(rng, np.linspace(-0.05, 5.0, 30))):
+        g = rng.standard_normal(30)
+        seen = []
+
+        def recording(v):
+            seen.append((v, v.copy()))
+            return H @ v
+
+        out = capped_cg(recording, g, 1e-2)
+        assert len(seen) > 2
+        for i, (v, snapshot) in enumerate(seen):
+            np.testing.assert_array_equal(v, snapshot)
+            assert not any(np.shares_memory(v, w) for w, _ in seen[i + 1 :])
+        assert out.d.base is None and not any(np.shares_memory(out.d, v) for v, _ in seen)
+        d = out.d.copy()
+        capped_cg(recording, -g, 1e-2)
+        np.testing.assert_array_equal(out.d, d)
+        kinds.add(out.d_type)
+    assert kinds == {SOL, NC}
