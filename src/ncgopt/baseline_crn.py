@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .meo import NonFiniteError
+from .meo import NonFiniteError, _norm
 from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _drive, _validate_budget
 from .oracle import ProblemOracle
 from .pf_newton_cg import PfParams
@@ -61,15 +61,6 @@ class CubicSubproblemResult:
     grad_norm: float
     iterations: int
     converged: bool
-
-
-def _norm(v: Array) -> float:
-    """sqrt(v @ v), the bits of np.linalg.norm of a real vector; inf, not numpy's warning, when the square overflows."""
-    try:
-        return math.sqrt(float(v @ v))
-    except (RuntimeWarning, FloatingPointError):
-        with np.errstate(all="ignore"):
-            return math.sqrt(float(v @ v))
 
 
 def _model_value(g: Array, hs: Array, s: Array, norm_s: float, weight: float) -> float:
@@ -182,7 +173,7 @@ def acrn_solve(
             norm_h = estimate_operator_norm(
                 hvp, co.dim, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
             )
-            tol = min(0.1, float(np.linalg.norm(gx)) / 10.0)
+            tol = min(0.1, _norm(gx) / 10.0)
         s0 = sampling.unit_vector(params.seed, co.dim, stream=sampling.STREAM_CRN_SUBPROBLEM + draw)
         draw += 1
         sub = cubic_subproblem_gd(gx, hvp, weight, tol, s0, MAX_SUB_ITERS, lipschitz_hint=norm_h)

@@ -12,9 +12,10 @@ test, the curvature tests on y and p, and the residual envelope
 ||r_j|| <= sqrt(T_cap) tau^(j/2) ||r_0||, whose violation yields a pair of
 iterates with curvature below eps; the pair search replays the run rather
 than store it, so memory is O(n).  A run keeps its vectors in one 7 x n
-workspace, updated in place, and takes its squared norms as row dot
-products; the HVP gets a fresh copy of p and the returned d is a copy, so no
-caller sees the workspace.  In exact arithmetic the envelope ends
+workspace, updated in place, and takes its squared norms in one
+``meo._squared_norm`` call over its rows; a square that is not finite
+raises CappedCgError before any test reads it.  The HVP gets a fresh copy
+of p and the returned d is a copy.  In exact arithmetic the envelope ends
 the loop by pass J(U) (``iteration_cap`` without its min(n, .)).  Rounding
 can keep it going (tau rounds to 1 once kappa passes about 8e31), so a
 pass j >= J(U) that no test ends raises CappedCgError.
@@ -30,6 +31,8 @@ from itertools import count, islice
 from typing import Callable
 
 import numpy as np
+
+from .meo import _norm, _squared_norm
 
 Array = np.ndarray
 
@@ -113,42 +116,33 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
     work = np.zeros((7, n))
     steps, iterates = work[:3], work[3:6]  # r, y and H y move along H-bar p, p and H p
     hbar_p, p, hp, r, y, hy, hr = work
-    p_hp, y_hy_hr = work[1:3], work[4:7]
     np.negative(g, out=p)
     r[:] = g
-    rr, beta = float(r @ r), 0.0
+    beta = 0.0
     for j in count():
         hp_new = hvp(p.copy())
         np.multiply(hp, beta, out=hr)  # beta H p^(j-1), before H p^j overwrites it
         hp[:] = hp_new
-        # Squared norms are row dot products v @ v; sqrt(v @ v) has the bits of
-        # np.linalg.norm.  A NaN or inf entry of p or H p, or an overflow of
-        # ||p||^2 or ||H p||^2, raises here, before it enters p' H p.
-        try:
-            pp, hp_hp = np.vecdot(p_hp, p_hp).tolist()
-        except (RuntimeWarning, FloatingPointError):
-            # numpy's settings made an overflow an exception; taken again
-            # quietly, the square is inf.
-            with np.errstate(all="ignore"):
-                pp, hp_hp = np.vecdot(p_hp, p_hp).tolist()
+        hr -= hp
+        # A NaN or inf entry of a vector, or a square that overflows, raises
+        # here, before it enters p' H p or a test.
+        pp, hp_hp, rr, yy, hy_hy, hr_hr = _squared_norm(work[1:]).tolist()
         if not (math.isfinite(rr) and math.isfinite(pp)):
             raise CappedCgError("non-finite CG iterate", j)
         if not math.isfinite(hp_hp):
             # A finite H p with an infinite squared norm makes the cap U infinite.
             finite = np.all(np.isfinite(hp))
             raise CappedCgError("curvature ratio overflow" if finite else "non-finite Hessian-vector product", j)
+        if not (math.isfinite(yy) and math.isfinite(hy_hy) and math.isfinite(hr_hr)):
+            raise CappedCgError("non-finite ||y||^2, ||H y||^2 or ||H r||^2", j)
         np.multiply(p, two_eps, out=hbar_p)
         hbar_p += hp
-        hr -= hp
         p_hbar_p = float(p @ hbar_p)
-        yy, hy_hy, hr_hr = np.vecdot(y_hy_hr, y_hy_hr).tolist()
         yield y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p
         iterates += steps * (rr / p_hbar_p)
-        rr_new = float(r @ r)
-        beta = rr_new / rr
+        beta = float(_squared_norm(r)) / rr
         p *= beta
         p -= r
-        rr = rr_new
 
 
 def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
@@ -161,7 +155,7 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
-    r0_norm = math.sqrt(float(g @ g))
+    r0_norm = _norm(g)
     if r0_norm == 0.0:
         raise ValueError("g must be nonzero")
     if not eps > 0.0:
@@ -204,7 +198,7 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
             hy_next = hy + alpha * hp
             for y_i, hy_i, *_ in islice(_cg_passes(hvp, g, two_eps), j):
                 dy = y_next - y_i
-                dd = float(dy @ dy)
+                dd = float(_squared_norm(dy))
                 dy_hdy = float(dy @ (hy_next - hy_i))
                 if dy_hdy + two_eps * dd < eps * dd:
                     return CgOutcome(dy, NC, dy_hdy, j, U)

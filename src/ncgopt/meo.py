@@ -26,8 +26,8 @@ per step; the dense k x k eigensolve runs only once the count is positive.
 Directions are never returned on trust: the candidate Ritz vector is checked
 against an actual Hessian-vector product before it is returned, so a
 positive semidefinite operator can never produce a direction, regardless of
-rounding.  A non-finite Lanczos coefficient raises ``NonFiniteError``
-instead of ending in a certificate.
+rounding.  A non-finite Lanczos coefficient or check v^T H v raises
+``NonFiniteError`` instead of ending in a certificate.
 """
 from __future__ import annotations
 
@@ -54,16 +54,24 @@ class NonFiniteError(FloatingPointError):
     """A NaN or infinite value inside a building block; the message names the block."""
 
 
-def _norm(v: Array) -> float:
-    """||v||, inf when its square overflows, even where numpy's settings make that an exception.
-
-    Only then is the norm taken again with floating-point errors quiet; the usual path pays nothing.
-    """
+def _squared_norm(v: Array):
+    """v @ v over the last axis, with its bits (row by row for a block), and inf where it
+    overflows even if numpy's settings make that an exception: only then is it taken
+    again with errors quiet.  The one norm of the solver modules."""
     try:
-        return float(np.linalg.norm(v))
+        return np.vecdot(v, v)
     except (RuntimeWarning, FloatingPointError):
         with np.errstate(all="ignore"):
-            return float(np.linalg.norm(v))
+            return np.vecdot(v, v)
+
+
+def _norm(v: Array) -> float:
+    """||v||, the square root of ``_squared_norm``: inf when the square overflows.  Only an
+    overflow calls it, so a norm is one Python call (the cubic subproblem takes two a step)."""
+    try:
+        return math.sqrt(np.vecdot(v, v))
+    except (RuntimeWarning, FloatingPointError):
+        return math.sqrt(_squared_norm(v))
 
 
 @dataclass
@@ -139,7 +147,7 @@ def minimum_eigenvalue_oracle(
     docstring), so a certificate costs at most n Hessian-vector products.
 
     Deterministic given (seed, stream).  Raises ``NonFiniteError`` when a
-    Lanczos coefficient is not finite.
+    Lanczos coefficient or the check v^T H v of a Ritz vector is not finite.
     """
     lower = 0.0  # max_j ||H q_j||, a lower bound on ||H|| that scales the breakdown test
     shift = -eps / 2.0
@@ -176,12 +184,14 @@ def minimum_eigenvalue_oracle(
         if below:
             theta, weights = smallest_eigenpair(alphas[:k], betas[: k - 1])
             v = basis[:, :k] @ weights
-            v = v / float(np.linalg.norm(v))
+            v = v / _norm(v)
             curvature = float(v @ np.asarray(hvp(v), dtype=float))
+            if not math.isfinite(curvature):
+                raise NonFiniteError(f"eigenvalue oracle: Ritz vector check at k = {k} is {curvature}")
             if curvature <= shift:
                 return MeoOutcome(DIRECTION, v, k, theta, curvature)
 
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         if not math.isfinite(beta):
             raise NonFiniteError(f"eigenvalue oracle: Lanczos beta_{k} is {beta}")
         # Exactly invariant subspace: its Ritz values are exact, and the

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import sampling
 from .capped_cg import NC, ZETA, CappedCgError, capped_cg
-from .meo import CERTIFICATE, NonFiniteError, _norm, minimum_eigenvalue_oracle
+from .meo import CERTIFICATE, NonFiniteError, _norm, _squared_norm, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
 Array = np.ndarray
@@ -237,7 +237,7 @@ def scale_nc_direction(d: Array, curvature: float, g: Array, sigma: float) -> Ar
     Rayleigh quotient equal -min{1, sigma} ||d|| and keeps d.g <= 0.
     ``curvature`` is d.Hd, which capped CG already computed to classify d.
     """
-    dn = float(np.linalg.norm(d))
+    dn = _norm(d)
     if dn == 0.0:
         raise ValueError("negative-curvature direction must be nonzero")
     sign = 1.0 if float(d @ g) >= 0.0 else -1.0
@@ -302,19 +302,19 @@ def line_search_sol(
     f(x + THETA^j d) <= f(x) - ETA (sigma eps_g)^(1/2) THETA^(2j) ||d||^2.
     ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
-    decrease = ETA * math.sqrt(sigma * eps_g) * float(d @ d)
+    decrease = ETA * math.sqrt(sigma * eps_g) * float(_squared_norm(d))
     return _backtrack(oracle, x, d, f_x, decrease, "SOL backtracking exceeded its cap", f_first=f_full)
 
 
 def line_search_nc(oracle, x: Array, d: Array, sigma: float, f_x: float) -> LineSearchOutcome:
     """Backtracking with the cubic decrease test for negative-curvature steps."""
-    decrease = ETA * min(1.0, sigma) * float(np.linalg.norm(d)) ** 3 / 4.0
+    decrease = ETA * min(1.0, sigma) * _norm(d) ** 3 / 4.0
     return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap")
 
 
 def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome:
     """Backtracking for eigenvalue-oracle steps; alpha = 1 is the j = 0 trial."""
-    decrease = ETA * float(np.linalg.norm(d)) ** 3 / 2.0
+    decrease = ETA * _norm(d) ** 3 / 2.0
     return _backtrack(oracle, x, d, f_x, decrease, "MEO backtracking exceeded its cap")
 
 
@@ -344,7 +344,7 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
             grad_full = co.eval_grad(x + d) if f_full <= fx else None
             if grad_full is not None and _norm(grad_full) <= eps_g:
                 step, accepted_by = LineSearchOutcome(1.0, 0, f_full), FULL_STEP
-            elif reject_short and 6.0 * float(np.linalg.norm(d)) < math.sqrt(eps_g / sigma):
+            elif reject_short and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
                 step, reason = None, SMALL_STEP
             else:
                 step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
@@ -442,7 +442,7 @@ def _drive(
                     f_before=fx,
                     f_after=step.f_new,
                     grad_norm=gnorm,
-                    d_norm=float(np.linalg.norm(d)),
+                    d_norm=_norm(d),
                     sigma=step_sigma,
                     inner_iterations=inner,
                     accepted_by=accepted_by,

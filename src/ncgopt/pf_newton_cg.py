@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capped_cg import capped_cg
+from .meo import _norm
 from .newton_cg import (
     ETA,
     THETA,
@@ -80,7 +81,7 @@ def bounded_line_search_sol(
     None means the window closed; hitting J_MAX inside the window raises.
     ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
     """
-    dn = float(np.linalg.norm(d))
+    dn = _norm(d)
     window = min(1.0, 2.0 * (1.0 - ETA) * THETA * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
     decrease = ETA * math.sqrt(sigma_t * eps_g) * dn * dn
     message = "bounded SOL search exceeded its cap in-window"
@@ -95,7 +96,7 @@ def bounded_line_search_nc(oracle, x: Array, d: Array, sigma_t: float, f_x: floa
     f(x + THETA^j d) <= f(x) - ETA min{1, sigma_t} THETA^(2j) ||d||^3 / 4.
     """
     window = THETA * min(1.0, 1.0 / sigma_t)
-    decrease = ETA * min(1.0, sigma_t) * float(np.linalg.norm(d)) ** 3 / 4.0
+    decrease = ETA * min(1.0, sigma_t) * _norm(d) ** 3 / 4.0
     message = "bounded NC search exceeded its cap in-window"
     return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
 

@@ -387,6 +387,16 @@ def test_curvature_ratio_overflow_raises():
     assert err.value.iteration == 0
 
 
+def test_iterate_square_overflow_raises():
+    # ||g||^2 = 1e308 is finite and H p = 0, so the first step puts y near
+    # 1e154 / (2 eps) and ||y||^2 overflows; the pass raises before any test
+    # reads it.
+    hvp = lambda v: np.array([0.0, 5.0 * v[1]])
+    with pytest.raises(CappedCgError, match=r"non-finite \|\|y\|\|\^2") as err:
+        capped_cg(hvp, np.array([1e154, 0.0]), 1e-3)
+    assert err.value.iteration == 1
+
+
 def test_matches_reference_loop_on_random_systems():
     # The recurrence for H r^j changes only the rounding of ||H r^j||, so
     # the outcome must match the direct-product loop exactly and the cap U

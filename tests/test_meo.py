@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ncgopt.meo import (
     DIRECTION,
     DELTA,
     NonFiniteError,
+    _norm,
+    _squared_norm,
     lanczos_budget,
     minimum_eigenvalue_oracle,
     shifted_pivot,
@@ -295,3 +298,24 @@ def test_self_sized_norm_overflow_raises():
     H = 1e160 * np.outer(q, q) - np.diag([0.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NonFiniteError, match=r"\|\|H q_1\|\| is inf"):
         minimum_eigenvalue_oracle(matvec(H), n, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 100, 400])
+def test_norm_keeps_the_bits_of_numpy(n):
+    rng = np.random.default_rng(n)
+    for scale in 10.0 ** np.arange(-150, 151, 30):
+        v = scale * rng.standard_normal(n)
+        assert _norm(v) == float(np.linalg.norm(v))
+        block = scale * rng.standard_normal((3, n))
+        assert _squared_norm(block).tolist() == [float(row @ row) for row in block]
+
+
+def test_overflowing_square_is_inf_without_an_exception():
+    v, block = np.array([1e200, 1.0]), np.array([[1.0, 2.0], [1e160, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _norm(v) == math.inf
+        assert _squared_norm(block).tolist() == [5.0, math.inf]
+    with np.errstate(over="raise"):
+        assert _norm(v) == math.inf
+        assert _squared_norm(block).tolist() == [5.0, math.inf]

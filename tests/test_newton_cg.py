@@ -633,6 +633,47 @@ def test_huge_curvature_ratio_reaches_fosp(solver):
     assert res.status == FOSP
 
 
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+def test_huge_flat_gradient_is_numerical_failure(solver):
+    # g = (1e154, 0) has a finite ||g||^2 = 1e308, and H p = 0 along p = -g,
+    # so CG's first step takes y to about 1e154 / (2 eps): ||y||^2 overflows.
+    # Capped CG must stop there rather than let numpy warn or hand the
+    # inf to its tests.
+    oracle = ProblemOracle(
+        2,
+        lambda x: 1e154 * float(x[0]),
+        lambda x: np.array([1e154, 0.0]),
+        lambda x, v: np.array([0.0, 5.0 * v[1]]),
+        "huge-flat-gradient",
+    )
+    res = solve_with(solver, oracle, np.zeros(2), None)
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail.startswith("capped CG: ")
+    assert res.counters.f_evals == 1 and res.trace == []
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_non_finite_ritz_check_never_certifies(solver, seed):
+    # f = 1/2 x' diag(-1, 10) x from its saddle x0 = 0.  The third
+    # Hessian-vector product is the check v'Hv of a Ritz vector; a NaN there
+    # must not read as "no direction" and end in a certificate.
+    lam, calls = np.array([-1.0, 10.0]), []
+
+    def hvp(x, v):
+        calls.append(None)
+        return np.full(2, np.nan) if len(calls) == 3 else lam * v
+
+    oracle = ProblemOracle(2, lambda x: 0.5 * float(x @ (lam * x)), lambda x: lam * x, hvp, "nan-ritz-check")
+    if solver == "alg1":
+        res = newton_cg_solve(oracle, np.zeros(2), NcgParams(1e-4, HolderClass(1.0, 1.0), 1e-3, seed=seed))
+    else:
+        res = pf_newton_cg_solve(oracle, np.zeros(2), PfParams(1e-4, 1e-3, seed=seed))
+    assert res.status == NUMERICAL_FAILURE
+    assert re.fullmatch(r"eigenvalue oracle: Ritz vector check at k = \d is nan", res.status_detail)
+    assert res.counters.meo_calls == 1 and res.counters.hvp_evals == 3
+
+
 def hostile(base, bad, value, k, shape=None):
     """``base`` with callback ``bad`` (f, grad or hvp) returning ``value`` at its k-th call:
     filled into ``shape`` when given, else as a scalar f or a (dim,) vector."""
@@ -679,6 +720,10 @@ def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
     if res.status in (FOSP, "SOSP_certified"):
         assert math.isfinite(res.f_final)
         assert float(np.linalg.norm(base.eval_grad(res.x_final))) <= eps_g
+    if res.status == "SOSP_certified":
+        columns = [base.eval_hvp(res.x_final, e) for e in np.eye(base.dim)]
+        hessian = np.column_stack(columns)
+        assert np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[0] >= -eps_H
     if bad == "f" and k == 1 and math.isnan(value):
         assert res.status == NUMERICAL_FAILURE and res.status_detail == "objective is nan"
         assert res.counters.f_evals == 1 and res.counters.hvp_evals == 0
