@@ -472,10 +472,10 @@ def test_meo_backtracking_cap_yields_line_search_failure_status(solver):
     assert res.f_final == 0.0 and np.array_equal(res.x_final, np.zeros(4))
 
 
-def solve_with(solver, oracle, x0, eps_H):
+def solve_with(solver, oracle, x0, eps_H, seed=0):
     if solver == "alg1":
-        return newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, eps_H=eps_H, holder=HolderClass(1.0, 1.0)))
-    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=eps_H))
+        return newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, eps_H=eps_H, holder=HolderClass(1.0, 1.0), seed=seed))
+    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=eps_H, seed=seed))
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
@@ -665,10 +665,7 @@ def test_non_finite_ritz_check_never_certifies(solver, seed):
         return np.full(2, np.nan) if len(calls) == 3 else lam * v
 
     oracle = ProblemOracle(2, lambda x: 0.5 * float(x @ (lam * x)), lambda x: lam * x, hvp, "nan-ritz-check")
-    if solver == "alg1":
-        res = newton_cg_solve(oracle, np.zeros(2), NcgParams(1e-4, HolderClass(1.0, 1.0), 1e-3, seed=seed))
-    else:
-        res = pf_newton_cg_solve(oracle, np.zeros(2), PfParams(1e-4, 1e-3, seed=seed))
+    res = solve_with(solver, oracle, np.zeros(2), 1e-3, seed)
     assert res.status == NUMERICAL_FAILURE
     assert re.fullmatch(r"eigenvalue oracle: Ritz vector check at k = \d is nan", res.status_detail)
     assert res.counters.meo_calls == 1 and res.counters.hvp_evals == 3
@@ -721,8 +718,7 @@ def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
         assert math.isfinite(res.f_final)
         assert float(np.linalg.norm(base.eval_grad(res.x_final))) <= eps_g
     if res.status == "SOSP_certified":
-        columns = [base.eval_hvp(res.x_final, e) for e in np.eye(base.dim)]
-        hessian = np.column_stack(columns)
+        hessian = np.column_stack([base.eval_hvp(res.x_final, e) for e in np.eye(base.dim)])
         assert np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[0] >= -eps_H
     if bad == "f" and k == 1 and math.isnan(value):
         assert res.status == NUMERICAL_FAILURE and res.status_detail == "objective is nan"
