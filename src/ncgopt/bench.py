@@ -22,8 +22,9 @@ n evenly spaced eigenvalues from 50 to 100, and its cells take m = p = 0.
 Start points follow the benchmark protocol: the origin for infeasibility,
 (1/n, ..., 1/n) for repu, and a scaled all-ones vector for the quadratic
 family.  Instance seeds are base_seed + instance index; each instance is
-generated once and run by every solver, serially.  Runs are bit-reproducible
-except wall time.
+generated once and run by every solver, serially.  Wall time aside, runs are
+bit-reproducible per (instance seed, params.seed) on one numpy build and one
+OpenBLAS core; across cores, statuses held and counts moved by up to 2 HVPs.
 
 Exit codes: 0 success, 1 config error or an ``out`` path that cannot be
 written (checked before the first solve), 2 run failures present.  Each failed

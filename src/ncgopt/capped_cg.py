@@ -16,9 +16,9 @@ workspace, updated in place, and takes its squared norms in one
 ``meo._squared_norm`` call over its rows; a square that is not finite
 raises CappedCgError before any test reads it.  The HVP gets a fresh copy
 of p and the returned d is a copy.  In exact arithmetic the envelope ends
-the loop by pass J(U) (``iteration_cap`` without its min(n, .)).  Rounding
-can keep it going (tau rounds to 1 once kappa passes about 8e31), so a
-pass j >= J(U) that no test ends raises CappedCgError.
+the loop by pass J(U) (``bounds.iteration_cap`` without its min(n, .)).
+Rounding can keep it going (tau rounds to 1 once kappa passes about 8e31),
+so a pass j >= J(U) that no test ends raises CappedCgError.
 
 Curvature and residual comparisons are strict floating-point comparisons;
 tolerance slack belongs to callers and tests, not to the branch predicates.
@@ -91,15 +91,6 @@ class CgOutcome:
 def psi(t: float, zeta: float) -> float:
     """log(144 (sqrt(t + 2) + 1)^2 (t + 2)^6 / zeta^2), summed in logs so it is finite for finite t."""
     return 2.0 * (math.log(12.0 * (math.sqrt(t + 2.0) + 1.0)) - math.log(zeta)) + 6.0 * math.log(t + 2.0)
-
-
-def iteration_cap(norm_h: float, eps: float, zeta: float, n: int) -> int:
-    """Worst-case iteration count: min{n, J}, J = ceil((sqrt(|H|/eps) + 2) psi(|H|/eps)).
-
-    min(n, .) is the bound in exact arithmetic.  In floating point the loop
-    can run past n; capped_cg raises from pass J of its running cap U <= |H| on.
-    """
-    return min(n, math.ceil(cap_constants(norm_h, eps, zeta)[3]))
 
 
 def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):

@@ -13,7 +13,7 @@ upper bound M on ||H||.  A run to k = n meets that budget whatever ||H|| is,
 so the certificate holds with probability at least 1 - ``DELTA`` with no
 norm bound at all, and it costs at most n Hessian-vector products.  A
 budget below n needs a proven upper bound on ||H||, which the oracle is not
-given; ``lanczos_budget`` is the formula, for callers and tests.
+given; ``bounds.lanczos_budget`` is the formula.
 
 Each step asks whether the tridiagonal T_k has a Ritz value at or below
 s = -eps/2 with an inertia count (Sylvester's law): the pivots of the
@@ -90,19 +90,6 @@ class MeoOutcome:
     ritz: float
     curvature: float | None = None
     breakdown: bool = False
-
-
-def lanczos_budget(n: int, eps: float, delta: float, norm_h: float) -> int:
-    """Iteration budget min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(|H|/eps))}
-    for an upper bound ``norm_h`` on ||H||; the oracle itself runs to n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    raw = 1 + math.ceil(0.5 * math.log(2.75 * n / delta**2) * math.sqrt(norm_h / eps))
-    return min(n, raw)
 
 
 def shifted_pivot(alpha: float, shift: float, beta: float = 0.0, prev: float = 1.0) -> float:

@@ -11,9 +11,9 @@ supplies a negative-curvature step.  This module's driver tries the single
 weight gamma_nu(eps_g), computed from the smoothness class (nu, h_nu), with
 unbounded searches.
 
-Also hosts the direction-scaling rules, the backtracking loop with its SOL,
-NC and MEO searches, and the worst-case iteration-bound calculators, which
-only tests use: the drivers' budget is the fixed ``max_outer``.
+Also hosts the direction-scaling rules and the backtracking loop with its
+SOL, NC and MEO searches.  The drivers' budget is the fixed ``max_outer``;
+the paper's worst-case iteration bounds are in ``ncgopt.bounds``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import sampling
-from .capped_cg import NC, ZETA, CappedCgError, capped_cg
+from .capped_cg import NC, CappedCgError, capped_cg
 from .meo import CERTIFICATE, NonFiniteError, _norm, _squared_norm, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
@@ -65,9 +65,9 @@ class NcgParams:
     """Inputs of the known-smoothness driver: tolerances, smoothness class, budget.
 
     The working setting is fixed as module constants: THETA, ETA and J_MAX
-    here, ``capped_cg.ZETA`` and ``meo.DELTA``.  ``max_outer`` is a fixed cap on outer iterations, not sized from
-    ``complexity_bounds``: that bound needs a lower bound on f, and ranges
-    from 10 near the optimum to beyond 1e10 at a unit gap.
+    here, ``capped_cg.ZETA`` and ``meo.DELTA``.  ``max_outer`` is a fixed cap on
+    outer iterations, not sized from ``bounds.complexity_bounds``: that bound needs
+    a lower bound on f, and ranges from 10 near the optimum to beyond 1e10 at a unit gap.
     """
 
     eps_g: float
@@ -153,10 +153,6 @@ class LineSearchOutcome:
     f_new: float
 
 
-# ---------------------------------------------------------------------------
-# Smoothness-derived constants and worst-case bounds.
-
-
 def gamma_nu(eps_g: float, holder: HolderClass) -> float:
     """Damping scale 4 h_nu^(2/(1+nu)) eps_g^(-(1-nu)/(1+nu)).
 
@@ -165,65 +161,6 @@ def gamma_nu(eps_g: float, holder: HolderClass) -> float:
     """
     nu, h = holder.nu, holder.h_nu
     return 4.0 * h ** (2.0 / (1.0 + nu)) * eps_g ** (-(1.0 - nu) / (1.0 + nu))
-
-
-def taylor_error_modulus(delta: float, holder: HolderClass) -> float:
-    """Modulus L(delta) of the delta-relaxed quadratic model error.
-
-    The gradient of f stays within L(delta)/2 ||step||^2 + delta of its
-    linearization.  The nu = 1 case uses the 0^0 = 1 convention.
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    nu, h = holder.nu, holder.h_nu
-    return ((1.0 - nu) / (2.0 * delta * (1.0 + nu))) ** (
-        (1.0 - nu) / (1.0 + nu)
-    ) * h ** (2.0 / (1.0 + nu))
-
-
-def c_sol(eta: float, zeta: float, theta: float) -> float:
-    """Per-step decrease constant for accepted SOL steps."""
-    a = (2.0 / (4.0 + zeta + math.sqrt((4.0 + zeta) ** 2 + 1.0))) ** 2
-    b = (2.0 * (1.0 - eta) * theta / 3.0) ** 2 / 6.0
-    return eta * min(a, b)
-
-
-def c_nc(eta: float, theta: float) -> float:
-    """Per-step decrease constant for negative-curvature steps."""
-    return eta * theta**2 / 4.0
-
-
-def c_meo(eta: float, theta: float, holder: HolderClass) -> float:
-    """Per-step decrease constant for minimum-eigenvalue-oracle steps.
-
-    Defined for nu in (0, 1] only.
-    """
-    nu, h = holder.nu, holder.h_nu
-    if not nu > 0.0:
-        raise ValueError("c_meo requires nu > 0")
-    base = min(1.0, theta * ((1.0 - eta) / h) ** (1.0 / nu))
-    return (eta / 2.0) * base**2 * 0.5 ** ((2.0 + nu) / nu)
-
-
-def complexity_bounds(
-    params: NcgParams, f0: float, f_low: float, *, eta: float = ETA, zeta: float = ZETA, theta: float = THETA
-) -> tuple[int, int | None]:
-    """Worst-case outer-iteration bounds (K1, K2).
-
-    K2 is None when eps_H is not requested or when nu = 0, where the
-    second-order bound is undefined.  The constants default to the driver's.
-    """
-    if f0 < f_low:
-        raise ValueError("f0 must be at least f_low")
-    gamma = gamma_nu(params.eps_g, params.holder)
-    c1 = min(c_sol(eta, zeta, theta), c_nc(eta, theta))
-    k1 = math.ceil((f0 - f_low) / c1 * math.sqrt(gamma) * params.eps_g ** (-1.5)) + 1
-    k2: int | None = None
-    if params.eps_H is not None and params.holder.nu > 0.0:
-        nu = params.holder.nu
-        cm = c_meo(eta, theta, params.holder)
-        k2 = math.ceil((f0 - f_low) / cm * params.eps_H ** (-(2.0 + nu) / nu)) + 1
-    return k1, k2
 
 
 # ---------------------------------------------------------------------------

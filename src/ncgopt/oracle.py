@@ -1,9 +1,8 @@
-"""Matrix-free problem abstraction and finite-difference derivative checks.
+"""Matrix-free problem abstraction and the per-solve counting wrapper.
 
 A :class:`ProblemOracle` is the only interface between solvers and problems:
 callbacks for f(x), grad f(x), and Hessian-vector products, plus dimension
-metadata.  Derivatives are analytic; the finite-difference checks here are
-test-side verification, never used inside solvers.
+metadata.  Derivatives are analytic.
 """
 from __future__ import annotations
 
@@ -64,14 +63,6 @@ class HolderClass:
             raise ValueError("h_nu must be positive and finite")
 
 
-class DerivativeCheckError(RuntimeError):
-    """A finite-difference probe hit a non-finite function value."""
-
-    def __init__(self, message: str, coordinate: int):
-        super().__init__(f"{message} (coordinate {coordinate})")
-        self.coordinate = coordinate
-
-
 @dataclass
 class Counters:
     """Work done by one solve; ``subproblems`` counts capped-CG calls or cubic models."""
@@ -125,60 +116,3 @@ def _require_shape(name: str, value, shape: tuple) -> None:
     """The slow path of CountingOracle's checks, for a non-float f or an output without ``shape``."""
     if np.shape(value) != shape:
         raise ValueError(f"{name} must return shape {shape}; got shape {np.shape(value)}")
-
-
-def _fd_step(x: Array, h: float | None) -> float:
-    # Central differences stay well conditioned with a step that scales
-    # with the point.
-    if h is not None:
-        return float(h)
-    return 1e-6 * (1.0 + float(np.linalg.norm(x)))
-
-
-def check_gradient_fd(oracle: ProblemOracle, x: Array, h: float | None = None) -> float:
-    """Max relative error between central differences of f and eval_grad.
-
-    The denominator 1 + |grad_i| avoids blowups near zero components.
-    """
-    x = np.asarray(x, dtype=float)
-    step = _fd_step(x, h)
-    if step <= 0.0:
-        raise ValueError("finite-difference step must be positive")
-    grad = np.asarray(oracle.eval_grad(x), dtype=float)
-    worst = 0.0
-    for i in range(oracle.dim):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        fp = oracle.eval_f(xp)
-        fm = oracle.eval_f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise DerivativeCheckError("non-finite f in gradient check", i)
-        fd = (fp - fm) / (2.0 * step)
-        err = abs(fd - grad[i]) / (1.0 + abs(grad[i]))
-        worst = max(worst, err)
-    return worst
-
-
-def check_hvp_fd(
-    oracle: ProblemOracle, x: Array, v: Array, h: float | None = None
-) -> float:
-    """Max relative error between a gradient central difference and eval_hvp."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0.0:
-        raise ValueError("probe direction v must be nonzero")
-    step = _fd_step(x, h)
-    if step <= 0.0:
-        raise ValueError("finite-difference step must be positive")
-    hv = np.asarray(oracle.eval_hvp(x, v), dtype=float)
-    gp = np.asarray(oracle.eval_grad(x + step * v), dtype=float)
-    gm = np.asarray(oracle.eval_grad(x - step * v), dtype=float)
-    fd = (gp - gm) / (2.0 * step)
-    bad = ~(np.isfinite(fd) & np.isfinite(hv))
-    if bad.any():
-        raise DerivativeCheckError(
-            "non-finite value in hvp check", int(np.argmax(bad))
-        )
-    return float(np.max(np.abs(fd - hv) / (1.0 + np.abs(hv))))

@@ -27,10 +27,8 @@ from .newton_cg import (
     _drive,
     _newton_trial,
     _validate_shared,
-    c_nc,
-    gamma_nu,
 )
-from .oracle import HolderClass, ProblemOracle
+from .oracle import ProblemOracle
 
 Array = np.ndarray
 
@@ -99,32 +97,6 @@ def bounded_line_search_nc(oracle, x: Array, d: Array, sigma_t: float, f_x: floa
     decrease = ETA * min(1.0, sigma_t) * _norm(d) ** 3 / 4.0
     message = "bounded NC search exceeded its cap in-window"
     return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
-
-
-def c_sol_hat(eta: float, theta: float) -> float:
-    """Per-step decrease constant for accepted SOL steps of this driver."""
-    return (eta / 6.0) * min(1.0 / 6.0, (2.0 * (1.0 - eta) * theta / 3.0) ** 2)
-
-
-def pf_bounds(
-    params: PfParams, holder: HolderClass, f0: float, f_low: float,
-    *, eta: float = ETA, theta: float = THETA, gamma_init: float = GAMMA_INIT, r: float = R,
-) -> tuple[float, int, int]:
-    """Test-side worst-case bounds (sigma_bar, T, K1_bar) for a known class.
-
-    sigma_bar caps every gamma_k; T caps capped-CG calls per outer
-    iteration; K1_bar caps outer iterations in first-order mode.  The solver
-    itself never sees the smoothness class.  The constants default to the
-    driver's.
-    """
-    if f0 < f_low:
-        raise ValueError("f0 must be at least f_low")
-    gamma = gamma_nu(params.eps_g, holder)
-    sigma_bar = max(gamma_init, r * gamma)
-    t_bound = max(math.ceil(math.log(sigma_bar / gamma_init) / math.log(r)), 0) + 2
-    c1 = min(c_sol_hat(eta, theta), c_nc(eta, theta))
-    k1_bar = math.ceil((f0 - f_low) / c1 * math.sqrt(sigma_bar) * params.eps_g ** (-1.5)) + 1
-    return sigma_bar, t_bound, k1_bar
 
 
 def pf_newton_cg_solve(

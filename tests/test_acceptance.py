@@ -10,10 +10,12 @@ import numpy as np
 
 import ncgopt as ng
 from ncgopt.bench import build_config, run_experiment
-from ncgopt.capped_cg import SOL, ZETA, capped_cg, iteration_cap, psi
-from ncgopt.meo import CERTIFICATE, DIRECTION, lanczos_budget, minimum_eigenvalue_oracle
-from ncgopt.newton_cg import c_meo, c_nc, c_sol, complexity_bounds, gamma_nu, taylor_error_modulus
-from ncgopt.pf_newton_cg import c_sol_hat, pf_bounds
+from ncgopt.bounds import (
+    c_meo, c_nc, c_sol, c_sol_hat, complexity_bounds, iteration_cap, lanczos_budget, pf_bounds, taylor_error_modulus
+)
+from ncgopt.capped_cg import SOL, ZETA, capped_cg, psi
+from ncgopt.meo import CERTIFICATE, DIRECTION, minimum_eigenvalue_oracle
+from ncgopt.newton_cg import gamma_nu
 from ncgopt.sampling import generator
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ncgopt
+from ncgopt import bounds, capped_cg, meo, newton_cg, oracle, pf_newton_cg
 
 PUBLIC_API = {
     # solvers and their params
@@ -43,6 +44,13 @@ PARAMS_FIELDS = {
     "CrnParams": ("max_outer", "seed"),
 }
 
+# The paper's worst-case formulas, which no solve runs, and the finite-difference checks.
+BOUND_FORMULAS = (
+    "taylor_error_modulus", "c_sol", "c_nc", "c_meo", "complexity_bounds", "c_sol_hat", "pf_bounds", "iteration_cap",
+    "lanczos_budget",
+)
+FD_CHECKS = ("check_gradient_fd", "check_hvp_fd", "_fd_step", "DerivativeCheckError")
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -58,6 +66,13 @@ def test_public_names_are_exactly_the_user_api():
 @pytest.mark.parametrize("name", sorted(PARAMS_FIELDS))
 def test_params_fields_are_exactly_the_solver_knobs(name):
     assert tuple(f.name for f in dataclasses.fields(getattr(ncgopt, name))) == PARAMS_FIELDS[name]
+
+
+def test_bounds_live_only_in_the_bounds_module():
+    for module in (newton_cg, pf_newton_cg, capped_cg, meo, oracle):
+        assert not [name for name in BOUND_FORMULAS + FD_CHECKS if hasattr(module, name)], module.__name__
+    for name in BOUND_FORMULAS:
+        assert getattr(bounds, name).__module__ == "ncgopt.bounds", name
 
 
 def test_readme_quick_start_runs(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ncgopt.capped_cg as capped_cg_module
+from ncgopt.bounds import iteration_cap
 from ncgopt.capped_cg import (
     NC,
     SOL,
@@ -13,7 +14,6 @@ from ncgopt.capped_cg import (
     CgOutcome,
     cap_constants,
     capped_cg,
-    iteration_cap,
 )
 from ncgopt.sampling import generator
 

@@ -2,6 +2,9 @@
 
 The expected values were recorded from the two drivers before they were
 merged into one outer loop; the merged driver must reproduce them exactly.
+Every entry was recorded on OpenBLAS's ``SkylakeX`` runtime core.  Under
+``OPENBLAS_CORETYPE=Haswell`` (AVX2), 23 of the 34 entries move (f_final in
+its trailing digits, hvp_evals by up to 2 on four), while every status holds.
 The six 'acrn' entries were recorded later, from the cubic-regularization
 baseline as it ran on that loop; it takes no eps_H, so theirs is None.
 The f_final of ('alg2', 'quartic', 1, 1e-2) was re-recorded once, when the

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ncgopt.bounds import lanczos_budget
 from ncgopt.meo import (
     CERTIFICATE,
     DIRECTION,
@@ -12,7 +13,6 @@ from ncgopt.meo import (
     NonFiniteError,
     _norm,
     _squared_norm,
-    lanczos_budget,
     minimum_eigenvalue_oracle,
     shifted_pivot,
     smallest_eigenpair,
@@ -122,6 +122,7 @@ def test_budget_formula():
     assert lanczos_budget(100, eps=0.01, delta=0.01, norm_h=1.0) == 76
     # Dimension caps the budget.
     assert lanczos_budget(3, eps=1e-6, delta=0.01, norm_h=10.0) == 3
+    assert lanczos_budget(100, eps=0.01, delta=0.01, norm_h=math.inf) == 100  # no bound: run to n
 
 
 def test_fuzzed_indefinite_and_psd():
@@ -253,6 +254,9 @@ def test_parameter_validation():
         lanczos_budget(4, eps=0.0, delta=0.5, norm_h=1.0)
     with pytest.raises(ValueError):
         lanczos_budget(4, eps=0.5, delta=1.0, norm_h=1.0)
+    for norm_h in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="norm_h"):
+            lanczos_budget(4, eps=0.5, delta=0.5, norm_h=norm_h)
 
 
 @pytest.mark.parametrize("indefinite", [False, True])

@@ -23,6 +23,7 @@ from ncgopt import (
 )
 from ncgopt import newton_cg as newton_cg_module
 from ncgopt import pf_newton_cg as pf_newton_cg_module
+from ncgopt.bounds import c_meo, c_nc, c_sol, complexity_bounds, taylor_error_modulus
 from ncgopt.capped_cg import NC, capped_cg
 from ncgopt.newton_cg import (
     ETA,
@@ -30,17 +31,12 @@ from ncgopt.newton_cg import (
     MEO,
     THETA,
     LineSearchError,
-    c_meo,
-    c_nc,
-    c_sol,
-    complexity_bounds,
     gamma_nu,
     line_search_meo,
     line_search_nc,
     line_search_sol,
     scale_meo_direction,
     scale_nc_direction,
-    taylor_error_modulus,
 )
 from ncgopt.oracle import CountingOracle
 from ncgopt.sampling import generator

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu
-from ncgopt.oracle import DerivativeCheckError, check_gradient_fd, check_hvp_fd
+from derivative_checks import DerivativeCheckError, check_gradient_fd, check_hvp_fd
 from ncgopt.sampling import standard_normals
 
 

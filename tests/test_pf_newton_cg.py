@@ -15,15 +15,14 @@ from ncgopt import (
     pf_newton_cg_solve,
 )
 from ncgopt import pf_newton_cg as pf_newton_cg_module
-from ncgopt.newton_cg import ETA, THETA, c_nc, gamma_nu
+from ncgopt.bounds import c_nc, c_sol_hat, pf_bounds
+from ncgopt.newton_cg import ETA, THETA, gamma_nu
 from ncgopt.oracle import CountingOracle
 from ncgopt.pf_newton_cg import (
     GAMMA_INIT,
     R,
     bounded_line_search_nc,
     bounded_line_search_sol,
-    c_sol_hat,
-    pf_bounds,
     sigma_start,
 )
 
@@ -376,7 +375,7 @@ def test_pf_sosp_certified_and_gamma_carry():
     assert len(res.gamma_history) == len(res.trace)
     # Outer iterations stay within the second-order worst-case budget.
     from ncgopt import NcgParams
-    from ncgopt.newton_cg import complexity_bounds
+    from ncgopt.bounds import complexity_bounds
 
     holder = HolderClass(1.0, 1e-8)
     _, _, k1_bar = pf_bounds(params, holder, oracle.eval_f(x0), 0.0)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from derivative_checks import check_gradient_fd, check_hvp_fd
 from ncgopt import (
     gen_infeasibility,
     gen_quadratic,
@@ -13,7 +14,6 @@ from ncgopt import (
     pf_newton_cg_solve,
     PfParams,
 )
-from ncgopt.oracle import check_gradient_fd, check_hvp_fd
 from ncgopt.problems import _pos_pow
 from ncgopt.sampling import standard_normals
 
