@@ -1,34 +1,37 @@
 """Experiment harness: seeded instance grids, solver runs, aggregated tables.
 
-Config files are plain ``key = value`` text (``#`` starts a comment) with a
-required ``config_version = 1`` line.  Recognized keys::
+``ncgopt-bench`` takes its settings from flags only; each sets one field of
+:class:`ExperimentConfig`, and an omitted flag keeps that field's default::
 
-    config_version     1
-    family             infeasibility | repu | quadratic
-    grid               semicolon-separated cells "n,m,p"
-    instances_per_cell positive integer (default 10)
-    base_seed          integer (default 0)
-    solvers            comma list from {alg1, alg2, acrn}
-    eps_g, eps_h       tolerances (eps_h optional)
-    out                output path ("-" = stdout)
-    format             csv | markdown
-    h_nu, nu           smoothness data handed to alg1 (heuristic on the
-                       benchmark families, exact on quadratic)
+    --family     infeasibility | repu | quadratic (required)
+    --grid       semicolon-separated cells "n,m,p" (default: the family's
+                 desk cell, 100,10,2.25 | 100,20,2.25 | 50,0,0)
+    --instances  instances per cell (default 10)
+    --seed       base seed (default 0)
+    --solver     comma list from {alg1, alg2, acrn} (default alg2)
+    --eps-g      first-order tolerance (default 1e-4)
+    --eps-h      second-order tolerance (default: none, first order only)
+    --h-nu, --nu smoothness data handed to alg1 (default 1, 1; heuristic on
+                 the benchmark families, exact on quadratic)
+    --out        output path, "-" for stdout (default stdout)
+    --format     csv | markdown (default csv)
 
-Command-line flags override file values.  Every other solver setting is
-fixed: the paper's working setting, kept as module constants, and each
-params class's default ``max_outer``.  The quadratic family's spectrum is
-n evenly spaced eigenvalues from 50 to 100, and its cells take m = p = 0.
-Start points follow the benchmark protocol: the origin for infeasibility,
-(1/n, ..., 1/n) for repu, and a scaled all-ones vector for the quadratic
-family.  Instance seeds are base_seed + instance index; each instance is
-generated once and run by every solver, serially.  Wall time aside, runs are
-bit-reproducible per (instance seed, params.seed) on one numpy build and one
-OpenBLAS core; across cores, statuses held and counts moved by up to 2 HVPs.
+Library callers build an ``ExperimentConfig`` directly; ``run_experiment``
+validates it.  Every other solver setting is fixed: the paper's working
+setting, kept as module constants, and each params class's default
+``max_outer``.  The quadratic family's spectrum is n evenly spaced
+eigenvalues from 50 to 100, and its cells take m = p = 0.  Start points
+follow the benchmark protocol: the origin for infeasibility, (1/n, ..., 1/n)
+for repu, and a scaled all-ones vector for the quadratic family.  Instance
+seeds are base seed + instance index; each instance is generated once and
+run by every solver, serially.  Wall time aside, runs are bit-reproducible
+per (instance seed, params.seed) on one numpy build and one OpenBLAS core;
+across cores, statuses held and counts moved by up to 2 HVPs.
 
-Exit codes: 0 success, 1 config error or an ``out`` path that cannot be
-written (checked before the first solve), 2 run failures present.  Each failed
-run is named on stderr with its cell, solver, seed and status.
+Exit codes: 0 success, 1 a bad flag, an out-of-range value or an ``--out``
+path that cannot be written (checked before the first solve), 2 run failures
+present.  Each failed run is named on stderr with its cell, solver, seed and
+status.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -49,10 +53,11 @@ FAMILIES = ("infeasibility", "repu", "quadratic")
 SOLVERS = ("alg1", "alg2", "acrn")
 FORMATS = ("csv", "markdown")
 
+# Each family's grid when --grid is omitted: its desk cell.
 _DEFAULT_GRIDS = {
-    "infeasibility": [(100, 10, 2.25)],
-    "repu": [(100, 20, 2.25)],
-    "quadratic": [(50, 0, 0.0)],
+    "infeasibility": ((100, 10, 2.25),),
+    "repu": ((100, 20, 2.25),),
+    "quadratic": ((50, 0, 0.0),),
 }
 # The quadratic family's eigenvalues run evenly from the first to the second.
 _QUADRATIC_SPECTRUM = (50.0, 100.0)
@@ -103,7 +108,7 @@ class ExperimentConfig:
         # The tolerances' and the holder's ranges live in the params classes.
         try:
             for solver in SOLVERS:
-                _params(self, solver, seed=0)
+                _solver(self, solver, seed=0)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -155,83 +160,22 @@ _CELL_TEXT = {
 
 
 # ---------------------------------------------------------------------------
-# Config parsing.
+# Flag parsing.
 
 
 def _parse_grid(text: str) -> tuple[tuple[int, int, float], ...]:
     cells = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [part.strip() for part in chunk.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"grid cell {chunk!r} must be 'n,m,p'")
-        cells.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if not cells:
-        raise ConfigError("grid is empty")
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        try:
+            n, m, p = chunk.split(",")
+            cells.append((int(n), int(m), float(p)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"grid cell {chunk!r} must be 'n,m,p'") from None
     return tuple(cells)
 
 
 def _parse_solvers(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-# Each config-file key and the parser of its value.
-_KEY_PARSERS = {
-    "grid": _parse_grid,
-    "solvers": _parse_solvers,
-    **dict.fromkeys(("config_version", "instances_per_cell", "base_seed"), int),
-    **dict.fromkeys(("family", "out", "format"), str),
-    **dict.fromkeys(("eps_g", "eps_h", "h_nu", "nu"), float),
-}
-
-
-def parse_config_file(path: str) -> dict:
-    """Parse a key = value config file into typed values."""
-    values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEY_PARSERS[key](value)
-        except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: {err}") from err
-    if values.get("config_version") != 1:
-        raise ConfigError(f"{path}: missing or unsupported config_version")
-    values.pop("config_version")
-    return values
-
-
-def build_config(file_values: dict | None = None, **overrides) -> ExperimentConfig:
-    """Merge file values with overrides and validate."""
-    merged: dict = dict(file_values or {})
-    if "format" in merged:
-        merged["fmt"] = merged.pop("format")
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    family = merged.get("family")
-    if family is None:
-        raise ConfigError("a family is required (config file or --family)")
-    merged.setdefault("grid", tuple(_DEFAULT_GRIDS.get(family, ())))
-    merged["grid"] = tuple(tuple(cell) for cell in merged["grid"])
-    if "solvers" in merged:
-        merged["solvers"] = tuple(merged["solvers"])
-    cfg = ExperimentConfig(**merged)
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +199,15 @@ def start_point(family: str, n: int) -> np.ndarray:
     return np.full(n, 10.0 / np.sqrt(n))
 
 
-def _params(cfg: ExperimentConfig, solver: str, seed: int):
-    """One solver's params: its class's defaults but for cfg's tolerances, holder and the seed."""
-    if solver == "acrn":
-        return CrnParams(seed=seed)
+def _solver(cfg: ExperimentConfig, solver: str, seed: int):
+    """One solver as ``run(oracle, x0)``: its params class's defaults but for cfg's
+    tolerances, alg1's holder and the seed.  Building the params checks their ranges."""
     if solver == "alg1":
         holder = HolderClass(nu=cfg.nu, h_nu=cfg.h_nu)
-        return NcgParams(eps_g=cfg.eps_g, eps_H=cfg.eps_h, holder=holder, seed=seed)
-    return PfParams(eps_g=cfg.eps_g, eps_H=cfg.eps_h, seed=seed)
-
-
-def _solve(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: int):
-    params = _params(cfg, solver, seed)
-    if solver == "alg1":
-        return newton_cg_solve(oracle, x0, params)
+        return partial(newton_cg_solve, params=NcgParams(eps_g=cfg.eps_g, eps_H=cfg.eps_h, holder=holder, seed=seed))
     if solver == "alg2":
-        return pf_newton_cg_solve(oracle, x0, params)
-    return acrn_solve(oracle, x0, cfg.eps_g, params)
+        return partial(pf_newton_cg_solve, params=PfParams(eps_g=cfg.eps_g, eps_H=cfg.eps_h, seed=seed))
+    return partial(acrn_solve, eps_g=cfg.eps_g, params=CrnParams(seed=seed))
 
 
 def _run_one(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed: int):
@@ -280,7 +216,7 @@ def _run_one(cfg: ExperimentConfig, solver: str, oracle: ProblemOracle, x0, seed
     Returns (the values ResultRow averages, in its order, or None; status)."""
     began = time.perf_counter()
     try:
-        result = _solve(cfg, solver, oracle, x0, seed)
+        result = _solver(cfg, solver, seed)(oracle, x0)
     except Exception as err:  # solver blew up: flag, do not kill the grid
         return None, f"error: {type(err).__name__}: {err}"
     wall = time.perf_counter() - began
@@ -353,38 +289,39 @@ def _cannot_write(path: str, mode: str, text: str = "") -> bool:
     return False
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """One flag per ExperimentConfig field; an omitted flag sets nothing, so its
+    field keeps the dataclass default."""
     parser = argparse.ArgumentParser(
         prog="ncgopt-bench",
         description="Run seeded solver experiments and emit paper-style tables.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--family", choices=FAMILIES)
-    parser.add_argument("--solver", help="comma list from {alg1, alg2, acrn}")
-    parser.add_argument("--eps-g", type=float, dest="eps_g")
-    parser.add_argument("--eps-h", type=float, dest="eps_h")
-    parser.add_argument("--seed", type=int, dest="base_seed")
+    parser.add_argument("--family", choices=FAMILIES, required=True)
+    parser.add_argument("--grid", type=_parse_grid, help="cells 'n,m,p; n,m,p' (default: the family's desk cell)")
+    parser.add_argument("--instances", type=int, dest="instances_per_cell", help="instances per cell")
+    parser.add_argument("--seed", type=int, dest="base_seed", help="seed of the first instance")
+    parser.add_argument("--solver", type=_parse_solvers, dest="solvers", help="comma list from {alg1, alg2, acrn}")
+    parser.add_argument("--eps-g", type=float, dest="eps_g", help="first-order tolerance")
+    parser.add_argument("--eps-h", type=float, dest="eps_h", help="second-order tolerance")
+    parser.add_argument("--h-nu", type=float, dest="h_nu", help="alg1's Holder modulus")
+    parser.add_argument("--nu", type=float, help="alg1's Holder exponent")
     parser.add_argument("--out", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=FORMATS, dest="fmt")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        values = vars(_parser().parse_args(argv))
     except SystemExit as err:
         # argparse exits 2 on usage errors; exit code 2 is reserved for run
         # failures, so remap bad flags to the config-error code.
         return 0 if err.code == 0 else 1
-
+    cfg = ExperimentConfig(**{"grid": _DEFAULT_GRIDS[values["family"]], **values})
     try:
-        cfg = build_config(
-            parse_config_file(args.config) if args.config else {},
-            family=args.family,
-            solvers=None if args.solver is None else _parse_solvers(args.solver),
-            eps_g=args.eps_g,
-            eps_h=args.eps_h,
-            base_seed=args.base_seed,
-            out=args.out,
-            fmt=args.fmt,
-        )
-    except (ConfigError, OSError, TypeError) as err:
+        cfg.validate()
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

@@ -293,6 +293,7 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
     return trial
 
 
+@np.errstate(over="ignore")
 def _drive(
     oracle: ProblemOracle,
     x0: Array,
@@ -314,7 +315,9 @@ def _drive(
     it, and the rejection reason.  The first trial with a step ends the
     iteration; running out of weights ends the solve in LineSearchFailure.
     Returns the result, the trials of every outer iteration and the weight
-    carried out of each.
+    carried out of each.  An overflow during the solve gives inf quietly,
+    whatever numpy's settings, and the loop's finiteness tests turn it into
+    NumericalFailure: one errstate per solve, not one per norm.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 
 import ncgopt as ng
-from ncgopt.bench import build_config, run_experiment
+from ncgopt.bench import ExperimentConfig, run_experiment
 from ncgopt.bounds import (
     c_meo, c_nc, c_sol, c_sol_hat, complexity_bounds, iteration_cap, lanczos_budget, pf_bounds, taylor_error_modulus
 )
@@ -444,14 +444,7 @@ def test_criterion_8_determinism():
     assert np.array_equal(crn[0].x_final, crn[1].x_final)
     assert crn[0].counters.subproblems == crn[1].counters.subproblems
 
-    cfg = build_config(
-        {
-            "family": "repu",
-            "grid": ((30, 6, 2.5),),
-            "instances_per_cell": 2,
-            "solvers": ("alg2",),
-        }
-    )
+    cfg = ExperimentConfig("repu", ((30, 6, 2.5),), instances_per_cell=2, solvers=("alg2",))
     t1, t2 = run_experiment(cfg), run_experiment(cfg)
     for r1, r2 in zip(t1.rows, t2.rows):
         assert r1.mean_objective == r2.mean_objective

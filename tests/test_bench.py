@@ -1,4 +1,11 @@
 import csv
+import dataclasses
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,67 +13,40 @@ import pytest
 from ncgopt import bench
 from ncgopt.bench import (
     ConfigError,
+    ExperimentConfig,
     ResultRow,
     ResultsTable,
-    build_config,
     emit_table,
     main,
     make_oracle,
-    parse_config_file,
     run_experiment,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def write_config(tmp_path, text):
-    path = tmp_path / "exp.cfg"
-    path.write_text(text)
-    return str(path)
-
-
-BASIC = """
 # A small experiment.
-config_version = 1
-family = quadratic
-grid = 8,0,0
-instances_per_cell = 2
-base_seed = 0
-solvers = alg1,alg2
-eps_g = 1e-4
-format = csv
-"""
-
-
-def test_parse_config_file(tmp_path):
-    values = parse_config_file(write_config(tmp_path, BASIC))
-    assert values["family"] == "quadratic"
-    assert values["grid"] == ((8, 0, 0.0),)
-    assert values["solvers"] == ("alg1", "alg2")
-    assert values["eps_g"] == 1e-4
-
-
-def test_parse_config_rejects_unknown_key(tmp_path):
-    # jobs and zeta are keys no longer: the runs are serial and each solver
-    # runs at its params defaults.
-    for line in ("bogus = 3", "jobs = 2", "zeta = 0.5"):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_file(write_config(tmp_path, f"config_version = 1\n{line}\n"))
-
-
-def test_parse_config_requires_version(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config_file(write_config(tmp_path, "family = repu\n"))
+BASIC = [
+    "--family", "quadratic",
+    "--grid", "8,0,0",
+    "--instances", "2",
+    "--seed", "0",
+    "--solver", "alg1,alg2",
+    "--eps-g", "1e-4",
+    "--format", "csv",
+]
+REPU_CELL = ((100, 20, 2.25),)
 
 
 def test_empty_solver_list_is_config_error():
     with pytest.raises(ConfigError):
-        build_config({"family": "repu", "solvers": ()})
+        run_experiment(ExperimentConfig("repu", REPU_CELL, solvers=()))
 
 
 def test_unknown_family_and_solver():
     with pytest.raises(ConfigError):
-        build_config({"family": "nope"})
+        run_experiment(ExperimentConfig("nope", REPU_CELL))
     with pytest.raises(ConfigError):
-        build_config({"family": "repu", "solvers": ("gradient_descent",)})
+        run_experiment(ExperimentConfig("repu", REPU_CELL, solvers=("gradient_descent",)))
 
 
 def golden_table():
@@ -128,15 +108,7 @@ def test_emit_golden_with_failed_cell(fmt, expected):
 
 
 def test_run_experiment_quadratic_replays_and_matches_across_solvers():
-    cfg = build_config(
-        {
-            "family": "quadratic",
-            "grid": ((10, 0, 0.0),),
-            "instances_per_cell": 3,
-            "solvers": ("alg1", "alg2"),
-            "eps_g": 1e-4,
-        }
-    )
+    cfg = ExperimentConfig("quadratic", ((10, 0, 0.0),), instances_per_cell=3, solvers=("alg1", "alg2"), eps_g=1e-4)
     table1 = run_experiment(cfg)
     table2 = run_experiment(cfg)
     for r1, r2 in zip(table1.rows, table2.rows):
@@ -152,15 +124,7 @@ def test_run_experiment_quadratic_replays_and_matches_across_solvers():
 
 
 def test_counter_consistency_with_direct_runs():
-    cfg = build_config(
-        {
-            "family": "infeasibility",
-            "grid": ((20, 3, 2.25),),
-            "instances_per_cell": 2,
-            "solvers": ("alg2",),
-            "eps_g": 1e-4,
-        }
-    )
+    cfg = ExperimentConfig("infeasibility", ((20, 3, 2.25),), instances_per_cell=2, solvers=("alg2",), eps_g=1e-4)
     table = run_experiment(cfg)
     from ncgopt import PfParams, gen_infeasibility, pf_newton_cg_solve
 
@@ -174,22 +138,17 @@ def test_counter_consistency_with_direct_runs():
 
 def test_cli_success_and_output_file(tmp_path):
     out = tmp_path / "table.csv"
-    code = main(
-        [
-            "--config",
-            write_config(tmp_path, BASIC),
-            "--out",
-            str(out),
-        ]
-    )
+    code = main([*BASIC, "--out", str(out)])
     assert code == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert {row["solver"] for row in rows} == {"alg1", "alg2"}
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
-    assert main(["--config", write_config(tmp_path, "config_version = 1\n")]) == 1
-    assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
+def test_cli_config_error_exit_code(capsys):
+    # No family, the config-file flag that is gone, and a malformed cell.
+    assert main([]) == 1
+    assert main(["--config", "exp.cfg"]) == 1
+    assert main(["--family", "quadratic", "--grid", "8,0"]) == 1
     # A cell with n < 1 is rejected for every family, the quadratic one too,
     # and the quadratic family, which ignores m and p, takes only m = p = 0.
     for family, cell in (
@@ -200,8 +159,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("repu", "0,20,2.25"),
         ("repu", "10,3,inf"),
     ):
-        config = write_config(tmp_path, f"config_version = 1\nfamily = {family}\ngrid = {cell}\n")
-        assert main(["--config", config]) == 1
+        assert main(["--family", family, f"--grid={cell}"]) == 1
         assert "config error: invalid grid cell" in capsys.readouterr().err
 
 
@@ -211,24 +169,23 @@ def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(bench, "run_experiment", never)
     out = tmp_path / "missing" / "out.csv"
-    assert main(["--config", write_config(tmp_path, BASIC), "--out", str(out)]) == 1
+    assert main([*BASIC, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
     assert not out.parent.exists()
 
 
-def test_cli_out_of_range_knob_is_config_error(tmp_path, capsys):
+def test_cli_out_of_range_knob_is_config_error(capsys):
     flags = ["--family", "quadratic", "--solver", "alg1", "--eps-g", "1.5"]
     assert main(flags) == 1
     assert "config error: eps_g must lie in (0, 1)" in capsys.readouterr().err
-    config = write_config(tmp_path, "config_version = 1\nfamily = quadratic\nnu = 2\n")
-    assert main(["--config", config]) == 1
+    assert main(["--family", "quadratic", "--nu", "2"]) == 1
     assert "config error: nu must lie in [0, 1]" in capsys.readouterr().err
 
 
-def always_fails(cfg, solver, oracle, x0, seed):
+def always_fails(cfg, solver, seed):
     from ncgopt.newton_cg import Counters, SolveResult
 
-    return SolveResult(
+    return lambda oracle, x0: SolveResult(
         x_final=np.asarray(x0, dtype=float),
         f_final=1.0,
         grad_norm_final=1.0,
@@ -239,9 +196,9 @@ def always_fails(cfg, solver, oracle, x0, seed):
     )
 
 
-def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bench, "_solve", always_fails)
-    code = main(["--config", write_config(tmp_path, BASIC), "--out", "-"])
+def test_cli_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "_solver", always_fails)
+    code = main([*BASIC, "--out", "-"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     # One line per failed run, naming its cell, solver, seed and status.
@@ -251,7 +208,7 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_repeated_grid_cell_gets_its_own_row(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bench, "_solve", always_fails)
+    monkeypatch.setattr(bench, "_solver", always_fails)
     made = []
 
     def counting_make_oracle(cfg, n, m, p, seed):
@@ -259,9 +216,9 @@ def test_repeated_grid_cell_gets_its_own_row(tmp_path, monkeypatch, capsys):
         return make_oracle(cfg, n, m, p, seed)
 
     monkeypatch.setattr(bench, "make_oracle", counting_make_oracle)
-    config = write_config(tmp_path, BASIC.replace("grid = 8,0,0", "grid = 8,0,0; 8,0,0"))
+    flags = [*BASIC, "--grid", "8,0,0; 8,0,0"]
     out = tmp_path / "table.csv"
-    assert main(["--config", config, "--solver", "alg2", "--out", str(out)]) == 2
+    assert main([*flags, "--solver", "alg2", "--out", str(out)]) == 2
     rows = csv.DictReader(out.read_text().splitlines())
     assert [(int(row["n"]), int(row["failures"])) for row in rows] == [(8, 2), (8, 2)]
     err = capsys.readouterr().err.splitlines()
@@ -269,46 +226,59 @@ def test_repeated_grid_cell_gets_its_own_row(tmp_path, monkeypatch, capsys):
     assert err[-1] == "4 run(s) failed"
     # Each instance is generated once per (cell, seed), not once per solver.
     made.clear()
-    assert main(["--config", config, "--out", str(out)]) == 2
+    assert main([*flags, "--out", str(out)]) == 2
     assert made == [(8, 0, 0.0, 0), (8, 0, 0.0, 1)] * 2
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if line.startswith("failed run: ")]) == 8
     assert err[-1] == "8 run(s) failed"
 
 
-def test_raising_solver_is_a_named_failed_run(tmp_path, monkeypatch, capsys):
-    def raises(cfg, solver, oracle, x0, seed):
+def test_raising_solver_is_a_named_failed_run(monkeypatch, capsys):
+    def raises(oracle, x0):
         raise FloatingPointError("boom")
 
-    monkeypatch.setattr(bench, "_solve", raises)
-    assert main(["--config", write_config(tmp_path, BASIC), "--out", "-"]) == 2
+    monkeypatch.setattr(bench, "_solver", lambda cfg, solver, seed: raises)
+    assert main([*BASIC, "--out", "-"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert "failed run: cell (8, 0, 0.0), alg1, seed 0: error: FloatingPointError: boom" in err
     assert err[-1] == "4 run(s) failed"
 
 
-def test_non_utf8_config_is_config_error(tmp_path, capsys):
-    path = tmp_path / "exp.cfg"
-    path.write_bytes(b"config_version = 1\n# \xff\xfe\nfamily = quadratic\n")
-    assert main(["--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: not UTF-8 text")
-
-
 def test_run_experiment_infeasibility_reference_row():
     # The full reference cell through the harness: near-zero objectives and
     # a subproblem count in the expected band.
-    cfg = build_config(
-        {
-            "family": "infeasibility",
-            "grid": ((100, 10, 2.25),),
-            "instances_per_cell": 10,
-            "solvers": ("alg2",),
-            "eps_g": 1e-4,
-        }
-    )
+    cfg = ExperimentConfig("infeasibility", ((100, 10, 2.25),), instances_per_cell=10, solvers=("alg2",), eps_g=1e-4)
     table = run_experiment(cfg)
     row = table.rows[0]
     assert row.failures == 0
     assert row.mean_objective <= 1e-10
     assert 4.0 <= row.mean_subproblems <= 31.0
+
+
+def test_each_config_field_has_exactly_one_flag(capsys):
+    dests = [action.dest for action in bench._parser()._actions if action.dest != "help"]
+    assert sorted(dests) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    assert main(["--help"]) == 0
+    assert "--config" not in capsys.readouterr().out
+
+
+def test_module_runs_as_a_script():
+    # The one path through ``__main__`` and ``cli()``; a numpy warning fails it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    flags = ["--family", "quadratic", "--grid", "8,0,0", "--instances", "1", "--solver", "alg1,alg2,acrn"]
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ncgopt.bench", *flags],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == ",".join(bench.COLUMNS)
+    assert [line.split(",")[3] for line in lines[1:]] == ["alg1", "alg2", "acrn"]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # Each example is a line of its own in a code block.
+    examples = re.findall(r"^ncgopt-bench .*$", (ROOT / "README.md").read_text(encoding="utf-8"), re.MULTILINE)
+    assert examples
+    for line in examples:
+        assert main([*shlex.split(line)[1:], "--instances", "1", "--out", str(tmp_path / "table")]) == 0, line

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -646,6 +650,36 @@ def test_huge_flat_gradient_is_numerical_failure(solver):
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail.startswith("capped CG: ")
     assert res.counters.f_evals == 1 and res.trace == []
+
+
+HUGE_FLAT_GRADIENT_SCRIPT = """
+import numpy as np
+import ncgopt as ng
+
+oracle = ng.ProblemOracle(
+    2, lambda x: 1e154 * float(x[0]), lambda x: np.array([1e154, 0.0]), lambda x, v: np.array([0.0, 5.0 * v[1]]), "h"
+)
+x0 = np.zeros(2)
+for res in (
+    ng.newton_cg_solve(oracle, x0, ng.NcgParams(eps_g=1e-4, holder=ng.HolderClass(1.0, 1.0))),
+    ng.pf_newton_cg_solve(oracle, x0, ng.PfParams(eps_g=1e-4)),
+    ng.acrn_solve(oracle, x0, 1e-4, ng.CrnParams()),
+):
+    assert res.status == ng.NUMERICAL_FAILURE, res.status
+"""
+
+
+def test_huge_flat_gradient_overflow_is_quiet_under_default_settings():
+    # pytest turns RuntimeWarning into an error, so only a fresh interpreter
+    # with numpy's and Python's default settings shows whether an overflow
+    # inside a solve prints a warning.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-W", "default", "-c", HUGE_FLAT_GRADIENT_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0 and run.stderr == ""
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
