@@ -29,7 +29,11 @@ class ProblemOracle:
     keyed by the bytes of x, so repeated f, grad and HVP calls at one point
     share that work.  Each cache entry is an immutable tuple replaced whole,
     so sharing an oracle across threads stays safe; results do not depend on
-    whether a call hits the cache.
+    whether a call hits the cache.  Above a size gate the infeasibility
+    oracle also keeps a reference point, the last point at which it computed
+    every A_i x, and skips each row that a norm bound around it proves
+    inactive, with a rounding margin wide enough that results do not depend
+    on the reference either (see ``problems._infeasibility_oracle``).
     """
 
     dim: int

@@ -81,6 +81,14 @@ class QuadraticInstance:
         return self.eigenvalues.shape[0]
 
 
+def _read_only(*arrays: Array) -> tuple[Array, ...]:
+    """Mark a generated instance's arrays read-only, so data an oracle derives
+    from them (a cached point, the infeasibility row norms) cannot go stale."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _point_key(x) -> tuple:
     """Cache key for the value of x: its dtype, shape and bytes.
 
@@ -112,6 +120,20 @@ def _last_point(compute: Callable[[Array, tuple], object] | None = None) -> Call
     return lookup
 
 
+# The infeasibility oracle skips the rows that a norm bound proves inactive
+# from this n up (see _infeasibility_oracle).  Below it one matmul call per
+# row costs more than the skipped rows save.  Oracle time replayed along alg2
+# solves of infeasibility n/(n/10)/2.25 from the origin (8 instances, median
+# of 7 alternating replays, one BLAS thread, OpenBLAS SkylakeX kernel on a
+# shared 2-vCPU Xeon), row path over full rows: 1.36 at n = 120, 1.16 at
+# 128, 0.98 at 136, 0.96 at 144, 0.97 at 152, 0.85 at 176, 0.90 at 200.
+_ROW_PATH_MIN_N = 136
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1020  # covers underflow in the row bound's margin
+_SCALE_CAP = 2.0**1020  # below it no step of q_i or of its bound overflows
+
+
 # The Hessian of the last point at which any infeasibility oracle took a
 # Hessian-vector product, keyed by (oracle token, point key).  One slot per
 # process rather than per oracle, so the n x n matrix does not stay alive on
@@ -126,15 +148,94 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
     The Hessian at x is H = (2 sum_i w2_i A_i + lin' diag(w1) lin) / m with
     lin = 2 A x + b.  The first HVP at a point assembles H (one pass over A
     and one rank-m product); each HVP is then one n x n product H v.
+
+    **Row skipping** (n >= ``_ROW_PATH_MIN_N``).  A row i with q_i(x) <= 0
+    adds an exact zero to f, grad and H, so its A_i x need not be computed.
+    The oracle keeps a reference point r, the last point at which it
+    computed every row, with q(r), lin(r) = 2 A r + b and ||r||, and the row
+    norms N_i = ||A_i||_F, ||b_i|| and |c_i|, taken once.  With d = x - r and
+    A_i symmetric,
+
+        q_i(x) = q_i(r) + lin_i(r)'d + d'A_i d <= B_i = q_i(r) + lin_i(r)'d + N_i ||d||^2,
+
+    one m x n product for all rows.  Row i is skipped, its A_i x left 0 and
+    its q_i set to B_i, when fl(B_i + mu s_i) < 0 and s_i < 2^1020, where
+
+        rho = ||x|| + ||r||,   s_i = (N_i (1 + rho) + ||b_i|| + 2^-1020)(1 + rho) + |c_i|,
+        mu = 2 (n^2 + 8 n + 24) u,   u = 2^-53.
+
+    The margin mu s_i bounds every rounding error between B_i and the q_i(x)
+    that a full evaluation would compute.  An inner product of k terms, in
+    any order and with or without FMA, is within gamma_k = k u / (1 - k u)
+    times the sum of its terms' magnitudes; and |y|'|A_i||y| <= N_i ||y||^2,
+    ||d|| <= rho.  So:
+
+    * a full evaluation of q_i at x (A_i x, then (A_i x)'x + b_i'x + c_i) is
+      within gamma_{2n+2} (N_i ||x||^2 + ||b_i|| ||x|| + |c_i|) of q_i(x), and
+      the stored q_i(r) likewise at r;
+    * the stored lin_i(r) is within gamma_{n+1} (2 N_i ||r|| + ||b_i||) of
+      lin_i(r), and fl(x - r) within u |d|, so the computed lin_i(r)'d is
+      within gamma_{2n+3} (2 N_i ||r|| + ||b_i||) rho of the exact one;
+    * the computed N_i ||d||^2 falls short by at most
+      gamma_{n^2+n+4} N_i rho^2 (N_i sums n^2 squares);
+    * B_i's two additions add at most gamma_2 (|q_i(r)| + |lin_i(r)'d| + N_i ||d||^2).
+
+    These sum to less than (n^2 + 7 n + 20) u s_i (1 + 1e-3) for n < 10^6; mu
+    takes twice that, which also covers the rounding of rho, s_i and the
+    margin.  Underflow adds at most 2^-1075 per product, fewer than
+    4 (n^2 + 2 n + 1) (1 + rho) of them after propagation, which the 2^-1020
+    term covers; s_i < 2^1020 keeps every step finite and fails for a NaN
+    or inf s_i, so a non-finite x, reference or bound never skips a row.
+    Rounding is monotone, so fl(B_i + mu s_i) < 0 implies that a full
+    evaluation would have computed q_i(x) <= 0.
+
+    The other rows are computed one at a time into a full (m, n) array, so
+    each has the bits of the full product, and q comes from it as before:
+    f sums the same values.  In the gradient and in H a skipped row adds
+    zeros whose signs may differ from the full evaluation's; numpy's sums
+    and the BLAS products accumulate from +0.0, so no sum depends on them.
+    Results therefore do not depend on the reference, and threads sharing
+    the oracle see the same bits.  A point at which no row can be skipped is
+    computed in full and becomes the reference, an immutable tuple replaced
+    whole.  An oracle built for n below ``_ROW_PATH_MIN_N`` computes every
+    row and keeps no reference.
     """
-    A, b, c, p, m = inst.A, inst.b, inst.c, inst.p, inst.m
+    A, b, c, p, m, n = inst.A, inst.b, inst.c, inst.p, inst.m, inst.n
     token = object()
+    mu = 2.0 * (n * n + 8 * n + 24) * _U
+    reference = None  # (r, q(r), lin(r), ||r||, (N, ||b_i||, |c_i|))
 
     def residuals(x: Array, _key: tuple) -> tuple[Array, Array]:
         ax = A @ x
         return ax, ax @ x + b @ x + c
 
-    point = _last_point(residuals)
+    def skipping_residuals(x: Array, key: tuple) -> tuple[Array, Array]:
+        nonlocal reference
+        ref = reference
+        if ref is not None:
+            r, q_r, lin_r, norm_r, (norm_a, norm_b, abs_c) = ref
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite never skips
+                d = x - r
+                grow = 1.0 + (np.linalg.norm(x) + norm_r)  # 1 + rho
+                scale = (norm_a * grow + norm_b + _TINY) * grow + abs_c
+                bound = q_r + lin_r @ d + norm_a * (d @ d)
+                skip = (bound + mu * scale < 0.0) & (scale < _SCALE_CAP)
+            if skip.any():
+                ax = np.zeros((m, n))
+                for i in np.flatnonzero(~skip):
+                    np.matmul(A[i], x, out=ax[i])
+                q = ax @ x + b @ x + c
+                q[skip] = bound[skip]
+                return ax, q
+            rows = ref[4]
+        else:
+            flat = A.reshape(m, -1)
+            rows = np.sqrt(np.vecdot(flat, flat)), np.linalg.norm(b, axis=1), np.abs(c)
+        ax, q = residuals(x, key)
+        reference = (np.array(x, dtype=float), q, 2.0 * ax + b, float(np.linalg.norm(x)), rows)
+        return ax, q
+
+    point = _last_point(skipping_residuals if n >= _ROW_PATH_MIN_N else residuals)
 
     def eval_f(x: Array) -> float:
         _, q = point(x, _point_key(x))
@@ -181,7 +282,7 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     A = (raw @ raw.transpose(0, 2, 1)) / n
     b = _INFEAS_B_SCALE * draws[m * n * n : m * n * n + m * n].reshape(m, n)
     c = draws[m * n * n + m * n :].copy()
-    return _infeasibility_oracle(InfeasibilityInstance(A, b, c, float(p), seed))
+    return _infeasibility_oracle(InfeasibilityInstance(*_read_only(A, b, c), float(p), seed))
 
 
 def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
@@ -230,7 +331,7 @@ def gen_repu(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     draws = sampling.standard_normals(seed, m * n + m, stream=sampling.STREAM_REPU)
     a = draws[: m * n].reshape(m, n)
     b = np.abs(draws[m * n :])
-    return _repu_oracle(RepuInstance(a, b, float(p), seed))
+    return _repu_oracle(RepuInstance(*_read_only(a, b), float(p), seed))
 
 
 def _quadratic_oracle(inst: QuadraticInstance) -> ProblemOracle:
@@ -261,4 +362,4 @@ def gen_quadratic(n: int, eigenvalues, seed: int) -> ProblemOracle:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     v = q * signs[None, :]
-    return _quadratic_oracle(QuadraticInstance(lam.copy(), v, seed))
+    return _quadratic_oracle(QuadraticInstance(*_read_only(lam.copy(), v), seed))

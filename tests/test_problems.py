@@ -8,11 +8,13 @@ import pytest
 
 from derivative_checks import check_gradient_fd, check_hvp_fd
 from ncgopt import (
+    bench,
     gen_infeasibility,
     gen_quadratic,
     gen_repu,
     pf_newton_cg_solve,
     PfParams,
+    problems,
 )
 from ncgopt.problems import _pos_pow
 from ncgopt.sampling import standard_normals
@@ -326,3 +328,271 @@ def test_threaded_solves_match_sequential():
     assert not any(t.is_alive() for t in threads)
     for i in range(workers):
         assert results[i] == [expected[i % 2]] * rounds
+
+
+# ---------------------------------------------------------------------------
+# The infeasibility oracle's row path: rows that a norm bound around a
+# reference point proves inactive are skipped, with the bits of the full
+# evaluation.
+
+
+class NumpySpy:
+    """numpy as seen by ncgopt.problems, counting the row path's points and rows."""
+
+    def __init__(self):
+        self.points = self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        self.points += 1
+        return np.flatnonzero(a)
+
+    def matmul(self, *args, **kwargs):
+        self.rows += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.fixture
+def row_spy(monkeypatch):
+    spy = NumpySpy()
+    monkeypatch.setattr(problems, "np", spy)
+    return spy
+
+
+def residual(inst, x):
+    return (inst.A @ x) @ x + inst.b @ x + inst.c
+
+
+def row_cell(n, concave=False):
+    """Instance and reference point, with 3 of 5 (n = 20) or 9 of 16 rows
+    inactive unless ``concave``, which negates each A_i so that q_i can be
+    negative while b_i'x + c_i is not."""
+    oracle = gen_infeasibility(n, max(5, n // 10), 2.25, seed=23)
+    if concave:
+        inst = oracle.meta
+        oracle = problems._infeasibility_oracle(
+            problems.InfeasibilityInstance(-inst.A, inst.b, inst.c, inst.p, inst.seed)
+        )
+    return oracle, point(1, n, scale=0.5 / np.sqrt(n))
+
+
+def along_inactive_row(inst, r):
+    """The inactive row closest to zero at r, and x(t) = r + t lin_i(r) / ||lin_i(r)||."""
+    q = residual(inst, r)
+    i = int(np.argmax(np.where(q < 0.0, q, -np.inf)))
+    lin = 2.0 * inst.A[i] @ r + inst.b[i]
+    u = lin / np.linalg.norm(lin)
+    return i, lambda t: r + t * u
+
+
+def crossing(inst, i, x_of_t):
+    """Bisect to t_lo < t_hi, adjacent in float, with q_i(x(t_lo)) <= 0 < q_i(x(t_hi))."""
+    lo, hi = 0.0, 1.0
+    while residual(inst, x_of_t(hi))[i] <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if residual(inst, x_of_t(mid))[i] <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def small_steps(inst, r):
+    u = standard_normals(7, r.size, stream=96) / np.sqrt(r.size)
+    return [r] + [r + s * u for s in (1e-9, 1e-6, 1e-3, 1e-1, 1e-3)]
+
+
+def activating_step(inst, r):
+    i, x_of_t = along_inactive_row(inst, r)
+    t = crossing(inst, i, x_of_t)[1]
+    points = [r, x_of_t(0.25 * t), x_of_t(0.5 * t), x_of_t(2.0 * t)]
+    assert residual(inst, points[-1])[i] > 0.0
+    return points
+
+
+def near_zero_step(inst, r):
+    i, x_of_t = along_inactive_row(inst, r)
+    lo, hi = crossing(inst, i, x_of_t)
+    points = [r, x_of_t(lo), x_of_t(hi), x_of_t(lo - 1e-14)]
+    assert all(abs(residual(inst, x)[i]) <= 1e-12 for x in points[1:])
+    return points
+
+
+def non_finite_steps(inst, r):
+    inf_point = r.copy()
+    inf_point[r.size // 2] = np.inf
+    nearby = r + 1e-3
+    # A NaN or inf point computed in full becomes the reference; a bound taken
+    # from it is NaN and must not skip a row at the finite points after it.
+    return [nan_point(r.size), r, nearby, inf_point, nearby, r, nan_point(r.size), nearby]
+
+
+def dead_zone_steps(inst, r):
+    u = -inst.b.sum(axis=0)
+    dead = u / np.linalg.norm(u)
+    assert np.all(residual(inst, dead) < 0.0)
+    # From a reference where every row is inactive, nearby points skip every
+    # row: f is 0 and every gradient and Hessian term is a zero.
+    return [dead, dead + 1e-3, dead + 1e-2, r]
+
+
+ROW_SEQUENCES = {
+    "dead-zone": dead_zone_steps,
+    "small-steps": small_steps,
+    "activating": activating_step,
+    "near-zero": near_zero_step,
+    "non-finite": non_finite_steps,
+}
+
+
+@pytest.mark.parametrize("sequence", sorted(ROW_SEQUENCES))
+@pytest.mark.parametrize("n, concave", [(20, False), (20, True), (160, False)], ids=["20", "20-concave", "160"])
+def test_row_path_matches_reference(n, concave, sequence, row_spy, monkeypatch):
+    if n < problems._ROW_PATH_MIN_N:
+        monkeypatch.setattr(problems, "_ROW_PATH_MIN_N", 0)
+    assert 160 >= problems._ROW_PATH_MIN_N
+    oracle, r = row_cell(n, concave)
+    with monkeypatch.context() as every_row:
+        every_row.setattr(problems, "_ROW_PATH_MIN_N", np.inf)
+        full = problems._infeasibility_oracle(oracle.meta)
+    reference = reference_infeasibility(oracle.meta)
+    vs = [standard_normals(40 + k, n, stream=94) for k in range(2)]
+    for x in ROW_SEQUENCES[sequence](oracle.meta, r):
+        with np.errstate(invalid="ignore", over="ignore"):  # the inf point
+            if not np.all(np.isfinite(x)):
+                assert np.isnan(oracle.eval_f(x))
+            for v in vs:
+                assert_matches_reference(oracle, reference, x, v, hvp_exact=False)
+                assert same_bits(oracle.eval_hvp(x, v), full.eval_hvp(x, v))
+    # Some point took the row path and skipped rows.
+    assert row_spy.points >= 1
+    assert row_spy.rows < row_spy.points * oracle.meta.m
+
+
+def test_row_bound_margin_decides(row_spy, monkeypatch):
+    """Row i's bound without the margin is negative, yet the full evaluation
+    rounds q_i(x) to a positive value: the margin must keep the row computed.
+    Every other row sits far below zero, so f is row i's term alone."""
+    monkeypatch.setattr(problems, "_ROW_PATH_MIN_N", 0)
+    n, m, i = 20, 5, 2
+    inst = gen_infeasibility(n, m, 2.25, seed=23).meta
+    r = point(1, n, scale=0.5 / np.sqrt(n))
+    s = ((inst.A @ r) @ r + inst.b @ r)[i]
+    c = inst.c - 100.0
+    c[i] = -s - abs(np.spacing(s))  # q_i(r) computes to one ulp below zero
+    shifted = problems.InfeasibilityInstance(inst.A, inst.b, c, inst.p, inst.seed)
+    q_r = residual(shifted, r)
+    assert q_r[i] < 0.0 and np.all(np.delete(q_r, i) < -50.0)
+    norm_a = np.linalg.norm(inst.A.reshape(m, -1), axis=1)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = r.copy()
+        for j in rng.choice(n, rng.integers(1, n + 1), replace=False):
+            x[j] = np.nextafter(x[j], rng.choice([-np.inf, np.inf]))
+        d = x - r
+        bound = q_r + (2.0 * inst.A @ r + inst.b) @ d + norm_a * (d @ d)
+        if bound[i] < 0.0 < residual(shifted, x)[i]:
+            break
+    else:
+        pytest.fail("no point found at which the margin decides")
+    oracle = problems._infeasibility_oracle(shifted)
+    f, grad, _ = reference_infeasibility(shifted)
+    assert same_bits(oracle.eval_f(r), f(r))
+    assert oracle.eval_f(x) > 0.0
+    assert same_bits(oracle.eval_f(x), f(x))
+    assert same_bits(oracle.eval_grad(x), grad(x))
+    assert (row_spy.points, row_spy.rows) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "solver, eps_H", [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)]
+)
+def test_solves_above_the_gate_match_full_rows(solver, eps_H, row_spy, monkeypatch):
+    n, m = 160, 16
+    assert n >= problems._ROW_PATH_MIN_N
+    cfg = bench.ExperimentConfig("infeasibility", ((n, m, 2.25),), eps_h=eps_H)
+
+    def outcome(seed):
+        run = bench._solver(cfg, solver, seed)
+        res = run(gen_infeasibility(n, m, 2.25, seed=seed), bench.start_point("infeasibility", n))
+        return (res.x_final.tobytes(), repr(res.f_final), res.status, res.status_detail,
+                vars(res.counters), repr(res.trace))
+
+    rows_on = [outcome(seed) for seed in range(3)]
+    assert row_spy.points > 0
+    monkeypatch.setattr(problems, "_ROW_PATH_MIN_N", np.inf)
+    assert [outcome(seed) for seed in range(3)] == rows_on
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [gen_infeasibility(6, 2, 2.5, seed=0), gen_repu(6, 3, 2.5, seed=0), gen_quadratic(3, [1.0, 2.0, 3.0], seed=0)],
+    ids=["infeasibility", "repu", "quadratic"],
+)
+def test_instance_arrays_are_read_only(oracle):
+    arrays = [v for v in vars(oracle.meta).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 2
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_threaded_solves_above_the_gate_match_sequential(row_spy):
+    n = 160
+    assert n >= problems._ROW_PATH_MIN_N
+    oracles = [gen_infeasibility(n, 16, 2.25, seed=s) for s in (0, 3)]
+    params = PfParams(eps_g=1e-4)
+
+    def solve(oracle):
+        res = pf_newton_cg_solve(oracle, np.zeros(n), params)
+        return res.status, res.x_final.tobytes(), repr(res.f_final), vars(res.counters)
+
+    expected = [solve(o) for o in oracles]
+    assert row_spy.points > 0
+    workers, rounds = 4, 2  # more threads than cores, two per oracle
+    results = [[] for _ in range(workers)]
+
+    def work(i):
+        for _ in range(rounds):
+            results[i].append(solve(oracles[i % 2]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(workers):
+        assert results[i] == [expected[i % 2]] * rounds
+
+
+def test_row_path_retains_one_reference_per_oracle(row_spy):
+    n, m, count = 160, 4, 10
+    assert n >= problems._ROW_PATH_MIN_N
+    oracles = [gen_infeasibility(n, m, 2.25, seed=s) for s in range(count)]
+    x = point(1, n, scale=0.5 / np.sqrt(n))
+    nearby, v = x + 1e-3, np.ones(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for oracle in oracles:
+            oracle.eval_hvp(x, v)
+            oracle.eval_f(nearby)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert row_spy.points > 0
+    # One n x n matrix for the process; per oracle the last point's key, A x
+    # and q, and the reference's x, q and lin with three m-vectors of row
+    # norms.  One more m x n array per oracle would add 5 kB.
+    assert grown <= 8 * n * n + count * (8 * (2 * m * n + 2 * n + 6 * m) + 3072)
