@@ -3,8 +3,14 @@
 Runs Lanczos with full reorthogonalization from a random unit start until
 one of three ends: a unit direction v with v^T H v <= -eps/2 turns up and is
 verified (outcome ``direction``); the Krylov subspace is exactly invariant
-(``breakdown``); or the run reaches k = n.  The last two certify
-lambda_min(H) >= -eps (outcome ``certificate``).
+at some k < n (``breakdown``); or the run reaches k = n.  The last two
+certify lambda_min(H) >= -eps (outcome ``certificate``).
+
+The basis Q is stored by rows, and each step projects the residual w
+against it once, w <- w - (Q w) Q.  A second pass runs only when the first
+removed more than half of ||w||^2, the criterion of Daniel, Gragg, Kaufman
+and Stewart (1976); it keeps Q orthonormal to rounding level and rarely
+fires.  Step n takes no projection at all: T_n is complete without it.
 
 Kuczynski and Wozniakowski (1992) bound the failure probability of such a
 certificate by delta once the run has taken
@@ -22,6 +28,8 @@ d_k = (alpha_k - s) - beta_{k-1}^2 / d_{k-1}, and the number of negative
 pivots is the number of Ritz values below s.  An exactly zero pivot is
 replaced by -tiny, so a Ritz value equal to s counts.  The test costs O(1)
 per step; the dense k x k eigensolve runs only once the count is positive.
+A certificate runs none: it keeps T_k, and ``MeoOutcome.ritz`` takes the
+smallest eigenvalue of T_k the first time it is read.
 
 Directions are never returned on trust: the candidate Ritz vector is checked
 against an actual Hessian-vector product before it is returned, so a
@@ -32,7 +40,7 @@ rounding.  A non-finite Lanczos coefficient or check v^T H v raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -78,18 +86,29 @@ def _norm(v: Array) -> float:
 class MeoOutcome:
     """Either a unit negative-curvature direction or a probabilistic certificate.
 
-    ``iterations`` is the Krylov dimension k reached; ``curvature`` is the
-    verified v^T H v when kind == direction; ``ritz`` is the smallest Ritz
-    value seen.  ``breakdown`` marks certificates from an exactly invariant
-    Krylov subspace, reached before k = n.
+    ``iterations`` is the Krylov dimension k reached; ``tridiagonal`` is the
+    (diagonal, off-diagonal) pair of T_k; ``curvature`` is the verified
+    v^T H v when kind == direction.  ``ritz`` is the smallest Ritz value
+    seen: a direction keeps the one its Ritz pair came with, and a
+    certificate computes it from T_k the first time it is read (no solver
+    reads it).  ``breakdown`` is True only for a certificate from an exactly
+    invariant Krylov subspace, reached at some k < n; a run to k = n is not
+    a breakdown.
     """
 
     kind: str
     v: Array | None
     iterations: int
-    ritz: float
+    tridiagonal: tuple[Array, Array] = field(repr=False)
     curvature: float | None = None
     breakdown: bool = False
+    _ritz: float | None = field(default=None, repr=False)
+
+    @property
+    def ritz(self) -> float:
+        if self._ritz is None:
+            self._ritz = smallest_eigenvalue(*self.tridiagonal)
+        return self._ritz
 
 
 def shifted_pivot(alpha: float, shift: float, beta: float = 0.0, prev: float = 1.0) -> float:
@@ -118,7 +137,7 @@ def smallest_eigenpair(diag: Array, offdiag: Array) -> tuple[float, Array]:
     """Smallest eigenvalue of the symmetric tridiagonal and a unit eigenvector, signed
     independently of LAPACK: its largest-magnitude component (the first on ties) is positive."""
     w, z = np.linalg.eigh(_tridiagonal(diag, offdiag))
-    v = z[:, 0]
+    v = np.ascontiguousarray(z[:, 0])  # both signs C-contiguous, so a product with v rounds alike
     return float(w[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
@@ -140,7 +159,7 @@ def minimum_eigenvalue_oracle(
     shift = -eps / 2.0
 
     q = sampling.unit_vector(seed, n, stream)
-    basis = np.empty((n, n))
+    basis = np.empty((n, n))  # basis[j] = q_(j+1), one Lanczos vector per row
     alphas = np.empty(n)
     betas = np.empty(n)  # betas[k - 1] couples q_k and q_(k+1)
     beta, pivot = 0.0, 1.0
@@ -156,40 +175,49 @@ def minimum_eigenvalue_oracle(
         lower = max(lower, _norm(w))
         if lower == math.inf:
             raise NonFiniteError(f"eigenvalue oracle: Lanczos ||H q_{k}|| is inf")
-        basis[:, k - 1] = q
+        basis[k - 1] = q
         w = w - a * q
         if k > 1:
-            w = w - beta * basis[:, k - 2]
-        # Full reorthogonalization, two passes; eliminates spurious Ritz
-        # values that would corrupt the -eps/2 test.
-        for _ in range(2):
-            w = w - basis[:, :k] @ (basis[:, :k].T @ w)
+            w = w - beta * basis[k - 2]
+        tridiagonal = (alphas[:k], betas[: k - 1])
 
         pivot = shifted_pivot(a, shift, beta, pivot)
         if pivot < 0.0:
             below += 1
         if below:
-            theta, weights = smallest_eigenpair(alphas[:k], betas[: k - 1])
-            v = basis[:, :k] @ weights
+            theta, weights = smallest_eigenpair(*tridiagonal)
+            v = weights @ basis[:k]
             v = v / _norm(v)
             curvature = float(v @ np.asarray(hvp(v), dtype=float))
             if not math.isfinite(curvature):
                 raise NonFiniteError(f"eigenvalue oracle: Ritz vector check at k = {k} is {curvature}")
             if curvature <= shift:
-                return MeoOutcome(DIRECTION, v, k, theta, curvature)
+                return MeoOutcome(DIRECTION, v, k, tridiagonal, curvature, _ritz=theta)
+        if k == n:
+            break  # T_n is complete; q_(n+1) and beta_n are never read
 
-        beta = _norm(w)
+        # Full reorthogonalization, which keeps spurious Ritz values out of
+        # the -eps/2 test.  A second pass runs only when the first removed
+        # more than half of ||w||^2 (DGKS): with c = Q'w, the first pass
+        # leaves ||w||^2 - ||c||^2, so the test is ||w_after||^2 < ||c||^2.
+        Q = basis[:k]
+        c = Q @ w
+        w = w - c @ Q
+        beta2 = _squared_norm(w)
+        if beta2 < _squared_norm(c):
+            w = w - (Q @ w) @ Q
+            beta2 = _squared_norm(w)
+        beta = math.sqrt(beta2)
         if not math.isfinite(beta):
             raise NonFiniteError(f"eigenvalue oracle: Lanczos beta_{k} is {beta}")
         # Exactly invariant subspace: its Ritz values are exact, and the
         # direction test above already ran on them.
         breakdown = beta <= 1e-13 * max(1.0, lower)
-        if breakdown or k == n:
+        if breakdown:
             break
         betas[k - 1] = beta
         q = w / beta
 
     # By Cauchy interlacing, the smallest Ritz value of the final T_k is the
-    # smallest one seen at any step.
-    ritz = smallest_eigenvalue(alphas[:k], betas[: k - 1])
-    return MeoOutcome(CERTIFICATE, None, k, ritz, breakdown=breakdown)
+    # smallest one seen at any step; ``MeoOutcome.ritz`` computes it if read.
+    return MeoOutcome(CERTIFICATE, None, k, tridiagonal, breakdown=breakdown)

@@ -151,6 +151,15 @@ and old -> new hvp_evals:
     ('alg2', 'infeas', 4, 1e-2)   125 -> 124
     ('alg2', 'infeas', 4, None)    95 ->  94
 
+Two quartic f_final were re-recorded once, when the eigenvalue oracle
+started to store its Lanczos basis by rows and to form the Ritz vector as
+weights @ Q.  That product rounds differently in the last bits, so the MEO
+step from the saddle lands one or two ulps away; statuses, counters and
+trace lengths did not change.  Old -> new f_final:
+
+    ('alg1', 'quartic', 0, 1e-2)  -0.8468130835333929 -> -0.8468130835333927
+    ('alg2', 'quartic', 0, 1e-2)  -0.8468130835048802 -> -0.8468130835048804
+
 Each case is (solver, problem, seed, eps_H).
 """
 import numpy as np
@@ -218,7 +227,7 @@ EXPECTED = {
     ('alg1', 'repu', 1, 1e-2): ('SOSP_certified', (22, 9, 29, 1, 8), 8, '0.0852252454703133'),
     ('alg1', 'repu', 2, None): ('FOSP', (13, 5, 7, 0, 4), 4, '0.35939061100891223'),
     ('alg1', 'repu', 2, 1e-2): ('SOSP_certified', (13, 5, 9, 1, 4), 4, '0.35939061100891223'),
-    ('alg1', 'quartic', 0, 1e-2): ('SOSP_certified', (13, 8, 38, 2, 6), 7, '-0.8468130835333929'),
+    ('alg1', 'quartic', 0, 1e-2): ('SOSP_certified', (13, 8, 38, 2, 6), 7, '-0.8468130835333927'),
     ('alg1', 'quartic', 1, 1e-2): ('SOSP_certified', (12, 8, 39, 2, 6), 7, '-0.711657121571335'),
     ('alg2', 'infeas', 0, None): ('FOSP', (15, 15, 87, 0, 14), 6, '1.0147386072280672e-10'),
     ('alg2', 'infeas', 0, 1e-2): ('SOSP_certified', (15, 15, 117, 1, 14), 6, '1.0147386072280672e-10'),
@@ -232,7 +241,7 @@ EXPECTED = {
     ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (34, 9, 36, 1, 10), 8, '0.0812941938846961'),
     ('alg2', 'repu', 2, None): ('FOSP', (39, 5, 11, 0, 8), 4, '0.3593906110089125'),
     ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 13, 1, 8), 4, '0.3593906110089125'),
-    ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 2, 7), 8, '-0.8468130835048802'),
+    ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 2, 7), 8, '-0.8468130835048804'),
     ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 39, 2, 6), 7, '-0.7116571216427692'),
     ('acrn', 'infeas', 0, None): ('FOSP', (26, 8, 9669, 0, 25), 7, '4.45314399038366e-12'),
     ('acrn', 'infeas', 3, None): ('FOSP', (24, 8, 9714, 0, 23), 7, '1.2386747604070052e-11'),

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ncgopt.meo as meo
 from ncgopt.bounds import lanczos_budget
 from ncgopt.meo import (
     CERTIFICATE,
@@ -21,6 +22,7 @@ from ncgopt.meo import (
 from ncgopt.newton_cg import MEO, SOSP_CERTIFIED, NcgParams, newton_cg_solve
 from ncgopt.oracle import HolderClass, ProblemOracle
 from ncgopt.pf_newton_cg import PfParams, pf_newton_cg_solve
+from ncgopt.problems import gen_infeasibility
 from ncgopt.sampling import STREAM_MEO_START, STREAM_NORM_EST, generator, unit_vector
 
 
@@ -323,3 +325,60 @@ def test_overflowing_square_is_inf_without_an_exception():
     with np.errstate(over="raise"):
         assert _norm(v) == math.inf
         assert _squared_norm(block).tolist() == [5.0, math.inf]
+
+
+@pytest.mark.parametrize("n", [5, 50, 100])
+def test_run_to_n_is_not_a_breakdown(n):
+    # Distinct eigenvalues and a random start: the Krylov subspace reaches
+    # k = n, where the residual is rounding noise, not an invariant subspace.
+    H = np.diag(np.linspace(0.1, 3.0, n))
+    out = minimum_eigenvalue_oracle(matvec(H), n, eps=0.01, seed=2)
+    assert out.kind == CERTIFICATE and out.iterations == n
+    assert out.breakdown is False
+
+
+def test_driver_certificate_takes_no_dense_eigensolve(monkeypatch):
+    calls = []
+
+    def counted(diag, offdiag):
+        calls.append(None)
+        return smallest_eigenvalue(diag, offdiag)
+
+    monkeypatch.setattr(meo, "smallest_eigenvalue", counted)
+    oracle = gen_infeasibility(100, 10, 2.25, seed=1)
+    res = pf_newton_cg_solve(oracle, np.zeros(100), PfParams(1e-4, 1e-3, seed=1))
+    assert res.status == SOSP_CERTIFIED and res.counters.meo_calls >= 1
+    assert calls == []
+
+    # A certificate's Ritz value is computed on its first read, once, with
+    # the bits of the dense eigensolve of its tridiagonal.
+    H = np.diag(np.linspace(0.1, 3.0, 30))
+    out = minimum_eigenvalue_oracle(matvec(H), 30, eps=0.01, seed=4)
+    assert out.kind == CERTIFICATE and calls == []
+    first, second = out.ritz, out.ritz
+    assert len(calls) == 1
+    assert first == second == smallest_eigenvalue(*out.tridiagonal)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("spectrum", ["logspace", "linspace", "indefinite"])
+def test_reorthogonalization_keeps_certificates_and_directions_exact(n, spectrum):
+    # Spectra graded over 12 decades: without reorthogonalization the basis
+    # loses orthogonality once the large eigenvalues converge, T_n no longer
+    # holds the small ones, and the indefinite case ends in a wrong
+    # certificate.
+    eps = 1e-3
+    lam = {
+        "logspace": np.logspace(-6.0, 6.0, n),
+        "linspace": np.linspace(0.1, 3.0, n),
+        "indefinite": np.concatenate([[-2.0 * eps], np.logspace(-6.0, 6.0, n - 1)]),
+    }[spectrum]
+    H = random_symmetric(generator(n, stream=11), n, lam)
+    dense = np.linalg.eigvalsh(H)
+    out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=3)
+    if spectrum == "indefinite":
+        assert out.kind == DIRECTION
+        assert float(out.v @ (H @ out.v)) <= -eps / 2.0
+    else:
+        assert out.kind == CERTIFICATE
+        assert abs(out.ritz - dense[0]) <= 1e-12 * float(np.max(np.abs(dense)))
