@@ -10,7 +10,7 @@ interface and generators, and the statuses.  Internals (capped CG, the
 eigenvalue oracle, line searches) are imported from the modules that define
 them; the paper's worst-case bounds are in ``ncgopt.bounds``.  The
 finite-difference derivative checks are a test helper
-(``tests/derivative_checks.py``), not part of the package.
+(``tests/support.py``), not part of the package.
 """
 
 from .baseline_crn import CrnParams, acrn_solve

@@ -141,7 +141,9 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
 
     Returns a SOL direction with relative residual below zeta_hat (which
     implies the final residual bound ZETA * eps * ||d|| / 2) or an NC
-    direction with d^T H d < -eps ||d||^2 and d^T g <= 0.
+    direction with d^T H d < -eps ||d||^2 and d^T g <= 0.  Raises
+    ``ValueError`` before any product unless g is finite and nonzero and eps
+    lies in (0, inf).
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -149,8 +151,8 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
     r0_norm = _norm(g)
     if r0_norm == 0.0:
         raise ValueError("g must be nonzero")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must lie in (0, inf); got {eps!r}")
 
     U = 0.0
     zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, ZETA)

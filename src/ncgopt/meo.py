@@ -40,6 +40,7 @@ rounding.  A non-finite Lanczos coefficient or check v^T H v raises
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -152,9 +153,15 @@ def minimum_eigenvalue_oracle(
     direction, an exactly invariant Krylov subspace or k = n (see the module
     docstring), so a certificate costs at most n Hessian-vector products.
 
-    Deterministic given (seed, stream).  Raises ``NonFiniteError`` when a
-    Lanczos coefficient or the check v^T H v of a Ritz vector is not finite.
+    Deterministic given (seed, stream).  Raises ``ValueError`` before any
+    product unless n is a positive integer and eps lies in (0, inf), and
+    ``NonFiniteError`` when a Lanczos coefficient or the check v^T H v of a
+    Ritz vector is not finite.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer; got {n!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must lie in (0, inf); got {eps!r}")
     lower = 0.0  # max_j ||H q_j||, a lower bound on ||H|| that scales the breakdown test
     shift = -eps / 2.0
 

@@ -10,18 +10,11 @@ import numpy as np
 
 import ncgopt as ng
 from ncgopt.bench import ExperimentConfig, run_experiment
-from ncgopt.bounds import (
-    c_meo, c_nc, c_sol, c_sol_hat, complexity_bounds, iteration_cap, lanczos_budget, pf_bounds, taylor_error_modulus
-)
-from ncgopt.capped_cg import SOL, ZETA, capped_cg, psi
-from ncgopt.meo import CERTIFICATE, DIRECTION, minimum_eigenvalue_oracle
+from ncgopt.bounds import c_meo, c_nc, c_sol, c_sol_hat, complexity_bounds, lanczos_budget, pf_bounds, taylor_error_modulus
+from ncgopt.capped_cg import SOL, psi
 from ncgopt.newton_cg import gamma_nu
 from ncgopt.sampling import generator
-
-
-def random_symmetric(rng, n, lam):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (q * lam) @ q.T
+from support import fuzz_capped_cg, fuzz_meo
 
 
 def report(criterion, message):
@@ -34,41 +27,7 @@ def report(criterion, message):
 
 def test_criterion_1_capped_cg_contracts():
     began = time.perf_counter()
-    rng = generator(101, stream=1)
-    eps_grid = [1e-3, 1e-2, 1e-1, 1.0]
-    zeta = ZETA
-    slack = 1e-8
-    n_sol = n_nc = 0
-    for trial in range(200):
-        n = int(rng.integers(2, 31))
-        lam = rng.uniform(-5.0, 5.0, size=n)
-        H = random_symmetric(rng, n, lam)
-        g = rng.standard_normal(n)
-        while np.linalg.norm(g) == 0.0:
-            g = rng.standard_normal(n)
-        eps = eps_grid[trial % len(eps_grid)]
-        out = capped_cg(lambda v: H @ v, g, eps)
-        d = out.d
-        if out.d_type == SOL:
-            n_sol += 1
-            hbar_d = H @ d + 2.0 * eps * d
-            quad = float(d @ hbar_d)
-            scale = max(1.0, abs(quad))
-            assert eps * float(d @ d) <= quad + slack * scale
-            assert np.linalg.norm(d) <= 1.1 / eps * np.linalg.norm(g) * (1.0 + slack)
-            lhs, rhs = float(d @ g), -quad
-            assert abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs))
-            assert (
-                np.linalg.norm(hbar_d + g)
-                <= zeta * eps * np.linalg.norm(d) / 2.0 + slack * scale
-            )
-        else:
-            n_nc += 1
-            assert float(d @ g) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(g)
-            assert float(d @ (H @ d)) <= -eps * float(d @ d) * (1.0 - 1e-10)
-        norm_h = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-        assert out.iterations <= iteration_cap(norm_h, eps, zeta, n)
-        assert out.cap <= norm_h + 1e-10
+    n_sol, n_nc = fuzz_capped_cg(generator(101, stream=1), trials=200)
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
     report(1, f"200 systems ({n_sol} SOL, {n_nc} NC) in {elapsed:.2f}s")
@@ -80,38 +39,10 @@ def test_criterion_1_capped_cg_contracts():
 
 def test_criterion_2_meo_suite():
     began = time.perf_counter()
-    rng = generator(202, stream=2)
-    eps = 0.1
-    hits = runs = 0
-    for trial in range(200):
-        n = int(rng.integers(3, 31))
-        lam = rng.uniform(-5.0, 5.0, size=n)
-        lam[0] = rng.uniform(-5.0, -eps)
-        H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, seed=trial, stream=0)
-        runs += 1
-        assert out.iterations <= n
-        if out.kind == DIRECTION:
-            hits += 1
-            assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
-            assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
-    assert hits >= math.ceil(0.99 * runs)
-
-    psd_runs = 0
-    for trial in range(60):
-        n = int(rng.integers(2, 25))
-        lam = rng.uniform(0.0, 5.0, size=n)
-        H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(lambda v: H @ v, n, eps, seed=trial, stream=5)
-        psd_runs += 1
-        assert out.kind == CERTIFICATE
-        assert out.iterations <= n
+    hits = fuzz_meo(generator(202, stream=2), eps=0.1, indefinite=200, psd=60, psd_stream=5)
     elapsed = time.perf_counter() - began
     assert elapsed < 10.0
-    report(
-        2,
-        f"direction rate {hits}/{runs}, {psd_runs}/{psd_runs} PSD certificates, {elapsed:.2f}s",
-    )
+    report(2, f"direction rate {hits}/200, 60/60 PSD certificates, {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------

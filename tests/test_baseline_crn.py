@@ -9,20 +9,7 @@ from ncgopt.baseline_crn import cubic_subproblem_gd, estimate_operator_norm
 from ncgopt.newton_cg import FOSP, LINE_SEARCH_FAILURE, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator, unit_vector
-
-
-def make_norm_squared(n):
-    return ProblemOracle(
-        dim=n,
-        eval_f=lambda x: 0.5 * float(x @ x),
-        eval_grad=lambda x: x.copy(),
-        eval_hvp=lambda x, v: v.copy(),
-        name="half-norm-squared",
-    )
-
-
-def matvec(H):
-    return lambda v: H @ v
+from support import counted, make_norm_squared, matvec
 
 
 def model_grad(g, H, M, s):
@@ -32,7 +19,7 @@ def model_grad(g, H, M, s):
 def test_subproblem_vanishing_weight_recovers_newton_step():
     g = np.array([1.0, 0.0, 0.0])
     H = np.eye(3)
-    hvp = lambda v: H @ v
+    hvp = matvec(H)
     res = cubic_subproblem_gd(
         g, hvp, weight=1e-12, tol=1e-9, s0=unit_vector(0, 3), max_iters=5000,
         lipschitz_hint=estimate_operator_norm(hvp, 3, seed=0, iters=20),
@@ -46,7 +33,7 @@ def test_subproblem_unit_weight_closed_form():
     # t (1 + t) = 1, i.e. t = (sqrt(5) - 1) / 2.
     g = np.array([1.0, 0.0])
     H = np.eye(2)
-    hvp = lambda v: H @ v
+    hvp = matvec(H)
     res = cubic_subproblem_gd(
         g, hvp, weight=1.0, tol=1e-10, s0=unit_vector(1, 2), max_iters=20000,
         lipschitz_hint=estimate_operator_norm(hvp, 2, seed=0, iters=20),
@@ -64,7 +51,7 @@ def test_subproblem_residual_when_converged():
         H = (H + H.T) / 2.0
         g = rng.standard_normal(n)
         M = float(rng.uniform(0.5, 4.0))
-        hvp = lambda v: H @ v
+        hvp = matvec(H)
         res = cubic_subproblem_gd(
             g, hvp, weight=M, tol=1e-6, s0=unit_vector(trial, n), max_iters=20000,
             lipschitz_hint=estimate_operator_norm(hvp, n, seed=0, iters=20),
@@ -227,13 +214,7 @@ def test_operator_norm_zero():
 def test_acrn_rejects_bad_inputs_before_any_oracle_call(eps_g, x0, message):
     quad = gen_quadratic(10, np.linspace(1.0, 2.0, 10), 0)
     calls = []
-
-    def counted(fn):
-        return lambda *args: calls.append(fn) or fn(*args)
-
-    oracle = ProblemOracle(
-        10, counted(quad.eval_f), counted(quad.eval_grad), counted(quad.eval_hvp), "quadratic"
-    )
+    oracle = counted(quad, calls)
     with pytest.raises(ValueError, match=message):
         acrn_solve(oracle, x0, eps_g, CrnParams())
     assert calls == []

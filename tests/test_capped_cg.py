@@ -16,21 +16,7 @@ from ncgopt.capped_cg import (
     capped_cg,
 )
 from ncgopt.sampling import generator
-
-
-def matvec(H):
-    return lambda v: H @ v
-
-
-def rotated(rng, lam):
-    """Symmetric matrix with eigenvalues lam in a random orthonormal basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
-    return (q * lam) @ q.T
-
-
-def random_symmetric(rng, n, lo=-5.0, hi=5.0):
-    """Symmetric matrix with eigenvalues drawn uniformly from [lo, hi]."""
-    return rotated(rng, rng.uniform(lo, hi, size=n))
+from support import check_capped_cg, fuzz_capped_cg, matvec, random_symmetric, rotated
 
 
 def reference_capped_cg(hvp, g, eps, zeta):
@@ -117,27 +103,6 @@ def reference_capped_cg(hvp, g, eps, zeta):
             raise CappedCgError("no termination test fired by pass J(U)", j)
 
 
-def check_sol_contract(H, g, eps, zeta, out, slack=1e-8):
-    d = out.d
-    hbar_d = H @ d + 2.0 * eps * d
-    dn2 = float(d @ d)
-    scale = max(1.0, abs(float(d @ hbar_d)))
-    assert eps * dn2 <= float(d @ hbar_d) + slack * scale
-    assert np.linalg.norm(d) <= 1.1 / eps * np.linalg.norm(g) * (1.0 + slack)
-    lhs = float(d @ g)
-    rhs = -float(d @ hbar_d)
-    assert abs(lhs - rhs) <= slack * max(1.0, abs(lhs), abs(rhs))
-    assert np.linalg.norm(hbar_d + g) <= zeta * eps * np.linalg.norm(d) / 2.0 + slack * scale
-
-
-def check_nc_contract(H, g, eps, out):
-    d = out.d
-    dn2 = float(d @ d)
-    assert dn2 > 0.0
-    assert float(d @ g) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(g)
-    assert float(d @ (H @ d)) <= -eps * dn2 * (1.0 - 1e-10)
-
-
 def test_identity_system_single_step():
     # (I + 2 I) d = -e1 solved exactly in one CG step: d = -g / 3.
     for n in (1, 4, 10):
@@ -157,7 +122,7 @@ def test_zero_damped_operator_is_immediate_nc():
     assert out.d_type == NC
     assert out.iterations == 0
     np.testing.assert_array_equal(out.d, -g)
-    check_nc_contract(-np.eye(3), g, 0.5, out)
+    check_capped_cg(-np.eye(3), g, 0.5, out)
 
 
 def test_diagonal_sol_matches_dense_solve():
@@ -166,7 +131,7 @@ def test_diagonal_sol_matches_dense_solve():
     eps, zeta = 0.01, ZETA
     out = capped_cg(matvec(H), g, eps)
     assert out.d_type == SOL
-    check_sol_contract(H, g, eps, zeta, out)
+    check_capped_cg(H, g, eps, out)
     dense = np.linalg.solve(H + 2 * eps * np.eye(3), -g)
     # The residual bound caps the distance to the dense solution.
     bound = zeta * eps * np.linalg.norm(out.d) / 2.0 / min(np.diag(H) + 2 * eps)
@@ -229,41 +194,12 @@ def test_ill_conditioned_positive_definite_system_is_solved():
     eps, zeta = 1e-4, ZETA
     out = capped_cg(matvec(H), g, eps)
     assert out.d_type == SOL
-    check_sol_contract(H, g, eps, zeta, out)
+    check_capped_cg(H, g, eps, out)
     assert out.iterations <= iteration_cap(1e3, eps, zeta, 10**9)
 
 
 def test_fuzzed_contract_suite():
-    # Mix indefinite and positive-definite spectra so both outcome types
-    # get broad coverage (indefinite draws almost always end NC).
-    rng = generator(2024, stream=11)
-    eps_choices = [1e-3, 1e-2, 1e-1, 1.0]
-    n_sol = n_nc = 0
-    for trial in range(90):
-        n = int(rng.integers(2, 31))
-        if trial % 3 == 2:
-            H = random_symmetric(rng, n, lo=0.5, hi=5.0)
-        else:
-            H = random_symmetric(rng, n)
-        g = rng.standard_normal(n)
-        while np.linalg.norm(g) == 0.0:
-            g = rng.standard_normal(n)
-        eps = eps_choices[trial % len(eps_choices)]
-        zeta = ZETA
-        out = capped_cg(matvec(H), g, eps)
-        norm_h = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-        if out.d_type == SOL:
-            n_sol += 1
-            check_sol_contract(H, g, eps, zeta, out)
-        else:
-            n_nc += 1
-            check_nc_contract(H, g, eps, out)
-            # d'Hd is read off products the run already took.
-            dense = float(out.d @ (H @ out.d))
-            assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
-        assert out.iterations <= iteration_cap(norm_h, eps, zeta, n)
-        assert out.cap <= norm_h + 1e-10
-    assert n_sol >= 20 and n_nc >= 20
+    fuzz_capped_cg(generator(2024, stream=11), trials=90)
 
 
 def test_preconditions():
@@ -271,6 +207,32 @@ def test_preconditions():
         capped_cg(matvec(np.eye(2)), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         capped_cg(matvec(np.eye(2)), np.ones(2), 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+def test_eps_outside_the_open_half_line_is_rejected_before_any_product(eps):
+    # With eps = inf the first pass would end in a non-finite iterate.
+    calls = []
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\)"):
+        capped_cg(lambda v: calls.append(v) or v, np.ones(3), eps)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "H, g, eps, message",
+    [
+        # ||g||^2 overflows at the first pass.
+        (np.eye(2), np.array([1e200, 0.0]), 1.0, "non-finite CG iterate"),
+        # ||H p|| / ||p|| = 1e150 is finite, but U / eps overflows.
+        (1e150 * np.eye(2), np.array([1.0, 0.0]), 1e-160, "curvature ratio overflow"),
+        # 2 eps overflows, so p'(H + 2 eps I) p is NaN: finite eps, no positive curvature.
+        (np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 1e308, "loss of positive curvature along p"),
+    ],
+)
+def test_breakdown_at_the_first_pass_is_named(H, g, eps, message):
+    # The third case makes numpy compute 0 * inf inside H-bar p.
+    with np.errstate(invalid="ignore"), pytest.raises(CappedCgError, match=rf"^{message} \(iteration 0\)$"):
+        capped_cg(matvec(H), g, eps)
 
 
 def test_nonfinite_operator_raises_with_iteration():
@@ -342,9 +304,7 @@ def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
         r_next = r + alpha * (hbar @ p)
         p, r = -r_next + (r_next @ r_next) / (r @ r) * p, r_next
     np.testing.assert_allclose(out.d, ys[3] - ys[1], rtol=1e-12)
-    check_nc_contract(H, g, 1.0, out)
-    dense = float(out.d @ (H @ out.d))
-    assert abs(out.curvature - dense) <= 1e-12 * abs(dense)
+    check_capped_cg(H, g, 1.0, out)  # with the reported curvature
     with pytest.raises(CappedCgError, match="without a negative-curvature pair") as err:
         run(0.0)
     assert err.value.iteration == 1
@@ -359,7 +319,7 @@ def test_pass_bound_ends_the_loop_when_tau_rounds_to_one(monkeypatch):
         assert cap_constants(out.cap, 1.0, 0.5)[1] == 1.0
         assert out.iterations <= iteration_cap(1e35, 1.0, 0.5, 10**9)
         if out.d_type == NC:
-            check_nc_contract(H, g, 1.0, out)
+            check_capped_cg(H, g, 1.0, out)
     # A loop that no test ends stops at J(U): here J is shrunk to 6 and tau
     # pinned to 1 on the ill-conditioned system that needs 17 passes.
     original = cap_constants

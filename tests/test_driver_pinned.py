@@ -167,8 +167,8 @@ import pytest
 
 import ncgopt as ng
 from ncgopt.newton_cg import MEO
+import support
 
-HOLDER = ng.HolderClass(1.0, 1.0)
 EPS_G = 1e-4
 
 
@@ -197,13 +197,7 @@ def problem(name, seed):
 
 
 def solve(solver, name, seed, eps_H):
-    oracle, x0 = problem(name, seed)
-    if solver == "acrn":
-        return ng.acrn_solve(oracle, x0, EPS_G, ng.CrnParams(seed=seed))
-    if solver == "alg1":
-        params = ng.NcgParams(eps_g=EPS_G, holder=HOLDER, eps_H=eps_H, seed=seed)
-        return ng.newton_cg_solve(oracle, x0, params)
-    return ng.pf_newton_cg_solve(oracle, x0, ng.PfParams(eps_g=EPS_G, eps_H=eps_H, seed=seed))
+    return support.solve(solver, *problem(name, seed), eps_g=EPS_G, eps_H=eps_H, seed=seed)
 
 
 def observed(res):

@@ -19,20 +19,11 @@ from ncgopt.meo import (
     smallest_eigenpair,
     smallest_eigenvalue,
 )
-from ncgopt.newton_cg import MEO, SOSP_CERTIFIED, NcgParams, newton_cg_solve
-from ncgopt.oracle import HolderClass, ProblemOracle
-from ncgopt.pf_newton_cg import PfParams, pf_newton_cg_solve
+from ncgopt.newton_cg import MEO, SOSP_CERTIFIED
+from ncgopt.oracle import ProblemOracle
 from ncgopt.problems import gen_infeasibility
 from ncgopt.sampling import STREAM_MEO_START, STREAM_NORM_EST, generator, unit_vector
-
-
-def matvec(H):
-    return lambda v: H @ v
-
-
-def random_symmetric(rng, n, lam):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (q * lam) @ q.T
+from support import check_meo, fuzz_meo, matvec, rotated, solve
 
 
 def dense(diag, off):
@@ -106,16 +97,13 @@ def test_smallest_eigenpair_sign_tie_takes_first_component(sign, monkeypatch):
 
 def test_identity_always_certificate():
     out = minimum_eigenvalue_oracle(matvec(np.eye(5)), 5, eps=0.5)
-    assert out.kind == CERTIFICATE
-    assert out.iterations <= 5
+    assert not check_meo(np.eye(5), 0.5, out)
 
 
 def test_small_indefinite_returns_direction():
     H = np.diag([1.0, -2.0])
     out = minimum_eigenvalue_oracle(matvec(H), 2, eps=1.0, seed=7)
-    assert out.kind == DIRECTION
-    assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
-    assert float(out.v @ (H @ out.v)) <= -0.5 + 1e-10
+    assert check_meo(H, 1.0, out)
     # Dense oracle confirms such a direction exists: lambda_min = -2 <= -eps.
     assert np.linalg.eigvalsh(H)[0] <= -1.0
 
@@ -128,30 +116,35 @@ def test_budget_formula():
 
 
 def test_fuzzed_indefinite_and_psd():
-    rng = generator(99, stream=21)
-    eps = 0.1
-    hits = 0
-    runs = 80
-    for trial in range(runs):
-        n = int(rng.integers(3, 31))
-        lam = rng.uniform(-5.0, 5.0, size=n)
-        lam[0] = rng.uniform(-5.0, -eps)  # guarantee lambda_min <= -eps
-        H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=0)
-        assert out.iterations <= n
-        if out.kind == DIRECTION:
-            hits += 1
-            assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
-            assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
-    assert hits >= math.ceil(0.99 * runs)
+    fuzz_meo(generator(99, stream=21), eps=0.1, indefinite=80, psd=40, psd_stream=1)
 
-    for trial in range(40):
-        n = int(rng.integers(2, 25))
-        lam = rng.uniform(0.0, 5.0, size=n)
-        H = random_symmetric(rng, n, lam)
-        out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=1)
-        assert out.kind == CERTIFICATE  # PSD never yields a direction
-        assert out.iterations <= n
+
+@pytest.mark.parametrize(
+    "lam, eps",
+    [
+        # No Ritz value is at or below a NaN or -inf shift, so these would
+        # certify lambda_min = -1 ...
+        ([-1.0, 1.0, 2.0], math.nan),
+        ([-1.0, 1.0, 2.0], math.inf),
+        # ... and a shift of +1/2 would pass a "direction" of curvature +0.2.
+        ([0.2, 1.0, 2.0], -1.0),
+    ],
+)
+def test_eps_outside_the_open_half_line_is_rejected_before_any_product(lam, eps):
+    calls = []
+    hvp = lambda v: calls.append(v) or np.array(lam) * v
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\)"):
+        minimum_eigenvalue_oracle(hvp, 3, eps)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [0, 3.5, True])
+def test_dimension_must_be_a_positive_integer(n):
+    # Otherwise n = 0 fails on an index and n = 3.5 on an array shape.
+    calls = []
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        minimum_eigenvalue_oracle(lambda v: calls.append(v) or v, n, 0.1)
+    assert calls == []
 
 
 def test_breakdown_on_invariant_subspace():
@@ -213,17 +206,11 @@ def test_self_sized_certificates_agree_with_dense_eigenvalues():
             lam = rng.uniform(0.0, top, size=n)
             if kind == 0:
                 lam[0] = -eps * float(rng.uniform(1.0, 1.2))  # just below -eps
-            H = random_symmetric(rng, n, lam)
+            H = rotated(rng, lam)
         dense = np.linalg.eigvalsh(H)
         out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=trial, stream=3)
         runs += 1
-        assert out.iterations <= n
-        if out.kind == DIRECTION:
-            assert abs(np.linalg.norm(out.v) - 1.0) <= 1e-12
-            assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
-            agree += 1
-        else:
-            agree += dense[0] >= -eps
+        agree += check_meo(H, eps, out) or dense[0] >= -eps
     assert agree >= math.ceil((1.0 - delta) * runs)
 
 
@@ -236,17 +223,12 @@ def test_negative_spike_hidden_from_the_start_is_never_certified(n, seed):
     H = spiked(generator(seed, stream=9), n, eps, seed, hidden_negative=True)
     lam_min = float(np.linalg.eigvalsh(H)[0])
     out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=seed)
-    if out.kind == DIRECTION:
-        assert float(out.v @ (H @ out.v)) <= -eps / 2.0 + 1e-10
-    else:
-        assert lam_min >= -eps
+    assert check_meo(H, eps, out) or lam_min >= -eps
     # Both drivers start at the saddle x = 0 and call the oracle with the
     # same seed and stream first.
     quad = ProblemOracle(n, lambda x: 0.5 * float(x @ (H @ x)), lambda x: H @ x, lambda x, v: H @ v, "hidden")
-    for res in (
-        newton_cg_solve(quad, np.zeros(n), NcgParams(1e-4, HolderClass(1.0, 1.0), eps, max_outer=5, seed=seed)),
-        pf_newton_cg_solve(quad, np.zeros(n), PfParams(1e-4, eps, max_outer=5, seed=seed)),
-    ):
+    for solver in ("alg1", "alg2"):
+        res = solve(solver, quad, np.zeros(n), eps_H=eps, seed=seed, max_outer=5)
         assert res.status != SOSP_CERTIFIED
         assert res.counters.meo_calls >= 1 and res.trace[0].step_type == MEO
 
@@ -270,7 +252,7 @@ def test_large_operator_small_eps(indefinite):
     lam = rng.uniform(0.0, 3.0, size=n)
     if indefinite:
         lam[0] = -2.0 * eps
-    H = random_symmetric(rng, n, lam)
+    H = rotated(rng, lam)
     began = time.perf_counter()
     out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=1)
     elapsed = time.perf_counter() - began
@@ -346,7 +328,7 @@ def test_driver_certificate_takes_no_dense_eigensolve(monkeypatch):
 
     monkeypatch.setattr(meo, "smallest_eigenvalue", counted)
     oracle = gen_infeasibility(100, 10, 2.25, seed=1)
-    res = pf_newton_cg_solve(oracle, np.zeros(100), PfParams(1e-4, 1e-3, seed=1))
+    res = solve("alg2", oracle, np.zeros(100), eps_H=1e-3, seed=1)
     assert res.status == SOSP_CERTIFIED and res.counters.meo_calls >= 1
     assert calls == []
 
@@ -373,7 +355,7 @@ def test_reorthogonalization_keeps_certificates_and_directions_exact(n, spectrum
         "linspace": np.linspace(0.1, 3.0, n),
         "indefinite": np.concatenate([[-2.0 * eps], np.logspace(-6.0, 6.0, n - 1)]),
     }[spectrum]
-    H = random_symmetric(generator(n, stream=11), n, lam)
+    H = rotated(generator(n, stream=11), lam)
     dense = np.linalg.eigvalsh(H)
     out = minimum_eigenvalue_oracle(matvec(H), n, eps, seed=3)
     if spectrum == "indefinite":

@@ -11,19 +11,15 @@ import pytest
 
 from ncgopt import (
     FOSP,
-    CrnParams,
     MAX_ITERATIONS,
     HolderClass,
     LINE_SEARCH_FAILURE,
     NUMERICAL_FAILURE,
     NcgParams,
-    PfParams,
     ProblemOracle,
-    acrn_solve,
     gen_quadratic,
     gen_repu,
     newton_cg_solve,
-    pf_newton_cg_solve,
 )
 from ncgopt import newton_cg as newton_cg_module
 from ncgopt import pf_newton_cg as pf_newton_cg_module
@@ -44,16 +40,7 @@ from ncgopt.newton_cg import (
 )
 from ncgopt.oracle import CountingOracle
 from ncgopt.sampling import generator
-
-
-def make_norm_squared(n):
-    return ProblemOracle(
-        dim=n,
-        eval_f=lambda x: 0.5 * float(x @ x),
-        eval_grad=lambda x: x.copy(),
-        eval_hvp=lambda x, v: v.copy(),
-        name="half-norm-squared",
-    )
+from support import counted, lying_oracle, make_norm_squared, matvec, rising_line, rotated, solve, stiff_quadratic
 
 
 def make_saddle():
@@ -155,11 +142,10 @@ def test_scale_nc_direction_rayleigh_property():
         n = int(rng.integers(2, 12))
         lam = rng.uniform(-4.0, 4.0, size=n)
         lam[0] = rng.uniform(-4.0, -0.5)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        H = (q * lam) @ q.T
+        H = rotated(rng, lam)
         g = rng.standard_normal(n)
         eps = 0.3
-        out = capped_cg(lambda v: H @ v, g, eps)
+        out = capped_cg(matvec(H), g, eps)
         if out.d_type != "NC":
             continue
         sigma = float(rng.uniform(0.2, 5.0))
@@ -187,12 +173,7 @@ def test_nc_trials_reuse_capped_cg_curvature(solver, monkeypatch):
 
         for module in (newton_cg_module, pf_newton_cg_module):
             monkeypatch.setattr(module, "capped_cg", recorded)
-        oracle, x0 = gen_repu(30, 6, 2.25, 0), np.full(30, 1.0 / 30.0)
-        if solver == "alg1":
-            res = newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0)))
-        else:
-            res = pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4))
-        return res, outcomes
+        return solve(solver, gen_repu(30, 6, 2.25, 0), np.full(30, 1.0 / 30.0)), outcomes
 
     res, outcomes = run(fresh_curvature=False)
     n_nc = sum(out.d_type == NC for out in outcomes)
@@ -261,14 +242,7 @@ def exhaustive_smallest_j(f, x, d, rhs):
 def test_line_search_sol_minimality_against_scan():
     # Steep curvature forces backtracking; compare against the exhaustive scan.
     curv = 400.0
-    oracle = CountingOracle(
-        ProblemOracle(
-            1,
-            lambda x: 0.5 * curv * float(x @ x),
-            lambda x: curv * x,
-            lambda x, v: curv * v,
-        )
-    )
+    oracle = CountingOracle(stiff_quadratic(curv))
     x = np.array([1.0])
     d = np.array([-2.2])  # overshooting direction: the full step increases f
     sigma_eps = 2.0
@@ -291,14 +265,7 @@ def test_line_search_sol_minimality_against_scan():
 @pytest.mark.parametrize("search,extra", [(line_search_nc, (2.0,)), (line_search_meo, ())])
 def test_cubic_line_searches_minimality(search, extra):
     curv = 60.0
-    oracle = CountingOracle(
-        ProblemOracle(
-            1,
-            lambda x: 0.5 * curv * float(x @ x),
-            lambda x: curv * x,
-            lambda x, v: curv * v,
-        )
-    )
+    oracle = CountingOracle(stiff_quadratic(curv))
     x = np.array([1.0])
     d = np.array([-1.8])
     f_x = oracle.eval_f(x)
@@ -314,9 +281,7 @@ def test_cubic_line_searches_minimality(search, extra):
 
 def test_line_search_failure_raises():
     # Ascent direction on a monotone function never satisfies the test.
-    oracle = CountingOracle(
-        ProblemOracle(1, lambda x: float(x[0]), lambda x: np.ones(1), lambda x, v: np.zeros(1))
-    )
+    oracle = CountingOracle(rising_line())
     with pytest.raises(LineSearchError):
         line_search_nc(oracle, np.zeros(1), np.ones(1), 1.0, f_x=0.0)
 
@@ -441,15 +406,7 @@ def test_nc_steps_on_indefinite_quadratic():
 
 def test_backtracking_cap_yields_line_search_failure_status(monkeypatch):
     monkeypatch.setattr(newton_cg_module, "J_MAX", 10)
-    lying = ProblemOracle(
-        3,
-        lambda x: 0.0,
-        lambda x: np.ones(3),
-        lambda x, v: v.copy(),
-        "inconsistent",
-    )
-    params = NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), max_outer=3)
-    res = newton_cg_solve(lying, np.zeros(3), params)
+    res = solve("alg1", lying_oracle(3), np.zeros(3), max_outer=3)
     assert res.status == "LineSearchFailure"
     assert res.status_detail == "SOL backtracking exceeded its cap (j = 11)"
 
@@ -461,10 +418,7 @@ def test_meo_backtracking_cap_yields_line_search_failure_status(solver):
     # the constant f, so the MEO search exhausts its cap.
     H = np.diag([-1.0, 1.0, 2.0, 3.0])
     flat = ProblemOracle(4, lambda x: 0.0, lambda x: np.zeros(4), lambda x, v: H @ v, "flat-saddle")
-    if solver == "alg1":
-        res = newton_cg_solve(flat, np.zeros(4), NcgParams(eps_g=1e-4, eps_H=1e-2, holder=HolderClass(1.0, 1.0)))
-    else:
-        res = pf_newton_cg_solve(flat, np.zeros(4), PfParams(eps_g=1e-4, eps_H=1e-2))
+    res = solve(solver, flat, np.zeros(4), eps_H=1e-2)
     assert res.status == LINE_SEARCH_FAILURE
     assert res.status_detail == "MEO backtracking exceeded its cap (j = 61)"
     assert res.trace == []
@@ -472,29 +426,15 @@ def test_meo_backtracking_cap_yields_line_search_failure_status(solver):
     assert res.f_final == 0.0 and np.array_equal(res.x_final, np.zeros(4))
 
 
-def solve_with(solver, oracle, x0, eps_H, seed=0):
-    if solver == "alg1":
-        return newton_cg_solve(oracle, x0, NcgParams(eps_g=1e-4, eps_H=eps_H, holder=HolderClass(1.0, 1.0), seed=seed))
-    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-4, eps_H=eps_H, seed=seed))
-
-
 @pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
 @pytest.mark.parametrize("shape", [(3,), (5, 1)], ids=str)
 def test_wrong_shaped_x0_is_rejected_before_any_oracle_call(solver, shape):
     # Shape-agnostic callbacks would broadcast a short x0 all the way to a
     # FOSP or SOSP_certified of the wrong dimension.
-    base = make_norm_squared(5)
     calls = []
-
-    def counted(fn):
-        return lambda *args: calls.append(fn) or fn(*args)
-
-    oracle = ProblemOracle(5, counted(base.eval_f), counted(base.eval_grad), counted(base.eval_hvp), "counted")
+    oracle = counted(make_norm_squared(5), calls)
     with pytest.raises(ValueError, match="x0 must be finite with shape"):
-        if solver == "acrn":
-            acrn_solve(oracle, np.ones(shape), 1e-4, CrnParams())
-        else:
-            solve_with(solver, oracle, np.ones(shape), 1e-2)
+        solve(solver, oracle, np.ones(shape), eps_H=None if solver == "acrn" else 1e-2)
     assert calls == []
 
 
@@ -518,7 +458,7 @@ def test_non_finite_hessian_never_certifies(solver, good_hvps, detail):
         return diag * v if len(calls) <= good_hvps else np.full(n, np.nan)
 
     oracle = ProblemOracle(n, lambda x: 0.5 * float(x @ (diag * x)), lambda x: diag * x, hvp, "nan-hessian")
-    res = solve_with(solver, oracle, np.zeros(n), 1e-2)
+    res = solve(solver, oracle, np.zeros(n), eps_H=1e-2)
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == detail
     assert res.counters.meo_calls == 1
@@ -537,7 +477,7 @@ def test_non_finite_hessian_never_certifies(solver, good_hvps, detail):
 )
 def test_certificate_detail_names_the_krylov_dimension(solver, spectrum, eps_H):
     quad = gen_quadratic(20, spectrum, 0)
-    res = solve_with(solver, quad, np.zeros(20), eps_H)
+    res = solve(solver, quad, np.zeros(20), eps_H=eps_H)
     assert res.status == "SOSP_certified"
     assert res.status_detail == "Lanczos: k = 20 of n = 20"
     assert res.counters.meo_calls == 1 and res.counters.hvp_evals == 20
@@ -550,7 +490,7 @@ def test_nan_gradient_is_numerical_failure(solver, eps_H):
     oracle = ProblemOracle(
         n, lambda x: float(x @ x), lambda x: np.full(n, np.nan), lambda x, v: 2.0 * v, "nan-grad"
     )
-    res = solve_with(solver, oracle, np.ones(n), eps_H)
+    res = solve(solver, oracle, np.ones(n), eps_H=eps_H)
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == "gradient norm is nan"
     assert math.isnan(res.grad_norm_final)
@@ -585,14 +525,25 @@ def test_unbounded_objective_overflow_is_numerical_failure(solver):
             quiet(lambda x, v: -4.0 * float(x @ x) * v - 8.0 * float(x @ v) * x),
             "minus-norm-fourth",
         )
-        if solver == "acrn":
-            res = acrn_solve(oracle, np.ones(n), 1e-4, CrnParams())
-        else:
-            res = solve_with(solver, oracle, np.ones(n), None)
+        res = solve(solver, oracle, np.ones(n))
         assert res.status == NUMERICAL_FAILURE
         assert res.status_detail == detail
         assert len(res.trace) > 0  # the steps taken before the overflow are kept
         assert all(r.step_type == ("CRN" if solver == "acrn" else "NC") for r in res.trace)
+
+
+@pytest.mark.parametrize("solver, hvp_evals, subproblems", [("alg1", 1, 1), ("alg2", 1, 1), ("acrn", 42, 0)])
+def test_step_power_overflow_is_numerical_failure(solver, hvp_evals, subproblems):
+    # f = -||x||^2 / 2 from x0 = (1e120, 0): a Python float ** 3 of a norm
+    # above 5.6e102 raises OverflowError, in alg1 and alg2 when the first NC
+    # direction is scaled, and in ACRN in the cubic model's ||s||^3.
+    oracle = ProblemOracle(2, lambda x: -0.5 * float(x @ x), lambda x: -x, lambda x, v: -v, "minus-half-norm-squared")
+    res = solve(solver, oracle, np.array([1e120, 0.0]))
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == "overflow: (34, 'Numerical result out of range')"
+    c = res.counters
+    assert (c.f_evals, c.grad_evals, c.hvp_evals, c.meo_calls, c.subproblems) == (1, 1, hvp_evals, 0, subproblems)
+    assert res.trace == []
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
@@ -609,7 +560,7 @@ def test_capped_cg_breakdown_is_numerical_failure(solver, good_points):
         return quad.eval_hvp(x, v) if good else np.full(n, np.nan)
 
     oracle = ProblemOracle(n, quad.eval_f, quad.eval_grad, hvp, "nan-hvp")
-    res = solve_with(solver, oracle, x0, None)
+    res = solve(solver, oracle, x0)
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == "capped CG: non-finite Hessian-vector product (iteration 0)"
     assert len(res.trace) == good_points  # the steps taken before the breakdown are kept
@@ -629,7 +580,7 @@ def test_huge_curvature_ratio_reaches_fosp(solver):
         lambda x, v: lam * v,
         "stiff-quadratic",
     )
-    res = solve_with(solver, oracle, np.ones(2), None)
+    res = solve(solver, oracle, np.ones(2))
     assert res.status == FOSP
 
 
@@ -646,7 +597,7 @@ def test_huge_flat_gradient_is_numerical_failure(solver):
         lambda x, v: np.array([0.0, 5.0 * v[1]]),
         "huge-flat-gradient",
     )
-    res = solve_with(solver, oracle, np.zeros(2), None)
+    res = solve(solver, oracle, np.zeros(2))
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail.startswith("capped CG: ")
     assert res.counters.f_evals == 1 and res.trace == []
@@ -695,7 +646,7 @@ def test_non_finite_ritz_check_never_certifies(solver, seed):
         return np.full(2, np.nan) if len(calls) == 3 else lam * v
 
     oracle = ProblemOracle(2, lambda x: 0.5 * float(x @ (lam * x)), lambda x: lam * x, hvp, "nan-ritz-check")
-    res = solve_with(solver, oracle, np.zeros(2), 1e-3, seed)
+    res = solve(solver, oracle, np.zeros(2), eps_H=1e-3, seed=seed)
     assert res.status == NUMERICAL_FAILURE
     assert re.fullmatch(r"eigenvalue oracle: Ritz vector check at k = \d is nan", res.status_detail)
     assert res.counters.meo_calls == 1 and res.counters.hvp_evals == 3
@@ -722,15 +673,6 @@ def hostile(base, bad, value, k, shape=None):
     )
 
 
-def solve_hostile(solver, eps_H, oracle, eps_g, max_outer=50):
-    x0 = np.full(oracle.dim, 0.1)
-    if solver == "acrn":
-        return acrn_solve(oracle, x0, eps_g, CrnParams(max_outer=max_outer))
-    if solver == "alg1":
-        return newton_cg_solve(oracle, x0, NcgParams(eps_g, HolderClass(1.0, 1.0), eps_H, max_outer=max_outer))
-    return pf_newton_cg_solve(oracle, x0, PfParams(eps_g, eps_H, max_outer=max_outer))
-
-
 SOLVER_MODES = [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)]
 
 
@@ -743,7 +685,7 @@ def test_hostile_oracle_never_fakes_success(solver, eps_H, bad, value, k):
     # success must still hold at the returned point with the honest oracle.
     base = gen_repu(10, 3, 2.25, 0)
     eps_g = 1e-4
-    res = solve_hostile(solver, eps_H, hostile(base, bad, value, k), eps_g)
+    res = solve(solver, hostile(base, bad, value, k), np.full(10, 0.1), eps_g=eps_g, eps_H=eps_H, max_outer=50)
     if res.status in (FOSP, "SOSP_certified"):
         assert math.isfinite(res.f_final)
         assert float(np.linalg.norm(base.eval_grad(res.x_final))) <= eps_g
@@ -782,7 +724,7 @@ def test_degenerate_objective_never_fakes_success(solver, eps_H, kind, status):
     # With eps_H, the eigenvalue oracle certifies f = 0, and the huge
     # Hessian's first ||H q_1||^2 overflows.
     oracle, eps_g = degenerate(kind), 1e-4
-    res = solve_hostile(solver, eps_H, oracle, eps_g, max_outer=200)
+    res = solve(solver, oracle, np.full(5, 0.1), eps_g=eps_g, eps_H=eps_H, max_outer=200)
     second_order = {"zero": "SOSP_certified", "huge-hessian": NUMERICAL_FAILURE}.get(kind, status)
     assert res.status == (second_order if eps_H else status)
     if res.status == NUMERICAL_FAILURE:
@@ -806,4 +748,4 @@ def test_hostile_oracle_wrong_shape_raises(solver, bad, shape, k):
     expected = {"f": "()", "grad": "(10,)", "hvp": "(10,)"}[bad]
     message = f"eval_{bad} must return shape {expected}; got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        solve_hostile(solver, None, oracle, 1e-4)
+        solve(solver, oracle, np.full(10, 0.1), max_outer=50)

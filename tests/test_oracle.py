@@ -2,18 +2,8 @@ import numpy as np
 import pytest
 
 from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu
-from derivative_checks import DerivativeCheckError, check_gradient_fd, check_hvp_fd
 from ncgopt.sampling import standard_normals
-
-
-def make_norm_squared(n):
-    return ProblemOracle(
-        dim=n,
-        eval_f=lambda x: 0.5 * float(x @ x),
-        eval_grad=lambda x: x.copy(),
-        eval_hvp=lambda x, v: v.copy(),
-        name="half-norm-squared",
-    )
+from support import DerivativeCheckError, check_gradient_fd, check_hvp_fd, make_norm_squared
 
 
 def test_gradient_check_exact_quadratic():

@@ -25,16 +25,7 @@ from ncgopt.pf_newton_cg import (
     bounded_line_search_sol,
     sigma_start,
 )
-
-
-def make_norm_squared(n):
-    return ProblemOracle(
-        dim=n,
-        eval_f=lambda x: 0.5 * float(x @ x),
-        eval_grad=lambda x: x.copy(),
-        eval_hvp=lambda x, v: v.copy(),
-        name="half-norm-squared",
-    )
+from support import fingerprint, lying_oracle, make_norm_squared, rising_line, solve, stiff_quadratic, threaded
 
 
 def test_sigma_start_cases():
@@ -62,9 +53,7 @@ def test_bounded_sol_accepts_steep_descent_at_zero():
 def test_bounded_sol_not_found_on_ascent():
     # f rises along d, so no j in the finite window can pass; the window
     # itself is exhausted (NotFound), distinct from a numerical failure.
-    oracle = CountingOracle(
-        ProblemOracle(1, lambda x: float(x[0]), lambda x: np.ones(1), lambda x, v: np.zeros(1))
-    )
+    oracle = CountingOracle(rising_line())
     x = np.zeros(1)
     d = np.ones(1)
     res = bounded_line_search_sol(
@@ -80,9 +69,7 @@ def test_bounded_sol_not_found_on_ascent():
 
 
 def test_bounded_nc_not_found_on_ascent():
-    oracle = CountingOracle(
-        ProblemOracle(1, lambda x: float(x[0]), lambda x: np.ones(1), lambda x, v: np.zeros(1))
-    )
+    oracle = CountingOracle(rising_line())
     res = bounded_line_search_nc(
         oracle, np.zeros(1), np.ones(1), sigma_t=4.0, f_x=0.0
     )
@@ -264,14 +251,7 @@ def test_bounded_searches_minimality_against_scan():
     # Overshooting direction on a stiff 1-D quadratic: the accepted j must
     # equal the first acceptance of an exhaustive scan over the window.
     curv = 500.0
-    oracle = CountingOracle(
-        ProblemOracle(
-            1,
-            lambda x: 0.5 * curv * float(x @ x),
-            lambda x: curv * x,
-            lambda x, v: curv * v,
-        )
-    )
+    oracle = CountingOracle(stiff_quadratic(curv))
     x = np.array([1.0])
     d = np.array([-2.1])
     theta, eta, eps_g, sigma_t = THETA, ETA, 1e-2, 4.0
@@ -305,20 +285,10 @@ def test_bounded_searches_minimality_against_scan():
 def test_concurrent_solves_share_one_oracle():
     # The oracle is immutable; concurrent solves must reproduce the serial
     # results exactly.
-    import concurrent.futures
-
     oracle = gen_infeasibility(25, 4, 2.5, seed=12)
-    params = PfParams(eps_g=1e-4, seed=3)
-    serial = pf_newton_cg_solve(oracle, np.zeros(25), params)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [
-            pool.submit(pf_newton_cg_solve, oracle, np.zeros(25), params)
-            for _ in range(4)
-        ]
-        results = [f.result() for f in futures]
-    for res in results:
-        assert np.array_equal(res.x_final, serial.x_final)
-        assert res.f_final == serial.f_final
+    run = lambda o: fingerprint(solve("alg2", o, np.zeros(25), seed=3))
+    serial = run(oracle)
+    assert threaded(run, [oracle], rounds=1) == [[serial]] * 4
 
 
 def test_nc_trials_on_indefinite_quadratic():
@@ -337,22 +307,9 @@ def test_nc_trials_on_indefinite_quadratic():
     assert all(fs[i + 1] <= fs[i] for i in range(len(fs) - 1))
 
 
-def lying_oracle(n):
-    # Reports a constant objective but a nonzero gradient: no step can ever
-    # achieve the required decrease, which is exactly what the damping-trial
-    # cap is meant to diagnose.
-    return ProblemOracle(
-        n,
-        lambda x: 0.0,
-        lambda x: np.ones(n),
-        lambda x, v: v.copy(),
-        "inconsistent",
-    )
-
-
 def test_trial_cap_flags_inconsistent_oracle(monkeypatch):
     monkeypatch.setattr(pf_newton_cg_module, "T_MAX", 8)
-    res = pf_newton_cg_solve(lying_oracle(4), np.zeros(4), PfParams(eps_g=1e-4, max_outer=3))
+    res = solve("alg2", lying_oracle(4), np.zeros(4), max_outer=3)
     assert res.status == "LineSearchFailure"
     assert "t_max" in res.status_detail
     assert len(res.trials[0]) == 8

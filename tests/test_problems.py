@@ -1,23 +1,10 @@
-import gc
-import sys
-import threading
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from derivative_checks import check_gradient_fd, check_hvp_fd
-from ncgopt import (
-    bench,
-    gen_infeasibility,
-    gen_quadratic,
-    gen_repu,
-    pf_newton_cg_solve,
-    PfParams,
-    problems,
-)
+from ncgopt import bench, gen_infeasibility, gen_quadratic, gen_repu, problems
 from ncgopt.problems import _pos_pow
 from ncgopt.sampling import standard_normals
+from support import check_gradient_fd, check_hvp_fd, fingerprint, retained_bytes, solve, threaded
 
 
 def test_infeasibility_f_at_origin_closed_form():
@@ -284,16 +271,7 @@ def test_infeasibility_cache_retains_one_matrix():
     n, m, count = 60, 4, 20
     oracles = [gen_infeasibility(n, m, 2.25, seed=s) for s in range(count)]
     x, v = point(1, n), np.ones(n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for oracle in oracles:
-            oracle.eval_hvp(x, v)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    grown = retained_bytes(lambda: [oracle.eval_hvp(x, v) for oracle in oracles])
     # One n x n matrix for the whole process, and O(mn) bytes (A x, q and
     # a few object headers) per oracle; a matrix per oracle would add 576 kB.
     assert grown <= 8 * n * n + count * (8 * 4 * m * n + 2048)
@@ -301,33 +279,11 @@ def test_infeasibility_cache_retains_one_matrix():
 
 def test_threaded_solves_match_sequential():
     oracles = [gen_infeasibility(30, 4, 2.25, seed=s) for s in (0, 3)]
-    params = PfParams(eps_g=1e-4, eps_H=1e-2)
-
-    def solve(oracle):
-        res = pf_newton_cg_solve(oracle, np.zeros(30), params)
-        return res.status, res.x_final.tobytes(), repr(res.f_final), vars(res.counters)
-
-    expected = [solve(o) for o in oracles]
-    workers, rounds = 4, 3  # more threads than cores, two per oracle
-    results = [[] for _ in range(workers)]
-
-    def work(i):
-        for _ in range(rounds):
-            results[i].append(solve(oracles[i % 2]))
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for i in range(workers):
-        assert results[i] == [expected[i % 2]] * rounds
+    run = lambda oracle: fingerprint(solve("alg2", oracle, np.zeros(30), eps_H=1e-2))
+    expected = [run(o) for o in oracles]
+    # Four threads, more than cores, two per oracle.
+    for i, results in enumerate(threaded(run, oracles, rounds=3)):
+        assert results == [expected[i % 2]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -544,34 +500,12 @@ def test_threaded_solves_above_the_gate_match_sequential(row_spy):
     n = 160
     assert n >= problems._ROW_PATH_MIN_N
     oracles = [gen_infeasibility(n, 16, 2.25, seed=s) for s in (0, 3)]
-    params = PfParams(eps_g=1e-4)
-
-    def solve(oracle):
-        res = pf_newton_cg_solve(oracle, np.zeros(n), params)
-        return res.status, res.x_final.tobytes(), repr(res.f_final), vars(res.counters)
-
-    expected = [solve(o) for o in oracles]
+    run = lambda oracle: fingerprint(solve("alg2", oracle, np.zeros(n)))
+    expected = [run(o) for o in oracles]
     assert row_spy.points > 0
-    workers, rounds = 4, 2  # more threads than cores, two per oracle
-    results = [[] for _ in range(workers)]
-
-    def work(i):
-        for _ in range(rounds):
-            results[i].append(solve(oracles[i % 2]))
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for i in range(workers):
-        assert results[i] == [expected[i % 2]] * rounds
+    # Four threads, more than cores, two per oracle.
+    for i, results in enumerate(threaded(run, oracles, rounds=2)):
+        assert results == [expected[i % 2]] * 2
 
 
 def test_row_path_retains_one_reference_per_oracle(row_spy):
@@ -580,17 +514,7 @@ def test_row_path_retains_one_reference_per_oracle(row_spy):
     oracles = [gen_infeasibility(n, m, 2.25, seed=s) for s in range(count)]
     x = point(1, n, scale=0.5 / np.sqrt(n))
     nearby, v = x + 1e-3, np.ones(n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for oracle in oracles:
-            oracle.eval_hvp(x, v)
-            oracle.eval_f(nearby)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    grown = retained_bytes(lambda: [(oracle.eval_hvp(x, v), oracle.eval_f(nearby)) for oracle in oracles])
     assert row_spy.points > 0
     # One n x n matrix for the process; per oracle the last point's key, A x
     # and q, and the reference's x, q and lin with three m-vectors of row
