@@ -30,7 +30,7 @@ import numpy as np
 
 from . import sampling
 from .meo import NonFiniteError, _norm
-from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _drive, _validate_budget
+from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _cube, _drive, _validate_budget
 from .oracle import ProblemOracle
 from .pf_newton_cg import PfParams
 
@@ -64,7 +64,7 @@ class CubicSubproblemResult:
 
 
 def _model_value(g: Array, hs: Array, s: Array, norm_s: float, weight: float) -> float:
-    return float(g @ s + 0.5 * s @ hs + weight / 3.0 * norm_s**3)
+    return float(g @ s + 0.5 * s @ hs + weight / 3.0 * _cube(norm_s, "cubic model"))
 
 
 def estimate_operator_norm(

@@ -11,14 +11,27 @@ H r = beta H p_prev - H p.  The loop ends by its own tests: the SOL
 test, the curvature tests on y and p, and the residual envelope
 ||r_j|| <= sqrt(T_cap) tau^(j/2) ||r_0||, whose violation yields a pair of
 iterates with curvature below eps; the pair search replays the run rather
-than store it, so memory is O(n).  A run keeps its vectors in one 7 x n
-workspace, updated in place, and takes its squared norms in one
-``meo._squared_norm`` call over its rows; a square that is not finite
-raises CappedCgError before any test reads it.  The HVP gets a fresh copy
-of p and the returned d is a copy.  In exact arithmetic the envelope ends
-the loop by pass J(U) (``bounds.iteration_cap`` without its min(n, .)).
+than store it, so a run on its own needs O(n) memory.  A run keeps its
+vectors in one 7 x n workspace, updated in place, and takes its squared
+norms in one ``meo._squared_norm`` call over its rows; a square that is not
+finite raises CappedCgError before any test reads it.  The HVP gets a fresh
+copy of p and the returned d is a copy.  In exact arithmetic the envelope
+ends the loop by pass J(U) (``bounds.iteration_cap`` without its min(n, .)).
 Rounding can keep it going (tau rounds to 1 once kappa passes about 8e31),
 so a pass j >= J(U) that no test ends raises CappedCgError.
+
+Damping trials at one point share H and g, and the shifted systems share
+one Krylov space: the CG residuals of (H + 2 eps I) and (H + 2 eps_0 I) are
+collinear, r^eps_j = zeta_j r_j (Jegerlehner 1996, *Krylov space solvers for
+shifted linear systems*).  A run handed an empty ``KrylovRecord`` records
+its first min(passes, n) passes, each pass's r_j, H r_j, ||r_j||^2 and
+p_j'(H + 2 eps_0 I) p_j: at most 2 n^2 floats.  A run at eps > eps_0 handed
+that record replays it: while the record lasts, it takes r_j and H r_j from
+it, scaled by zeta_j, and H p_j = beta H p_(j-1) - H r_j, with zeta, alpha
+and beta from Jegerlehner's scalar recurrences, and calls no HVP; its pair
+search replays the record too.  Its loop,
+tests, cap U, envelope and J(U) are those of a plain run, and past the
+record it goes on as one, with real products, from its current state.
 
 Curvature and residual comparisons are strict floating-point comparisons;
 tolerance slack belongs to callers and tests, not to the branch predicates.
@@ -26,7 +39,7 @@ tolerance slack belongs to callers and tests, not to the branch predicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable
 
@@ -76,9 +89,10 @@ class CgOutcome:
     curvature is d^T H d, read off products the run already took: H p for a
     CG direction p, the recurrence's H y for an iterate y, or their
     difference for a pair of iterates.  iterations is the index j of the
-    pass that returned; the run took iterations + 1 products with CG
-    directions, and a pair return iterations more to replay the run.  cap
-    is the final running curvature cap U.
+    pass that returned; a run without a record to replay took
+    iterations + 1 products with CG directions, and a pair return
+    iterations more to replay the run; a replayed pass takes none.  cap is
+    the final running curvature cap U.
     """
 
     d: Array
@@ -88,12 +102,52 @@ class CgOutcome:
     cap: float
 
 
+@dataclass
+class KrylovRecord:
+    """The first min(passes, n) passes of one run at 2 eps_0 = ``two_eps``.
+
+    Pass j keeps (r_j, H r_j, ||r_j||^2, p_j'(H + 2 eps_0 I) p_j).  Empty
+    until a run records into it; a record replays only for the H and g it
+    was made with, which the caller keeps, and only at a larger eps.
+    """
+
+    two_eps: float = math.nan
+    passes: list[tuple[Array, Array, float, float]] = field(default_factory=list)
+
+
 def psi(t: float, zeta: float) -> float:
     """log(144 (sqrt(t + 2) + 1)^2 (t + 2)^6 / zeta^2), summed in logs so it is finite for finite t."""
     return 2.0 * (math.log(12.0 * (math.sqrt(t + 2.0) + 1.0)) - math.log(zeta)) + 6.0 * math.log(t + 2.0)
 
 
-def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
+def _shifted_scalars(passes, delta: float):
+    """Jegerlehner's recurrences for the shift H-bar = H-bar_0 + delta I.
+
+    For each recorded pass j + 1, yields (zeta_(j+1), alpha_j, beta_j): the
+    residual factor r_(j+1) = zeta_(j+1) r^0_(j+1), the step
+    y_(j+1) = y_j + alpha_j p_j and p_(j+1) = -r_(j+1) + beta_j p_j, all from
+    the record's alpha^0_j = ||r^0_j||^2 / p^0_j' H-bar_0 p^0_j and
+    beta^0_j = ||r^0_(j+1)||^2 / ||r^0_j||^2, with zeta_(-1) = zeta_0 = 1.
+    A recorded pass that a later one follows has p' H-bar_0 p >= eps_0 ||p||^2
+    > 0, so for delta > 0 every zeta lies in (0, 1].
+    """
+    z_prev = z = a_prev = 1.0
+    b_prev = 0.0
+    for (_, _, rr, p_hbar_p), (_, _, rr_next, _) in zip(passes, passes[1:]):
+        a, b = rr / p_hbar_p, rr_next / rr
+        z_next = z * z_prev * a_prev / (a * b_prev * (z_prev - z) + z_prev * a_prev * (1.0 + a * delta))
+        ratio = z_next / z
+        yield z_next, a * ratio, ratio * ratio * b
+        z_prev, z, a_prev, b_prev = z, z_next, a, b
+
+
+def _cg_passes(
+    hvp: Callable[[Array], Array],
+    g: Array,
+    two_eps: float,
+    record: KrylovRecord | None = None,
+    replay: KrylovRecord | None = None,
+):
     """Plain CG on (H + 2 eps I) d = -g from d = 0, one product H p per pass.
 
     Pass j yields y^j, H y^j (by the exact recurrence), ||r^j||^2, p^j and
@@ -102,6 +156,10 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
     p^j' (H + 2 eps I) p^j; resuming takes the step alpha = rr / p_hbar_p.
     The vectors live in one 7 x n workspace, so a yielded vector is valid
     only until the pass resumes.  A second run replays the first bit for bit.
+    Passes j < n append themselves to ``record``.  With ``replay``, a record
+    made at a smaller eps, pass j < len(replay.passes) takes r^j and H r^j
+    from it scaled by zeta_j, and H p^j = beta H p^(j-1) - H r^j, instead of
+    calling ``hvp``.
     """
     n = g.shape[0]
     work = np.zeros((7, n))
@@ -110,11 +168,20 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
     np.negative(g, out=p)
     r[:] = g
     beta = 0.0
+    replayed = len(replay.passes) if replay is not None else 0
+    if replayed:
+        shifted = _shifted_scalars(replay.passes, two_eps - replay.two_eps)
+        zeta = 1.0
     for j in count():
-        hp_new = hvp(p.copy())
-        np.multiply(hp, beta, out=hr)  # beta H p^(j-1), before H p^j overwrites it
-        hp[:] = hp_new
-        hr -= hp
+        if j < replayed:  # H r^j = zeta_j H r^0_j, then H p^j = beta H p^(j-1) - H r^j
+            np.multiply(replay.passes[j][1], zeta, out=hr)
+            hp *= beta
+            hp -= hr
+        else:
+            hp_new = hvp(p.copy())
+            np.multiply(hp, beta, out=hr)  # beta H p^(j-1), before H p^j overwrites it
+            hp[:] = hp_new
+            hr -= hp
         # A NaN or inf entry of a vector, or a square that overflows, raises
         # here, before it enters p' H p or a test.
         pp, hp_hp, rr, yy, hy_hy, hr_hr = _squared_norm(work[1:]).tolist()
@@ -129,21 +196,33 @@ def _cg_passes(hvp: Callable[[Array], Array], g: Array, two_eps: float):
         np.multiply(p, two_eps, out=hbar_p)
         hbar_p += hp
         p_hbar_p = float(p @ hbar_p)
+        if record is not None and j < n:
+            record.passes.append((r.copy(), hr.copy(), rr, p_hbar_p))
         yield y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p
-        iterates += steps * (rr / p_hbar_p)
-        beta = float(_squared_norm(r)) / rr
+        if j + 1 < replayed:
+            zeta, alpha, beta = next(shifted)
+            iterates[1:] += steps[1:] * alpha  # y and H y; r^(j+1) = zeta_(j+1) r^0_(j+1)
+            np.multiply(replay.passes[j + 1][0], zeta, out=r)
+        else:
+            iterates += steps * (rr / p_hbar_p)
+            beta = float(_squared_norm(r)) / rr
         p *= beta
         p -= r
 
 
-def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
+def capped_cg(
+    hvp: Callable[[Array], Array], g: Array, eps: float, record: KrylovRecord | None = None
+) -> CgOutcome:
     """Run capped CG on (H + 2 eps I) d = -g.
 
     Returns a SOL direction with relative residual below zeta_hat (which
     implies the final residual bound ZETA * eps * ||d|| / 2) or an NC
-    direction with d^T H d < -eps ||d||^2 and d^T g <= 0.  Raises
-    ``ValueError`` before any product unless g is finite and nonzero and eps
-    lies in (0, inf).
+    direction with d^T H d < -eps ||d||^2 and d^T g <= 0.  An empty
+    ``record`` receives the run's first min(passes, n) passes; a filled one,
+    made by a run on the same H and g at a smaller eps, is replayed.  Raises
+    ``ValueError`` before any product unless g is finite and nonzero, eps
+    lies in (0, inf) with 2 eps finite, and a filled record starts from this
+    g at a smaller eps.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -151,14 +230,23 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
     r0_norm = _norm(g)
     if r0_norm == 0.0:
         raise ValueError("g must be nonzero")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must lie in (0, inf); got {eps!r}")
+    two_eps = 2.0 * eps
+    if not (0.0 < eps and math.isfinite(two_eps)):
+        raise ValueError(f"eps must lie in (0, inf) with 2 eps finite; got {eps!r}")
+    replay = None
+    if record is not None and record.passes:
+        if not (two_eps > record.two_eps and np.array_equal(record.passes[0][0], g)):
+            raise ValueError("a record replays only for its own g and a larger eps")
+        replay, record = record, None
+    elif record is not None:
+        record.two_eps = two_eps
 
     U = 0.0
     zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, ZETA)
-    two_eps = 2.0 * eps
 
-    for j, (y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p) in enumerate(_cg_passes(hvp, g, two_eps)):
+    for j, (y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p) in enumerate(
+        _cg_passes(hvp, g, two_eps, record, replay)
+    ):
         # Cap updates, in the printed order: p, then y, then r.
         norm_r = math.sqrt(rr)
         grown = U
@@ -189,7 +277,7 @@ def capped_cg(hvp: Callable[[Array], Array], g: Array, eps: float) -> CgOutcome:
             alpha = rr / p_hbar_p
             y_next = y + alpha * p
             hy_next = hy + alpha * hp
-            for y_i, hy_i, *_ in islice(_cg_passes(hvp, g, two_eps), j):
+            for y_i, hy_i, *_ in islice(_cg_passes(hvp, g, two_eps, replay=replay), j):
                 dy = y_next - y_i
                 dd = float(_squared_norm(dy))
                 dy_hdy = float(dy @ (hy_next - hy_i))

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import sampling
-from .capped_cg import NC, CappedCgError, capped_cg
+from .capped_cg import NC, CappedCgError, KrylovRecord, capped_cg
 from .meo import CERTIFICATE, NonFiniteError, _norm, _squared_norm, minimum_eigenvalue_oracle
 from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
 
@@ -167,6 +167,14 @@ def gamma_nu(eps_g: float, holder: HolderClass) -> float:
 # Direction scalings.
 
 
+def _cube(norm: float, step: str) -> float:
+    """norm ** 3; an overflow raises ``NonFiniteError`` naming ``step`` and the norm."""
+    try:
+        return norm**3
+    except OverflowError:
+        raise NonFiniteError(f"{step}: the cube of the norm {norm!r} overflows") from None
+
+
 def scale_nc_direction(d: Array, curvature: float, g: Array, sigma: float) -> Array:
     """Rescale a raw negative-curvature direction for the line search.
 
@@ -178,7 +186,7 @@ def scale_nc_direction(d: Array, curvature: float, g: Array, sigma: float) -> Ar
     if dn == 0.0:
         raise ValueError("negative-curvature direction must be nonzero")
     sign = 1.0 if float(d @ g) >= 0.0 else -1.0
-    coef = max(1.0, 1.0 / sigma) * abs(curvature) / dn**3
+    coef = max(1.0, 1.0 / sigma) * abs(curvature) / _cube(dn, "NC direction scaling")
     return (-sign * coef) * d
 
 
@@ -245,13 +253,13 @@ def line_search_sol(
 
 def line_search_nc(oracle, x: Array, d: Array, sigma: float, f_x: float) -> LineSearchOutcome:
     """Backtracking with the cubic decrease test for negative-curvature steps."""
-    decrease = ETA * min(1.0, sigma) * _norm(d) ** 3 / 4.0
+    decrease = ETA * min(1.0, sigma) * _cube(_norm(d), "NC search") / 4.0
     return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap")
 
 
 def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome:
     """Backtracking for eigenvalue-oracle steps; alpha = 1 is the j = 0 trial."""
-    decrease = ETA * _norm(d) ** 3 / 2.0
+    decrease = ETA * _cube(_norm(d), "MEO search") / 2.0
     return _backtrack(oracle, x, d, f_x, decrease, "MEO backtracking exceeded its cap")
 
 
@@ -259,18 +267,25 @@ def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome
 # Driver.
 
 
-def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: Callable, reject_short: bool):
+def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: Callable, parameter_free: bool):
     """The damping trial of both drivers, as ``_drive``'s ``trial``.
 
     Runs ``cg``, the caller's own ``capped_cg`` binding, on the damped
     system; then ``search_nc`` on the scaled NC direction, or the full-step
-    test and ``search_sol`` on a SOL direction.  ``reject_short`` rejects SOL
-    directions too short for their weight, as the parameter-free driver does.
+    test and ``search_sol`` on a SOL direction.  The parameter-free driver's
+    trial rejects SOL directions too short for their weight.  That driver
+    also tries growing weights at one point, so the first trial of an outer
+    iteration records its capped-CG passes in a ``KrylovRecord`` and the
+    later ones replay them; the next first trial replaces the record.
     """
+    record = None
 
     def trial(co, hvp, x, fx, gx, t, sigma):
+        nonlocal record
+        if t == 0:
+            record = KrylovRecord() if parameter_free else None
         co.counters.subproblems += 1  # counted even if the call breaks down
-        cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g))
+        cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g), record)
         reason, accepted_by, grad_new = NO_VALID_J, None, None
         if cg_out.d_type == NC:
             d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
@@ -281,7 +296,7 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
             grad_full = co.eval_grad(x + d) if f_full <= fx else None
             if grad_full is not None and _norm(grad_full) <= eps_g:
                 step, accepted_by = LineSearchOutcome(1.0, 0, f_full), FULL_STEP
-            elif reject_short and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
+            elif parameter_free and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
                 step, reason = None, SMALL_STEP
             else:
                 step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
@@ -397,7 +412,7 @@ def _drive(
     except NonFiniteError as err:  # its message names its source
         status = NUMERICAL_FAILURE
         detail = str(err)
-    except OverflowError as err:  # e.g. ||d||^3 of a runaway NC direction
+    except OverflowError as err:  # e.g. a Python float power in an oracle callback
         status = NUMERICAL_FAILURE
         detail = f"overflow: {err}"
     except CappedCgError as err:  # e.g. a NaN Hessian-vector product
@@ -423,5 +438,5 @@ def newton_cg_solve(
     any evaluation unless x0 is a finite (dim,) vector.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
-    trial = _newton_trial(params.eps_g, capped_cg, line_search_sol, line_search_nc, reject_short=False)
+    trial = _newton_trial(params.eps_g, capped_cg, line_search_sol, line_search_nc, parameter_free=False)
     return _drive(oracle, x0, params, weights=lambda _: (gamma,), gamma0=gamma, trial=trial)[0]

@@ -24,6 +24,7 @@ from .newton_cg import (
     LineSearchOutcome,
     PfSolveResult,
     _backtrack,
+    _cube,
     _drive,
     _newton_trial,
     _validate_shared,
@@ -94,7 +95,7 @@ def bounded_line_search_nc(oracle, x: Array, d: Array, sigma_t: float, f_x: floa
     f(x + THETA^j d) <= f(x) - ETA min{1, sigma_t} THETA^(2j) ||d||^3 / 4.
     """
     window = THETA * min(1.0, 1.0 / sigma_t)
-    decrease = ETA * min(1.0, sigma_t) * _norm(d) ** 3 / 4.0
+    decrease = ETA * min(1.0, sigma_t) * _cube(_norm(d), "bounded NC search") / 4.0
     message = "bounded NC search exceeded its cap in-window"
     return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
 
@@ -115,6 +116,6 @@ def pf_newton_cg_solve(
         sigma0 = sigma_start(gamma_prev)
         return (sigma0 * R**t for t in range(T_MAX))
 
-    trial = _newton_trial(params.eps_g, capped_cg, bounded_line_search_sol, bounded_line_search_nc, reject_short=True)
+    trial = _newton_trial(params.eps_g, capped_cg, bounded_line_search_sol, bounded_line_search_nc, parameter_free=True)
     result, trials, gamma_history = _drive(oracle, x0, params, weights=weights, gamma0=GAMMA_INIT, trial=trial)
     return PfSolveResult(**vars(result), trials=trials, gamma_history=gamma_history)

@@ -25,7 +25,7 @@ from ncgopt import (
     pf_newton_cg_solve,
 )
 from ncgopt.bounds import iteration_cap
-from ncgopt.capped_cg import SOL, ZETA, capped_cg
+from ncgopt.capped_cg import SOL, ZETA, KrylovRecord, capped_cg
 from ncgopt.meo import CERTIFICATE, DIRECTION, minimum_eigenvalue_oracle
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,10 @@ def check_capped_cg(H, g, eps, out):
 def fuzz_capped_cg(rng, trials):
     """Check the contract on ``trials`` random systems of size 2 to 30, with a
     positive definite spectrum every third draw (indefinite draws almost
-    always end NC) and eps cycling through 1e-3, 1e-2, 1e-1 and 1; returns
-    the (SOL, NC) counts, at least 20 of each."""
+    always end NC) and eps cycling through 1e-3, 1e-2, 1e-1 and 1; each draw
+    also replays its recorded run at eps·2^(t/2), t = 1 .. 7, as damping
+    trials do.  Returns the (SOL, NC) counts of the unshifted runs, at least
+    20 of each."""
     n_sol = n_nc = 0
     for trial in range(trials):
         n = int(rng.integers(2, 31))
@@ -189,13 +191,17 @@ def fuzz_capped_cg(rng, trials):
         while np.linalg.norm(g) == 0.0:
             g = rng.standard_normal(n)
         eps = (1e-3, 1e-2, 1e-1, 1.0)[trial % 4]
-        out = capped_cg(matvec(H), g, eps)
-        check_capped_cg(H, g, eps, out)
-        n_sol += out.d_type == SOL
-        n_nc += out.d_type != SOL
         norm_h = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-        assert out.iterations <= iteration_cap(norm_h, eps, ZETA, n)
-        assert out.cap <= norm_h + 1e-10
+        record = KrylovRecord()
+        for t in range(8):
+            shifted = eps * 2.0 ** (t / 2.0)
+            out = capped_cg(matvec(H), g, shifted, record)
+            check_capped_cg(H, g, shifted, out)
+            assert out.iterations <= iteration_cap(norm_h, shifted, ZETA, n)
+            assert out.cap <= norm_h + 1e-10
+            if t == 0:
+                n_sol += out.d_type == SOL
+                n_nc += out.d_type != SOL
     assert n_sol >= 20 and n_nc >= 20
     return n_sol, n_nc
 

@@ -12,11 +12,13 @@ from ncgopt.capped_cg import (
     ZETA,
     CappedCgError,
     CgOutcome,
+    KrylovRecord,
     cap_constants,
     capped_cg,
 )
+from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator
-from support import check_capped_cg, fuzz_capped_cg, matvec, random_symmetric, rotated
+from support import check_capped_cg, counted, fuzz_capped_cg, matvec, random_symmetric, rotated
 
 
 def reference_capped_cg(hvp, g, eps, zeta):
@@ -218,6 +220,16 @@ def test_eps_outside_the_open_half_line_is_rejected_before_any_product(eps):
     assert calls == []
 
 
+def test_eps_whose_double_overflows_is_rejected_before_any_product():
+    # eps = 1e308 is finite, but 2 eps = inf would make H-bar p = H p + 2 eps p
+    # compute 0 * inf for a zero entry of p.
+    calls = []
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\) with 2 eps finite; got 1e\+308$"):
+        capped_cg(lambda v: calls.append(v) or v, np.array([1.0, 0.0]), 1e308)
+    assert calls == []
+    assert capped_cg(lambda v: v, np.array([1.0, 0.0]), 0.5 * 1e308).d_type == SOL
+
+
 @pytest.mark.parametrize(
     "H, g, eps, message",
     [
@@ -225,13 +237,13 @@ def test_eps_outside_the_open_half_line_is_rejected_before_any_product(eps):
         (np.eye(2), np.array([1e200, 0.0]), 1.0, "non-finite CG iterate"),
         # ||H p|| / ||p|| = 1e150 is finite, but U / eps overflows.
         (1e150 * np.eye(2), np.array([1.0, 0.0]), 1e-160, "curvature ratio overflow"),
-        # 2 eps overflows, so p'(H + 2 eps I) p is NaN: finite eps, no positive curvature.
-        (np.diag([1.0, 2.0]), np.array([1.0, 0.0]), 1e308, "loss of positive curvature along p"),
+        # ||p||^2 = 1e-320 is subnormal, and both p'(H + 2 eps I) p and
+        # eps ||p||^2 underflow to 0: no NC test fires, and no positive curvature.
+        (np.zeros((2, 2)), np.array([1e-160, 0.0]), 1e-10, "loss of positive curvature along p"),
     ],
 )
 def test_breakdown_at_the_first_pass_is_named(H, g, eps, message):
-    # The third case makes numpy compute 0 * inf inside H-bar p.
-    with np.errstate(invalid="ignore"), pytest.raises(CappedCgError, match=rf"^{message} \(iteration 0\)$"):
+    with pytest.raises(CappedCgError, match=rf"^{message} \(iteration 0\)$"):
         capped_cg(matvec(H), g, eps)
 
 
@@ -308,6 +320,70 @@ def test_residual_blow_up_pair_carries_its_curvature(monkeypatch):
     with pytest.raises(CappedCgError, match="without a negative-curvature pair") as err:
         run(0.0)
     assert err.value.iteration == 1
+
+
+def test_replayed_pair_search_replays_the_record(monkeypatch):
+    # The system above, recorded at eps = 0.95, where the run takes four
+    # passes and the record keeps n = 3, and replayed at eps = 1 with
+    # T_cap = 0.1: it leaves the envelope at j = 2, as the plain run does.
+    # Its pair search replays the record as well, so the run calls no HVP,
+    # and the pair meets the NC contract.
+    original = cap_constants
+    H = np.diag([-1.3, 2.9, 2.1])
+    g = np.array([1.0, 3.0, 2.0])
+    record = KrylovRecord()
+    assert capped_cg(matvec(H), g, 0.95, record).iterations == 3 and len(record.passes) == 3
+    monkeypatch.setattr(
+        capped_cg_module,
+        "cap_constants",
+        lambda U, eps, zeta: original(U, eps, zeta)[:2] + (math.sqrt(0.1),) + original(U, eps, zeta)[3:],
+    )
+    calls = []
+    out = capped_cg(lambda v: calls.append(v) or H @ v, g, 1.0, record)
+    assert calls == []
+    assert out.d_type == NC and out.iterations == 2
+    check_capped_cg(H, g, 1.0, out)
+    plain = capped_cg(matvec(H), g, 1.0)
+    np.testing.assert_allclose(out.d, plain.d, rtol=1e-12)
+
+
+def test_record_keeps_n_passes_and_a_replay_takes_products_past_them():
+    # diag(logspace(-3, 3, 20)) at eps = 1e-4 takes 51 passes in floating
+    # point, and the record keeps the first n = 20.  Replays at larger eps
+    # run past n too; each calls the HVP only from pass n on and leaves the
+    # record as it was.
+    n = 20
+    H = np.diag(np.logspace(-3.0, 3.0, n))
+    g = np.ones(n)
+    calls = []
+    oracle = counted(ProblemOracle(n, lambda x: 0.0, lambda x: g, lambda x, v: H @ v), calls)
+    hvp = lambda v: oracle.eval_hvp(g, v)
+    record = KrylovRecord()
+    base = capped_cg(hvp, g, 1e-4, record)
+    assert base.iterations > n and len(calls) == base.iterations + 1
+    assert len(record.passes) == n
+    kept = list(record.passes)
+    for t in range(1, 8):
+        eps = 1e-4 * 2.0 ** (t / 2.0)
+        calls.clear()
+        out = capped_cg(hvp, g, eps, record)
+        assert out.d_type == SOL and out.iterations > n
+        assert len(calls) == out.iterations + 1 - n
+        check_capped_cg(H, g, eps, out)
+        assert out.iterations <= iteration_cap(1e3, eps, ZETA, 10**9)
+        assert record.passes == kept and record.two_eps == 2e-4
+
+
+def test_record_replays_only_its_own_g_at_a_larger_eps():
+    H = np.diag([1.0, 2.0, 3.0])
+    g = np.ones(3)
+    record = KrylovRecord()
+    capped_cg(matvec(H), g, 0.1, record)
+    calls = []
+    for other_g, eps in ((g, 0.1), (g, 0.05), (-g, 0.2)):
+        with pytest.raises(ValueError, match="^a record replays only for its own g and a larger eps$"):
+            capped_cg(lambda v: calls.append(v) or H @ v, other_g, eps, record)
+    assert calls == []
 
 
 def test_pass_bound_ends_the_loop_when_tau_rounds_to_one(monkeypatch):

@@ -159,26 +159,43 @@ def test_scale_nc_direction_rayleigh_property():
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
 def test_nc_trials_reuse_capped_cg_curvature(solver, monkeypatch):
     # Scaling an NC direction takes no product of its own: every HVP of a
-    # first-order solve is one of capped CG's, and measuring each NC
-    # direction's d'Hd afresh costs exactly one more product per NC trial.
+    # first-order solve is taken inside a capped-CG call, and measuring each
+    # NC direction's d'Hd afresh costs exactly one more product per NC trial.
+    # A trial that replays its outer iteration's first trial (alg2 only)
+    # takes fewer products than passes; any other takes one per pass.
     def run(fresh_curvature):
-        outcomes = []
+        calls = []  # (outcome, products inside the call, replayed)
 
-        def recorded(hvp, g, eps):
-            out = capped_cg(hvp, g, eps)
+        def recorded(hvp, g, eps, record):
+            products = 0
+
+            def counting(v):
+                nonlocal products
+                products += 1
+                return hvp(v)
+
+            replayed = record is not None and bool(record.passes)
+            out = capped_cg(counting, g, eps, record)
+            calls.append((out, products, replayed))
             if fresh_curvature and out.d_type == NC:
                 out.curvature = float(out.d @ hvp(out.d))
-            outcomes.append(out)
             return out
 
         for module in (newton_cg_module, pf_newton_cg_module):
             monkeypatch.setattr(module, "capped_cg", recorded)
-        return solve(solver, gen_repu(30, 6, 2.25, 0), np.full(30, 1.0 / 30.0)), outcomes
+        return solve(solver, gen_repu(30, 6, 2.25, 0), np.full(30, 1.0 / 30.0)), calls
 
-    res, outcomes = run(fresh_curvature=False)
-    n_nc = sum(out.d_type == NC for out in outcomes)
+    res, calls = run(fresh_curvature=False)
+    n_nc = sum(out.d_type == NC for out, _, _ in calls)
     assert n_nc >= 10
-    assert res.counters.hvp_evals == sum(out.iterations + 1 for out in outcomes)
+    assert res.counters.hvp_evals == sum(products for _, products, _ in calls)
+    replays = [(out, products) for out, products, replayed in calls if replayed]
+    assert all(products < out.iterations + 1 for out, products in replays)
+    assert all(products == out.iterations + 1 for out, products, replayed in calls if not replayed)
+    if solver == "alg2":  # every trial after an outer iteration's first replays
+        assert len(replays) == sum(len(outer) - 1 for outer in res.trials) > 0
+    else:
+        assert replays == []
     fresh, _ = run(fresh_curvature=True)
     assert fresh.counters.hvp_evals - res.counters.hvp_evals == n_nc
     assert fresh.status == res.status == FOSP
@@ -535,15 +552,31 @@ def test_unbounded_objective_overflow_is_numerical_failure(solver):
 @pytest.mark.parametrize("solver, hvp_evals, subproblems", [("alg1", 1, 1), ("alg2", 1, 1), ("acrn", 42, 0)])
 def test_step_power_overflow_is_numerical_failure(solver, hvp_evals, subproblems):
     # f = -||x||^2 / 2 from x0 = (1e120, 0): a Python float ** 3 of a norm
-    # above 5.6e102 raises OverflowError, in alg1 and alg2 when the first NC
-    # direction is scaled, and in ACRN in the cubic model's ||s||^3.
+    # above 5.6e102 overflows, in alg1 and alg2 when the first NC direction
+    # is scaled, and in ACRN in the cubic model's ||s||^3; the detail names
+    # the step and the norm.
     oracle = ProblemOracle(2, lambda x: -0.5 * float(x @ x), lambda x: -x, lambda x, v: -v, "minus-half-norm-squared")
     res = solve(solver, oracle, np.array([1e120, 0.0]))
     assert res.status == NUMERICAL_FAILURE
-    assert res.status_detail == "overflow: (34, 'Numerical result out of range')"
+    if solver == "acrn":
+        assert res.status_detail == "cubic model: the cube of the norm 4.739336492890771e+118 overflows"
+    else:
+        assert res.status_detail == "NC direction scaling: the cube of the norm 1e+120 overflows"
     c = res.counters
     assert (c.f_evals, c.grad_evals, c.hvp_evals, c.meo_calls, c.subproblems) == (1, 1, hvp_evals, 0, subproblems)
     assert res.trace == []
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
+def test_oracle_overflow_is_numerical_failure(solver):
+    # f = -x^2 / 2, taken through a Python float power that overflows once
+    # |x| passes about 34.6: the steps from x0 = 30 reach it, and the
+    # callback's OverflowError ends the solve with the steps taken kept.
+    oracle = ProblemOracle(1, lambda x: -0.5 * (float(x[0]) ** 200) ** 0.01, lambda x: -x, lambda x, v: -v, "power")
+    res = solve(solver, oracle, np.array([30.0]))
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == "overflow: (34, 'Numerical result out of range')"
+    assert len(res.trace) > 0
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])

@@ -12,10 +12,12 @@ from ncgopt import (
     ProblemOracle,
     gen_infeasibility,
     gen_quadratic,
+    gen_repu,
     pf_newton_cg_solve,
 )
 from ncgopt import pf_newton_cg as pf_newton_cg_module
 from ncgopt.bounds import c_nc, c_sol_hat, pf_bounds
+from ncgopt.capped_cg import capped_cg
 from ncgopt.newton_cg import ETA, THETA, gamma_nu
 from ncgopt.oracle import CountingOracle
 from ncgopt.pf_newton_cg import (
@@ -25,7 +27,16 @@ from ncgopt.pf_newton_cg import (
     bounded_line_search_sol,
     sigma_start,
 )
-from support import fingerprint, lying_oracle, make_norm_squared, rising_line, solve, stiff_quadratic, threaded
+from support import (
+    fingerprint,
+    lying_oracle,
+    make_norm_squared,
+    retained_bytes,
+    rising_line,
+    solve,
+    stiff_quadratic,
+    threaded,
+)
 
 
 def test_sigma_start_cases():
@@ -342,3 +353,23 @@ def test_pf_sosp_certified_and_gamma_carry():
         0.0,
     )
     assert len(res.trace) <= k1_bar + 2 * k2 - 1
+
+
+def test_solve_keeps_no_krylov_record(monkeypatch):
+    # An outer iteration's record of capped-CG passes (r_j and H r_j, up to
+    # 2 n^2 floats) lives until the next outer iteration's first trial
+    # replaces it; none outlives the solve.
+    oracle, x0 = gen_repu(400, 80, 2.25, 0), np.full(400, 1.0 / 400.0)
+    largest = 0
+
+    def recorded(hvp, g, eps, record):
+        nonlocal largest
+        out = capped_cg(hvp, g, eps, record)
+        largest = max(largest, sum(r.nbytes + hr.nbytes for r, hr, _, _ in record.passes))
+        return out
+
+    monkeypatch.setattr(pf_newton_cg_module, "capped_cg", recorded)
+    solve("alg2", oracle, x0)  # fills the oracle's own caches first
+    grown = retained_bytes(lambda: solve("alg2", oracle, x0))
+    assert largest >= 100_000
+    assert grown < largest / 10
