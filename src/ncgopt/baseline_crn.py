@@ -64,7 +64,7 @@ class CubicSubproblemResult:
 
 
 def _model_value(g: Array, hs: Array, s: Array, norm_s: float, weight: float) -> float:
-    return float(g @ s + 0.5 * s @ hs + weight / 3.0 * _cube(norm_s, "cubic model"))
+    return float(g @ s) + 0.5 * float(s @ hs) + weight / 3.0 * _cube(norm_s, "cubic model")
 
 
 def estimate_operator_norm(

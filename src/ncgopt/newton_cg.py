@@ -333,15 +333,20 @@ def _drive(
     carried out of each.  An overflow during the solve gives inf quietly,
     whatever numpy's settings, and the loop's finiteness tests turn it into
     NumericalFailure: one errstate per solve, not one per norm.
+
+    ``hvp`` is ``co.hvp_at(x)``, bound at x0 and again after each step; the
+    trial and the eigenvalue oracle take every product at x through it.  The
+    evaluations at x0 run inside the loop's exception handling, so an
+    exception there also ends the solve in a status.  f_final and
+    grad_norm_final are those of x_final, NaN when they were never computed
+    (as when the gradient at a new iterate raises).
     """
     x = np.array(x0, dtype=float)
     if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite with shape ({oracle.dim},); got shape {x.shape}")
     co = CountingOracle(oracle)
     counters = co.counters
-    fx = co.eval_f(x)
-    gx = co.eval_grad(x)
-    hvp = lambda v: co.eval_hvp(x, v)
+    fx, gx = math.nan, None  # until they are evaluated at x0
 
     trace: list[IterationRecord] = []
     trials: list[list[InnerTrialRecord]] = []
@@ -351,6 +356,9 @@ def _drive(
     detail: str | None = None
 
     try:
+        fx = co.eval_f(x)
+        gx = co.eval_grad(x)
+        hvp = co.hvp_at(x)
         for _ in range(params.max_outer):
             gnorm = _norm(gx)
             if not (math.isfinite(fx) and math.isfinite(gnorm)):
@@ -404,8 +412,10 @@ def _drive(
                 )
             )
             x = x + step.alpha * d
-            fx = step.f_new
-            gx = grad_new if grad_new is not None else co.eval_grad(x)
+            fx, gx = step.f_new, grad_new
+            if gx is None:
+                gx = co.eval_grad(x)
+            hvp = co.hvp_at(x)
     except LineSearchError as err:
         status = LINE_SEARCH_FAILURE
         detail = str(err)
@@ -419,7 +429,8 @@ def _drive(
         status = NUMERICAL_FAILURE
         detail = f"capped CG: {err}"
 
-    return SolveResult(x, fx, _norm(gx), status, detail, trace, counters), trials, gamma_history
+    grad_norm = math.nan if gx is None else _norm(gx)
+    return SolveResult(x, fx, grad_norm, status, detail, trace, counters), trials, gamma_history
 
 
 def newton_cg_solve(

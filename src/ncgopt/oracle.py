@@ -2,7 +2,9 @@
 
 A :class:`ProblemOracle` is the only interface between solvers and problems:
 callbacks for f(x), grad f(x), and Hessian-vector products, plus dimension
-metadata.  Derivatives are analytic.
+metadata.  Derivatives are analytic.  A solver takes its Hessian-vector
+products through :meth:`CountingOracle.hvp_at`, the operator v -> H(x) v
+bound once per iterate x.
 """
 from __future__ import annotations
 
@@ -34,6 +36,15 @@ class ProblemOracle:
     every A_i x, and skips each row that a norm bound around it proves
     inactive, with a rounding margin wide enough that results do not depend
     on the reference either (see ``problems._infeasibility_oracle``).
+
+    Their ``eval_hvp`` also binds to a point: ``eval_hvp.at(x)`` copies x,
+    keys it once and returns the operator v -> H(x) v.  That operator takes
+    the Hessian (repu: its curvature weights) from the cache on its first
+    product and keeps it, so each later product is the product alone, with
+    the bits of ``eval_hvp(x, v)``.  Any ``eval_hvp`` may offer such an
+    ``at``; the solvers give one without it every product as
+    ``eval_hvp(x, v)``, so a wrapper built with ``dataclasses.replace``
+    sees them all.
     """
 
     dim: int
@@ -81,11 +92,12 @@ class Counters:
 class CountingOracle:
     """Mutable per-solve wrapper that counts f / grad / hvp evaluations.
 
-    Exposes the same ``eval_*`` surface as :class:`ProblemOracle` so solver
-    code is agnostic to whether it counts.  The counts go straight into
-    ``counters``, which the solver completes and returns with its result.
-    A callback output of the wrong shape (f not a scalar, grad or HVP not of
-    shape (dim,)) raises ``ValueError`` naming the callback and the shape.
+    Exposes ``eval_f`` and ``eval_grad`` as :class:`ProblemOracle` does, and
+    Hessian-vector products as the operator ``hvp_at(x)``.  The counts go
+    straight into ``counters``, which the solver completes and returns with
+    its result.  A callback output of the wrong shape (f not a scalar, grad
+    or HVP not of shape (dim,)) raises ``ValueError`` naming the callback
+    and the shape.
     """
 
     def __init__(self, oracle: ProblemOracle):
@@ -108,12 +120,30 @@ class CountingOracle:
             _require_shape("eval_grad", g, self._vector)
         return g
 
-    def eval_hvp(self, x: Array, v: Array) -> Array:
-        self.counters.hvp_evals += 1
-        hv = self._oracle.eval_hvp(x, v)
-        if getattr(hv, "shape", None) != self._vector:
-            _require_shape("eval_hvp", hv, self._vector)
-        return hv
+    def hvp_at(self, x: Array) -> Callable[[Array], Array]:
+        """The operator v -> H(x) v at the value x has now, counted and shape-checked.
+
+        Binds through ``eval_hvp.at(x)`` when the oracle's ``eval_hvp`` has
+        that method; any other ``eval_hvp`` gets each product as
+        ``eval_hvp(x_copy, v)``, with x copied once here.
+        """
+        eval_hvp = self._oracle.eval_hvp
+        at = getattr(eval_hvp, "at", None)
+        if at is not None:
+            product = at(x)
+        else:
+            point = np.array(x)
+            product = lambda v: eval_hvp(point, v)
+        counters, vector = self.counters, self._vector
+
+        def hvp(v: Array) -> Array:
+            counters.hvp_evals += 1
+            hv = product(v)
+            if getattr(hv, "shape", None) != vector:
+                _require_shape("eval_hvp", hv, vector)
+            return hv
+
+        return hvp
 
 
 def _require_shape(name: str, value, shape: tuple) -> None:

@@ -13,6 +13,7 @@ plus-part kink stays twice continuously differentiable.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,6 +121,37 @@ def _last_point(compute: Callable[[Array, tuple], object] | None = None) -> Call
     return lookup
 
 
+def _bindable_hvp(lookup: Callable[[Array, tuple], object], apply: Callable[[object, Array], Array]) -> Callable:
+    """``eval_hvp(x, v)`` of a generated oracle, with an ``at(x)`` that binds it to one point.
+
+    ``lookup(x, key)`` reads the point's curvature data (the Hessian, or
+    repu's weights) from the oracle's cache, and ``apply(data, v)`` takes one
+    product with it.  A call ``eval_hvp(x, v)`` is one keyed lookup and one
+    product.  ``at(x)`` copies x and keys it once; its operator looks the
+    data up on its first product and keeps it, so a binding without products
+    computes nothing, and every product after the first is one ``apply``.
+    """
+
+    def eval_hvp(x: Array, v: Array) -> Array:
+        return apply(lookup(x, _point_key(x)), v)
+
+    def at(x: Array) -> Callable[[Array], Array]:
+        x = np.array(x)
+        key = _point_key(x)
+        data = None
+
+        def product(v: Array) -> Array:
+            nonlocal data
+            if data is None:
+                data = lookup(x, key)
+            return apply(data, v)
+
+        return product
+
+    eval_hvp.at = at
+    return eval_hvp
+
+
 # The infeasibility oracle skips the rows that a norm bound proves inactive
 # from this n up (see _infeasibility_oracle).  Below it one matmul call per
 # row costs more than the skipped rows save.  Oracle time replayed along alg2
@@ -147,7 +179,9 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
 
     The Hessian at x is H = (2 sum_i w2_i A_i + lin' diag(w1) lin) / m with
     lin = 2 A x + b.  The first HVP at a point assembles H (one pass over A
-    and one rank-m product); each HVP is then one n x n product H v.
+    and one rank-m product); each HVP is then one n x n product H v, and an
+    operator bound with ``eval_hvp.at(x)`` keeps H, so its products skip the
+    keyed lookup too (see ``_bindable_hvp``).
 
     **Row skipping** (n >= ``_ROW_PATH_MIN_N``).  A row i with q_i(x) <= 0
     adds an exact zero to f, grad and H, so its A_i x need not be computed.
@@ -254,8 +288,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         H += lin.T @ (w1[:, None] * lin)
         return H / m
 
-    def eval_hvp(x: Array, v: Array) -> Array:
-        return _infeasibility_curvature(x, (token, _point_key(x)), curvature) @ v
+    eval_hvp = _bindable_hvp(lambda x, key: _infeasibility_curvature(x, (token, key), curvature), operator.matmul)
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)
@@ -286,7 +319,11 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
 
 
 def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
-    """f, grad and HVP sharing the last point's a x and curvature weights."""
+    """f, grad and HVP sharing the last point's a x and curvature weights u.
+
+    An HVP is (u * (a v)) a / m; an operator bound with ``eval_hvp.at(x)``
+    keeps u (see ``_bindable_hvp``).
+    """
     a, b, p, m = inst.a, inst.b, inst.p, inst.m
     point = _last_point(lambda x, _key: a @ x)
 
@@ -313,9 +350,11 @@ def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
         w = dphi * p * _pos_pow(s, p - 1.0)
         return (w[:, None] * a).sum(axis=0) / m
 
-    def eval_hvp(x: Array, v: Array) -> Array:
-        w = curvature(x, _point_key(x)) * (a @ v)
+    def apply(u: Array, v: Array) -> Array:
+        w = u * (a @ v)
         return (w[:, None] * a).sum(axis=0) / m
+
+    eval_hvp = _bindable_hvp(curvature, apply)
 
     name = f"repu(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)

@@ -111,6 +111,12 @@ def fingerprint(res):
     return res.status, res.x_final.tobytes(), repr(res.f_final), vars(res.counters)
 
 
+def same_bits(a, b):
+    """Whether a and b have the same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def threaded(fn, args, rounds, workers=4):
     """fn(args[i % len(args)]) ``rounds`` times on each of ``workers`` threads,
     switching threads every microsecond; returns each thread's results."""

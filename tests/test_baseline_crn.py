@@ -88,6 +88,19 @@ def test_subproblem_step_is_the_callers_own():
     np.testing.assert_array_equal(res.s, s)
 
 
+def test_model_value_scalar_form_keeps_the_bits_of_the_scaled_copy():
+    # m(s) takes s'Hs as one scalar product, halved, rather than (0.5 s) @ Hs:
+    # halving is exact away from subnormals, so both forms give the same bits.
+    rng = generator(19, stream=43)
+    for trial in range(200):
+        n = int(rng.integers(1, 120))
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, size=3)
+        g, s, hs = (scale[:, None] * rng.standard_normal((3, n)))
+        weight, norm_s = float(10.0 ** rng.uniform(-3.0, 3.0)), float(np.linalg.norm(s))
+        scaled_copy = float(g @ s + 0.5 * s @ hs + weight / 3.0 * norm_s**3)
+        assert baseline_crn._model_value(g, hs, s, norm_s, weight) == scaled_copy
+
+
 def test_acrn_quadratic_converges_with_few_subproblems():
     oracle = make_norm_squared(6)
     x0 = np.zeros(6)

@@ -232,7 +232,7 @@ def test_line_search_sol_quadratic_full_or_first():
     holder = HolderClass(1.0, 1e-8)
     gamma = gamma_nu(1e-4, holder)
     eps_damp = math.sqrt(gamma * 1e-4)
-    cg = capped_cg(lambda v: oracle.eval_hvp(x, v), oracle.eval_grad(x), eps_damp)
+    cg = capped_cg(oracle.hvp_at(x), oracle.eval_grad(x), eps_damp)
     assert cg.d_type == "SOL"
     out = line_search_sol(oracle, x, cg.d, gamma, 1e-4, f_x=0.5)
     assert out.alpha == 1.0
@@ -577,6 +577,39 @@ def test_oracle_overflow_is_numerical_failure(solver):
     assert res.status == NUMERICAL_FAILURE
     assert res.status_detail == "overflow: (34, 'Numerical result out of range')"
     assert len(res.trace) > 0
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
+def test_start_point_overflow_is_numerical_failure(solver):
+    # The same f from x0 = 40: f(x0) itself overflows, and the solve still
+    # ends in a status, with f and the gradient norm it never computed NaN.
+    oracle = ProblemOracle(1, lambda x: -0.5 * (float(x[0]) ** 200) ** 0.01, lambda x: -x, lambda x, v: -v, "power")
+    res = solve(solver, oracle, np.array([40.0]))
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == "overflow: (34, 'Numerical result out of range')"
+    assert math.isnan(res.f_final) and math.isnan(res.grad_norm_final)
+    assert res.x_final.tolist() == [40.0] and res.trace == []
+    c = res.counters
+    assert (c.f_evals, c.grad_evals, c.hvp_evals, c.subproblems) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2"])
+def test_gradient_exception_after_a_step_leaves_no_stale_norm(solver):
+    # f = -x^2 / 2 from x0 = 1: the NC step reaches x = 2, where the gradient
+    # raises.  The result is x = 2 with its f, and the gradient norm it never
+    # computed is NaN, not the norm 1 of the point it left.
+    def grad(x):
+        if abs(x[0]) > 1.5:
+            raise OverflowError("gradient out of range")
+        return -x
+
+    oracle = ProblemOracle(1, lambda x: -0.5 * float(x @ x), grad, lambda x, v: -v, "minus-half-square")
+    res = solve(solver, oracle, np.array([1.0]))
+    assert res.status == NUMERICAL_FAILURE
+    assert res.status_detail == "overflow: gradient out of range"
+    assert res.x_final.tolist() == [2.0] and res.f_final == -2.0
+    assert math.isnan(res.grad_norm_final)
+    assert [r.step_type for r in res.trace] == ["NC"]
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])

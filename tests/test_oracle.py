@@ -1,9 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu
+from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu, problems
+from ncgopt.bench import start_point
+from ncgopt.oracle import CountingOracle
 from ncgopt.sampling import standard_normals
-from support import DerivativeCheckError, check_gradient_fd, check_hvp_fd, make_norm_squared
+from support import (
+    DerivativeCheckError,
+    check_gradient_fd,
+    check_hvp_fd,
+    make_norm_squared,
+    retained_bytes,
+    same_bits,
+    solve,
+    threaded,
+)
 
 
 def test_gradient_check_exact_quadratic():
@@ -121,3 +134,149 @@ def test_fd_preconditions():
         check_gradient_fd(oracle, np.zeros(3), h=0.0)
     with pytest.raises(ValueError):
         check_hvp_fd(oracle, np.zeros(3), np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# Point binding: a generated oracle's ``eval_hvp.at(x)`` is the operator
+# v -> H(x) v, which ``CountingOracle.hvp_at`` and so every solver use.
+
+GENERATORS = {"infeasibility": gen_infeasibility, "repu": gen_repu}
+
+
+def generated(family, n, seed=0):
+    return GENERATORS[family](n, max(2, n // 10), 2.25, seed)
+
+
+def probe(n, seed, scale=0.3):
+    return scale * standard_normals(seed, n, stream=97)
+
+
+@pytest.mark.parametrize("n", [20, 160])
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_bound_products_match_per_call_bits(family, n):
+    assert 20 < problems._ROW_PATH_MIN_N <= 160
+    oracle = generated(family, n)
+    xs = [probe(n, 1, 0.5 / np.sqrt(n)), probe(n, 2, 0.5 / np.sqrt(n))]
+    vs = [standard_normals(10 + k, n, stream=98) for k in range(3)]
+    bound = [oracle.eval_hvp.at(x) for x in xs]
+    for _ in range(2):  # per-call products at the other point replace the cache in between
+        for x, hvp in zip(xs, bound):
+            for v in vs:
+                assert same_bits(hvp(v), oracle.eval_hvp(x, v))
+    # A fresh instance computes each product from nothing.
+    fresh = generated(family, n)
+    for x, hvp in zip(xs, bound):
+        assert same_bits(hvp(vs[0]), fresh.eval_hvp(x, vs[0]))
+
+
+@pytest.mark.parametrize("product_first", [False, True])
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_binding_keeps_the_point_it_was_bound_at(family, product_first):
+    n = 20
+    oracle, fresh = generated(family, n), generated(family, n)
+    x, v = probe(n, 3), standard_normals(20, n, stream=98)
+    original = x.copy()
+    hvp = oracle.eval_hvp.at(x)
+    if product_first:
+        hvp(v)
+    x[0] += 1.0  # the caller's array changes in place
+    want = fresh.eval_hvp(original, v)
+    assert same_bits(hvp(v), want)
+    # A per-call product at the changed point gets that point's own Hessian.
+    assert same_bits(oracle.eval_hvp(x, v), fresh.eval_hvp(x.copy(), v))
+    assert same_bits(hvp(v), want)
+    assert same_bits(oracle.eval_hvp(original, v), want)
+
+
+def test_binding_without_a_product_builds_no_hessian():
+    n = 400
+    oracle = gen_infeasibility(n, 2, 2.25, seed=0)
+    gen_infeasibility(2, 1, 2.25, seed=0).eval_hvp(np.zeros(2), np.ones(2))  # empties the Hessian slot
+    x, v = probe(n, 4, 0.5 / np.sqrt(n)), np.ones(n)
+    bound = []
+    grown = retained_bytes(lambda: bound.append(oracle.eval_hvp.at(x)))
+    # The copy of x, its key and a closure, about 7 kB; the Hessian would be 1.28 MB.
+    assert grown <= 3 * 8 * n + 2048
+    grown = retained_bytes(lambda: bound[0](v))
+    assert grown >= 8 * n * n  # the first product builds it, and the operator keeps it
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_two_bound_operators_alternating_give_the_serial_bits(family):
+    n = 20
+    oracle, fresh = generated(family, n), generated(family, n)
+    xs, v = [probe(n, 5), probe(n, 6)], np.ones(n)
+    serial = [fresh.eval_hvp(x, v).tobytes() for x in xs]
+    bound = [oracle.eval_hvp.at(x) for x in xs]
+    for k in range(6):
+        assert bound[k % 2](v).tobytes() == serial[k % 2]
+
+    def products(k):
+        # The thread's shared operator, a fresh binding and a per-call product.
+        return bound[k](v).tobytes(), oracle.eval_hvp.at(xs[k])(v).tobytes(), oracle.eval_hvp(xs[k], v).tobytes()
+
+    for i, results in enumerate(threaded(products, [0, 1], rounds=20)):
+        assert results == [(serial[i % 2],) * 3] * 20
+
+
+def test_bound_operator_looks_its_hessian_up_once(monkeypatch):
+    lookups = []
+    slot = problems._infeasibility_curvature
+    monkeypatch.setattr(problems, "_infeasibility_curvature", lambda *args: lookups.append(args[1]) or slot(*args))
+    n = 20
+    oracle = generated("infeasibility", n)
+    xs, v = [probe(n, 7), probe(n, 8)], np.ones(n)
+    bound = [oracle.eval_hvp.at(x) for x in xs]
+    assert lookups == []
+    for k in range(6):
+        bound[k % 2](v)
+    assert len(lookups) == 2 and lookups[0] != lookups[1]
+
+
+def test_counting_operator_copies_a_point_without_binding():
+    # An eval_hvp without ``at`` gets every product as eval_hvp(x, v), at a
+    # copy of x taken when the operator was bound.
+    seen = []
+
+    def eval_hvp(x, v):
+        seen.append(x)
+        return 2.0 * v
+
+    co = CountingOracle(ProblemOracle(3, lambda x: 0.0, lambda x: x, eval_hvp))
+    x = np.ones(3)
+    hvp = co.hvp_at(x)
+    x[0] = 5.0
+    assert hvp(np.ones(3)).tolist() == [2.0, 2.0, 2.0]
+    hvp(np.zeros(3))
+    assert seen[0] is seen[1] and seen[0].tolist() == [1.0, 1.0, 1.0]
+    assert co.counters.hvp_evals == 2
+    short = CountingOracle(ProblemOracle(3, lambda x: 0.0, lambda x: x, lambda x, v: v[:2]))
+    with pytest.raises(ValueError, match=r"eval_hvp must return shape \(3,\)"):
+        short.hvp_at(x)(np.ones(3))
+
+
+# The benchmark's tracer times HVPs by rebuilding the oracle with a wrapped
+# eval_hvp, which has no ``at``: solves through such a wrapper take the
+# per-call path, and must count every product and keep every bit.
+@pytest.mark.parametrize("solver, eps_H", [("alg1", None), ("alg2", 1e-3), ("acrn", None)])
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_solves_through_a_wrapped_hvp_count_every_product(family, solver, eps_H):
+    n = 20
+    oracle = generated(family, n, seed=1)
+    points = {}
+
+    def wrapper(x, v):
+        points[id(x)] = x  # held, so that ids stay unique
+        wrapper.calls += 1
+        return oracle.eval_hvp(x, v)
+
+    wrapper.calls = 0
+    x0 = start_point(family, n)
+    res = solve(solver, replace(oracle, eval_hvp=wrapper), x0, eps_H=eps_H)
+    want = solve(solver, oracle, x0, eps_H=eps_H)
+    assert wrapper.calls == res.counters.hvp_evals > 0
+    assert len(points) <= len(res.trace) + 1  # one array per iterate
+    assert res.x_final.tobytes() == want.x_final.tobytes() and repr(res.f_final) == repr(want.f_final)
+    assert (res.status, res.status_detail, vars(res.counters)) == (want.status, want.status_detail, vars(want.counters))
+    if eps_H is not None:
+        assert res.counters.meo_calls >= 1

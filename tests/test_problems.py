@@ -4,7 +4,7 @@ import pytest
 from ncgopt import bench, gen_infeasibility, gen_quadratic, gen_repu, problems
 from ncgopt.problems import _pos_pow
 from ncgopt.sampling import standard_normals
-from support import check_gradient_fd, check_hvp_fd, fingerprint, retained_bytes, solve, threaded
+from support import check_gradient_fd, check_hvp_fd, fingerprint, retained_bytes, same_bits, solve, threaded
 
 
 def test_infeasibility_f_at_origin_closed_form():
@@ -187,11 +187,6 @@ def reference_repu(inst):
         return (w[:, None] * a).sum(axis=0) / m
 
     return f, grad, hvp
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_matches_reference(oracle, reference, x, v, hvp_exact):
