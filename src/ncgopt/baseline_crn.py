@@ -23,6 +23,7 @@ are qualitative (ordering and order of magnitude), never bit-level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,7 +65,7 @@ class CubicSubproblemResult:
 
 
 def _model_value(g: Array, hs: Array, s: Array, norm_s: float, weight: float) -> float:
-    return float(g @ s) + 0.5 * float(s @ hs) + weight / 3.0 * _cube(norm_s, "cubic model")
+    return float(g.dot(s)) + 0.5 * float(s.dot(hs)) + weight / 3.0 * _cube(norm_s, "cubic model")
 
 
 def estimate_operator_norm(
@@ -80,8 +81,11 @@ def estimate_operator_norm(
     Deterministic given (seed, stream); returns the floor 1e-12 for a zero
     operator (or a start vector annihilated by H).  Raises ``NonFiniteError``
     as soon as a power step's H x or H^2 x is not finite, before it enters
-    a product.
+    a product.  Raises ``ValueError`` before any product unless ``iters`` is a
+    positive integer.
     """
+    if not isinstance(iters, numbers.Integral) or isinstance(iters, bool) or iters < 1:
+        raise ValueError(f"iters must be a positive integer; got {iters!r}")
     floor = 1e-12
     x = sampling.unit_vector(seed, n, stream)
     rayleigh = 0.0
@@ -93,7 +97,7 @@ def estimate_operator_norm(
         nz = _norm(z)  # inf when the square of a finite H^2 x overflows
         if not math.isfinite(nz):
             raise NonFiniteError(f"operator-norm estimate: power step {step} gives ||H^2 x|| = {nz}")
-        rayleigh = float(x @ z)  # equals ||H x||^2 for unit x, and |x'z| <= ||z||
+        rayleigh = float(x.dot(z))  # equals ||H x||^2 for unit x, and |x'z| <= ||z||
         if nz <= floor or rayleigh <= floor**2:
             return floor
         x = z / nz
@@ -114,13 +118,19 @@ def cubic_subproblem_gd(
     Steps 1/(L + 2 M ||s||) with L = ``lipschitz_hint``, an operator-norm
     bound on H such as ``estimate_operator_norm`` gives; a persistent
     damping factor halves on model increase and recovers slowly, keeping the
-    iteration monotone in m without extra Hessian products per trial.
-    Raises ``NonFiniteError`` when the model gradient is NaN or infinite.
+    iteration monotone in m without extra Hessian products per trial.  Each
+    step's scalar products are single BLAS calls (``ndarray.dot``).  Raises
+    ``ValueError`` before any product unless weight and tol are positive and
+    0 <= L < inf, and ``NonFiniteError`` when the model gradient is NaN or
+    infinite.
     """
     if not weight > 0.0:
         raise ValueError("weight must be positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not 0.0 <= lipschitz_hint < math.inf:
+        raise ValueError(f"lipschitz_hint must lie in [0, inf); got {lipschitz_hint!r}")
+    g = np.asarray(g, dtype=float)
     s = np.array(s0, dtype=float)
     hs = np.asarray(hvp(s), dtype=float)
     norm_s = _norm(s)
@@ -129,19 +139,20 @@ def cubic_subproblem_gd(
     grad_norm = math.inf
     iterations = 0
     gm, scaled = np.empty_like(s), np.empty_like(s)  # the model gradient, then a scaled vector
+    add, multiply, asarray, norm, isfinite, model = np.add, np.multiply, np.asarray, _norm, math.isfinite, _model_value
     for iterations in range(1, max_iters + 1):
-        np.add(g, hs, out=gm)
-        gm += np.multiply(s, weight * norm_s, out=scaled)
-        grad_norm = _norm(gm)
-        if not math.isfinite(grad_norm):
+        add(g, hs, out=gm)
+        gm += multiply(s, weight * norm_s, out=scaled)
+        grad_norm = norm(gm)
+        if not isfinite(grad_norm):
             raise NonFiniteError("cubic subproblem: non-finite cubic-model gradient")
         if grad_norm <= tol:
             return CubicSubproblemResult(s, m_val, grad_norm, iterations - 1, True)
         step = damping / (lipschitz_hint + 2.0 * weight * norm_s + 1e-12)
-        s_try = s - np.multiply(gm, step, out=scaled)
-        hs_try = np.asarray(hvp(s_try), dtype=float)
-        norm_try = _norm(s_try)
-        m_try = _model_value(g, hs_try, s_try, norm_try, weight)
+        s_try = s - multiply(gm, step, out=scaled)
+        hs_try = asarray(hvp(s_try), dtype=float)
+        norm_try = norm(s_try)
+        m_try = model(g, hs_try, s_try, norm_try, weight)
         if m_try <= m_val:
             s, hs, norm_s, m_val = s_try, hs_try, norm_try, m_try
             damping = min(1.0, damping * 1.25)

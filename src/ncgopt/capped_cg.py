@@ -195,7 +195,7 @@ def _cg_passes(
             raise CappedCgError("non-finite ||y||^2, ||H y||^2 or ||H r||^2", j)
         np.multiply(p, two_eps, out=hbar_p)
         hbar_p += hp
-        p_hbar_p = float(p @ hbar_p)
+        p_hbar_p = float(p.dot(hbar_p))
         if record is not None and j < n:
             record.passes.append((r.copy(), hr.copy(), rr, p_hbar_p))
         yield y, hy, rr, p, pp, hp, hp_hp, yy, hy_hy, hr_hr, p_hbar_p
@@ -257,13 +257,13 @@ def capped_cg(
         if U > grown:
             zeta_hat, tau, sqrt_t_cap, j_end = cap_constants(U, eps, ZETA)
 
-        y_hy = float(y @ hy)
+        y_hy = float(y.dot(hy))
         if y_hy + two_eps * yy < eps * yy:
             return CgOutcome(y.copy(), NC, y_hy, j, U)
         if norm_r <= zeta_hat * r0_norm:
             return CgOutcome(y.copy(), SOL, y_hy, j, U)
         if p_hbar_p < eps * pp:
-            return CgOutcome(p.copy(), NC, float(p @ hp), j, U)
+            return CgOutcome(p.copy(), NC, float(p.dot(hp)), j, U)
 
         if math.isinf(U / eps):
             raise CappedCgError("curvature ratio overflow", j)

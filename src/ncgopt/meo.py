@@ -75,10 +75,13 @@ def _squared_norm(v: Array):
 
 
 def _norm(v: Array) -> float:
-    """||v||, the square root of ``_squared_norm``: inf when the square overflows.  Only an
-    overflow calls it, so a norm is one Python call (the cubic subproblem takes two a step)."""
+    """||v|| of a vector, the square root of ``_squared_norm``: inf when the square overflows.
+    The square is ``v.dot(v)``, one BLAS ddot with ``np.vecdot``'s bits and without its gufunc
+    dispatch, which warns or raises on overflow under the same errstate rules; only an
+    overflow calls ``_squared_norm``, so a norm is one Python call (the cubic subproblem takes
+    two a step)."""
     try:
-        return math.sqrt(np.vecdot(v, v))
+        return math.sqrt(v.dot(v))
     except (RuntimeWarning, FloatingPointError):
         return math.sqrt(_squared_norm(v))
 
@@ -175,7 +178,7 @@ def minimum_eigenvalue_oracle(
 
     for k in range(1, n + 1):
         w = np.asarray(hvp(q), dtype=float)
-        a = float(q @ w)
+        a = float(q.dot(w))
         if not math.isfinite(a):
             raise NonFiniteError(f"eigenvalue oracle: Lanczos alpha_{k} is {a}")
         alphas[k - 1] = a
@@ -195,7 +198,7 @@ def minimum_eigenvalue_oracle(
             theta, weights = smallest_eigenpair(*tridiagonal)
             v = weights @ basis[:k]
             v = v / _norm(v)
-            curvature = float(v @ np.asarray(hvp(v), dtype=float))
+            curvature = float(v.dot(np.asarray(hvp(v), dtype=float)))
             if not math.isfinite(curvature):
                 raise NonFiniteError(f"eigenvalue oracle: Ritz vector check at k = {k} is {curvature}")
             if curvature <= shift:

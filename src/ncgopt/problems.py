@@ -13,7 +13,6 @@ plus-part kink stays twice continuously differentiable.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -288,7 +287,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         H += lin.T @ (w1[:, None] * lin)
         return H / m
 
-    eval_hvp = _bindable_hvp(lambda x, key: _infeasibility_curvature(x, (token, key), curvature), operator.matmul)
+    eval_hvp = _bindable_hvp(lambda x, key: _infeasibility_curvature(x, (token, key), curvature), np.ndarray.dot)
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)

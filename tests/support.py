@@ -1,6 +1,7 @@
 """Test support shared by the suites: fixture oracles, random symmetric
 operators, one solve-by-name, the thread and memory harnesses, the two
-subroutine contract checkers, and central-difference derivative checks.
+subroutine contract checkers, the baseline's reference loops, and
+central-difference derivative checks.
 
 Each piece is defined here once; a test module imports what it uses.  The
 contract fuzzers take their generator and trial counts from the caller, so
@@ -27,6 +28,7 @@ from ncgopt import (
 from ncgopt.bounds import iteration_cap
 from ncgopt.capped_cg import SOL, ZETA, KrylovRecord, capped_cg
 from ncgopt.meo import CERTIFICATE, DIRECTION, minimum_eigenvalue_oracle
+from ncgopt.sampling import unit_vector
 
 # ---------------------------------------------------------------------------
 # Fixture oracles.
@@ -249,6 +251,61 @@ def fuzz_meo(rng, eps, indefinite, psd, psd_stream):
         check_meo(H, eps, out)
         assert out.kind == CERTIFICATE
     return hits
+
+
+# ---------------------------------------------------------------------------
+# The baseline's cubic-model descent and power iteration as plain loops:
+# every product through ``@`` and every norm through ``np.vecdot``, which
+# ``ncgopt.baseline_crn`` must match bit for bit.  They assume valid inputs
+# and no overflow.
+
+
+def _reference_norm(v):
+    return math.sqrt(np.vecdot(v, v))
+
+
+def _reference_model_value(g, hs, s, norm_s, weight):
+    return float(g @ s) + 0.5 * float(s @ hs) + weight / 3.0 * norm_s**3
+
+
+def reference_operator_norm(hvp, n, seed, stream, iters):
+    """``estimate_operator_norm``'s power iteration on H^2, inflated by 1.1."""
+    floor = 1e-12
+    x = unit_vector(seed, n, stream)
+    rayleigh = 0.0
+    for _ in range(iters):
+        z = np.asarray(hvp(np.asarray(hvp(x), dtype=float)), dtype=float)
+        nz = _reference_norm(z)
+        rayleigh = float(x @ z)
+        if nz <= floor or rayleigh <= floor**2:
+            return floor
+        x = z / nz
+    return 1.1 * math.sqrt(rayleigh)
+
+
+def reference_cubic_subproblem_gd(g, hvp, weight, tol, s0, max_iters, lipschitz_hint):
+    """``cubic_subproblem_gd``'s damped gradient descent; returns
+    (s, model value, gradient norm, iterations, converged)."""
+    s = np.array(s0, dtype=float)
+    hs = np.asarray(hvp(s), dtype=float)
+    norm_s = _reference_norm(s)
+    m_val = _reference_model_value(g, hs, s, norm_s, weight)
+    damping, grad_norm, iterations = 1.0, math.inf, 0
+    for iterations in range(1, max_iters + 1):
+        gm = g + hs + s * (weight * norm_s)
+        grad_norm = _reference_norm(gm)
+        if grad_norm <= tol:
+            return s, m_val, grad_norm, iterations - 1, True
+        s_try = s - gm * (damping / (lipschitz_hint + 2.0 * weight * norm_s + 1e-12))
+        hs_try = np.asarray(hvp(s_try), dtype=float)
+        norm_try = _reference_norm(s_try)
+        m_try = _reference_model_value(g, hs_try, s_try, norm_try, weight)
+        if m_try <= m_val:
+            s, hs, norm_s, m_val = s_try, hs_try, norm_try, m_try
+            damping = min(1.0, damping * 1.25)
+        else:
+            damping *= 0.5
+    return s, m_val, grad_norm, iterations, False
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,15 @@ from ncgopt.baseline_crn import cubic_subproblem_gd, estimate_operator_norm
 from ncgopt.newton_cg import FOSP, LINE_SEARCH_FAILURE, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
 from ncgopt.sampling import generator, unit_vector
-from support import counted, make_norm_squared, matvec
+from support import (
+    counted,
+    make_norm_squared,
+    matvec,
+    random_symmetric,
+    reference_cubic_subproblem_gd,
+    reference_operator_norm,
+    same_bits,
+)
 
 
 def model_grad(g, H, M, s):
@@ -99,6 +107,51 @@ def test_model_value_scalar_form_keeps_the_bits_of_the_scaled_copy():
         weight, norm_s = float(10.0 ** rng.uniform(-3.0, 3.0)), float(np.linalg.norm(s))
         scaled_copy = float(g @ s + 0.5 * s @ hs + weight / 3.0 * norm_s**3)
         assert baseline_crn._model_value(g, hs, s, norm_s, weight) == scaled_copy
+
+
+def test_matches_reference_loops_on_random_systems():
+    # Single BLAS calls for the scalar products and loop-bound ufuncs change
+    # no arithmetic: the estimate and the descent must match the reference
+    # loops (products through @, norms through np.vecdot) bit for bit, on
+    # definite and indefinite systems, runs that end at max_iters included.
+    def check(H, g, weight, tol, max_iters, seed, iters):
+        n = g.shape[0]
+        calls = 0
+
+        def hvp(v):
+            nonlocal calls
+            calls += 1
+            return H @ v
+
+        est = estimate_operator_norm(hvp, n, seed=seed, stream=7, iters=iters)
+        assert repr(est) == repr(reference_operator_norm(matvec(H), n, seed, 7, iters))
+        s0 = unit_vector(seed, n, stream=8)
+        calls = 0
+        out = cubic_subproblem_gd(g, hvp, weight, tol, s0, max_iters, lipschitz_hint=est)
+        s, m_val, grad_norm, iterations, converged = reference_cubic_subproblem_gd(
+            g, matvec(H), weight, tol, s0, max_iters, est
+        )
+        assert same_bits(out.s, s)
+        assert (repr(out.model_value), repr(out.grad_norm)) == (repr(m_val), repr(grad_norm))
+        assert (out.iterations, out.converged) == (iterations, converged)
+        assert calls == iterations + 1
+        return converged
+
+    rng = generator(20, stream=44)
+    ends = set()
+    for trial in range(90):
+        n = 100 if trial % 10 == 9 else int(rng.integers(2, 61))
+        if trial % 2:
+            H = random_symmetric(rng, n, lo=float(rng.uniform(0.01, 1.0)), hi=float(rng.uniform(1.0, 50.0)))
+        else:
+            H = random_symmetric(rng, n, lo=-float(rng.uniform(0.01, 5.0)), hi=5.0)
+        g = rng.standard_normal(n)
+        weight, tol = float(10.0 ** rng.uniform(-1.0, 2.0)), float(10.0 ** rng.uniform(-6.0, -2.0))
+        max_iters = int(rng.integers(1, 40)) if trial % 3 == 0 else 2000
+        ends.add(check(H, g, weight, tol, max_iters, trial, int(rng.integers(1, 31))))
+    assert ends == {True, False}
+    # A zero operator takes the estimate's floor at its first power step.
+    check(np.zeros((5, 5)), np.ones(5), 1.0, 1e-8, 2000, 0, 20)
 
 
 def test_acrn_quadratic_converges_with_few_subproblems():
@@ -214,6 +267,32 @@ def test_operator_norm_diagonal():
 def test_operator_norm_zero():
     est = estimate_operator_norm(matvec(np.zeros((4, 4))), 4, seed=2)
     assert est == 1e-12
+
+
+@pytest.mark.parametrize("hint", [math.nan, -1.0, math.inf, -math.inf])
+def test_subproblem_rejects_a_bad_lipschitz_hint_before_any_product(hint):
+    # A NaN or infinite hint would spend every one of max_iters steps (2001
+    # products here) and return the start point unconverged; a negative one
+    # would size the steps from no bound at all.
+    calls = []
+    H = np.diag([1.0, 2.0, 3.0])
+    hvp = lambda v: calls.append(None) or H @ v
+    with pytest.raises(ValueError, match="lipschitz_hint must lie in"):
+        cubic_subproblem_gd(np.ones(3), hvp, 1.0, 1e-6, unit_vector(0, 3), 2000, lipschitz_hint=hint)
+    assert calls == []
+    res = cubic_subproblem_gd(np.ones(3), hvp, 1.0, 1e-6, unit_vector(0, 3), 2000, lipschitz_hint=0.0)
+    assert res.converged
+
+
+@pytest.mark.parametrize("iters", [0, -1, 2.5, True, math.nan])
+def test_operator_norm_rejects_bad_iters_before_any_product(iters):
+    # iters = 0 would return 0.0, below the promised floor of 1e-12.
+    calls = []
+    hvp = lambda v: calls.append(None) or 2.0 * v
+    with pytest.raises(ValueError, match="iters must be a positive integer"):
+        estimate_operator_norm(hvp, 3, iters=iters)
+    assert calls == []
+    assert estimate_operator_norm(hvp, 3, iters=np.int64(1)) == estimate_operator_norm(hvp, 3, iters=1)
 
 
 @pytest.mark.parametrize(
