@@ -240,7 +240,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
 
     def residuals(x: Array, _key: tuple) -> tuple[Array, Array]:
         ax = A @ x
-        return ax, ax @ x + b @ x + c
+        return ax, ax.dot(x) + b.dot(x) + c
 
     def skipping_residuals(x: Array, key: tuple) -> tuple[Array, Array]:
         nonlocal reference
@@ -257,7 +257,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
                 ax = np.zeros((m, n))
                 for i in np.flatnonzero(~skip):
                     np.matmul(A[i], x, out=ax[i])
-                q = ax @ x + b @ x + c
+                q = ax.dot(x) + b.dot(x) + c
                 q[skip] = bound[skip]
                 return ax, q
             rows = ref[4]
@@ -272,7 +272,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
 
     def eval_f(x: Array) -> float:
         _, q = point(x, _point_key(x))
-        return float(np.sum(_pos_pow(q, p)) / m)
+        return float(_pos_pow(q, p).sum() / m)
 
     def eval_grad(x: Array) -> Array:
         ax, q = point(x, _point_key(x))
@@ -283,7 +283,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         ax, q = point(x, key[1])
         lin = 2.0 * ax + b
         w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
-        H = np.tensordot(2.0 * p * _pos_pow(q, p - 1.0), A, axes=1)
+        H = (2.0 * p * _pos_pow(q, p - 1.0)).dot(A.reshape(m, -1)).reshape(n, n)
         H += lin.T @ (w1[:, None] * lin)
         return H / m
 
@@ -320,11 +320,12 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
 def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
     """f, grad and HVP sharing the last point's a x and curvature weights u.
 
-    An HVP is (u * (a v)) a / m; an operator bound with ``eval_hvp.at(x)``
-    keeps u (see ``_bindable_hvp``).
+    The gradient is one gemv, w a / m, and an HVP two, (u * (a v)) a / m;
+    neither forms an m x n temporary.  An operator bound with
+    ``eval_hvp.at(x)`` keeps u (see ``_bindable_hvp``).
     """
     a, b, p, m = inst.a, inst.b, inst.p, inst.m
-    point = _last_point(lambda x, _key: a @ x)
+    point = _last_point(lambda x, _key: a.dot(x))
 
     def weights(x: Array, key: tuple) -> Array:
         s = point(x, key)
@@ -340,18 +341,18 @@ def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
 
     def eval_f(x: Array) -> float:
         t = _pos_pow(point(x, _point_key(x)), p) - b
-        return float(np.sum(t * t / (1.0 + t * t)) / m)
+        tt = t * t
+        return float((tt / (1.0 + tt)).sum() / m)
 
     def eval_grad(x: Array) -> Array:
         s = point(x, _point_key(x))
         t = _pos_pow(s, p) - b
         dphi = 2.0 * t / (1.0 + t * t) ** 2
         w = dphi * p * _pos_pow(s, p - 1.0)
-        return (w[:, None] * a).sum(axis=0) / m
+        return w.dot(a) / m
 
     def apply(u: Array, v: Array) -> Array:
-        w = u * (a @ v)
-        return (w[:, None] * a).sum(axis=0) / m
+        return (u * a.dot(v)).dot(a) / m
 
     eval_hvp = _bindable_hvp(curvature, apply)
 

@@ -1,7 +1,7 @@
 """Test support shared by the suites: fixture oracles, random symmetric
 operators, one solve-by-name, the thread and memory harnesses, the two
-subroutine contract checkers, the baseline's reference loops, and
-central-difference derivative checks.
+subroutine contract checkers, the baseline's reference loops, the repu
+family's elementwise formulas, and central-difference derivative checks.
 
 Each piece is defined here once; a test module imports what it uses.  The
 contract fuzzers take their generator and trial counts from the caller, so
@@ -28,6 +28,7 @@ from ncgopt import (
 from ncgopt.bounds import iteration_cap
 from ncgopt.capped_cg import SOL, ZETA, KrylovRecord, capped_cg
 from ncgopt.meo import CERTIFICATE, DIRECTION, minimum_eigenvalue_oracle
+from ncgopt.problems import _pos_pow
 from ncgopt.sampling import unit_vector
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,20 @@ def retained_bytes(run):
         run()
         gc.collect()
         return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def peak_bytes(run):
+    """The most bytes that ``run()`` holds allocated at once, above what was
+    allocated when it started, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
@@ -306,6 +321,41 @@ def reference_cubic_subproblem_gd(g, hvp, weight, tol, s0, max_iters, lipschitz_
         else:
             damping *= 0.5
     return s, m_val, grad_norm, iterations, False
+
+
+# ---------------------------------------------------------------------------
+# The repu family's f, gradient and HVP as the elementwise formulas the
+# oracle once used: every row sum over an m x n temporary (w[:, None] * a).
+# The oracle's single-gemv products must stay within rounding of them.
+
+
+def reference_repu_elementwise(inst):
+    """f, grad and HVP of the repu family by row sums, recomputed on every call."""
+    a, b, p, m = inst.a, inst.b, inst.p, inst.m
+
+    def f(x):
+        t = _pos_pow(a @ x, p) - b
+        return float(np.sum(t * t / (1.0 + t * t)) / m)
+
+    def grad(x):
+        s = a @ x
+        t = _pos_pow(s, p) - b
+        dphi = 2.0 * t / (1.0 + t * t) ** 2
+        w = dphi * p * _pos_pow(s, p - 1.0)
+        return (w[:, None] * a).sum(axis=0) / m
+
+    def hvp(x, v):
+        s = a @ x
+        u1 = p * _pos_pow(s, p - 1.0)
+        u2 = p * (p - 1.0) * _pos_pow(s, p - 2.0)
+        t = _pos_pow(s, p) - b
+        denom = 1.0 + t * t
+        dphi = 2.0 * t / denom**2
+        d2phi = (2.0 - 6.0 * t * t) / denom**3
+        w = (d2phi * u1 * u1 + dphi * u2) * (a @ v)
+        return (w[:, None] * a).sum(axis=0) / m
+
+    return f, grad, hvp
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,17 @@ import pytest
 from ncgopt import bench, gen_infeasibility, gen_quadratic, gen_repu, problems
 from ncgopt.problems import _pos_pow
 from ncgopt.sampling import standard_normals
-from support import check_gradient_fd, check_hvp_fd, fingerprint, retained_bytes, same_bits, solve, threaded
+from support import (
+    check_gradient_fd,
+    check_hvp_fd,
+    fingerprint,
+    peak_bytes,
+    reference_repu_elementwise,
+    retained_bytes,
+    same_bits,
+    solve,
+    threaded,
+)
 
 
 def test_infeasibility_f_at_origin_closed_form():
@@ -161,7 +171,8 @@ def reference_infeasibility(inst):
 
 
 def reference_repu(inst):
-    """f, grad and HVP of the repu family, recomputed on every call."""
+    """f, grad and HVP of the repu family, recomputed on every call with the
+    oracle's products w a and (u * (a v)) a as single gemv calls."""
     a, b, p, m = inst.a, inst.b, inst.p, inst.m
 
     def f(x):
@@ -173,7 +184,7 @@ def reference_repu(inst):
         t = _pos_pow(s, p) - b
         dphi = 2.0 * t / (1.0 + t * t) ** 2
         w = dphi * p * _pos_pow(s, p - 1.0)
-        return (w[:, None] * a).sum(axis=0) / m
+        return w.dot(a) / m
 
     def hvp(x, v):
         s = a @ x
@@ -183,8 +194,7 @@ def reference_repu(inst):
         denom = 1.0 + t * t
         dphi = 2.0 * t / denom**2
         d2phi = (2.0 - 6.0 * t * t) / denom**3
-        w = (d2phi * u1 * u1 + dphi * u2) * (a @ v)
-        return (w[:, None] * a).sum(axis=0) / m
+        return ((d2phi * u1 * u1 + dphi * u2) * a.dot(v)).dot(a) / m
 
     return f, grad, hvp
 
@@ -249,6 +259,38 @@ def test_cached_oracle_matches_reference(family, sequence):
     for x in SEQUENCES[sequence](n):
         for v in vs:
             assert_matches_reference(oracle, reference, x, v, hvp_exact=family == "repu")
+
+
+# repu's gradient w a and HVP (u * (a v)) a are single gemv calls; they
+# round differently from the elementwise row sums they replaced, by a few
+# ulps of the result, and hold no m x n temporary.
+
+
+@pytest.mark.parametrize("n, m", [(20, 8), (100, 20), (2000, 400)])
+def test_repu_products_match_elementwise_formulas(n, m):
+    oracle = gen_repu(n, m, 2.25, seed=23)
+    f, grad, hvp = reference_repu_elementwise(oracle.meta)
+    v = standard_normals(40, n, stream=94)
+    for x in (point(1, n), point(2, n, scale=1.0 / np.sqrt(n))):
+        assert abs(oracle.eval_f(x) - f(x)) <= 1e-13 * abs(f(x))
+        for got, want in ((oracle.eval_grad(x), grad(x)), (oracle.eval_hvp(x, v), hvp(x, v))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    x = nan_point(n)
+    assert np.isnan(oracle.eval_f(x)) and np.isnan(f(x))
+    for got, want in ((oracle.eval_grad(x), grad(x)), (oracle.eval_hvp(x, v), hvp(x, v))):
+        assert np.isnan(got).all() and np.isnan(want).all()
+
+
+def test_repu_products_allocate_no_m_by_n_temporary():
+    n, m = 2000, 400
+    oracle = gen_repu(n, m, 2.25, seed=0)
+    x, y = point(1, n, scale=1.0 / np.sqrt(n)), point(2, n, scale=1.0 / np.sqrt(n))
+    v = standard_normals(40, n, stream=94)
+    bound = oracle.eval_hvp.at(x)
+    # A few vectors of length m or n at each fresh point; one m x n
+    # temporary would take 6.4 MB.
+    assert peak_bytes(lambda: bound(v)) < 64 * (m + n)
+    assert peak_bytes(lambda: oracle.eval_grad(y)) < 64 * (m + n)
 
 
 def test_infeasibility_oracles_of_equal_shape_alternating():
