@@ -334,8 +334,10 @@ def _drive(
     whatever numpy's settings, and the loop's finiteness tests turn it into
     NumericalFailure: one errstate per solve, not one per norm.
 
-    ``hvp`` is ``co.hvp_at(x)``, bound at x0 and again after each step; the
-    trial and the eigenvalue oracle take every product at x through it.  The
+    ``hvp`` is ``co.hvp_at(x)``, bound once before an outer iteration's
+    damping trials, which take every product at x through it, and once for
+    an eigenvalue-oracle call.  A generated oracle computes x's Hessian when
+    it is bound, so an iterate at which the solve stops builds none.  The
     evaluations at x0 run inside the loop's exception handling, so an
     exception there also ends the solve in a status.  f_final and
     grad_norm_final are those of x_final, NaN when they were never computed
@@ -358,7 +360,6 @@ def _drive(
     try:
         fx = co.eval_f(x)
         gx = co.eval_grad(x)
-        hvp = co.hvp_at(x)
         for _ in range(params.max_outer):
             gnorm = _norm(gx)
             if not (math.isfinite(fx) and math.isfinite(gnorm)):
@@ -368,6 +369,7 @@ def _drive(
             if gnorm > params.eps_g:
                 outer: list[InnerTrialRecord] = []
                 trials.append(outer)
+                hvp = co.hvp_at(x)
                 for t, sigma in enumerate(weights(gamma_prev)):
                     step_type, d, step, inner, accepted_by, grad_new, reason = trial(co, hvp, x, fx, gx, t, sigma)
                     if step is not None:
@@ -386,7 +388,7 @@ def _drive(
                 call = counters.meo_calls
                 counters.meo_calls += 1
                 meo = minimum_eigenvalue_oracle(
-                    hvp, co.dim, params.eps_H, seed=params.seed, stream=sampling.STREAM_MEO_START + call
+                    co.hvp_at(x), co.dim, params.eps_H, seed=params.seed, stream=sampling.STREAM_MEO_START + call
                 )
                 if meo.kind == CERTIFICATE:
                     status = SOSP_CERTIFIED
@@ -415,7 +417,6 @@ def _drive(
             fx, gx = step.f_new, grad_new
             if gx is None:
                 gx = co.eval_grad(x)
-            hvp = co.hvp_at(x)
     except LineSearchError as err:
         status = LINE_SEARCH_FAILURE
         detail = str(err)

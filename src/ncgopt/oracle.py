@@ -4,12 +4,13 @@ A :class:`ProblemOracle` is the only interface between solvers and problems:
 callbacks for f(x), grad f(x), and Hessian-vector products, plus dimension
 metadata.  Derivatives are analytic.  A solver takes its Hessian-vector
 products through :meth:`CountingOracle.hvp_at`, the operator v -> H(x) v
-bound once per iterate x.
+bound at an iterate x where it takes them.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,10 +38,10 @@ class ProblemOracle:
     inactive, with a rounding margin wide enough that results do not depend
     on the reference either (see ``problems._infeasibility_oracle``).
 
-    Their ``eval_hvp`` also binds to a point: ``eval_hvp.at(x)`` copies x,
-    keys it once and returns the operator v -> H(x) v.  That operator takes
-    the Hessian (repu: its curvature weights) from the cache on its first
-    product and keeps it, so each later product is the product alone, with
+    Their ``eval_hvp`` also binds to a point: ``eval_hvp.at(x)`` is eager.
+    It looks the Hessian (repu: its curvature weights) up in the cache at
+    once, computing it there if x is a new point, and returns the operator
+    v -> H(x) v that keeps it, so each product is the product alone, with
     the bits of ``eval_hvp(x, v)``.  Any ``eval_hvp`` may offer such an
     ``at``; the solvers give one without it every product as
     ``eval_hvp(x, v)``, so a wrapper built with ``dataclasses.replace``
@@ -129,11 +130,7 @@ class CountingOracle:
         """
         eval_hvp = self._oracle.eval_hvp
         at = getattr(eval_hvp, "at", None)
-        if at is not None:
-            product = at(x)
-        else:
-            point = np.array(x)
-            product = lambda v: eval_hvp(point, v)
+        product = at(x) if at is not None else partial(eval_hvp, np.array(x))
         counters, vector = self.counters, self._vector
 
         def hvp(v: Array) -> Array:

@@ -14,6 +14,7 @@ plus-part kink stays twice continuously differentiable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -99,55 +100,41 @@ def _point_key(x) -> tuple:
     return x.dtype.str, x.shape, x.tobytes()
 
 
-def _last_point(compute: Callable[[Array, tuple], object] | None = None) -> Callable:
-    """Memoize ``compute(x, key)`` for the last key seen.
+def _last_point(compute: Callable[[Array], object]) -> Callable[[Array], object]:
+    """Memoize ``compute(x)`` for the value of x last seen (see ``_point_key``).
 
     The slot holds one immutable ``(key, value)`` pair that is replaced whole,
     so threads sharing it read a consistent entry; a miss only recomputes.
-    A slot shared by several callers takes each caller's ``compute`` per
-    lookup, and its keys must tell the callers apart.
     """
     slot: tuple | None = None
 
-    def lookup(x: Array, key: tuple, compute: Callable = compute) -> object:
+    def lookup(x: Array) -> object:
         nonlocal slot
+        key = _point_key(x)
         entry = slot
         if entry is None or entry[0] != key:
-            entry = (key, compute(x, key))
+            entry = (key, compute(x))
             slot = entry
         return entry[1]
 
     return lookup
 
 
-def _bindable_hvp(lookup: Callable[[Array, tuple], object], apply: Callable[[object, Array], Array]) -> Callable:
+def _bindable_hvp(lookup: Callable[[Array], object], apply: Callable[[object, Array], Array]) -> Callable:
     """``eval_hvp(x, v)`` of a generated oracle, with an ``at(x)`` that binds it to one point.
 
-    ``lookup(x, key)`` reads the point's curvature data (the Hessian, or
-    repu's weights) from the oracle's cache, and ``apply(data, v)`` takes one
-    product with it.  A call ``eval_hvp(x, v)`` is one keyed lookup and one
-    product.  ``at(x)`` copies x and keys it once; its operator looks the
-    data up on its first product and keeps it, so a binding without products
-    computes nothing, and every product after the first is one ``apply``.
+    ``lookup(x)`` reads the point's curvature data (the Hessian, or repu's
+    weights) from the oracle's cache, computing it on a miss, and
+    ``apply(data, v)`` takes one product with it.  A call ``eval_hvp(x, v)``
+    is one lookup and one product.  ``at(x)`` looks the data up at once and
+    returns ``apply`` bound to it, so every product of the operator is one
+    ``apply``, and the operator does not depend on x's array afterwards.
     """
 
     def eval_hvp(x: Array, v: Array) -> Array:
-        return apply(lookup(x, _point_key(x)), v)
+        return apply(lookup(x), v)
 
-    def at(x: Array) -> Callable[[Array], Array]:
-        x = np.array(x)
-        key = _point_key(x)
-        data = None
-
-        def product(v: Array) -> Array:
-            nonlocal data
-            if data is None:
-                data = lookup(x, key)
-            return apply(data, v)
-
-        return product
-
-    eval_hvp.at = at
+    eval_hvp.at = lambda x: partial(apply, lookup(x))
     return eval_hvp
 
 
@@ -166,11 +153,11 @@ _SCALE_CAP = 2.0**1020  # below it no step of q_i or of its bound overflows
 
 
 # The Hessian of the last point at which any infeasibility oracle took a
-# Hessian-vector product, keyed by (oracle token, point key).  One slot per
+# Hessian-vector product, as (oracle token, point key, H).  One slot per
 # process rather than per oracle, so the n x n matrix does not stay alive on
 # every oracle a caller keeps after its solve; threads that alternate
 # between oracles only cost rebuilds.
-_infeasibility_curvature = _last_point()
+_infeasibility_hessian: tuple | None = None
 
 
 def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
@@ -178,9 +165,10 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
 
     The Hessian at x is H = (2 sum_i w2_i A_i + lin' diag(w1) lin) / m with
     lin = 2 A x + b.  The first HVP at a point assembles H (one pass over A
-    and one rank-m product); each HVP is then one n x n product H v, and an
-    operator bound with ``eval_hvp.at(x)`` keeps H, so its products skip the
-    keyed lookup too (see ``_bindable_hvp``).
+    and one rank-m product) into the process-wide Hessian slot; each HVP is
+    then one n x n product H v.  ``eval_hvp.at(x)`` looks H up, and builds
+    it on a miss, when it binds, and its operator keeps the slot's H, not a
+    copy, so its products skip the keyed lookup (see ``_bindable_hvp``).
 
     **Row skipping** (n >= ``_ROW_PATH_MIN_N``).  A row i with q_i(x) <= 0
     adds an exact zero to f, grad and H, so its A_i x need not be computed.
@@ -238,11 +226,11 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
     mu = 2.0 * (n * n + 8 * n + 24) * _U
     reference = None  # (r, q(r), lin(r), ||r||, (N, ||b_i||, |c_i|))
 
-    def residuals(x: Array, _key: tuple) -> tuple[Array, Array]:
+    def residuals(x: Array) -> tuple[Array, Array]:
         ax = A @ x
         return ax, ax.dot(x) + b.dot(x) + c
 
-    def skipping_residuals(x: Array, key: tuple) -> tuple[Array, Array]:
+    def skipping_residuals(x: Array) -> tuple[Array, Array]:
         nonlocal reference
         ref = reference
         if ref is not None:
@@ -264,30 +252,36 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         else:
             flat = A.reshape(m, -1)
             rows = np.sqrt(np.vecdot(flat, flat)), np.linalg.norm(b, axis=1), np.abs(c)
-        ax, q = residuals(x, key)
+        ax, q = residuals(x)
         reference = (np.array(x, dtype=float), q, 2.0 * ax + b, float(np.linalg.norm(x)), rows)
         return ax, q
 
     point = _last_point(skipping_residuals if n >= _ROW_PATH_MIN_N else residuals)
 
     def eval_f(x: Array) -> float:
-        _, q = point(x, _point_key(x))
+        _, q = point(x)
         return float(_pos_pow(q, p).sum() / m)
 
     def eval_grad(x: Array) -> Array:
-        ax, q = point(x, _point_key(x))
+        ax, q = point(x)
         w = p * _pos_pow(q, p - 1.0)
         return (w[:, None] * (2.0 * ax + b)).sum(axis=0) / m
 
-    def curvature(x: Array, key: tuple) -> Array:
-        ax, q = point(x, key[1])
-        lin = 2.0 * ax + b
-        w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
-        H = (2.0 * p * _pos_pow(q, p - 1.0)).dot(A.reshape(m, -1)).reshape(n, n)
-        H += lin.T @ (w1[:, None] * lin)
-        return H / m
+    def hessian(x: Array) -> Array:
+        global _infeasibility_hessian
+        key = _point_key(x)
+        entry = _infeasibility_hessian
+        if entry is None or entry[0] is not token or entry[1] != key:
+            ax, q = point(x)
+            lin = 2.0 * ax + b
+            w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
+            H = (2.0 * p * _pos_pow(q, p - 1.0)).dot(A.reshape(m, -1)).reshape(n, n)
+            H += lin.T @ (w1[:, None] * lin)
+            entry = (token, key, H / m)
+            _infeasibility_hessian = entry
+        return entry[2]
 
-    eval_hvp = _bindable_hvp(lambda x, key: _infeasibility_curvature(x, (token, key), curvature), np.ndarray.dot)
+    eval_hvp = _bindable_hvp(hessian, np.ndarray.dot)
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)
@@ -318,35 +312,37 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
 
 
 def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
-    """f, grad and HVP sharing the last point's a x and curvature weights u.
+    """f, grad and HVP sharing the last point's s = a x, t = (s)_+^p - b and curvature weights u.
 
     The gradient is one gemv, w a / m, and an HVP two, (u * (a v)) a / m;
-    neither forms an m x n temporary.  An operator bound with
-    ``eval_hvp.at(x)`` keeps u (see ``_bindable_hvp``).
+    neither forms an m x n temporary.  ``eval_hvp.at(x)`` computes u when it
+    binds, unless x is the cached point, and its operator keeps u (see
+    ``_bindable_hvp``).
     """
     a, b, p, m = inst.a, inst.b, inst.p, inst.m
-    point = _last_point(lambda x, _key: a.dot(x))
 
-    def weights(x: Array, key: tuple) -> Array:
-        s = point(x, key)
+    def residuals(x: Array) -> tuple[Array, Array]:
+        s = a.dot(x)
+        return s, _pos_pow(s, p) - b
+
+    point = _last_point(residuals)
+
+    def weights(x: Array) -> Array:
+        s, t = point(x)
         u1 = p * _pos_pow(s, p - 1.0)
         u2 = p * (p - 1.0) * _pos_pow(s, p - 2.0)
-        t = _pos_pow(s, p) - b
         denom = 1.0 + t * t
         dphi = 2.0 * t / denom**2
         d2phi = (2.0 - 6.0 * t * t) / denom**3
         return d2phi * u1 * u1 + dphi * u2
 
-    curvature = _last_point(weights)
-
     def eval_f(x: Array) -> float:
-        t = _pos_pow(point(x, _point_key(x)), p) - b
+        t = point(x)[1]
         tt = t * t
         return float((tt / (1.0 + tt)).sum() / m)
 
     def eval_grad(x: Array) -> Array:
-        s = point(x, _point_key(x))
-        t = _pos_pow(s, p) - b
+        s, t = point(x)
         dphi = 2.0 * t / (1.0 + t * t) ** 2
         w = dphi * p * _pos_pow(s, p - 1.0)
         return w.dot(a) / m
@@ -354,7 +350,7 @@ def _repu_oracle(inst: RepuInstance) -> ProblemOracle:
     def apply(u: Array, v: Array) -> Array:
         return (u * a.dot(v)).dot(a) / m
 
-    eval_hvp = _bindable_hvp(curvature, apply)
+    eval_hvp = _bindable_hvp(_last_point(weights), apply)
 
     name = f"repu(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)

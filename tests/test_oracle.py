@@ -5,6 +5,7 @@ import pytest
 
 from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu, problems
 from ncgopt.bench import start_point
+from ncgopt.newton_cg import FOSP, MEO, SOSP_CERTIFIED
 from ncgopt.oracle import CountingOracle
 from ncgopt.sampling import standard_normals
 from support import (
@@ -188,19 +189,6 @@ def test_binding_keeps_the_point_it_was_bound_at(family, product_first):
     assert same_bits(oracle.eval_hvp(original, v), want)
 
 
-def test_binding_without_a_product_builds_no_hessian():
-    n = 400
-    oracle = gen_infeasibility(n, 2, 2.25, seed=0)
-    gen_infeasibility(2, 1, 2.25, seed=0).eval_hvp(np.zeros(2), np.ones(2))  # empties the Hessian slot
-    x, v = probe(n, 4, 0.5 / np.sqrt(n)), np.ones(n)
-    bound = []
-    grown = retained_bytes(lambda: bound.append(oracle.eval_hvp.at(x)))
-    # The copy of x, its key and a closure, about 7 kB; the Hessian would be 1.28 MB.
-    assert grown <= 3 * 8 * n + 2048
-    grown = retained_bytes(lambda: bound[0](v))
-    assert grown >= 8 * n * n  # the first product builds it, and the operator keeps it
-
-
 @pytest.mark.parametrize("family", sorted(GENERATORS))
 def test_two_bound_operators_alternating_give_the_serial_bits(family):
     n = 20
@@ -219,18 +207,38 @@ def test_two_bound_operators_alternating_give_the_serial_bits(family):
         assert results == [(serial[i % 2],) * 3] * 20
 
 
-def test_bound_operator_looks_its_hessian_up_once(monkeypatch):
-    lookups = []
-    slot = problems._infeasibility_curvature
-    monkeypatch.setattr(problems, "_infeasibility_curvature", lambda *args: lookups.append(args[1]) or slot(*args))
-    n = 20
-    oracle = generated("infeasibility", n)
-    xs, v = [probe(n, 7), probe(n, 8)], np.ones(n)
-    bound = [oracle.eval_hvp.at(x) for x in xs]
-    assert lookups == []
-    for k in range(6):
-        bound[k % 2](v)
-    assert len(lookups) == 2 and lookups[0] != lookups[1]
+@pytest.mark.parametrize("n", [20, 160])
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_binding_looks_the_point_up_once_and_products_never(family, n, monkeypatch):
+    oracle = generated(family, n)
+    x, v = probe(n, 7, 0.5 / np.sqrt(n)), np.ones(n)
+    want = oracle.eval_hvp(x, v)  # the point's data is in the cache
+    keys = []
+    key = problems._point_key
+    monkeypatch.setattr(problems, "_point_key", lambda x: keys.append(1) or key(x))
+    hvp = oracle.eval_hvp.at(x)
+    assert len(keys) == 1
+    for _ in range(3):
+        assert same_bits(hvp(v), want)
+    assert len(keys) == 1
+
+
+def test_binding_keeps_the_slots_hessian_not_a_copy():
+    n = 400
+    oracle = gen_infeasibility(n, 2, 2.25, seed=0)
+    gen_infeasibility(2, 1, 2.25, seed=0).eval_hvp(np.zeros(2), np.ones(2))  # empties the Hessian slot
+    x, v = probe(n, 4, 0.5 / np.sqrt(n)), np.ones(n)
+    oracle.eval_f(x)  # caches the point's A x and q
+    bound = []
+    grown = retained_bytes(lambda: bound.extend(oracle.eval_hvp.at(x) for _ in range(2)))
+    # Binding builds the 1.28 MB Hessian at once, and both operators keep
+    # the one in the slot; beyond it, the slot's key of x (3.2 kB) and two
+    # partial objects.  A copy per operator would add another 1.28 MB.
+    assert 8 * n * n <= grown <= 8 * n * n + 8 * n + 2048
+    gen_infeasibility(2, 1, 2.25, seed=0).eval_hvp(np.zeros(2), np.ones(2))  # the slot lets H go
+    grown = retained_bytes(lambda: [hvp(v) for hvp in bound])
+    assert grown <= 1024
+    assert same_bits(bound[0](v), gen_infeasibility(n, 2, 2.25, seed=0).eval_hvp(x, v))
 
 
 def test_counting_operator_copies_a_point_without_binding():
@@ -280,3 +288,38 @@ def test_solves_through_a_wrapped_hvp_count_every_product(family, solver, eps_H)
     assert (res.status, res.status_detail, vars(res.counters)) == (want.status, want.status_detail, vars(want.counters))
     if eps_H is not None:
         assert res.counters.meo_calls >= 1
+
+
+# The driver binds an operator only where it takes products: once before an
+# outer iteration's damping trials and once for each eigenvalue-oracle call.
+# Binding a generated oracle builds the point's Hessian at once, so a solve
+# builds one per such binding, and none at an iterate where it stops.
+@pytest.mark.parametrize(
+    "solver, eps_H", [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)]
+)
+def test_solves_build_a_hessian_only_where_products_are_taken(solver, eps_H):
+    n = 20
+    oracle = generated("infeasibility", n, seed=1)
+    slots = [problems._infeasibility_hessian]
+
+    def watched(callback):
+        def call(*args):
+            out = callback(*args)
+            if problems._infeasibility_hessian is not slots[-1]:  # one build per call at most
+                slots.append(problems._infeasibility_hessian)
+            return out
+
+        return call
+
+    eval_hvp = watched(oracle.eval_hvp)
+    eval_hvp.at = watched(oracle.eval_hvp.at)
+    wrapped = replace(oracle, eval_f=watched(oracle.eval_f), eval_grad=watched(oracle.eval_grad), eval_hvp=eval_hvp)
+    res = solve(solver, wrapped, start_point("infeasibility", n), eps_H=eps_H)
+    damped = sum(record.step_type != MEO for record in res.trace)
+    assert damped >= 1 and res.counters.hvp_evals > 0
+    assert len(slots) - 1 == damped + res.counters.meo_calls
+    built_at_x_final = slots[-1][1] == problems._point_key(res.x_final)
+    if eps_H is None:
+        assert res.status == FOSP and res.counters.meo_calls == 0 and not built_at_x_final
+    else:  # the certifying call takes its products at x_final
+        assert res.status == SOSP_CERTIFIED and res.counters.meo_calls >= 1 and built_at_x_final
