@@ -23,7 +23,6 @@ are qualitative (ordering and order of magnitude), never bit-level.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +31,7 @@ import numpy as np
 from . import sampling
 from .meo import NonFiniteError, _norm
 from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _cube, _drive, _validate_budget
-from .oracle import ProblemOracle
+from .oracle import ProblemOracle, _integer
 from .pf_newton_cg import PfParams
 
 Array = np.ndarray
@@ -84,8 +83,7 @@ def estimate_operator_norm(
     a product.  Raises ``ValueError`` before any product unless ``iters`` is a
     positive integer.
     """
-    if not isinstance(iters, numbers.Integral) or isinstance(iters, bool) or iters < 1:
-        raise ValueError(f"iters must be a positive integer; got {iters!r}")
+    iters = _integer(iters, "iters", positive=True)
     floor = 1e-12
     x = sampling.unit_vector(seed, n, stream)
     rayleigh = 0.0
@@ -192,8 +190,7 @@ def acrn_solve(
         f_try = co.eval_f(x + sub.s)
         # Accept only genuine model decrease; keeps f monotone.
         accepted = sub.model_value <= 0.0 and f_try <= fx + 0.5 * sub.model_value
-        step = LineSearchOutcome(1.0, t, f_try) if accepted else None
-        return CRN, sub.s, step, sub.iterations, None, None, NO_VALID_J
+        return CRN, sub.s, sub.iterations, LineSearchOutcome(1.0, t, f_try) if accepted else NO_VALID_J
 
     # Double on rejection, halve on acceptance, floored at H0/16; starts at H0.
     weights = lambda prev: (max(H0 / 16.0, prev / 2.0) * 2.0**t for t in range(MAX_WEIGHT_DOUBLINGS + 1))

@@ -3,8 +3,9 @@
 Runs Lanczos with full reorthogonalization from a random unit start until
 one of three ends: a unit direction v with v^T H v <= -eps/2 turns up and is
 verified (outcome ``direction``); the Krylov subspace is exactly invariant
-at some k < n (``breakdown``); or the run reaches k = n.  The last two
-certify lambda_min(H) >= -eps (outcome ``certificate``).
+at some k < n (a breakdown); or the run reaches k = n.  The last two
+certify lambda_min(H) >= -eps (outcome ``certificate``, with ``iterations``
+k telling them apart).
 
 The basis Q is stored by rows, and each step projects the residual w
 against it once, w <- w - (Q w) Q.  A second pass runs only when the first
@@ -28,8 +29,8 @@ d_k = (alpha_k - s) - beta_{k-1}^2 / d_{k-1}, and the number of negative
 pivots is the number of Ritz values below s.  An exactly zero pivot is
 replaced by -tiny, so a Ritz value equal to s counts.  The test costs O(1)
 per step; the dense k x k eigensolve runs only once the count is positive.
-A certificate runs none: it keeps T_k, and ``MeoOutcome.ritz`` takes the
-smallest eigenvalue of T_k the first time it is read.
+A certificate runs none: it keeps T_k, so a caller that wants the smallest
+Ritz value takes ``smallest_eigenvalue(*outcome.tridiagonal)``.
 
 Directions are never returned on trust: the candidate Ritz vector is checked
 against an actual Hessian-vector product before it is returned, so a
@@ -40,13 +41,13 @@ rounding.  A non-finite Lanczos coefficient or check v^T H v raises
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import sampling
+from .oracle import _integer
 
 Array = np.ndarray
 
@@ -90,14 +91,11 @@ def _norm(v: Array) -> float:
 class MeoOutcome:
     """Either a unit negative-curvature direction or a probabilistic certificate.
 
-    ``iterations`` is the Krylov dimension k reached; ``tridiagonal`` is the
-    (diagonal, off-diagonal) pair of T_k; ``curvature`` is the verified
-    v^T H v when kind == direction.  ``ritz`` is the smallest Ritz value
-    seen: a direction keeps the one its Ritz pair came with, and a
-    certificate computes it from T_k the first time it is read (no solver
-    reads it).  ``breakdown`` is True only for a certificate from an exactly
-    invariant Krylov subspace, reached at some k < n; a run to k = n is not
-    a breakdown.
+    ``iterations`` is the Krylov dimension k reached; a certificate with
+    k < n comes from an exactly invariant Krylov subspace.  ``tridiagonal``
+    is the (diagonal, off-diagonal) pair of T_k, whose smallest eigenvalue
+    is the smallest Ritz value seen (Cauchy interlacing); ``curvature`` is
+    the verified v^T H v when kind == direction.
     """
 
     kind: str
@@ -105,14 +103,6 @@ class MeoOutcome:
     iterations: int
     tridiagonal: tuple[Array, Array] = field(repr=False)
     curvature: float | None = None
-    breakdown: bool = False
-    _ritz: float | None = field(default=None, repr=False)
-
-    @property
-    def ritz(self) -> float:
-        if self._ritz is None:
-            self._ritz = smallest_eigenvalue(*self.tridiagonal)
-        return self._ritz
 
 
 def shifted_pivot(alpha: float, shift: float, beta: float = 0.0, prev: float = 1.0) -> float:
@@ -161,8 +151,7 @@ def minimum_eigenvalue_oracle(
     ``NonFiniteError`` when a Lanczos coefficient or the check v^T H v of a
     Ritz vector is not finite.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer; got {n!r}")
+    n = _integer(n, "n", positive=True)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must lie in (0, inf); got {eps!r}")
     lower = 0.0  # max_j ||H q_j||, a lower bound on ||H|| that scales the breakdown test
@@ -174,7 +163,6 @@ def minimum_eigenvalue_oracle(
     betas = np.empty(n)  # betas[k - 1] couples q_k and q_(k+1)
     beta, pivot = 0.0, 1.0
     below = 0  # Ritz values of T_k at or below the shift
-    breakdown = False
 
     for k in range(1, n + 1):
         w = np.asarray(hvp(q), dtype=float)
@@ -195,14 +183,14 @@ def minimum_eigenvalue_oracle(
         if pivot < 0.0:
             below += 1
         if below:
-            theta, weights = smallest_eigenpair(*tridiagonal)
+            _, weights = smallest_eigenpair(*tridiagonal)
             v = weights @ basis[:k]
             v = v / _norm(v)
             curvature = float(v.dot(np.asarray(hvp(v), dtype=float)))
             if not math.isfinite(curvature):
                 raise NonFiniteError(f"eigenvalue oracle: Ritz vector check at k = {k} is {curvature}")
             if curvature <= shift:
-                return MeoOutcome(DIRECTION, v, k, tridiagonal, curvature, _ritz=theta)
+                return MeoOutcome(DIRECTION, v, k, tridiagonal, curvature)
         if k == n:
             break  # T_n is complete; q_(n+1) and beta_n are never read
 
@@ -222,12 +210,11 @@ def minimum_eigenvalue_oracle(
             raise NonFiniteError(f"eigenvalue oracle: Lanczos beta_{k} is {beta}")
         # Exactly invariant subspace: its Ritz values are exact, and the
         # direction test above already ran on them.
-        breakdown = beta <= 1e-13 * max(1.0, lower)
-        if breakdown:
+        if beta <= 1e-13 * max(1.0, lower):
             break
         betas[k - 1] = beta
         q = w / beta
 
-    # By Cauchy interlacing, the smallest Ritz value of the final T_k is the
-    # smallest one seen at any step; ``MeoOutcome.ritz`` computes it if read.
-    return MeoOutcome(CERTIFICATE, None, k, tridiagonal, breakdown=breakdown)
+    # No eigensolve here: by Cauchy interlacing, the smallest eigenvalue of
+    # the final T_k is the smallest Ritz value seen at any step.
+    return MeoOutcome(CERTIFICATE, None, k, tridiagonal)

@@ -18,7 +18,6 @@ the paper's worst-case iteration bounds are in ``ncgopt.bounds``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import sampling
 from .capped_cg import NC, CappedCgError, KrylovRecord, capped_cg
 from .meo import CERTIFICATE, NonFiniteError, _norm, _squared_norm, minimum_eigenvalue_oracle
-from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle
+from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle, _integer
 
 Array = np.ndarray
 
@@ -92,10 +91,7 @@ def _validate_shared(params) -> None:
 def _validate_budget(params) -> None:
     """Checks on ``max_outer`` and ``seed``, which every params record has: integers but bools, stored as ints."""
     for name in ("max_outer", "seed"):
-        value = getattr(params, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer; got {value!r}")
-        object.__setattr__(params, name, int(value))  # the records are frozen
+        object.__setattr__(params, name, _integer(getattr(params, name), name))  # the records are frozen
     if params.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
 
@@ -148,9 +144,14 @@ class PfSolveResult(SolveResult):
 
 @dataclass
 class LineSearchOutcome:
+    """An accepted step size.  A damping trial adds how a SOL step was accepted and, when it
+    already has it, the gradient at the new point."""
+
     alpha: float
     j: int
     f_new: float
+    accepted_by: str | None = None  # full_step | armijo for SOL steps; None otherwise
+    grad_new: Array | None = None
 
 
 def gamma_nu(eps_g: float, holder: HolderClass) -> float:
@@ -286,7 +287,6 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
             record = KrylovRecord() if parameter_free else None
         co.counters.subproblems += 1  # counted even if the call breaks down
         cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g), record)
-        reason, accepted_by, grad_new = NO_VALID_J, None, None
         if cg_out.d_type == NC:
             d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
             step = search_nc(co, x, d, sigma, fx)
@@ -295,15 +295,16 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
             f_full = co.eval_f(x + d)
             grad_full = co.eval_grad(x + d) if f_full <= fx else None
             if grad_full is not None and _norm(grad_full) <= eps_g:
-                step, accepted_by = LineSearchOutcome(1.0, 0, f_full), FULL_STEP
+                step = LineSearchOutcome(1.0, 0, f_full, FULL_STEP, grad_full)
             elif parameter_free and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
-                step, reason = None, SMALL_STEP
+                step = SMALL_STEP
             else:
                 step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
-                accepted_by = ARMIJO
-            if step is not None and step.j == 0:
-                grad_new = grad_full
-        return cg_out.d_type, d, step, cg_out.iterations, accepted_by, grad_new, reason
+                if step is not None:
+                    step.accepted_by = ARMIJO
+                    if step.j == 0:
+                        step.grad_new = grad_full
+        return cg_out.d_type, d, cg_out.iterations, NO_VALID_J if step is None else step
 
     return trial
 
@@ -324,10 +325,11 @@ def _drive(
     given the weight accepted last (``gamma0`` before the first).
     ``trial(co, hvp, x, fx, gx, t, sigma)`` runs the t-th of them, at weight
     sigma, from x with value fx and gradient gx, and counts its own
-    subproblem.  It returns the step type, the direction d, the step (a
-    LineSearchOutcome, or None to move on to the next weight), the inner
-    iteration count, ``accepted_by``, the gradient at the new point if it has
-    it, and the rejection reason.  The first trial with a step ends the
+    subproblem.  It returns four values: the step type, the direction d, the
+    inner iteration count and the step.  The step is a LineSearchOutcome,
+    which carries ``accepted_by`` and the gradient at the new point when the
+    trial has it, or the rejection reason (``small_step`` or ``no_valid_j``)
+    to move on to the next weight.  The first trial with a step ends the
     iteration; running out of weights ends the solve in LineSearchFailure.
     Returns the result, the trials of every outer iteration and the weight
     carried out of each.  An overflow during the solve gives inf quietly,
@@ -371,11 +373,11 @@ def _drive(
                 trials.append(outer)
                 hvp = co.hvp_at(x)
                 for t, sigma in enumerate(weights(gamma_prev)):
-                    step_type, d, step, inner, accepted_by, grad_new, reason = trial(co, hvp, x, fx, gx, t, sigma)
-                    if step is not None:
+                    step_type, d, inner, step = trial(co, hvp, x, fx, gx, t, sigma)
+                    if isinstance(step, LineSearchOutcome):
                         outer.append(InnerTrialRecord(t, sigma, step_type, True, step.alpha, None, inner))
                         break
-                    outer.append(InnerTrialRecord(t, sigma, step_type, False, None, reason, inner))
+                    outer.append(InnerTrialRecord(t, sigma, step_type, False, None, step, inner))
                 else:
                     status = LINE_SEARCH_FAILURE
                     detail = f"damping trial limit t_max = {len(outer)} exhausted"
@@ -397,7 +399,7 @@ def _drive(
                 d = scale_meo_direction(meo.v, meo.curvature, gx)
                 step = line_search_meo(co, x, d, fx)
                 trials.append([])
-                step_type, step_sigma, inner, accepted_by, grad_new = MEO, None, meo.iterations, None, None
+                step_type, step_sigma, inner = MEO, None, meo.iterations
             gamma_history.append(gamma_prev)  # weight carried through MEO steps
             trace.append(
                 IterationRecord(
@@ -410,11 +412,11 @@ def _drive(
                     d_norm=_norm(d),
                     sigma=step_sigma,
                     inner_iterations=inner,
-                    accepted_by=accepted_by,
+                    accepted_by=step.accepted_by,
                 )
             )
             x = x + step.alpha * d
-            fx, gx = step.f_new, grad_new
+            fx, gx = step.f_new, step.grad_new
             if gx is None:
                 gx = co.eval_grad(x)
     except LineSearchError as err:

@@ -56,9 +56,18 @@ class ProblemOracle:
     meta: object | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, numbers.Integral) or isinstance(self.dim, bool) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer; got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))  # the record is frozen
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", positive=True))  # the record is frozen
+
+
+def _integer(value, name: str, positive: bool = False) -> int:
+    """``value`` as an ``int``: the package's one rule for integer inputs.
+
+    Accepts any ``Integral`` but a bool (and, with ``positive``, only one of
+    at least 1); raises ``ValueError`` naming ``name`` otherwise.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (value >= 1 or not positive):
+        return int(value)
+    raise ValueError(f"{name} must be {'a positive integer' if positive else 'an integer'}; got {value!r}")
 
 
 @dataclass(frozen=True)

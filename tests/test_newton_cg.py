@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -15,14 +17,17 @@ from ncgopt import (
     HolderClass,
     LINE_SEARCH_FAILURE,
     NUMERICAL_FAILURE,
+    SOSP_CERTIFIED,
     NcgParams,
     ProblemOracle,
+    gen_infeasibility,
     gen_quadratic,
     gen_repu,
     newton_cg_solve,
 )
 from ncgopt import newton_cg as newton_cg_module
 from ncgopt import pf_newton_cg as pf_newton_cg_module
+from ncgopt.bench import start_point
 from ncgopt.bounds import c_meo, c_nc, c_sol, complexity_bounds, taylor_error_modulus
 from ncgopt.capped_cg import NC, capped_cg
 from ncgopt.newton_cg import (
@@ -373,6 +378,30 @@ def test_trace_step_inequalities_replay():
             assert rec.f_after <= rec.f_before - ETA * eps_damp * rec.alpha**2 * rec.d_norm**2 + 1e-12
         elif rec.step_type == "NC":
             assert rec.f_after <= rec.f_before - ETA * min(1.0, rec.sigma) * rec.alpha**2 * rec.d_norm**3 / 4.0 + 1e-12
+
+
+# A trial that already has the gradient at its new point (a SOL step accepted
+# at j = 0) hands it to the driver, which takes the gradient itself at every
+# other new point: each point's gradient is evaluated once, x_final's too.
+@pytest.mark.parametrize(
+    "solver, eps_H", [("alg1", None), ("alg1", 1e-3), ("alg2", None), ("alg2", 1e-3), ("acrn", None)]
+)
+@pytest.mark.parametrize("family", ["infeasibility", "repu"])
+def test_each_point_has_its_gradient_evaluated_once(solver, eps_H, family):
+    generate, m = {"infeasibility": (gen_infeasibility, 4), "repu": (gen_repu, 8)}[family]
+    for seed in range(6):
+        oracle = generate(20, m, 2.25, seed)
+        calls = Counter()
+
+        def eval_grad(x, grad=oracle.eval_grad):
+            calls[x.tobytes()] += 1
+            return grad(x)
+
+        res = solve(solver, replace(oracle, eval_grad=eval_grad), start_point(family, 20), eps_H=eps_H, seed=seed)
+        assert res.status in (FOSP, SOSP_CERTIFIED), (seed, res.status, res.status_detail)
+        assert sum(calls.values()) == res.counters.grad_evals
+        assert max(calls.values()) == 1, seed
+        assert calls[res.x_final.tobytes()] == 1, seed
 
 
 def test_c_constants_positive():
