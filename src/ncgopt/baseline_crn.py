@@ -11,10 +11,11 @@ is the weight accepted last (2 H0 before the first, so that M_0 = H0):
 double on rejection, halve on acceptance, floored at H0/16.  Subproblem
 tolerances follow the gradient norm down: tol_k = min(0.1, ||grad f(x_k)|| /
 10).  The gradient-descent step size comes from a power-iteration estimate
-of ||H||, taken at the first trial of each iterate.  The loop's statuses
-apply: a non-finite objective, gradient norm, estimate or model gradient
-ends the solve in NumericalFailure, and running out of trial weights in
-LineSearchFailure (``damping trial limit t_max = 61 exhausted``).
+of ||H||, taken once per iterate, when the loop hands the iterate to its
+trials.  The loop's statuses apply: a non-finite objective, gradient norm,
+estimate or model gradient ends the solve in NumericalFailure, and running
+out of trial weights in LineSearchFailure (``damping trial limit t_max =
+61 exhausted``).
 
 These rules and the constants H0, MAX_SUB_ITERS and MAX_WEIGHT_DOUBLINGS
 are this package's own choices; comparisons against the Newton-CG drivers
@@ -164,7 +165,12 @@ def acrn_solve(
 ) -> SolveResult:
     """Adaptive cubic-regularized Newton on the drivers' outer loop.
 
-    Counts one subproblem per cubic model solved, including rejected trials.
+    Per iterate, ``trials_at`` estimates ||H|| and sets the subproblem
+    tolerance once; each trial then solves one cubic model.  The norm
+    estimate and each model's start point draw from sampling streams
+    numbered by the cubic models counted before them, as the MEO's streams
+    are numbered by its calls.  Counts one subproblem per cubic model
+    solved, including rejected trials.
     Ends with NumericalFailure when the objective, the gradient norm, the
     operator-norm estimate or a cubic model's gradient is not finite, and
     with LineSearchFailure when no trial weight is accepted.  Raises
@@ -173,25 +179,26 @@ def acrn_solve(
     """
     # The loop reads eps_g, eps_H, max_outer and seed off its params record.
     loop_params = PfParams(eps_g, max_outer=params.max_outer, seed=params.seed)
-    draw = 0  # cubic models started so far; numbers the sampling streams
-    norm_h = tol = 0.0
 
-    def trial(co, hvp, x, fx, gx, t, weight):
-        nonlocal draw, norm_h, tol
-        if t == 0:
-            norm_h = estimate_operator_norm(
-                hvp, co.dim, seed=params.seed, stream=sampling.STREAM_NORM_EST + draw, iters=20
-            )
-            tol = min(0.1, _norm(gx) / 10.0)
-        s0 = sampling.unit_vector(params.seed, co.dim, stream=sampling.STREAM_CRN_SUBPROBLEM + draw)
-        draw += 1
-        sub = cubic_subproblem_gd(gx, hvp, weight, tol, s0, MAX_SUB_ITERS, lipschitz_hint=norm_h)
-        co.counters.subproblems += 1
-        f_try = co.eval_f(x + sub.s)
-        # Accept only genuine model decrease; keeps f monotone.
-        accepted = sub.model_value <= 0.0 and f_try <= fx + 0.5 * sub.model_value
-        return CRN, sub.s, sub.iterations, LineSearchOutcome(1.0, t, f_try) if accepted else NO_VALID_J
+    def trials_at(co, hvp, x, fx, gx):
+        # The cubic models counted so far number the sampling streams.
+        counters = co.counters
+        norm_h = estimate_operator_norm(
+            hvp, co.dim, seed=params.seed, stream=sampling.STREAM_NORM_EST + counters.subproblems, iters=20
+        )
+        tol = min(0.1, _norm(gx) / 10.0)
+
+        def trial(t, weight):
+            s0 = sampling.unit_vector(params.seed, co.dim, stream=sampling.STREAM_CRN_SUBPROBLEM + counters.subproblems)
+            sub = cubic_subproblem_gd(gx, hvp, weight, tol, s0, MAX_SUB_ITERS, lipschitz_hint=norm_h)
+            counters.subproblems += 1
+            f_try = co.eval_f(x + sub.s)
+            # Accept only genuine model decrease; keeps f monotone.
+            accepted = sub.model_value <= 0.0 and f_try <= fx + 0.5 * sub.model_value
+            return CRN, sub.s, sub.iterations, LineSearchOutcome(1.0, t, f_try) if accepted else NO_VALID_J
+
+        return trial
 
     # Double on rejection, halve on acceptance, floored at H0/16; starts at H0.
     weights = lambda prev: (max(H0 / 16.0, prev / 2.0) * 2.0**t for t in range(MAX_WEIGHT_DOUBLINGS + 1))
-    return _drive(oracle, x0, loop_params, weights=weights, gamma0=2.0 * H0, trial=trial)[0]
+    return _drive(oracle, x0, loop_params, weights=weights, gamma0=2.0 * H0, trials_at=trials_at)[0]

@@ -142,7 +142,7 @@ class PfSolveResult(SolveResult):
     gamma_history: list[float] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineSearchOutcome:
     """An accepted step size.  A damping trial adds how a SOL step was accepted and, when it
     already has it, the gradient at the new point."""
@@ -269,44 +269,44 @@ def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome
 
 
 def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: Callable, parameter_free: bool):
-    """The damping trial of both drivers, as ``_drive``'s ``trial``.
+    """The damping trials of both drivers, as ``_drive``'s ``trials_at``.
 
-    Runs ``cg``, the caller's own ``capped_cg`` binding, on the damped
-    system; then ``search_nc`` on the scaled NC direction, or the full-step
-    test and ``search_sol`` on a SOL direction.  The parameter-free driver's
-    trial rejects SOL directions too short for their weight.  That driver
-    also tries growing weights at one point, so the first trial of an outer
-    iteration records its capped-CG passes in a ``KrylovRecord`` and the
-    later ones replay them; the next first trial replaces the record.
+    Each trial runs ``cg``, the caller's own ``capped_cg`` binding, on the
+    damped system; then ``search_nc`` on the scaled NC direction, or the
+    full-step test and ``search_sol`` on a SOL direction.  The
+    parameter-free driver's trials reject SOL directions too short for their
+    weight.  That driver also tries growing weights at one point, so
+    ``trials_at`` gives the point one ``KrylovRecord``: its first trial
+    records the capped-CG passes and the later ones replay them.
     """
-    record = None
 
-    def trial(co, hvp, x, fx, gx, t, sigma):
-        nonlocal record
-        if t == 0:
-            record = KrylovRecord() if parameter_free else None
-        co.counters.subproblems += 1  # counted even if the call breaks down
-        cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g), record)
-        if cg_out.d_type == NC:
-            d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
-            step = search_nc(co, x, d, sigma, fx)
-        else:
-            d = cg_out.d
-            f_full = co.eval_f(x + d)
-            grad_full = co.eval_grad(x + d) if f_full <= fx else None
-            if grad_full is not None and _norm(grad_full) <= eps_g:
-                step = LineSearchOutcome(1.0, 0, f_full, FULL_STEP, grad_full)
-            elif parameter_free and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
-                step = SMALL_STEP
+    def trials_at(co, hvp, x, fx, gx):
+        record = KrylovRecord() if parameter_free else None
+
+        def trial(t, sigma):
+            co.counters.subproblems += 1  # counted even if the call breaks down
+            cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g), record)
+            if cg_out.d_type == NC:
+                d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
+                step = search_nc(co, x, d, sigma, fx)
             else:
-                step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
-                if step is not None:
-                    step.accepted_by = ARMIJO
-                    if step.j == 0:
-                        step.grad_new = grad_full
-        return cg_out.d_type, d, cg_out.iterations, NO_VALID_J if step is None else step
+                d = cg_out.d
+                f_full = co.eval_f(x + d)
+                grad_full = co.eval_grad(x + d) if f_full <= fx else None
+                if grad_full is not None and _norm(grad_full) <= eps_g:
+                    step = LineSearchOutcome(1.0, 0, f_full, FULL_STEP, grad_full)
+                elif parameter_free and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
+                    step = SMALL_STEP
+                else:
+                    step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
+                    if step is not None:
+                        grad_new = grad_full if step.j == 0 else None
+                        step = LineSearchOutcome(step.alpha, step.j, step.f_new, ARMIJO, grad_new)
+            return cg_out.d_type, d, cg_out.iterations, NO_VALID_J if step is None else step
 
-    return trial
+        return trial
+
+    return trials_at
 
 
 @np.errstate(over="ignore")
@@ -317,33 +317,36 @@ def _drive(
     *,
     weights: Callable[[float], Iterable[float]],
     gamma0: float,
-    trial: Callable,
+    trials_at: Callable,
 ) -> tuple[SolveResult, list[list[InnerTrialRecord]], list[float]]:
     """The one outer loop of all three solvers; ``params`` is an NcgParams or a PfParams.
 
-    ``weights(gamma_prev)`` yields the damping trials of one outer iteration,
-    given the weight accepted last (``gamma0`` before the first).
-    ``trial(co, hvp, x, fx, gx, t, sigma)`` runs the t-th of them, at weight
-    sigma, from x with value fx and gradient gx, and counts its own
-    subproblem.  It returns four values: the step type, the direction d, the
-    inner iteration count and the step.  The step is a LineSearchOutcome,
-    which carries ``accepted_by`` and the gradient at the new point when the
-    trial has it, or the rejection reason (``small_step`` or ``no_valid_j``)
-    to move on to the next weight.  The first trial with a step ends the
-    iteration; running out of weights ends the solve in LineSearchFailure.
-    Returns the result, the trials of every outer iteration and the weight
-    carried out of each.  An overflow during the solve gives inf quietly,
-    whatever numpy's settings, and the loop's finiteness tests turn it into
-    NumericalFailure: one errstate per solve, not one per norm.
+    ``weights(gamma_prev)`` yields the damping weights of one outer
+    iteration, given the weight accepted last (``gamma0`` before the first).
+    Before an iteration's trials the loop binds ``hvp = co.hvp_at(x)`` and
+    hands the point to ``trials_at(co, hvp, x, fx, gx)`` once, with x's value
+    fx and gradient gx; whatever a solver keeps per point, it sets up there.
+    The ``trial`` it returns is then called as ``trial(t, sigma)`` for the
+    t-th weight sigma, takes every product at x through ``hvp`` and counts
+    its own subproblem.  It returns four values: the step type, the
+    direction d, the inner iteration count and the step.  The step is a
+    LineSearchOutcome, which carries ``accepted_by`` and the gradient at the
+    new point when the trial has it, or the rejection reason (``small_step``
+    or ``no_valid_j``) to move on to the next weight.  The first trial with
+    a step ends the iteration; running out of weights ends the solve in
+    LineSearchFailure.  Returns the result, the trials of every outer
+    iteration and the weight carried out of each.  An overflow during the
+    solve gives inf quietly, whatever numpy's settings, and the loop's
+    finiteness tests turn it into NumericalFailure: one errstate per solve,
+    not one per norm.
 
-    ``hvp`` is ``co.hvp_at(x)``, bound once before an outer iteration's
-    damping trials, which take every product at x through it, and once for
-    an eigenvalue-oracle call.  A generated oracle computes x's Hessian when
-    it is bound, so an iterate at which the solve stops builds none.  The
-    evaluations at x0 run inside the loop's exception handling, so an
-    exception there also ends the solve in a status.  f_final and
-    grad_norm_final are those of x_final, NaN when they were never computed
-    (as when the gradient at a new iterate raises).
+    The loop binds ``co.hvp_at`` only where it takes products: before
+    damping trials and for each eigenvalue-oracle call.  A generated oracle
+    computes x's Hessian when it is bound, so an iterate at which the solve
+    stops builds none.  The evaluations at x0 run inside the loop's
+    exception handling, so an exception there also ends the solve in a
+    status.  f_final and grad_norm_final are those of x_final, NaN when they
+    were never computed (as when the gradient at a new iterate raises).
     """
     x = np.array(x0, dtype=float)
     if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
@@ -371,9 +374,9 @@ def _drive(
             if gnorm > params.eps_g:
                 outer: list[InnerTrialRecord] = []
                 trials.append(outer)
-                hvp = co.hvp_at(x)
+                trial = trials_at(co, co.hvp_at(x), x, fx, gx)
                 for t, sigma in enumerate(weights(gamma_prev)):
-                    step_type, d, inner, step = trial(co, hvp, x, fx, gx, t, sigma)
+                    step_type, d, inner, step = trial(t, sigma)
                     if isinstance(step, LineSearchOutcome):
                         outer.append(InnerTrialRecord(t, sigma, step_type, True, step.alpha, None, inner))
                         break
@@ -452,5 +455,5 @@ def newton_cg_solve(
     any evaluation unless x0 is a finite (dim,) vector.
     """
     gamma = gamma_nu(params.eps_g, params.holder)
-    trial = _newton_trial(params.eps_g, capped_cg, line_search_sol, line_search_nc, parameter_free=False)
-    return _drive(oracle, x0, params, weights=lambda _: (gamma,), gamma0=gamma, trial=trial)[0]
+    trials_at = _newton_trial(params.eps_g, capped_cg, line_search_sol, line_search_nc, parameter_free=False)
+    return _drive(oracle, x0, params, weights=lambda _: (gamma,), gamma0=gamma, trials_at=trials_at)[0]

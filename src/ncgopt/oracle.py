@@ -22,30 +22,20 @@ Array = np.ndarray
 class ProblemOracle:
     """Callbacks for one problem instance.
 
-    Immutable after construction and safe to share across concurrent solver
-    runs; each run keeps its own workspace vectors.  ``dim`` is a positive
-    integer (any ``Integral`` but a bool, stored as ``int``).  ``meta``
-    optionally carries the raw instance data (generator-specific) for tests.
+    ``eval_f(x)`` returns f(x), a real scalar; ``eval_grad(x)`` and
+    ``eval_hvp(x, v)`` return grad f(x) and H(x) v, real vectors of shape
+    (dim,).  ``dim`` is a positive integer (any ``Integral`` but a bool,
+    stored as ``int``).  ``meta`` optionally carries the raw instance data
+    (generator-specific) for tests.  Immutable after construction and safe
+    to share across concurrent solver runs; each run keeps its own
+    workspace vectors.
 
-    The generated infeasibility and repu oracles keep data of the last point
-    they were called at (its A x or a x, and the Hessian or its weights),
-    keyed by the bytes of x, so repeated f, grad and HVP calls at one point
-    share that work.  Each cache entry is an immutable tuple replaced whole,
-    so sharing an oracle across threads stays safe; results do not depend on
-    whether a call hits the cache.  Above a size gate the infeasibility
-    oracle also keeps a reference point, the last point at which it computed
-    every A_i x, and skips each row that a norm bound around it proves
-    inactive, with a rounding margin wide enough that results do not depend
-    on the reference either (see ``problems._infeasibility_oracle``).
-
-    Their ``eval_hvp`` also binds to a point: ``eval_hvp.at(x)`` is eager.
-    It looks the Hessian (repu: its curvature weights) up in the cache at
-    once, computing it there if x is a new point, and returns the operator
-    v -> H(x) v that keeps it, so each product is the product alone, with
-    the bits of ``eval_hvp(x, v)``.  Any ``eval_hvp`` may offer such an
-    ``at``; the solvers give one without it every product as
+    An ``eval_hvp`` may also offer ``eval_hvp.at(x)``, which binds it to a
+    point: it returns the operator v -> H(x) v, whose products have the bits
+    of ``eval_hvp(x, v)``, and the solvers take every product at x through
+    it.  They give an ``eval_hvp`` without it every product as
     ``eval_hvp(x, v)``, so a wrapper built with ``dataclasses.replace``
-    sees them all.
+    sees them all.  The generated oracles offer it (see ``ncgopt.problems``).
     """
 
     dim: int
@@ -107,7 +97,10 @@ class CountingOracle:
     straight into ``counters``, which the solver completes and returns with
     its result.  A callback output of the wrong shape (f not a scalar, grad
     or HVP not of shape (dim,)) raises ``ValueError`` naming the callback
-    and the shape.
+    and the shape; one that is not real numbers (None, a string, a complex
+    value) raises ``ValueError`` naming the callback and its type.  Real
+    numbers of the right shape in another form (a list, a tuple, a numpy
+    scalar) are read as float64.
     """
 
     def __init__(self, oracle: ProblemOracle):
@@ -120,14 +113,14 @@ class CountingOracle:
         self.counters.f_evals += 1
         value = self._oracle.eval_f(x)
         if not isinstance(value, float):
-            _require_shape("eval_f", value, ())
+            value = _require_shape("eval_f", value, ())
         return float(value)
 
     def eval_grad(self, x: Array) -> Array:
         self.counters.grad_evals += 1
         g = self._oracle.eval_grad(x)
         if getattr(g, "shape", None) != self._vector:
-            _require_shape("eval_grad", g, self._vector)
+            g = _require_shape("eval_grad", g, self._vector)
         return g
 
     def hvp_at(self, x: Array) -> Callable[[Array], Array]:
@@ -146,13 +139,21 @@ class CountingOracle:
             counters.hvp_evals += 1
             hv = product(v)
             if getattr(hv, "shape", None) != vector:
-                _require_shape("eval_hvp", hv, vector)
+                hv = _require_shape("eval_hvp", hv, vector)
             return hv
 
         return hvp
 
 
-def _require_shape(name: str, value, shape: tuple) -> None:
-    """The slow path of CountingOracle's checks, for a non-float f or an output without ``shape``."""
-    if np.shape(value) != shape:
-        raise ValueError(f"{name} must return shape {shape}; got shape {np.shape(value)}")
+def _require_shape(name: str, value, shape: tuple) -> Array:
+    """The slow path of CountingOracle's checks, for a non-float f or an output without ``shape``.
+
+    Returns real numbers of the right shape as a float64 array; raises
+    ``ValueError`` naming the callback for any other output.
+    """
+    array = np.asarray(value)
+    if array.shape != shape:
+        raise ValueError(f"{name} must return shape {shape}; got shape {array.shape}")
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must return real numbers; got {type(value).__name__} of dtype {array.dtype}")
+    return array.astype(float)

@@ -111,11 +111,8 @@ def pf_newton_cg_solve(
     accepted weight and seeds the next iteration's start value.  Statuses and
     input checks are those of ``newton_cg_solve``.
     """
-
-    def weights(gamma_prev: float):
-        sigma0 = sigma_start(gamma_prev)
-        return (sigma0 * R**t for t in range(T_MAX))
-
-    trial = _newton_trial(params.eps_g, capped_cg, bounded_line_search_sol, bounded_line_search_nc, parameter_free=True)
-    result, trials, gamma_history = _drive(oracle, x0, params, weights=weights, gamma0=GAMMA_INIT, trial=trial)
+    weights = lambda gamma_prev: (sigma_start(gamma_prev) * R**t for t in range(T_MAX))
+    search_sol, search_nc = bounded_line_search_sol, bounded_line_search_nc
+    trials_at = _newton_trial(params.eps_g, capped_cg, search_sol, search_nc, parameter_free=True)
+    result, trials, gamma_history = _drive(oracle, x0, params, weights=weights, gamma0=GAMMA_INIT, trials_at=trials_at)
     return PfSolveResult(**vars(result), trials=trials, gamma_history=gamma_history)

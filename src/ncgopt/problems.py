@@ -10,6 +10,18 @@ Two benchmark families plus a synthetic quadratic sanity family:
 All instances are bit-reproducible from (n, m, p, seed) via the package's
 counter-based sampling.  Exponents must be finite with p > 2 so the
 plus-part kink stays twice continuously differentiable.
+
+The infeasibility and repu oracles keep data of the last point they were
+called at (its A x or a x, and the Hessian or its curvature weights), keyed
+by the bytes of x, so repeated f, grad and HVP calls at one point share that
+work (``_last_point``).  Each cache entry is an immutable tuple replaced
+whole, so sharing an oracle across threads stays safe, and results do not
+depend on whether a call hits the cache.  Their ``eval_hvp.at(x)`` is eager:
+it looks the curvature data up at once, computing it on a miss, and returns
+the operator that keeps it (``_bindable_hvp``).  Above a size gate the
+infeasibility oracle also skips each row that a norm bound around a
+reference point proves inactive, with a rounding margin wide enough that
+results do not depend on the reference either (``_infeasibility_oracle``).
 """
 from __future__ import annotations
 

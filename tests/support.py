@@ -110,8 +110,19 @@ def solve(solver, oracle, x0, *, eps_g=1e-4, eps_H=None, seed=0, max_outer=None)
 
 
 def fingerprint(res):
-    """The fields of a solve that must repeat bit for bit."""
-    return res.status, res.x_final.tobytes(), repr(res.f_final), vars(res.counters)
+    """Every field of a solve, which must repeat bit for bit: x_final's bytes and the
+    reprs of the rest, with alg2's trials and weights where the result has them."""
+    return (
+        res.status,
+        res.status_detail,
+        res.x_final.tobytes(),
+        repr(res.f_final),
+        repr(res.grad_norm_final),
+        vars(res.counters),
+        repr(res.trace),
+        repr(getattr(res, "trials", None)),
+        repr(getattr(res, "gamma_history", None)),
+    )
 
 
 def same_bits(a, b):

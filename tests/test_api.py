@@ -1,6 +1,9 @@
-"""The package's public API: its exact export list, the params fields and the README quick start."""
+"""The package's public API: its exact export list, the params fields, the README quick start and
+the module bindings that solvebench's tracer patches."""
 import dataclasses
+import importlib
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -52,6 +55,7 @@ BOUND_FORMULAS = (
 FD_CHECKS = ("check_gradient_fd", "check_hvp_fd", "_fd_step", "DerivativeCheckError")
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "solvebench" / "tracing.py"
 
 
 def test_public_names_are_exactly_the_user_api():
@@ -82,3 +86,21 @@ def test_readme_quick_start_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("FOSP ")
     assert printed[-1] == "SOSP_certified"
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # solvebench's tracer times each layer by patching module bindings by
+    # name, and goes on without one it cannot find; a renamed binding would
+    # quietly empty its layer.  Only newton_cg's norm estimate, which moved
+    # to baseline_crn, is known to be missing.  The tracer's source is read
+    # and run here, not imported, so that nothing is written next to it.
+    tracing = types.ModuleType("solvebench_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)  # its dataclasses look their module up
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(tracing))
+    missing = [
+        f"{module}.{name}"
+        for bindings in tracing.LAYERS.values()
+        for module, name in bindings
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == ["ncgopt.newton_cg.estimate_operator_norm"]

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ncgopt import CrnParams, acrn_solve, gen_quadratic
-from ncgopt import baseline_crn
+from ncgopt import CrnParams, acrn_solve, gen_infeasibility, gen_quadratic
+from ncgopt import baseline_crn, sampling
+from ncgopt.bench import start_point
 from ncgopt.baseline_crn import cubic_subproblem_gd, estimate_operator_norm
 from ncgopt.newton_cg import FOSP, LINE_SEARCH_FAILURE, NUMERICAL_FAILURE
 from ncgopt.oracle import ProblemOracle
@@ -251,6 +252,31 @@ def test_acrn_rejecting_every_trial_weight_is_line_search_failure(monkeypatch):
     assert res.status_detail == "damping trial limit t_max = 4 exhausted"
     assert res.counters.subproblems == 4 and res.counters.f_evals == 5
     assert res.trace == [] and np.array_equal(res.x_final, np.zeros(3)) and res.f_final == 1.0
+
+
+def test_norm_estimate_runs_once_per_iterate(monkeypatch):
+    # The driver hands each iterate to the trials once, and the norm
+    # estimate runs there: once per outer iteration, before its cubic
+    # models, on stream STREAM_NORM_EST plus the cubic models counted so far.
+    events = []  # a norm estimate's stream, or None for a cubic model
+
+    def estimate(hvp, n, seed=0, stream=sampling.STREAM_NORM_EST, iters=50):
+        events.append(stream)
+        return estimate_operator_norm(hvp, n, seed, stream, iters)
+
+    def cubic(*args, **kwargs):
+        events.append(None)
+        return cubic_subproblem_gd(*args, **kwargs)
+
+    monkeypatch.setattr(baseline_crn, "estimate_operator_norm", estimate)
+    monkeypatch.setattr(baseline_crn, "cubic_subproblem_gd", cubic)
+    res = acrn_solve(gen_infeasibility(20, 4, 2.25, 0), start_point("infeasibility", 20), 1e-4, CrnParams(seed=3))
+    assert res.status == FOSP
+    starts = [i for i, event in enumerate(events) if event is not None]
+    assert len(starts) == len(res.trace) and starts[0] == 0
+    assert all(events[i] == sampling.STREAM_NORM_EST + i - k for k, i in enumerate(starts))
+    assert all(b - a >= 2 for a, b in zip(starts, starts[1:]))  # each iterate runs at least one model
+    assert len(events) - len(starts) == res.counters.subproblems > len(res.trace)
 
 
 def test_operator_norm_scaled_identity():

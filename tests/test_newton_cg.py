@@ -45,7 +45,17 @@ from ncgopt.newton_cg import (
 )
 from ncgopt.oracle import CountingOracle
 from ncgopt.sampling import generator
-from support import counted, lying_oracle, make_norm_squared, matvec, rising_line, rotated, solve, stiff_quadratic
+from support import (
+    counted,
+    fingerprint,
+    lying_oracle,
+    make_norm_squared,
+    matvec,
+    rising_line,
+    rotated,
+    solve,
+    stiff_quadratic,
+)
 
 
 def make_saddle():
@@ -747,18 +757,16 @@ def test_non_finite_ritz_check_never_certifies(solver, seed):
     assert res.counters.meo_calls == 1 and res.counters.hvp_evals == 3
 
 
-def hostile(base, bad, value, k, shape=None):
+def hostile(base, bad, value, k):
     """``base`` with callback ``bad`` (f, grad or hvp) returning ``value`` at its k-th call:
-    filled into ``shape`` when given, else as a scalar f or a (dim,) vector."""
+    a float as a scalar f or as a (dim,) vector filled with it, any other value as it is."""
     calls = {"f": 0, "grad": 0, "hvp": 0}
 
     def wrap(name, fn):
         def call(*args):
             calls[name] += 1
             if name == bad and calls[name] == k:
-                if shape is not None:
-                    return np.full(shape, value)
-                return value if name == "f" else np.full(base.dim, value)
+                return np.full(base.dim, value) if isinstance(value, float) and name != "f" else value
             return fn(*args)
 
         return call
@@ -834,13 +842,42 @@ def test_degenerate_objective_never_fakes_success(solver, eps_H, kind, status):
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
-@pytest.mark.parametrize("bad, shape", [("f", (2,)), ("grad", (9,)), ("hvp", (10, 1))])
+@pytest.mark.parametrize(
+    "bad, output, message",
+    [
+        pytest.param("f", np.full(2, 0.1), "shape (); got shape (2,)", id="f-shape0"),
+        pytest.param("grad", np.full(9, 0.1), "shape (10,); got shape (9,)", id="grad-shape1"),
+        pytest.param("hvp", np.full((10, 1), 0.1), "shape (10,); got shape (10, 1)", id="hvp-shape2"),
+        pytest.param("f", None, "real numbers; got NoneType of dtype object", id="f-none"),
+        pytest.param("f", "1.5", "real numbers; got str of dtype <U3", id="f-str"),
+        pytest.param("f", 1.5 + 0j, "real numbers; got complex of dtype complex128", id="f-complex"),
+        pytest.param("f", True, "real numbers; got bool of dtype bool", id="f-bool"),
+        pytest.param("grad", [None] * 10, "real numbers; got list of dtype object", id="grad-none"),
+        pytest.param("grad", ("0.1",) * 10, "real numbers; got tuple of dtype <U3", id="grad-str"),
+        pytest.param("hvp", [0.1j] * 10, "real numbers; got list of dtype complex128", id="hvp-complex"),
+        pytest.param("hvp", [object()] * 10, "real numbers; got list of dtype object", id="hvp-object"),
+    ],
+)
 @pytest.mark.parametrize("k", [1, 2])
-def test_hostile_oracle_wrong_shape_raises(solver, bad, shape, k):
-    # A callback output of the wrong shape is the caller's error: it raises
-    # ValueError naming the callback and the shape, not a numpy error.
-    oracle = hostile(gen_repu(10, 3, 2.25, 0), bad, 0.1, k, shape)
-    expected = {"f": "()", "grad": "(10,)", "hvp": "(10,)"}[bad]
-    message = f"eval_{bad} must return shape {expected}; got shape {shape}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+def test_hostile_oracle_wrong_shape_raises(solver, bad, output, message, k):
+    # An output of the wrong shape, or one that is not real numbers, is the
+    # caller's error: it raises ValueError naming the callback and what is
+    # wrong, not a numpy or Python error, and is never read as a number.
+    oracle = hostile(gen_repu(10, 3, 2.25, 0), bad, output, k)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'eval_{bad} must return {message}')}$"):
         solve(solver, oracle, np.full(10, 0.1), max_outer=50)
+
+
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
+@pytest.mark.parametrize("bad", ["grad", "hvp"])
+def test_list_outputs_solve_like_their_arrays(solver, bad):
+    # Real numbers of shape (dim,) in a list of floats or a tuple of numpy
+    # scalars are read as float64, so the solve has its ndarray twin's bits.
+    base, x0 = gen_repu(10, 3, 2.25, 0), np.full(10, 0.1)
+    fn = getattr(base, f"eval_{bad}")
+    runs = [
+        solve(solver, replace(base, **{f"eval_{bad}": lambda *args, form=form: form(fn(*args))}), x0)
+        for form in (np.asarray, np.ndarray.tolist, tuple)
+    ]
+    assert runs[0].status == FOSP and runs[0].counters.hvp_evals > 0
+    assert fingerprint(runs[1]) == fingerprint(runs[0]) == fingerprint(runs[2])

@@ -355,10 +355,34 @@ def test_pf_sosp_certified_and_gamma_carry():
     assert len(res.trace) <= k1_bar + 2 * k2 - 1
 
 
+def test_each_point_gets_one_krylov_record(monkeypatch):
+    # The driver hands each iterate to its damping trials once: the outer
+    # iteration's first capped-CG call gets a fresh, empty record, its later
+    # trials the same object, and no record serves two points.
+    calls = []  # (record, passes already in it at the call)
+
+    def recorded(hvp, g, eps, record):
+        calls.append((record, len(record.passes)))
+        return capped_cg(hvp, g, eps, record)
+
+    monkeypatch.setattr(pf_newton_cg_module, "capped_cg", recorded)
+    res = solve("alg2", gen_repu(30, 6, 2.25, 0), np.full(30, 1.0 / 30.0))
+    assert res.status == FOSP
+    assert len(calls) == sum(len(outer) for outer in res.trials)
+    assert max(len(outer) for outer in res.trials) >= 2
+    records, start = [], 0  # held, so that no id is reused
+    for outer in res.trials:
+        point, start = calls[start : start + len(outer)], start + len(outer)
+        assert point[0][1] == 0
+        assert all(record is point[0][0] for record, _ in point)
+        records.append(point[0][0])
+    assert len({id(record) for record in records}) == len(records) == len(res.trace)
+
+
 def test_solve_keeps_no_krylov_record(monkeypatch):
     # An outer iteration's record of capped-CG passes (r_j and H r_j, up to
-    # 2 n^2 floats) lives until the next outer iteration's first trial
-    # replaces it; none outlives the solve.
+    # 2 n^2 floats) lives until the driver hands the next iterate to its
+    # trials; none outlives the solve.
     oracle, x0 = gen_repu(400, 80, 2.25, 0), np.full(400, 1.0 / 400.0)
     largest = 0
 
