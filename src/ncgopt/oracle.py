@@ -98,7 +98,8 @@ class CountingOracle:
     its result.  A callback output of the wrong shape (f not a scalar, grad
     or HVP not of shape (dim,)) raises ``ValueError`` naming the callback
     and the shape; one that is not real numbers (None, a string, a complex
-    value) raises ``ValueError`` naming the callback and its type.  Real
+    value, an array of them) or that numpy cannot read as an array (a
+    ragged list) raises ``ValueError`` naming the callback and its type.  Real
     numbers of the right shape in another form (a list, a tuple, a numpy
     scalar) are read as float64.
     """
@@ -119,7 +120,7 @@ class CountingOracle:
     def eval_grad(self, x: Array) -> Array:
         self.counters.grad_evals += 1
         g = self._oracle.eval_grad(x)
-        if getattr(g, "shape", None) != self._vector:
+        if getattr(g, "shape", None) != self._vector or getattr(g, "dtype", _NOT_REAL).kind != "f":
             g = _require_shape("eval_grad", g, self._vector)
         return g
 
@@ -138,20 +139,28 @@ class CountingOracle:
         def hvp(v: Array) -> Array:
             counters.hvp_evals += 1
             hv = product(v)
-            if getattr(hv, "shape", None) != vector:
+            if getattr(hv, "shape", None) != vector or getattr(hv, "dtype", _NOT_REAL).kind != "f":
                 hv = _require_shape("eval_hvp", hv, vector)
             return hv
 
         return hvp
 
 
+# The dtype the fast paths read for an output without one: not floating point.
+_NOT_REAL = np.dtype(object)
+
+
 def _require_shape(name: str, value, shape: tuple) -> Array:
-    """The slow path of CountingOracle's checks, for a non-float f or an output without ``shape``.
+    """The slow path of CountingOracle's checks, for a non-float f or a
+    vector that is not a floating-point array of shape (dim,).
 
     Returns real numbers of the right shape as a float64 array; raises
     ``ValueError`` naming the callback for any other output.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as err:  # ragged nesting, or a failing __array__
+        raise ValueError(f"{name} must return an array; numpy cannot read its {type(value).__name__}") from err
     if array.shape != shape:
         raise ValueError(f"{name} must return shape {shape}; got shape {array.shape}")
     if array.dtype.kind not in "iuf":

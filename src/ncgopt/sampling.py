@@ -9,8 +9,10 @@ produced by an explicit Box-Muller transform on those uniforms:
     z0 = r cos(2 pi u2),  z1 = r sin(2 pi u2)
 
 so a stream can be reproduced in any language from the Philox spec plus the
-two lines above.  Streams let one seed drive several independent draws
-(instance data, Lanczos starts, subproblem starts) without overlap.
+two lines above.  The transform runs in place on the uniforms and the
+output, so a draw of N normals holds two arrays of N floats at its peak.
+Streams let one seed drive several independent draws (instance data,
+Lanczos starts, subproblem starts) without overlap.
 """
 from __future__ import annotations
 
@@ -35,15 +37,24 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def standard_normals(seed: int, size, stream: int = 0) -> np.ndarray:
-    """Standard normal draws via Box-Muller over Philox uniforms."""
+    """Standard normal draws via Box-Muller over Philox uniforms, transformed in place."""
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = int(np.prod(shape)) if shape else 1
     pairs = (n + 1) // 2
     u = generator(seed, stream).random(2 * pairs)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:pairs]))  # 1 - u1 lies in (0, 1]
-    angle = 2.0 * np.pi * u[pairs:]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-    return z.reshape(shape)
+    radius, angle = u[:pairs], u[pairs:]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)  # 1 - u1 lies in (0, 1]
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    z = np.empty(2 * pairs)
+    cos, sin = z[:pairs], z[pairs:]
+    np.cos(angle, out=cos)
+    np.sin(angle, out=sin)
+    cos *= radius
+    sin *= radius
+    return z[:n].reshape(shape)
 
 
 def unit_vector(seed: int, n: int, stream: int = 0) -> np.ndarray:

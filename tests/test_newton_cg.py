@@ -856,6 +856,14 @@ def test_degenerate_objective_never_fakes_success(solver, eps_H, kind, status):
         pytest.param("grad", ("0.1",) * 10, "real numbers; got tuple of dtype <U3", id="grad-str"),
         pytest.param("hvp", [0.1j] * 10, "real numbers; got list of dtype complex128", id="hvp-complex"),
         pytest.param("hvp", [object()] * 10, "real numbers; got list of dtype object", id="hvp-object"),
+        # ndarrays of shape (dim,) that are not real numbers, which the
+        # fast paths must not pass through.
+        pytest.param("grad", np.full(10, 0.1j), "real numbers; got ndarray of dtype complex128", id="grad-complex-array"),
+        pytest.param("hvp", np.full(10, 0.1j), "real numbers; got ndarray of dtype complex128", id="hvp-complex-array"),
+        pytest.param("grad", np.full(10, "0.1"), "real numbers; got ndarray of dtype <U3", id="grad-str-array"),
+        pytest.param("hvp", np.full(10, "0.1"), "real numbers; got ndarray of dtype <U3", id="hvp-str-array"),
+        pytest.param("grad", [[1.0, 2.0], [3.0]] + [0.0] * 8, "an array; numpy cannot read its list", id="grad-ragged"),
+        pytest.param("hvp", [[1.0, 2.0], [3.0]] + [0.0] * 8, "an array; numpy cannot read its list", id="hvp-ragged"),
     ],
 )
 @pytest.mark.parametrize("k", [1, 2])

@@ -309,9 +309,45 @@ def test_infeasibility_cache_retains_one_matrix():
     oracles = [gen_infeasibility(n, m, 2.25, seed=s) for s in range(count)]
     x, v = point(1, n), np.ones(n)
     grown = retained_bytes(lambda: [oracle.eval_hvp(x, v) for oracle in oracles])
-    # One n x n matrix for the whole process, and O(mn) bytes (A x, q and
-    # a few object headers) per oracle; a matrix per oracle would add 576 kB.
+    # One n x n matrix for the whole process (and the spare memory of the
+    # last one that died), and O(mn) bytes (A x, q and a few object headers)
+    # per oracle; a matrix per oracle would add 576 kB.
     assert grown <= 8 * n * n + count * (8 * 4 * m * n + 2048)
+
+
+@pytest.mark.parametrize("n", [100, 400], ids=["100", "400-row-path"])
+def test_infeasibility_hessian_is_64_byte_aligned(n):
+    # The slot's H starts at 0 mod 64, where OpenBLAS's gemv runs fastest,
+    # and keeps the bits of the product assembled in malloc's own buffer.
+    oracle = gen_infeasibility(n, n // 10, 2.25, seed=3)
+    A, b, c, p, m = oracle.meta.A, oracle.meta.b, oracle.meta.c, oracle.meta.p, oracle.meta.m
+    for x in (point(1, n), point(1, n) + 1e-3):
+        oracle.eval_hvp.at(x)
+        H = problems._infeasibility_hessian[2]
+        assert H.ctypes.data % 64 == 0 and H.flags.c_contiguous
+        ax = A @ x
+        q = ax.dot(x) + b.dot(x) + c
+        lin = 2.0 * ax + b
+        want = (2.0 * p * _pos_pow(q, p - 1.0)).dot(A.reshape(m, -1)).reshape(n, n)
+        want += lin.T @ (p * (p - 1.0) * _pos_pow(q, p - 2.0)[:, None] * lin)
+        assert same_bits(H, want / m)
+
+
+def test_infeasibility_hessian_reuses_a_dead_hessians_memory():
+    # Once nothing holds the last point's H, the next build writes into its
+    # memory: the build's only n x n allocation is the rank-m product's.
+    n = 200
+    oracle = gen_infeasibility(n, 20, 2.25, seed=3)
+    v = np.ones(n)
+    for k in range(2):
+        oracle.eval_hvp(point(k, n), v)
+    assert peak_bytes(lambda: oracle.eval_hvp(point(2, n), v)) < 1.5 * 8 * n * n
+    # An H that an operator still holds keeps its memory, and its bits.
+    x = point(3, n)
+    hvp, want = oracle.eval_hvp.at(x), oracle.eval_hvp(x, v)
+    for k in range(4, 7):
+        oracle.eval_hvp(point(k, n), v)
+    assert same_bits(hvp(v), want)
 
 
 def test_threaded_solves_match_sequential():
