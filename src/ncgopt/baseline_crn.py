@@ -175,7 +175,7 @@ def acrn_solve(
     operator-norm estimate or a cubic model's gradient is not finite, and
     with LineSearchFailure when no trial weight is accepted.  Raises
     ``ValueError`` before any evaluation unless eps_g lies in (0, 1) and x0
-    is a finite (dim,) vector.
+    is a finite (dim,) vector of real numbers.
     """
     # The loop reads eps_g, eps_H, max_outer and seed off its params record.
     loop_params = PfParams(eps_g, max_outer=params.max_outer, seed=params.seed)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .baseline_crn import CrnParams, acrn_solve
 from .newton_cg import FOSP, SOSP_CERTIFIED, NcgParams, newton_cg_solve
-from .oracle import HolderClass, ProblemOracle
+from .oracle import HolderClass, ProblemOracle, _integer
 from .pf_newton_cg import PfParams, pf_newton_cg_solve
 from .problems import _require_cell, gen_infeasibility, gen_quadratic, gen_repu
 
@@ -98,11 +98,12 @@ class ExperimentConfig:
         for n, m, p in self.grid:
             try:
                 if self.family != "quadratic":
-                    _require_cell(n, m, p)
-                elif n < 1:
-                    raise ValueError("n must be positive")
-                elif (m, p) != (0, 0):
-                    raise ValueError("the quadratic family ignores m and p, so both must be 0")
+                    _require_cell(n, m, p, self.base_seed)
+                else:
+                    _integer(n, "n", positive=True)
+                    _integer(self.base_seed, "seed")
+                    if (m, p) != (0, 0):
+                        raise ValueError("the quadratic family ignores m and p, so both must be 0")
             except ValueError as err:
                 raise ConfigError(f"invalid grid cell ({n}, {m}, {p}): {err}") from err
         # The tolerances' and the holder's ranges live in the params classes.

@@ -348,7 +348,13 @@ def _drive(
     status.  f_final and grad_norm_final are those of x_final, NaN when they
     were never computed (as when the gradient at a new iterate raises).
     """
-    x = np.array(x0, dtype=float)
+    try:
+        x = np.asarray(x0)
+    except (TypeError, ValueError) as err:  # ragged nesting, or a failing __array__
+        raise ValueError(f"x0 must be real numbers; numpy cannot read its {type(x0).__name__}") from err
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"x0 must be real numbers; got {type(x0).__name__} of dtype {x.dtype}")
+    x = x.astype(float)
     if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite with shape ({oracle.dim},); got shape {x.shape}")
     co = CountingOracle(oracle)
@@ -452,7 +458,8 @@ def newton_cg_solve(
     NumericalFailure when the objective, the gradient norm or the
     eigenvalue oracle's Lanczos data is not finite, when capped CG breaks
     down, or when a step computation overflows.  Raises ``ValueError`` before
-    any evaluation unless x0 is a finite (dim,) vector.
+    any evaluation unless x0 is a finite (dim,) vector of real numbers
+    (integer or floating-point dtype).
     """
     gamma = gamma_nu(params.eps_g, params.holder)
     trials_at = _newton_trial(params.eps_g, capped_cg, line_search_sol, line_search_nc, parameter_free=False)

@@ -28,7 +28,9 @@ class ProblemOracle:
     stored as ``int``).  ``meta`` optionally carries the raw instance data
     (generator-specific) for tests.  Immutable after construction and safe
     to share across concurrent solver runs; each run keeps its own
-    workspace vectors.
+    workspace vectors.  An ``eval_grad`` may return the same array on every
+    call, refilled; an ``eval_hvp`` must not write again to an array it has
+    returned, since a solver may keep one product while it takes the next.
 
     An ``eval_hvp`` may also offer ``eval_hvp.at(x)``, which binds it to a
     point: it returns the operator v -> H(x) v, whose products have the bits
@@ -101,7 +103,9 @@ class CountingOracle:
     value, an array of them) or that numpy cannot read as an array (a
     ragged list) raises ``ValueError`` naming the callback and its type.  Real
     numbers of the right shape in another form (a list, a tuple, a numpy
-    scalar) are read as float64.
+    scalar) are read as float64.  ``eval_grad`` returns each gradient as
+    a new array, since a solver keeps the gradient at its iterate across
+    later calls that may refill the callback's buffer.
     """
 
     def __init__(self, oracle: ProblemOracle):
@@ -121,8 +125,8 @@ class CountingOracle:
         self.counters.grad_evals += 1
         g = self._oracle.eval_grad(x)
         if getattr(g, "shape", None) != self._vector or getattr(g, "dtype", _NOT_REAL).kind != "f":
-            g = _require_shape("eval_grad", g, self._vector)
-        return g
+            return _require_shape("eval_grad", g, self._vector)
+        return g.copy()
 
     def hvp_at(self, x: Array) -> Callable[[Array], Array]:
         """The operator v -> H(x) v at the value x has now, counted and shape-checked.

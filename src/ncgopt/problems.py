@@ -14,14 +14,18 @@ plus-part kink stays twice continuously differentiable.
 The infeasibility and repu oracles keep data of the last point they were
 called at (its A x or a x, and the Hessian or its curvature weights), keyed
 by the bytes of x, so repeated f, grad and HVP calls at one point share that
-work (``_last_point``).  Each cache entry is an immutable tuple replaced
-whole, so sharing an oracle across threads stays safe, and results do not
-depend on whether a call hits the cache.  Their ``eval_hvp.at(x)`` is eager:
-it looks the curvature data up at once, computing it on a miss, and returns
-the operator that keeps it (``_bindable_hvp``).  Above a size gate the
-infeasibility oracle also skips each row that a norm bound around a
-reference point proves inactive, with a rounding margin wide enough that
-results do not depend on the reference either (``_infeasibility_oracle``).
+work.  Every such memo is a ``_last_point``: the repu weights and each
+oracle's A x or a x in a slot of their own, the infeasibility Hessian in one
+slot that every infeasibility oracle of the process shares.  Each cache
+entry is an immutable tuple replaced whole, so sharing an oracle across
+threads stays safe, and results do not depend on whether a call hits the
+cache.  Their ``eval_hvp.at(x)`` is eager: it looks the curvature data up at
+once, computing it on a miss, and returns the operator that keeps it
+(``_bindable_hvp``).  Above a size gate the infeasibility oracle also skips
+each row that a norm bound around a reference point proves inactive, with a
+rounding margin wide enough that results do not depend on the reference
+either; it takes the row norms of that bound when it is built
+(``_infeasibility_oracle``).
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .oracle import ProblemOracle
+from .oracle import ProblemOracle, _integer
 
 Array = np.ndarray
 
@@ -43,12 +47,15 @@ def _pos_pow(q: Array, s: float) -> Array:
     return np.maximum(q, 0.0) ** s
 
 
-def _require_cell(n: int, m: int, p: float) -> None:
-    """The cell (n, m, p) of the infeasibility and repu families."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+def _require_cell(n: int, m: int, p: float, seed: int) -> tuple[int, int, int]:
+    """The cell (n, m, p) of the infeasibility and repu families, and a seed.
+
+    Returns n, m and seed as ints (see ``oracle._integer``).
+    """
+    cell = _integer(n, "n", positive=True), _integer(m, "m", positive=True), _integer(seed, "seed")
     if not 2.0 < p < np.inf:
         raise ValueError("exponent p must be finite and exceed 2 for a continuous Hessian")
+    return cell
 
 
 @dataclass(frozen=True)
@@ -113,22 +120,28 @@ def _point_key(x) -> tuple:
     return x.dtype.str, x.shape, x.tobytes()
 
 
-def _last_point(compute: Callable[[Array], object]) -> Callable[[Array], object]:
+def _last_point(compute: Callable[[Array], object], slot: list | None = None) -> Callable[[Array], object]:
     """Memoize ``compute(x)`` for the value of x last seen (see ``_point_key``).
 
-    The slot holds one immutable ``(key, value)`` pair that is replaced whole,
-    so threads sharing it read a consistent entry; a miss only recomputes.
+    The memo keeps one entry, ``(owner, key, value)``, in ``slot``: a
+    one-item list, its own unless several memos are given one to share.
+    ``owner`` is a weak reference to ``compute``, made once per memo, so a
+    lookup hits only in the memo that made the entry and at the same bytes
+    of x, and a shared slot does not keep the last memo's ``compute`` alive,
+    nor the instance data it reads.  The entry is immutable and replaced
+    whole, so threads sharing it read a consistent entry; a miss only
+    recomputes.
     """
-    slot: tuple | None = None
+    owner = weakref.ref(compute)
+    slot = [None] if slot is None else slot
 
     def lookup(x: Array) -> object:
-        nonlocal slot
         key = _point_key(x)
-        entry = slot
-        if entry is None or entry[0] != key:
-            entry = (key, compute(x))
-            slot = entry
-        return entry[1]
+        entry = slot[0]
+        if entry is None or entry[0] is not owner or entry[1] != key:
+            entry = (owner, key, compute(x))
+            slot[0] = entry
+        return entry[2]
 
     return lookup
 
@@ -165,12 +178,12 @@ _TINY = 2.0**-1020  # covers underflow in the row bound's margin
 _SCALE_CAP = 2.0**1020  # below it no step of q_i or of its bound overflows
 
 
-# The Hessian of the last point at which any infeasibility oracle took a
-# Hessian-vector product, as (oracle token, point key, H).  One slot per
-# process rather than per oracle, so the n x n matrix does not stay alive on
-# every oracle a caller keeps after its solve; threads that alternate
-# between oracles only cost rebuilds.
-_infeasibility_hessian: tuple | None = None
+# The _last_point slot of every infeasibility oracle's Hessian memo: the
+# Hessian of the last point at which any of them took a Hessian-vector
+# product.  One slot per process rather than per oracle, so the n x n matrix
+# does not stay alive on every oracle a caller keeps after its solve;
+# threads that alternate between oracles only cost rebuilds.
+_infeasibility_hessian: list = [None]
 
 
 # The memory of an infeasibility Hessian that nothing references any more,
@@ -215,18 +228,19 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
 
     The Hessian at x is H = (2 sum_i w2_i A_i + lin' diag(w1) lin) / m with
     lin = 2 A x + b.  The first HVP at a point assembles H (one pass over A
-    and one rank-m product) into a 64-byte-aligned array (``_aligned_matrix``)
-    in the process-wide Hessian slot; each HVP is then one n x n product
+    and one rank-m product) into a 64-byte-aligned array (``_aligned_matrix``),
+    memoized by ``_last_point`` in the slot that every infeasibility oracle
+    shares (``_infeasibility_hessian``); each HVP is then one n x n product
     H v.  ``eval_hvp.at(x)`` looks H up, and builds it on a miss, when it
     binds, and its operator keeps the slot's H, not a copy, so its products
     skip the keyed lookup (see ``_bindable_hvp``).
 
     **Row skipping** (n >= ``_ROW_PATH_MIN_N``).  A row i with q_i(x) <= 0
     adds an exact zero to f, grad and H, so its A_i x need not be computed.
-    The oracle keeps a reference point r, the last point at which it
-    computed every row, with q(r), lin(r) = 2 A r + b and ||r||, and the row
-    norms N_i = ||A_i||_F, ||b_i|| and |c_i|, taken once.  With d = x - r and
-    A_i symmetric,
+    The oracle takes the row norms N_i = ||A_i||_F, ||b_i|| and |c_i| when
+    it is built, and keeps a reference point r, the last point at which it
+    computed every row, with q(r), lin(r) = 2 A r + b and ||r||.  With
+    d = x - r and A_i symmetric,
 
         q_i(x) = q_i(r) + lin_i(r)'d + d'A_i d <= B_i = q_i(r) + lin_i(r)'d + N_i ||d||^2,
 
@@ -273,9 +287,8 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
     row and keeps no reference.
     """
     A, b, c, p, m, n = inst.A, inst.b, inst.c, inst.p, inst.m, inst.n
-    token = object()
     mu = 2.0 * (n * n + 8 * n + 24) * _U
-    reference = None  # (r, q(r), lin(r), ||r||, (N, ||b_i||, |c_i|))
+    reference = None  # (r, q(r), lin(r), ||r||)
 
     def residuals(x: Array) -> tuple[Array, Array]:
         ax = A @ x
@@ -285,7 +298,7 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         nonlocal reference
         ref = reference
         if ref is not None:
-            r, q_r, lin_r, norm_r, (norm_a, norm_b, abs_c) = ref
+            r, q_r, lin_r, norm_r = ref
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite never skips
                 d = x - r
                 grow = 1.0 + (np.linalg.norm(x) + norm_r)  # 1 + rho
@@ -299,15 +312,16 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
                 q = ax.dot(x) + b.dot(x) + c
                 q[skip] = bound[skip]
                 return ax, q
-            rows = ref[4]
-        else:
-            flat = A.reshape(m, -1)
-            rows = np.sqrt(np.vecdot(flat, flat)), np.linalg.norm(b, axis=1), np.abs(c)
         ax, q = residuals(x)
-        reference = (np.array(x, dtype=float), q, 2.0 * ax + b, float(np.linalg.norm(x)), rows)
+        reference = (np.array(x, dtype=float), q, 2.0 * ax + b, float(np.linalg.norm(x)))
         return ax, q
 
-    point = _last_point(skipping_residuals if n >= _ROW_PATH_MIN_N else residuals)
+    if n >= _ROW_PATH_MIN_N:
+        flat = A.reshape(m, -1)
+        norm_a, norm_b, abs_c = np.sqrt(np.vecdot(flat, flat)), np.linalg.norm(b, axis=1), np.abs(c)
+        point = _last_point(skipping_residuals)
+    else:
+        point = _last_point(residuals)
 
     def eval_f(x: Array) -> float:
         _, q = point(x)
@@ -319,22 +333,16 @@ def _infeasibility_oracle(inst: InfeasibilityInstance) -> ProblemOracle:
         return (w[:, None] * (2.0 * ax + b)).sum(axis=0) / m
 
     def hessian(x: Array) -> Array:
-        global _infeasibility_hessian
-        key = _point_key(x)
-        entry = _infeasibility_hessian
-        if entry is None or entry[0] is not token or entry[1] != key:
-            ax, q = point(x)
-            lin = 2.0 * ax + b
-            w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
-            H = _aligned_matrix(n)
-            np.dot(2.0 * p * _pos_pow(q, p - 1.0), A.reshape(m, -1), out=H.reshape(-1))
-            H += lin.T @ (w1[:, None] * lin)
-            H /= m
-            entry = (token, key, H)
-            _infeasibility_hessian = entry
-        return entry[2]
+        ax, q = point(x)
+        lin = 2.0 * ax + b
+        w1 = p * (p - 1.0) * _pos_pow(q, p - 2.0)
+        H = _aligned_matrix(n)
+        np.dot(2.0 * p * _pos_pow(q, p - 1.0), A.reshape(m, -1), out=H.reshape(-1))
+        H += lin.T @ (w1[:, None] * lin)
+        H /= m
+        return H
 
-    eval_hvp = _bindable_hvp(hessian, np.ndarray.dot)
+    eval_hvp = _bindable_hvp(_last_point(hessian, _infeasibility_hessian), np.ndarray.dot)
 
     name = f"infeasibility(n={inst.n},m={m},p={p},seed={inst.seed})"
     return ProblemOracle(inst.n, eval_f, eval_grad, eval_hvp, name, meta=inst)
@@ -353,7 +361,7 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     objectives are attainable, and the steep linear terms let solvers drive
     the residual many orders below the gradient tolerance before stopping.
     """
-    _require_cell(n, m, p)
+    n, m, seed = _require_cell(n, m, p, seed)
     draws = sampling.standard_normals(
         seed, m * n * n + m * n + m, stream=sampling.STREAM_INFEASIBILITY
     )
@@ -415,7 +423,7 @@ def gen_repu(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     Feature rows a_i are standard normal; targets b_i = |b| with b standard
     normal, so every b_i is nonnegative.
     """
-    _require_cell(n, m, p)
+    n, m, seed = _require_cell(n, m, p, seed)
     draws = sampling.standard_normals(seed, m * n + m, stream=sampling.STREAM_REPU)
     a = draws[: m * n].reshape(m, n)
     b = np.abs(draws[m * n :])
@@ -441,6 +449,7 @@ def _quadratic_oracle(inst: QuadraticInstance) -> ProblemOracle:
 
 def gen_quadratic(n: int, eigenvalues, seed: int) -> ProblemOracle:
     """Quadratic f(x) = x'Q x / 2 with Q = V' diag(lam) V, V seeded orthogonal."""
+    n, seed = _integer(n, "n", positive=True), _integer(seed, "seed")
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (n,):
         raise ValueError("eigenvalues must have length n")

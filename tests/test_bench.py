@@ -49,6 +49,18 @@ def test_unknown_family_and_solver():
         run_experiment(ExperimentConfig("repu", REPU_CELL, solvers=("gradient_descent",)))
 
 
+def test_non_integer_cell_or_seed_is_config_error():
+    for family, cell, base_seed in (
+        ("repu", (10.0, 3, 2.25), 0),
+        ("infeasibility", (10, 3.0, 2.25), 0),
+        ("infeasibility", (10, 3, 2.25), 1.5),
+        ("quadratic", (8.0, 0, 0.0), 0),
+        ("quadratic", (8, 0, 0.0), 1.5),
+    ):
+        with pytest.raises(ConfigError, match="invalid grid cell"):
+            run_experiment(ExperimentConfig(family, (cell,), base_seed=base_seed))
+
+
 def golden_table():
     return ResultsTable(
         rows=[

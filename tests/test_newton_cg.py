@@ -494,6 +494,22 @@ def test_wrong_shaped_x0_is_rejected_before_any_oracle_call(solver, shape):
     assert calls == []
 
 
+@pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
+@pytest.mark.parametrize(
+    "x0",
+    [np.full(5, 0.1 + 1j), ["a"] * 5, np.ones(5, dtype=bool), [0.1, 0.1, 0.1, 0.1, [0.1, 0.2]]],
+    ids=["complex", "string", "bool", "ragged"],
+)
+def test_non_real_x0_is_rejected_before_any_oracle_call(solver, x0):
+    # Casting to float64 would solve a complex x0 from its real part and a
+    # bool one from zeros and ones.
+    calls = []
+    oracle = counted(make_norm_squared(5), calls)
+    with pytest.raises(ValueError, match="^x0 must be real numbers"):
+        solve(solver, oracle, x0, eps_H=None if solver == "acrn" else 1e-2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("solver", ["alg1", "alg2"])
 @pytest.mark.parametrize(
     "good_hvps, detail",

@@ -12,6 +12,7 @@ from support import (
     DerivativeCheckError,
     check_gradient_fd,
     check_hvp_fd,
+    fingerprint,
     make_norm_squared,
     retained_bytes,
     same_bits,
@@ -290,6 +291,22 @@ def test_solves_through_a_wrapped_hvp_count_every_product(family, solver, eps_H)
         assert res.counters.meo_calls >= 1
 
 
+@pytest.mark.parametrize("solver, eps_H", [("alg1", None), ("alg2", None), ("alg2", 1e-3), ("acrn", None)])
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_a_gradient_refilling_one_buffer_solves_as_a_fresh_one(family, solver, eps_H):
+    n = 20
+    oracle = generated(family, n, seed=1)
+    buffer = np.empty(n)
+
+    def eval_grad(x):
+        buffer[:] = oracle.eval_grad(x)
+        return buffer
+
+    x0 = start_point(family, n)
+    want = fingerprint(solve(solver, oracle, x0, eps_H=eps_H))
+    assert fingerprint(solve(solver, replace(oracle, eval_grad=eval_grad), x0, eps_H=eps_H)) == want
+
+
 # The driver binds an operator only where it takes products: once before an
 # outer iteration's damping trials and once for each eigenvalue-oracle call.
 # Binding a generated oracle builds the point's Hessian at once, so a solve
@@ -300,13 +317,13 @@ def test_solves_through_a_wrapped_hvp_count_every_product(family, solver, eps_H)
 def test_solves_build_a_hessian_only_where_products_are_taken(solver, eps_H):
     n = 20
     oracle = generated("infeasibility", n, seed=1)
-    slots = [problems._infeasibility_hessian]
+    slots = [problems._infeasibility_hessian[0]]
 
     def watched(callback):
         def call(*args):
             out = callback(*args)
-            if problems._infeasibility_hessian is not slots[-1]:  # one build per call at most
-                slots.append(problems._infeasibility_hessian)
+            if problems._infeasibility_hessian[0] is not slots[-1]:  # one build per call at most
+                slots.append(problems._infeasibility_hessian[0])
             return out
 
         return call

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,25 @@ def test_exponent_validation():
         gen_repu(5, 2, 1.5, seed=0)
     with pytest.raises(ValueError):
         gen_repu(5, 2, float("inf"), seed=0)
+    # Sizes and seeds follow the package's integer rule: a ValueError that
+    # names the argument, and numpy integers read as ints.
+    eigenvalues = [1.0, 2.0, 3.0]
+    for make, args, name in (
+        (gen_infeasibility, (10.0, 3, 2.5, 0), "n"),
+        (gen_repu, (True, 1, 2.5, 0), "n"),
+        (gen_repu, (5, 0, 2.5, 0), "m"),
+        (gen_infeasibility, (5, 2, 2.5, 1.5), "seed"),
+        (gen_repu, (5, 2, 2.5, "0"), "seed"),
+        (gen_quadratic, (3.0, eigenvalues, 0), "n"),
+        (gen_quadratic, (3, eigenvalues, 1.5), "seed"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make(*args)
+    for make, args in ((gen_infeasibility, (5, 2, 2.5)), (gen_repu, (5, 2, 2.5)), (gen_quadratic, (3, eigenvalues))):
+        plain = make(*args, 1)
+        typed = make(*(np.int64(a) if type(a) is int else a for a in args), np.int64(1))
+        assert typed.name == plain.name
+        assert all(same_bits(a, b) for a, b in zip(vars(typed.meta).values(), vars(plain.meta).values()))
 
 
 def _pos_pow_masked(q, s):
@@ -315,6 +337,30 @@ def test_infeasibility_cache_retains_one_matrix():
     assert grown <= 8 * n * n + count * (8 * 4 * m * n + 2048)
 
 
+def test_memos_sharing_a_slot_keep_their_own_values():
+    # Two memos in one slot, called in turn at the same point: each returns
+    # its own value, and each switch recomputes.
+    slot, calls = [None], []
+    memos = [problems._last_point(lambda x, k=k: calls.append(k) or (k, x.tobytes()), slot) for k in range(2)]
+    x = np.arange(3.0)
+    for k in range(6):
+        assert memos[k % 2](x) == (k % 2, x.tobytes())
+    assert calls == [0, 1] * 3
+    assert memos[1](x.copy()) == (1, x.tobytes()) and len(calls) == 6  # the same bytes hit
+    # Four threads, more than cores, two per memo.
+    for i, results in enumerate(threaded(lambda k: memos[k](x), [0, 1], rounds=50)):
+        assert results == [(i % 2, x.tobytes())] * 50
+
+
+def test_hessian_slot_lets_a_dropped_oracle_go():
+    oracle = gen_infeasibility(20, 4, 2.25, seed=0)
+    oracle.eval_hvp(np.zeros(20), np.ones(20))
+    data = weakref.ref(oracle.meta.A)
+    del oracle
+    gc.collect()
+    assert data() is None
+
+
 @pytest.mark.parametrize("n", [100, 400], ids=["100", "400-row-path"])
 def test_infeasibility_hessian_is_64_byte_aligned(n):
     # The slot's H starts at 0 mod 64, where OpenBLAS's gemv runs fastest,
@@ -323,7 +369,7 @@ def test_infeasibility_hessian_is_64_byte_aligned(n):
     A, b, c, p, m = oracle.meta.A, oracle.meta.b, oracle.meta.c, oracle.meta.p, oracle.meta.m
     for x in (point(1, n), point(1, n) + 1e-3):
         oracle.eval_hvp.at(x)
-        H = problems._infeasibility_hessian[2]
+        H = problems._infeasibility_hessian[0][2]
         assert H.ctypes.data % 64 == 0 and H.flags.c_contiguous
         ax = A @ x
         q = ax.dot(x) + b.dot(x) + c
@@ -366,10 +412,11 @@ def test_threaded_solves_match_sequential():
 
 
 class NumpySpy:
-    """numpy as seen by ncgopt.problems, counting the row path's points and rows."""
+    """numpy as seen by ncgopt.problems, counting the row path's points and
+    rows, and its passes over A for the row norms."""
 
     def __init__(self):
-        self.points = self.rows = 0
+        self.points = self.rows = self.norm_passes = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -381,6 +428,10 @@ class NumpySpy:
     def matmul(self, *args, **kwargs):
         self.rows += 1
         return np.matmul(*args, **kwargs)
+
+    def vecdot(self, *args, **kwargs):
+        self.norm_passes += 1
+        return np.vecdot(*args, **kwargs)
 
 
 @pytest.fixture
@@ -499,6 +550,18 @@ def test_row_path_matches_reference(n, concave, sequence, row_spy, monkeypatch):
     # Some point took the row path and skipped rows.
     assert row_spy.points >= 1
     assert row_spy.rows < row_spy.points * oracle.meta.m
+
+
+def test_row_norms_are_taken_when_the_oracle_is_built(row_spy):
+    n = 160
+    assert n >= problems._ROW_PATH_MIN_N
+    oracle, r = row_cell(n)
+    assert row_spy.norm_passes == 1
+    for x in small_steps(oracle.meta, r):
+        oracle.eval_f(x)
+        oracle.eval_grad(x)
+        oracle.eval_hvp(x, np.ones(n))
+    assert row_spy.points >= 1 and row_spy.norm_passes == 1
 
 
 def test_row_bound_margin_decides(row_spy, monkeypatch):
