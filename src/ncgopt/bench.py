@@ -91,8 +91,6 @@ class ExperimentConfig:
         for solver in self.solvers:
             if solver not in SOLVERS:
                 raise ConfigError(f"unknown solver {solver!r}")
-        if self.instances_per_cell < 1:
-            raise ConfigError("instances_per_cell must be at least 1")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
         for n, m, p in self.grid:
@@ -106,8 +104,10 @@ class ExperimentConfig:
                         raise ValueError("the quadratic family ignores m and p, so both must be 0")
             except ValueError as err:
                 raise ConfigError(f"invalid grid cell ({n}, {m}, {p}): {err}") from err
-        # The tolerances' and the holder's ranges live in the params classes.
+        # instances_per_cell follows the integer rule; the tolerances' and the
+        # holder's ranges live in the params classes.
         try:
+            _integer(self.instances_per_cell, "instances_per_cell", positive=True)
             for solver in SOLVERS:
                 _solver(self, solver, seed=0)
         except ValueError as err:

@@ -12,7 +12,7 @@ import math
 
 from .capped_cg import ZETA, cap_constants
 from .newton_cg import ETA, THETA, NcgParams, gamma_nu
-from .oracle import HolderClass
+from .oracle import HolderClass, _integer
 from .pf_newton_cg import GAMMA_INIT, R, PfParams
 
 
@@ -106,15 +106,14 @@ def iteration_cap(norm_h: float, eps: float, zeta: float, n: int) -> int:
     min(n, .) is the bound in exact arithmetic.  In floating point the loop
     can run past n; capped_cg raises from pass J of its running cap U <= |H| on.
     """
-    return min(n, math.ceil(cap_constants(norm_h, eps, zeta)[3]))
+    return min(_integer(n, "n", positive=True), math.ceil(cap_constants(norm_h, eps, zeta)[3]))
 
 
 def lanczos_budget(n: int, eps: float, delta: float, norm_h: float) -> int:
     """Lanczos iteration budget min{n, 1 + ceil(ln(2.75 n / delta^2) / 2 * sqrt(|H|/eps))}
     for an upper bound ``norm_h`` on ||H||.  An infinite bound, or one too large for the
     count to be finite, gives n: without a bound, Lanczos runs to the full dimension."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _integer(n, "n", positive=True)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if not 0.0 < delta < 1.0:

@@ -46,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .meo import _norm, _squared_norm
+from .oracle import _require_shape
 
 Array = np.ndarray
 
@@ -220,11 +221,12 @@ def capped_cg(
     direction with d^T H d < -eps ||d||^2 and d^T g <= 0.  An empty
     ``record`` receives the run's first min(passes, n) passes; a filled one,
     made by a run on the same H and g at a smaller eps, is replayed.  Raises
-    ``ValueError`` before any product unless g is finite and nonzero, eps
+    ``ValueError`` before any product unless g is a vector of real numbers
+    (see ``oracle._require_shape``), finite and nonzero, eps
     lies in (0, inf) with 2 eps finite, and a filled record starts from this
     g at a smaller eps.
     """
-    g = np.asarray(g, dtype=float)
+    g = _require_shape("g must be", g, (np.size(g),))
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
     r0_norm = _norm(g)

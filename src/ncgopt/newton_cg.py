@@ -26,7 +26,7 @@ import numpy as np
 from . import sampling
 from .capped_cg import NC, CappedCgError, KrylovRecord, capped_cg
 from .meo import CERTIFICATE, NonFiniteError, _norm, _squared_norm, minimum_eigenvalue_oracle
-from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle, _integer
+from .oracle import CountingOracle, Counters, HolderClass, ProblemOracle, _integer, _require_shape
 
 Array = np.ndarray
 
@@ -67,6 +67,8 @@ class NcgParams:
     here, ``capped_cg.ZETA`` and ``meo.DELTA``.  ``max_outer`` is a fixed cap on
     outer iterations, not sized from ``bounds.complexity_bounds``: that bound needs
     a lower bound on f, and ranges from 10 near the optimum to beyond 1e10 at a unit gap.
+    A ``holder`` whose damping weight gamma_nu(eps_g, holder), times eps_g, underflows
+    to 0 or overflows raises ``ValueError``: capped CG could not run on it.
     """
 
     eps_g: float
@@ -77,6 +79,12 @@ class NcgParams:
 
     def __post_init__(self) -> None:
         _validate_shared(self)
+        try:
+            gamma = gamma_nu(self.eps_g, self.holder)
+        except OverflowError:
+            gamma = math.inf
+        if not 0.0 < gamma * self.eps_g < math.inf:  # capped CG's weight is sqrt(gamma eps_g)
+            raise ValueError(f"gamma_nu(eps_g, holder) times eps_g must be positive and finite; got gamma_nu {gamma!r}")
 
 
 def _validate_shared(params) -> None:
@@ -348,15 +356,9 @@ def _drive(
     status.  f_final and grad_norm_final are those of x_final, NaN when they
     were never computed (as when the gradient at a new iterate raises).
     """
-    try:
-        x = np.asarray(x0)
-    except (TypeError, ValueError) as err:  # ragged nesting, or a failing __array__
-        raise ValueError(f"x0 must be real numbers; numpy cannot read its {type(x0).__name__}") from err
-    if x.dtype.kind not in "iuf":
-        raise ValueError(f"x0 must be real numbers; got {type(x0).__name__} of dtype {x.dtype}")
-    x = x.astype(float)
-    if x.shape != (oracle.dim,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"x0 must be finite with shape ({oracle.dim},); got shape {x.shape}")
+    x = _require_shape("x0 must be", x0, (oracle.dim,))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     co = CountingOracle(oracle)
     counters = co.counters
     fx, gx = math.nan, None  # until they are evaluated at x0

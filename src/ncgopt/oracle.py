@@ -118,14 +118,14 @@ class CountingOracle:
         self.counters.f_evals += 1
         value = self._oracle.eval_f(x)
         if not isinstance(value, float):
-            value = _require_shape("eval_f", value, ())
+            value = _require_shape("eval_f must return", value, ())
         return float(value)
 
     def eval_grad(self, x: Array) -> Array:
         self.counters.grad_evals += 1
         g = self._oracle.eval_grad(x)
         if getattr(g, "shape", None) != self._vector or getattr(g, "dtype", _NOT_REAL).kind != "f":
-            return _require_shape("eval_grad", g, self._vector)
+            return _require_shape("eval_grad must return", g, self._vector)
         return g.copy()
 
     def hvp_at(self, x: Array) -> Callable[[Array], Array]:
@@ -144,7 +144,7 @@ class CountingOracle:
             counters.hvp_evals += 1
             hv = product(v)
             if getattr(hv, "shape", None) != vector or getattr(hv, "dtype", _NOT_REAL).kind != "f":
-                hv = _require_shape("eval_hvp", hv, vector)
+                hv = _require_shape("eval_hvp must return", hv, vector)
             return hv
 
         return hvp
@@ -154,19 +154,21 @@ class CountingOracle:
 _NOT_REAL = np.dtype(object)
 
 
-def _require_shape(name: str, value, shape: tuple) -> Array:
-    """The slow path of CountingOracle's checks, for a non-float f or a
-    vector that is not a floating-point array of shape (dim,).
+def _require_shape(subject: str, value, shape: tuple) -> Array:
+    """``value`` as a new float64 array of ``shape``: the package's one rule for caller arrays.
 
-    Returns real numbers of the right shape as a float64 array; raises
-    ``ValueError`` naming the callback for any other output.
+    Real numbers (dtype kinds i, u and f) of the right shape are read as
+    float64, from an array or any form numpy reads (a list, a tuple, a
+    scalar); anything else raises ``ValueError`` whose message starts with
+    ``subject``, a phrase such as ``"eval_grad must return"`` or ``"x0 must
+    be"``.  CountingOracle's checks call it only on their slow path.
     """
     try:
         array = np.asarray(value)
     except (TypeError, ValueError) as err:  # ragged nesting, or a failing __array__
-        raise ValueError(f"{name} must return an array; numpy cannot read its {type(value).__name__}") from err
+        raise ValueError(f"{subject} an array; numpy cannot read its {type(value).__name__}") from err
     if array.shape != shape:
-        raise ValueError(f"{name} must return shape {shape}; got shape {array.shape}")
+        raise ValueError(f"{subject} shape {shape}; got shape {array.shape}")
     if array.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must return real numbers; got {type(value).__name__} of dtype {array.dtype}")
+        raise ValueError(f"{subject} real numbers; got {type(value).__name__} of dtype {array.dtype}")
     return array.astype(float)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .oracle import ProblemOracle, _integer
+from .oracle import ProblemOracle, _integer, _require_shape
 
 Array = np.ndarray
 
@@ -448,15 +448,19 @@ def _quadratic_oracle(inst: QuadraticInstance) -> ProblemOracle:
 
 
 def gen_quadratic(n: int, eigenvalues, seed: int) -> ProblemOracle:
-    """Quadratic f(x) = x'Q x / 2 with Q = V' diag(lam) V, V seeded orthogonal."""
+    """Quadratic f(x) = x'Q x / 2 with Q = V' diag(lam) V, V seeded orthogonal.
+
+    Raises ``ValueError`` before any draw unless the eigenvalues lam are n
+    finite real numbers (see ``oracle._require_shape``).
+    """
     n, seed = _integer(n, "n", positive=True), _integer(seed, "seed")
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.shape != (n,):
-        raise ValueError("eigenvalues must have length n")
+    lam = _require_shape("eigenvalues must be", eigenvalues, (n,))
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues must be finite")
     raw = sampling.standard_normals(seed, (n, n), stream=sampling.STREAM_QUADRATIC)
     q, r = np.linalg.qr(raw)
     # Fix column signs so the factorization (hence the instance) is unique.
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     v = q * signs[None, :]
-    return _quadratic_oracle(QuadraticInstance(*_read_only(lam.copy(), v), seed))
+    return _quadratic_oracle(QuadraticInstance(*_read_only(lam, v), seed))

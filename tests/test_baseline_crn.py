@@ -197,6 +197,11 @@ def test_param_validation():
         cubic_subproblem_gd(
             np.ones(2), lambda v: v, weight=0.0, tol=1e-6, s0=np.zeros(2), max_iters=10, lipschitz_hint=1.0
         )
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            cubic_subproblem_gd(
+                np.ones(2), lambda v: v, weight=1.0, tol=tol, s0=np.zeros(2), max_iters=10, lipschitz_hint=1.0
+            )
 
 
 @pytest.mark.parametrize(

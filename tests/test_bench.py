@@ -40,6 +40,8 @@ REPU_CELL = ((100, 20, 2.25),)
 def test_empty_solver_list_is_config_error():
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig("repu", REPU_CELL, solvers=()))
+    with pytest.raises(ConfigError, match="^grid must be nonempty$"):
+        run_experiment(ExperimentConfig("repu", ()))
 
 
 def test_unknown_family_and_solver():
@@ -47,6 +49,8 @@ def test_unknown_family_and_solver():
         run_experiment(ExperimentConfig("nope", REPU_CELL))
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig("repu", REPU_CELL, solvers=("gradient_descent",)))
+    with pytest.raises(ConfigError, match="^unknown format 'xml'$"):
+        run_experiment(ExperimentConfig("repu", REPU_CELL, fmt="xml"))
 
 
 def test_non_integer_cell_or_seed_is_config_error():
@@ -59,6 +63,22 @@ def test_non_integer_cell_or_seed_is_config_error():
     ):
         with pytest.raises(ConfigError, match="invalid grid cell"):
             run_experiment(ExperimentConfig(family, (cell,), base_seed=base_seed))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"instances_per_cell": 0}, "^instances_per_cell must be a positive integer; got 0$"),
+        ({"instances_per_cell": 2.5}, "^instances_per_cell must be a positive integer; got 2.5$"),
+        ({"instances_per_cell": True}, "^instances_per_cell must be a positive integer; got True$"),
+        # alg1's damping weight gamma_nu(eps_g, holder) overflows.
+        ({"solvers": ("alg1",), "nu": 0.0, "h_nu": 1e200}, "^gamma_nu"),
+    ],
+    ids=["zero-instances", "float-instances", "bool-instances", "gamma_nu"],
+)
+def test_unusable_count_or_holder_is_config_error(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(ExperimentConfig("repu", REPU_CELL, **fields))
 
 
 def golden_table():

@@ -209,6 +209,28 @@ def test_preconditions():
         capped_cg(matvec(np.eye(2)), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         capped_cg(matvec(np.eye(2)), np.ones(2), 0.0)
+    # g is read by the package's array rule: a string, bool, complex or 2-D g
+    # raises, where a float64 cast would read it as numbers or drop its
+    # imaginary part.
+    calls = []
+    for g, message in (
+        (np.array([1.0, np.nan]), r"^g must be finite$"),
+        (np.array([1.0, -np.inf]), r"^g must be finite$"),
+        (np.array(["1", "2"]), r"^g must be real numbers; got ndarray of dtype <U1$"),
+        (np.array([True, False]), r"^g must be real numbers; got ndarray of dtype bool$"),
+        (np.array([1.0 + 1j, 2.0]), r"^g must be real numbers; got ndarray of dtype complex128$"),
+        (np.ones((2, 1)), r"^g must be shape \(2,\); got shape \(2, 1\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            capped_cg(lambda v: calls.append(v) or v, g, 1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [0, 3.5, True, "5"])
+def test_iteration_cap_takes_n_by_the_integer_rule(n):
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        iteration_cap(1.0, 0.1, 0.5, n)
+    assert iteration_cap(1.0, 0.1, 0.5, np.int64(3)) == iteration_cap(1.0, 0.1, 0.5, 3) == 3
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])

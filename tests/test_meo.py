@@ -240,6 +240,10 @@ def test_parameter_validation():
     for norm_h in (math.nan, -1.0):
         with pytest.raises(ValueError, match="norm_h"):
             lanczos_budget(4, eps=0.5, delta=0.5, norm_h=norm_h)
+    for n in (0, 2.5, True, "5"):
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            lanczos_budget(n, eps=0.01, delta=0.01, norm_h=1.0)
+    assert lanczos_budget(np.int64(100), eps=0.01, delta=0.01, norm_h=1.0) == 76
 
 
 @pytest.mark.parametrize("indefinite", [False, True])

@@ -489,23 +489,28 @@ def test_wrong_shaped_x0_is_rejected_before_any_oracle_call(solver, shape):
     # FOSP or SOSP_certified of the wrong dimension.
     calls = []
     oracle = counted(make_norm_squared(5), calls)
-    with pytest.raises(ValueError, match="x0 must be finite with shape"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'x0 must be shape (5,); got shape {shape}')}$"):
         solve(solver, oracle, np.ones(shape), eps_H=None if solver == "acrn" else 1e-2)
     assert calls == []
 
 
 @pytest.mark.parametrize("solver", ["alg1", "alg2", "acrn"])
 @pytest.mark.parametrize(
-    "x0",
-    [np.full(5, 0.1 + 1j), ["a"] * 5, np.ones(5, dtype=bool), [0.1, 0.1, 0.1, 0.1, [0.1, 0.2]]],
+    "x0, message",
+    [
+        (np.full(5, 0.1 + 1j), "^x0 must be real numbers"),
+        (["a"] * 5, "^x0 must be real numbers"),
+        (np.ones(5, dtype=bool), "^x0 must be real numbers"),
+        ([0.1, 0.1, 0.1, 0.1, [0.1, 0.2]], "^x0 must be an array; numpy cannot read its list$"),
+    ],
     ids=["complex", "string", "bool", "ragged"],
 )
-def test_non_real_x0_is_rejected_before_any_oracle_call(solver, x0):
+def test_non_real_x0_is_rejected_before_any_oracle_call(solver, x0, message):
     # Casting to float64 would solve a complex x0 from its real part and a
     # bool one from zeros and ones.
     calls = []
     oracle = counted(make_norm_squared(5), calls)
-    with pytest.raises(ValueError, match="^x0 must be real numbers"):
+    with pytest.raises(ValueError, match=message):
         solve(solver, oracle, x0, eps_H=None if solver == "acrn" else 1e-2)
     assert calls == []
 

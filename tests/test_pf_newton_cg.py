@@ -229,6 +229,20 @@ def test_determinism_bit_identical():
 def test_param_validation():
     with pytest.raises(ValueError):
         PfParams(eps_g=2.0)
+    for eps_H in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^eps_H must lie in \(0, 1\)$"):
+            PfParams(eps_g=1e-4, eps_H=eps_H)
+        with pytest.raises(ValueError, match=r"^eps_H must lie in \(0, 1\)$"):
+            NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0), eps_H=eps_H)
+    # alg1's damping weight gamma_nu(eps_g, holder) must be one capped CG can
+    # use: these underflow to 0, overflow to inf or overflow a float power,
+    # and the last is positive but underflows to 0 times eps_g.
+    for holder in (
+        HolderClass(0.0, 1e-300), HolderClass(0.5, 1e-300), HolderClass(1.0, 1e308), HolderClass(0.0, 1e200),
+        HolderClass(1.0, 1e-322),
+    ):
+        with pytest.raises(ValueError, match="^gamma_nu"):
+            NcgParams(eps_g=1e-4, holder=holder)
     for bad in ({"max_outer": 2.5}, {"max_outer": math.inf}, {"seed": 1.5}, {"max_outer": True}, {"seed": False}):
         with pytest.raises(ValueError, match="must be an integer"):
             PfParams(eps_g=1e-4, **bad)

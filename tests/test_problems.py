@@ -142,6 +142,26 @@ def test_exponent_validation():
         assert all(same_bits(a, b) for a, b in zip(vars(typed.meta).values(), vars(plain.meta).values()))
 
 
+@pytest.mark.parametrize(
+    "eigenvalues, message",
+    [
+        (["1", "2", "3"], "^eigenvalues must be real numbers; got list of dtype <U1$"),
+        ([True, False, True], "^eigenvalues must be real numbers; got list of dtype bool$"),
+        ([1.0 + 1j, 2.0, 3.0], "^eigenvalues must be real numbers; got list of dtype complex128$"),
+        ([1.0, np.nan, 3.0], "^eigenvalues must be finite$"),
+        ([1.0, 2.0, np.inf], "^eigenvalues must be finite$"),
+        ([1.0, 2.0], r"^eigenvalues must be shape \(3,\); got shape \(2,\)$"),
+    ],
+    ids=["string", "bool", "complex", "nan", "inf", "length"],
+)
+def test_bad_quadratic_spectrum_is_rejected_before_any_draw(monkeypatch, eigenvalues, message):
+    draws = []
+    monkeypatch.setattr(problems.sampling, "standard_normals", lambda *args, **kwargs: draws.append(args))
+    with pytest.raises(ValueError, match=message):
+        gen_quadratic(3, eigenvalues, 0)
+    assert draws == []
+
+
 def _pos_pow_masked(q, s):
     """The masked form _pos_pow replaced: power only where q is not <= 0."""
     out = np.zeros_like(q)
@@ -653,6 +673,8 @@ def test_row_path_retains_one_reference_per_oracle(row_spy):
     grown = retained_bytes(lambda: [(oracle.eval_hvp(x, v), oracle.eval_f(nearby)) for oracle in oracles])
     assert row_spy.points > 0
     # One n x n matrix for the process; per oracle the last point's key, A x
-    # and q, and the reference's x, q and lin with three m-vectors of row
-    # norms.  One more m x n array per oracle would add 5 kB.
+    # and q, and the reference's x, q and lin.  The three m-vectors of row
+    # norms live in the oracle's closure from construction, before the
+    # measurement starts, so they are not in the reference.  One more m x n
+    # array per oracle would add 5 kB.
     assert grown <= 8 * n * n + count * (8 * (2 * m * n + 2 * n + 6 * m) + 3072)
