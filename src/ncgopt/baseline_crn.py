@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from . import sampling
 from .meo import NonFiniteError, _norm
 from .newton_cg import NO_VALID_J, LineSearchOutcome, SolveResult, _cube, _drive, _validate_budget
-from .oracle import ProblemOracle, _integer
+from .oracle import ProblemOracle, _integer, _require_shape
 from .pf_newton_cg import PfParams
 
 Array = np.ndarray
@@ -77,7 +78,9 @@ def estimate_operator_norm(
 ) -> float:
     """Upper-style estimate of ||H|| by power iteration on H^2, inflated by 1.1.
 
-    Sets the gradient-descent step size of the cubic subproblem.
+    Sets the gradient-descent step size of the cubic subproblem.  ``hvp``
+    must return float64 of shape (n,), as the operators of
+    ``CountingOracle.hvp_at`` do; its products are not read again here.
     Deterministic given (seed, stream); returns the floor 1e-12 for a zero
     operator (or a start vector annihilated by H).  Raises ``NonFiniteError``
     as soon as a power step's H x or H^2 x is not finite, before it enters
@@ -89,10 +92,10 @@ def estimate_operator_norm(
     x = sampling.unit_vector(seed, n, stream)
     rayleigh = 0.0
     for step in range(1, iters + 1):
-        hx = np.asarray(hvp(x), dtype=float)
+        hx = hvp(x)
         if not np.all(np.isfinite(hx)):
             raise NonFiniteError(f"operator-norm estimate: power step {step} gives a non-finite H x")
-        z = np.asarray(hvp(hx), dtype=float)
+        z = hvp(hx)
         nz = _norm(z)  # inf when the square of a finite H^2 x overflows
         if not math.isfinite(nz):
             raise NonFiniteError(f"operator-norm estimate: power step {step} gives ||H^2 x|| = {nz}")
@@ -118,10 +121,13 @@ def cubic_subproblem_gd(
     bound on H such as ``estimate_operator_norm`` gives; a persistent
     damping factor halves on model increase and recovers slowly, keeping the
     iteration monotone in m without extra Hessian products per trial.  Each
-    step's scalar products are single BLAS calls (``ndarray.dot``).  Raises
-    ``ValueError`` before any product unless weight and tol are positive and
-    0 <= L < inf, and ``NonFiniteError`` when the model gradient is NaN or
-    infinite.
+    step's scalar products are single BLAS calls (``ndarray.dot``).  g and
+    s0 are read by ``oracle._require_shape``, s0 with g's shape, and the
+    returned s is never s0 itself; ``hvp`` must return float64 of g's shape,
+    as the operators of ``CountingOracle.hvp_at`` do.  Raises ``ValueError``
+    before any product unless weight and tol are positive, 0 <= L < inf and
+    g and s0 are vectors of real numbers, and ``NonFiniteError`` when the
+    model gradient is NaN or infinite.
     """
     if not weight > 0.0:
         raise ValueError("weight must be positive")
@@ -129,16 +135,16 @@ def cubic_subproblem_gd(
         raise ValueError("tol must be positive")
     if not 0.0 <= lipschitz_hint < math.inf:
         raise ValueError(f"lipschitz_hint must lie in [0, inf); got {lipschitz_hint!r}")
-    g = np.asarray(g, dtype=float)
-    s = np.array(s0, dtype=float)
-    hs = np.asarray(hvp(s), dtype=float)
+    g = _require_shape("g must be", g, (length_hint(g, 1),))  # len(g), or 1: only the reader hands g to numpy
+    s = _require_shape("s0 must be", s0, g.shape).copy()  # returned as s when no step is taken
+    hs = hvp(s)
     norm_s = _norm(s)
     m_val = _model_value(g, hs, s, norm_s, weight)
     damping = 1.0
     grad_norm = math.inf
     iterations = 0
     gm, scaled = np.empty_like(s), np.empty_like(s)  # the model gradient, then a scaled vector
-    add, multiply, asarray, norm, isfinite, model = np.add, np.multiply, np.asarray, _norm, math.isfinite, _model_value
+    add, multiply, norm, isfinite, model = np.add, np.multiply, _norm, math.isfinite, _model_value
     for iterations in range(1, max_iters + 1):
         add(g, hs, out=gm)
         gm += multiply(s, weight * norm_s, out=scaled)
@@ -149,7 +155,7 @@ def cubic_subproblem_gd(
             return CubicSubproblemResult(s, m_val, grad_norm, iterations - 1, True)
         step = damping / (lipschitz_hint + 2.0 * weight * norm_s + 1e-12)
         s_try = s - multiply(gm, step, out=scaled)
-        hs_try = asarray(hvp(s_try), dtype=float)
+        hs_try = hvp(s_try)
         norm_try = norm(s_try)
         m_try = model(g, hs_try, s_try, norm_try, weight)
         if m_try <= m_val:

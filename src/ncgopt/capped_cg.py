@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import count, islice
+from operator import length_hint
 from typing import Callable
 
 import numpy as np
@@ -226,7 +227,7 @@ def capped_cg(
     lies in (0, inf) with 2 eps finite, and a filled record starts from this
     g at a smaller eps.
     """
-    g = _require_shape("g must be", g, (np.size(g),))
+    g = _require_shape("g must be", g, (length_hint(g, 1),))  # len(g), or 1: only the reader hands g to numpy
     if not np.all(np.isfinite(g)):
         raise ValueError("g must be finite")
     r0_norm = _norm(g)

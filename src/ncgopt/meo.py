@@ -146,6 +146,8 @@ def minimum_eigenvalue_oracle(
     direction, an exactly invariant Krylov subspace or k = n (see the module
     docstring), so a certificate costs at most n Hessian-vector products.
 
+    ``hvp`` must return float64 of shape (n,), as the operators of
+    ``CountingOracle.hvp_at`` do; its products are not read again here.
     Deterministic given (seed, stream).  Raises ``ValueError`` before any
     product unless n is a positive integer and eps lies in (0, inf), and
     ``NonFiniteError`` when a Lanczos coefficient or the check v^T H v of a
@@ -165,7 +167,7 @@ def minimum_eigenvalue_oracle(
     below = 0  # Ritz values of T_k at or below the shift
 
     for k in range(1, n + 1):
-        w = np.asarray(hvp(q), dtype=float)
+        w = hvp(q)
         a = float(q.dot(w))
         if not math.isfinite(a):
             raise NonFiniteError(f"eigenvalue oracle: Lanczos alpha_{k} is {a}")
@@ -186,7 +188,7 @@ def minimum_eigenvalue_oracle(
             _, weights = smallest_eigenpair(*tridiagonal)
             v = weights @ basis[:k]
             v = v / _norm(v)
-            curvature = float(v.dot(np.asarray(hvp(v), dtype=float)))
+            curvature = float(v.dot(hvp(v)))
             if not math.isfinite(curvature):
                 raise NonFiniteError(f"eigenvalue oracle: Ritz vector check at k = {k} is {curvature}")
             if curvature <= shift:

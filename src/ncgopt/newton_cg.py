@@ -356,7 +356,7 @@ def _drive(
     status.  f_final and grad_norm_final are those of x_final, NaN when they
     were never computed (as when the gradient at a new iterate raises).
     """
-    x = _require_shape("x0 must be", x0, (oracle.dim,))
+    x = _require_shape("x0 must be", x0, (oracle.dim,)).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     co = CountingOracle(oracle)

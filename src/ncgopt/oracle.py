@@ -97,15 +97,18 @@ class CountingOracle:
     Exposes ``eval_f`` and ``eval_grad`` as :class:`ProblemOracle` does, and
     Hessian-vector products as the operator ``hvp_at(x)``.  The counts go
     straight into ``counters``, which the solver completes and returns with
-    its result.  A callback output of the wrong shape (f not a scalar, grad
-    or HVP not of shape (dim,)) raises ``ValueError`` naming the callback
-    and the shape; one that is not real numbers (None, a string, a complex
-    value, an array of them) or that numpy cannot read as an array (a
-    ragged list) raises ``ValueError`` naming the callback and its type.  Real
-    numbers of the right shape in another form (a list, a tuple, a numpy
-    scalar) are read as float64.  ``eval_grad`` returns each gradient as
-    a new array, since a solver keeps the gradient at its iterate across
-    later calls that may refill the callback's buffer.
+    its result.  Every output is read by ``_require_shape``: one of the wrong
+    shape (f not a scalar, grad or HVP not of shape (dim,)) raises
+    ``ValueError`` naming the callback and the shape; one that is not real
+    numbers (None, a string, a complex value, an array of them) or that
+    numpy cannot read as an array (a ragged list) raises ``ValueError``
+    naming the callback and its type.  Real numbers of the right shape in
+    any other form (a list, a tuple, a numpy scalar, another integer or
+    floating dtype or byte order) are read as a new float64 array, and a
+    native float64 array is taken as it is.  So every product comes back as
+    float64 of shape (dim,).  ``eval_grad`` returns each gradient as a new
+    array, since a solver keeps the gradient at its iterate across later
+    calls that may refill the callback's buffer.
     """
 
     def __init__(self, oracle: ProblemOracle):
@@ -123,10 +126,7 @@ class CountingOracle:
 
     def eval_grad(self, x: Array) -> Array:
         self.counters.grad_evals += 1
-        g = self._oracle.eval_grad(x)
-        if getattr(g, "shape", None) != self._vector or getattr(g, "dtype", _NOT_REAL).kind != "f":
-            return _require_shape("eval_grad must return", g, self._vector)
-        return g.copy()
+        return _require_shape("eval_grad must return", self._oracle.eval_grad(x), self._vector).copy()
 
     def hvp_at(self, x: Array) -> Callable[[Array], Array]:
         """The operator v -> H(x) v at the value x has now, counted and shape-checked.
@@ -142,27 +142,27 @@ class CountingOracle:
 
         def hvp(v: Array) -> Array:
             counters.hvp_evals += 1
-            hv = product(v)
-            if getattr(hv, "shape", None) != vector or getattr(hv, "dtype", _NOT_REAL).kind != "f":
-                hv = _require_shape("eval_hvp must return", hv, vector)
-            return hv
+            return _require_shape("eval_hvp must return", product(v), vector)
 
         return hvp
 
 
-# The dtype the fast paths read for an output without one: not floating point.
-_NOT_REAL = np.dtype(object)
+_FLOAT64 = np.dtype(np.float64)  # native byte order
 
 
 def _require_shape(subject: str, value, shape: tuple) -> Array:
-    """``value`` as a new float64 array of ``shape``: the package's one rule for caller arrays.
+    """``value`` as a float64 array of ``shape``: the package's one rule for caller arrays.
 
-    Real numbers (dtype kinds i, u and f) of the right shape are read as
-    float64, from an array or any form numpy reads (a list, a tuple, a
+    A native-order float64 ``ndarray`` of the right shape is returned as it
+    is, so a caller that keeps what it reads copies it.  Other real numbers
+    (dtype kinds i, u and f) of the right shape are read into a new float64
+    array, from an array or any form numpy reads (a list, a tuple, a
     scalar); anything else raises ``ValueError`` whose message starts with
     ``subject``, a phrase such as ``"eval_grad must return"`` or ``"x0 must
-    be"``.  CountingOracle's checks call it only on their slow path.
+    be"``.
     """
+    if type(value) is np.ndarray and value.dtype == _FLOAT64 and value.shape == shape:
+        return value
     try:
         array = np.asarray(value)
     except (TypeError, ValueError) as err:  # ragged nesting, or a failing __array__

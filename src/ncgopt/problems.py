@@ -454,7 +454,7 @@ def gen_quadratic(n: int, eigenvalues, seed: int) -> ProblemOracle:
     finite real numbers (see ``oracle._require_shape``).
     """
     n, seed = _integer(n, "n", positive=True), _integer(seed, "seed")
-    lam = _require_shape("eigenvalues must be", eigenvalues, (n,))
+    lam = _require_shape("eigenvalues must be", eigenvalues, (n,)).copy()  # the instance freezes its copy
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
     raw = sampling.standard_normals(seed, (n, n), stream=sampling.STREAM_QUADRATIC)

@@ -95,6 +95,10 @@ def test_subproblem_step_is_the_callers_own():
     s = res.s.copy()
     solve(1)
     np.testing.assert_array_equal(res.s, s)
+    # Converged at its start point, the subproblem still returns a copy of s0.
+    s0 = unit_vector(2, 20)
+    res = cubic_subproblem_gd(g, recording, weight=1.0, tol=1e6, s0=s0, max_iters=200, lipschitz_hint=20.0)
+    assert res.iterations == 0 and not np.shares_memory(res.s, s0)
 
 
 def test_model_value_scalar_form_keeps_the_bits_of_the_scaled_copy():
@@ -169,10 +173,14 @@ def test_acrn_quadratic_converges_with_few_subproblems():
 
 def test_acrn_immediate_exit():
     oracle = make_norm_squared(4)
-    res = acrn_solve(oracle, np.full(4, 1e-8), eps_g=1e-3, params=CrnParams())
+    x0 = np.full(4, 1e-8)
+    res = acrn_solve(oracle, x0, eps_g=1e-3, params=CrnParams())
     assert res.status == FOSP
     assert res.counters.subproblems == 0
     assert len(res.trace) == 0
+    # x_final is the solve's own copy of x0, not the caller's array.
+    x0[:] = 1.0
+    assert np.array_equal(res.x_final, np.full(4, 1e-8))
 
 
 def test_acrn_determinism():
@@ -202,6 +210,22 @@ def test_param_validation():
             cubic_subproblem_gd(
                 np.ones(2), lambda v: v, weight=1.0, tol=tol, s0=np.zeros(2), max_iters=10, lipschitz_hint=1.0
             )
+    # g and s0 are read by the package's array rule, before any product: a
+    # float64 cast would solve a complex g from its real part and read
+    # strings as numbers.
+    calls = []
+    for g, s0, message in (
+        (np.array([1.0 + 1j, 2.0]), np.zeros(2), r"^g must be real numbers; got ndarray of dtype complex128$"),
+        (np.array(["1", "2"]), np.zeros(2), r"^g must be real numbers; got ndarray of dtype <U1$"),
+        ([1.0, [2.0, 3.0]], np.zeros(2), r"^g must be an array; numpy cannot read its list$"),
+        (1.0, np.zeros(1), r"^g must be shape \(1,\); got shape \(\)$"),
+        (np.ones(2), np.array([1j, 0.0]), r"^s0 must be real numbers; got ndarray of dtype complex128$"),
+        (np.ones(2), np.array(["1", "2"]), r"^s0 must be real numbers; got ndarray of dtype <U1$"),
+        (np.ones(2), np.zeros(3), r"^s0 must be shape \(2,\); got shape \(3,\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cubic_subproblem_gd(g, lambda v: calls.append(v) or v, 1.0, 1e-6, s0, 10, lipschitz_hint=1.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,8 @@ def test_emit_csv_golden():
         "n,m,p,solver,mean_objective,mean_wall_s,mean_subproblems,mean_outer,failures\n"
         "100,10,2.25,alg2,7.1e-15,0.01,10.3,6.0,0\n"
     )
+    with pytest.raises(ConfigError, match="^unknown format 'xml'$"):
+        emit_table(golden_table(), "xml")
 
 
 def test_emit_markdown_golden():
@@ -204,6 +206,22 @@ def test_unwritable_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
     assert main([*BASIC, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
     assert not out.parent.exists()
+
+
+def test_failed_final_write_exits_1(tmp_path, monkeypatch, capsys):
+    # The probe appends to --out before the grid runs; if the path stops
+    # being writable during the run (here it becomes a directory), the final
+    # write fails and says so.
+    out = tmp_path / "out.csv"
+
+    def out_becomes_a_directory(cfg):
+        out.unlink()
+        out.mkdir()
+        return golden_table()
+
+    monkeypatch.setattr(bench, "run_experiment", out_becomes_a_directory)
+    assert main([*BASIC, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
 
 
 def test_cli_out_of_range_knob_is_config_error(capsys):

@@ -220,6 +220,8 @@ def test_preconditions():
         (np.array([True, False]), r"^g must be real numbers; got ndarray of dtype bool$"),
         (np.array([1.0 + 1j, 2.0]), r"^g must be real numbers; got ndarray of dtype complex128$"),
         (np.ones((2, 1)), r"^g must be shape \(2,\); got shape \(2, 1\)$"),
+        ([1.0, [2.0, 3.0]], r"^g must be an array; numpy cannot read its list$"),
+        (1.0, r"^g must be shape \(1,\); got shape \(\)$"),
     ):
         with pytest.raises(ValueError, match=message):
             capped_cg(lambda v: calls.append(v) or v, g, 1.0)

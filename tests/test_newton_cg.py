@@ -102,6 +102,9 @@ def test_taylor_error_modulus():
         )
         got = taylor_error_modulus(0.01, holder)
         assert abs(got - float(expected)) <= 1e-12 * float(expected)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            taylor_error_modulus(delta, holder)
 
 
 def test_complexity_bounds_trivial_and_cross_checked():
@@ -109,6 +112,8 @@ def test_complexity_bounds_trivial_and_cross_checked():
     k1, k2 = complexity_bounds(params, f0=5.0, f_low=5.0)
     assert k1 == 1  # ceil(0) + 1
     assert k2 is None
+    with pytest.raises(ValueError, match="^f0 must be at least f_low$"):
+        complexity_bounds(params, f0=4.0, f_low=5.0)
 
     params = NcgParams(eps_g=1e-4, holder=HolderClass(1.0, 1.0))
     k1, _ = complexity_bounds(params, f0=1.0, f_low=0.0)
@@ -339,11 +344,15 @@ def test_solver_quadratic_reaches_fosp():
 def test_solver_immediate_exit():
     oracle = make_norm_squared(4)
     params = NcgParams(eps_g=1e-2, holder=HolderClass(1.0, 1.0))
-    res = newton_cg_solve(oracle, np.full(4, 1e-6), params)
+    x0 = np.full(4, 1e-6)
+    res = newton_cg_solve(oracle, x0, params)
     assert res.status == FOSP
     assert res.counters.subproblems == 0
     assert res.counters.meo_calls == 0
     assert len(res.trace) == 0
+    # x_final is the solve's own copy of x0, not the caller's array.
+    x0[:] = 1.0
+    assert np.array_equal(res.x_final, np.full(4, 1e-6))
 
 
 def test_solver_saddle_engages_meo():
@@ -910,3 +919,15 @@ def test_list_outputs_solve_like_their_arrays(solver, bad):
     ]
     assert runs[0].status == FOSP and runs[0].counters.hvp_evals > 0
     assert fingerprint(runs[1]) == fingerprint(runs[0]) == fingerprint(runs[2])
+
+
+def test_a_float32_gradient_is_solved_in_float64():
+    # f = 1e20 (x_1 + x_2 + x_3) with a float32 gradient: ||g||^2 = 3e40 is
+    # past float32's range, so a gradient kept as float32 would end the solve
+    # in NumericalFailure ("gradient norm is inf").  Read as float64, it runs
+    # its three outer iterations.
+    g = np.full(3, 1e20, dtype=np.float32)
+    plane = ProblemOracle(3, lambda x: 1e20 * float(x.sum()), lambda x: g, lambda x, v: np.zeros(3), "steep-plane")
+    res = solve("alg2", plane, np.zeros(3), max_outer=3)
+    assert res.status == MAX_ITERATIONS and len(res.trace) == 3
+    assert res.grad_norm_final == float(np.linalg.norm(g.astype(float)))

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_repu, problems
+from ncgopt import HolderClass, ProblemOracle, gen_infeasibility, gen_quadratic, gen_repu, problems
 from ncgopt.bench import start_point
 from ncgopt.newton_cg import FOSP, MEO, SOSP_CERTIFIED
 from ncgopt.oracle import CountingOracle
@@ -240,6 +240,22 @@ def test_binding_keeps_the_slots_hessian_not_a_copy():
     grown = retained_bytes(lambda: [hvp(v) for hvp in bound])
     assert grown <= 1024
     assert same_bits(bound[0](v), gen_infeasibility(n, 2, 2.25, seed=0).eval_hvp(x, v))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, ">f8", np.longdouble], ids=["f4", "f2", ">f8", "longdouble"])
+def test_counting_oracle_reads_outputs_as_native_float64(dtype):
+    # Gradients and products of any real dtype or byte order reach a solver
+    # as float64, so it never computes a norm in the callback's precision.
+    base = gen_quadratic(3, [1.0, -2.0, 3.0], 0)
+    other = replace(
+        base,
+        eval_grad=lambda x: base.eval_grad(x).astype(dtype),
+        eval_hvp=lambda x, v: base.eval_hvp(x, v).astype(dtype),
+    )
+    co, x = CountingOracle(other), np.array([0.5, -1.0, 2.0])
+    for got, exact in ((co.eval_grad(x), base.eval_grad(x)), (co.hvp_at(x)(x), base.eval_hvp(x, x))):
+        assert got.dtype == np.float64 and got.dtype.isnative
+        np.testing.assert_array_equal(got, exact.astype(dtype).astype(float))
 
 
 def test_counting_operator_copies_a_point_without_binding():

@@ -128,6 +128,8 @@ def test_pf_bounds_examples():
     # f0 == f_low collapses the outer bound to 1.
     _, _, k1_bar = pf_bounds(params, holder, f0=2.0, f_low=2.0)
     assert k1_bar == 1
+    with pytest.raises(ValueError, match="^f0 must be at least f_low$"):
+        pf_bounds(params, holder, f0=1.0, f_low=2.0)
 
     # Large smoothness modulus forces sigma_bar = r * gamma_nu and T > 2.
     rough = HolderClass(1.0, 100.0)
@@ -162,10 +164,14 @@ def test_quadratic_no_sigma_increase():
 
 def test_immediate_exit_no_trials():
     oracle = make_norm_squared(4)
-    res = pf_newton_cg_solve(oracle, np.full(4, 1e-7), PfParams(eps_g=1e-3))
+    x0 = np.full(4, 1e-7)
+    res = pf_newton_cg_solve(oracle, x0, PfParams(eps_g=1e-3))
     assert res.status == FOSP
     assert res.counters.subproblems == 0
     assert res.trials == []
+    # x_final is the solve's own copy of x0, not the caller's array.
+    x0[:] = 1.0
+    assert np.array_equal(res.x_final, np.full(4, 1e-7))
 
 
 def test_infeasibility_small_instances():

@@ -112,6 +112,8 @@ def test_quadratic_spectrum():
     v1 = inst.basis[0]  # eigenvector of eigenvalues[0]
     s = 3.0
     assert abs(oracle.eval_f(s * v1) - 0.5 * lam[0] * s**2) <= 1e-10
+    # The instance froze its own copy of the spectrum, not the caller's array.
+    assert lam.flags.writeable and not np.shares_memory(lam, inst.eigenvalues)
 
 
 def test_exponent_validation():
