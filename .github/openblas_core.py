@@ -1,8 +1,12 @@
 """Print the runtime core of numpy's bundled OpenBLAS (e.g. SkylakeX, Haswell),
-and whether its ddot depends on the alignment of its operands.
+numpy's enabled SIMD dispatch targets, and whether OpenBLAS's ddot depends on
+the alignment of its operands.
 
 Prints "unknown" when the library or its core-name symbol is missing.  The
-second line takes x.dot(x) for a fixed seeded set of vectors, each copied to
+dispatch targets are the ones this CPU runs and NPY_ENABLE_CPU_FEATURES
+leaves enabled: ufunc loops such as np.log1p round some values one ulp apart
+between X86_V4 (AVX-512) and X86_V3 (AVX2), so generated instances and pinned
+results depend on them as well as on the BLAS core.  The third line takes x.dot(x) for a fixed seeded set of vectors, each copied to
 all eight 8-byte offsets mod 64, and reports "independent" when every vector
 gives one result at all eight, "dependent" otherwise.  Bit-identity tests that
 compare a row of a block with a separate copy of it (capped CG's workspace
@@ -26,6 +30,10 @@ for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
     corename.restype = ctypes.c_char_p
     core = corename().decode()
 print("OpenBLAS runtime core:", core)
+
+simd = numpy._core._multiarray_umath
+enabled = [target for target in simd.__cpu_dispatch__ if simd.__cpu_features__.get(target)]
+print(f"numpy SIMD dispatch: {', '.join(enabled) or 'none'} (baseline {', '.join(simd.__cpu_baseline__)})")
 
 
 def at_offset(v, k):

@@ -84,10 +84,10 @@ def estimate_operator_norm(
     Deterministic given (seed, stream); returns the floor 1e-12 for a zero
     operator (or a start vector annihilated by H).  Raises ``NonFiniteError``
     as soon as a power step's H x or H^2 x is not finite, before it enters
-    a product.  Raises ``ValueError`` before any product unless ``iters`` is a
-    positive integer.
+    a product.  Raises ``ValueError`` before any draw or product unless ``n``
+    and ``iters`` are positive integers.
     """
-    iters = _integer(iters, "iters", positive=True)
+    n, iters = _integer(n, "n", positive=True), _integer(iters, "iters", positive=True)
     floor = 1e-12
     x = sampling.unit_vector(seed, n, stream)
     rayleigh = 0.0

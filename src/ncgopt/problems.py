@@ -360,15 +360,22 @@ def gen_infeasibility(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     below n the constraint system is typically feasible, so near-zero
     objectives are attainable, and the steep linear terms let solvers drive
     the residual many orders below the gradient tolerance before stopping.
+
+    The draw of G, b and c goes straight into the instance's A, b and c
+    (``sampling.fill_standard_normals``), and each G_i is then overwritten
+    by G_i G_i' / n through one n x n buffer: ``np.dot`` of G_i and its
+    transpose takes the same syrk as a batched product would, so the bits
+    are those of ``(G @ G.transpose(0, 2, 1)) / n``, and generation holds
+    the data plus one such buffer.
     """
     n, m, seed = _require_cell(n, m, p, seed)
-    draws = sampling.standard_normals(
-        seed, m * n * n + m * n + m, stream=sampling.STREAM_INFEASIBILITY
-    )
-    raw = draws[: m * n * n].reshape(m, n, n)
-    A = (raw @ raw.transpose(0, 2, 1)) / n
-    b = _INFEAS_B_SCALE * draws[m * n * n : m * n * n + m * n].reshape(m, n)
-    c = draws[m * n * n + m * n :].copy()
+    A, b, c = np.empty((m, n, n)), np.empty((m, n)), np.empty(m)
+    sampling.fill_standard_normals(seed, (A.reshape(-1), b.reshape(-1), c), stream=sampling.STREAM_INFEASIBILITY)
+    product = np.empty((n, n))
+    for G in A:
+        np.dot(G, G.T, out=product)
+        np.divide(product, n, out=G)
+    b *= _INFEAS_B_SCALE
     return _infeasibility_oracle(InfeasibilityInstance(*_read_only(A, b, c), float(p), seed))
 
 
@@ -424,9 +431,9 @@ def gen_repu(n: int, m: int, p: float, seed: int) -> ProblemOracle:
     normal, so every b_i is nonnegative.
     """
     n, m, seed = _require_cell(n, m, p, seed)
-    draws = sampling.standard_normals(seed, m * n + m, stream=sampling.STREAM_REPU)
-    a = draws[: m * n].reshape(m, n)
-    b = np.abs(draws[m * n :])
+    a, b = np.empty((m, n)), np.empty(m)
+    sampling.fill_standard_normals(seed, (a.reshape(-1), b), stream=sampling.STREAM_REPU)
+    np.abs(b, out=b)
     return _repu_oracle(RepuInstance(*_read_only(a, b), float(p), seed))
 
 

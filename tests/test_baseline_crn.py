@@ -350,6 +350,18 @@ def test_operator_norm_rejects_bad_iters_before_any_product(iters):
     assert estimate_operator_norm(hvp, 3, iters=np.int64(1)) == estimate_operator_norm(hvp, 3, iters=1)
 
 
+@pytest.mark.parametrize("n", [0, 2.5, True])
+def test_operator_norm_rejects_bad_n_before_any_product(n):
+    # n = 0 reached unit_vector's zero-norm branch (IndexError), 2.5 and True
+    # a TypeError from the draw.
+    calls = []
+    hvp = lambda v: calls.append(None) or 2.0 * v
+    with pytest.raises(ValueError, match=f"^n must be a positive integer; got {n!r}$"):
+        estimate_operator_norm(hvp, n)
+    assert calls == []
+    assert estimate_operator_norm(hvp, np.int64(3)) == estimate_operator_norm(hvp, 3)
+
+
 @pytest.mark.parametrize(
     "eps_g, x0, message",
     [

@@ -2,9 +2,14 @@
 
 The expected values were recorded from the two drivers before they were
 merged into one outer loop; the merged driver must reproduce them exactly.
-Every entry was recorded on OpenBLAS's ``SkylakeX`` runtime core.  Under
-``OPENBLAS_CORETYPE=Haswell`` (AVX2), 23 of the 34 entries move (f_final in
-its trailing digits, hvp_evals by up to 2 on four), while every status holds.
+Every entry was recorded on OpenBLAS's ``SkylakeX`` runtime core and on
+numpy's X86_V4 (AVX-512) ufunc loops.  Under ``OPENBLAS_CORETYPE=Haswell``
+(AVX2), 23 of the 34 entries move (f_final in its trailing digits,
+hvp_evals by up to 2 on four), while every status holds.  The ufunc loops
+matter too, generated instances included: numpy's X86_V3 (AVX2) np.log1p
+rounds some values one ulp apart from its X86_V4 one, so under
+``NPY_ENABLE_CPU_FEATURES=X86_V3`` alone 23 entries move, and 26 with both
+settings.
 The six 'acrn' entries were recorded later, from the cubic-regularization
 baseline as it ran on that loop; it takes no eps_H, so theirs is None.
 The f_final of ('alg2', 'quartic', 1, 1e-2) was re-recorded once, when the
