@@ -220,21 +220,27 @@ def _backtrack(
     decrease: float,
     cap_message: str,
     lower: float = 0.0,
-    f_first: float | None = None,
+    ray: dict[int, float] | None = None,
 ) -> LineSearchOutcome | None:
     """The one backtracking loop behind every search.
 
     Scans j = 0, 1, ... while THETA^j >= lower and accepts the smallest j with
     f(x + THETA^j d) <= f_x - decrease THETA^(2j).  Returns None once the
     window THETA^j >= lower closes; passing J_MAX inside it raises.
-    ``f_first`` recycles an already-computed f(x + d) as the j = 0 trial.
+    ``ray`` maps each j already tried on this x and d to f(x + THETA^j d):
+    the loop takes f from it at those j, calls ``oracle.eval_f`` only at the
+    others and adds what it gets.  A value taken from the ray is the one the
+    oracle returned at the same point, so every decision keeps its bits.
     """
+    ray = {} if ray is None else ray
     j = 0
     while THETA**j >= lower:
         if j > J_MAX:
             raise LineSearchError(cap_message, j)
         a = THETA**j
-        f_trial = f_first if j == 0 and f_first is not None else oracle.eval_f(x + a * d)
+        f_trial = ray.get(j)
+        if f_trial is None:
+            f_trial = ray[j] = oracle.eval_f(x + a * d)
         if f_trial <= f_x - decrease * a * a:
             return LineSearchOutcome(a, j, f_trial)
         j += 1
@@ -248,22 +254,24 @@ def line_search_sol(
     sigma: float,
     eps_g: float,
     f_x: float,
-    f_full: float | None = None,
+    ray: dict[int, float] | None = None,
 ) -> LineSearchOutcome:
     """Backtracking for approximate-solution directions.
 
     Accepts the smallest j with
     f(x + THETA^j d) <= f(x) - ETA (sigma eps_g)^(1/2) THETA^(2j) ||d||^2.
-    ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
+    ``ray`` holds the f values already taken along d, by j (see ``_backtrack``).
     """
     decrease = ETA * math.sqrt(sigma * eps_g) * float(_squared_norm(d))
-    return _backtrack(oracle, x, d, f_x, decrease, "SOL backtracking exceeded its cap", f_first=f_full)
+    return _backtrack(oracle, x, d, f_x, decrease, "SOL backtracking exceeded its cap", ray=ray)
 
 
-def line_search_nc(oracle, x: Array, d: Array, sigma: float, f_x: float) -> LineSearchOutcome:
-    """Backtracking with the cubic decrease test for negative-curvature steps."""
+def line_search_nc(
+    oracle, x: Array, d: Array, sigma: float, f_x: float, ray: dict[int, float] | None = None
+) -> LineSearchOutcome:
+    """Backtracking with the cubic decrease test for negative-curvature steps; ``ray`` as in ``_backtrack``."""
     decrease = ETA * min(1.0, sigma) * _cube(_norm(d), "NC search") / 4.0
-    return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap")
+    return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap", ray=ray)
 
 
 def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome:
@@ -286,27 +294,42 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
     weight.  That driver also tries growing weights at one point, so
     ``trials_at`` gives the point one ``KrylovRecord``: its first trial
     records the capped-CG passes and the later ones replay them.
+
+    ``trials_at`` also keeps the point's last searched ray: the bytes of its
+    direction d and f(x + THETA^j d) at each j tried on it.  A trial whose d
+    has the same bytes (as ``problems._point_key`` compares them, so -0.0 and
+    +0.0 differ) takes those values from it and evaluates f only at step
+    sizes not yet tried there; any other d replaces the ray.  This is what
+    a negative-curvature direction flagged at capped CG's first pass meets:
+    with every weight at least 1, its scaling does not depend on the weight,
+    so each trial at the point searches the same ray in a wider window.
     """
 
     def trials_at(co, hvp, x, fx, gx):
         record = KrylovRecord() if parameter_free else None
+        last = [None, None]  # the last searched direction's bytes, and its ray
 
         def trial(t, sigma):
             co.counters.subproblems += 1  # counted even if the call breaks down
             cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g), record)
+            d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma) if cg_out.d_type == NC else cg_out.d
+            key = d.tobytes()
+            if key != last[0]:
+                last[:] = key, {}
+            ray = last[1]
             if cg_out.d_type == NC:
-                d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma)
-                step = search_nc(co, x, d, sigma, fx)
+                step = search_nc(co, x, d, sigma, fx, ray)
             else:
-                d = cg_out.d
-                f_full = co.eval_f(x + d)
+                f_full = ray.get(0)
+                if f_full is None:
+                    f_full = ray[0] = co.eval_f(x + d)
                 grad_full = co.eval_grad(x + d) if f_full <= fx else None
                 if grad_full is not None and _norm(grad_full) <= eps_g:
                     step = LineSearchOutcome(1.0, 0, f_full, FULL_STEP, grad_full)
                 elif parameter_free and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
                     step = SMALL_STEP
                 else:
-                    step = search_sol(co, x, d, sigma, eps_g, fx, f_full)
+                    step = search_sol(co, x, d, sigma, eps_g, fx, ray)
                     if step is not None:
                         grad_new = grad_full if step.j == 0 else None
                         step = LineSearchOutcome(step.alpha, step.j, step.f_new, ARMIJO, grad_new)

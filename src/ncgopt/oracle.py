@@ -82,7 +82,13 @@ class HolderClass:
 
 @dataclass
 class Counters:
-    """Work done by one solve; ``subproblems`` counts capped-CG calls or cubic models."""
+    """Work done by one solve; ``subproblems`` counts capped-CG calls or cubic models.
+
+    ``f_evals``, ``grad_evals`` and ``hvp_evals`` count calls of the oracle's
+    callbacks.  A line search takes f at a step size already tried on the
+    same ray at the same iterate from that earlier call, and counts no new
+    one (see ``newton_cg._newton_trial``).
+    """
 
     f_evals: int = 0
     grad_evals: int = 0

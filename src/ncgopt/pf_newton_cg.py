@@ -70,7 +70,7 @@ def bounded_line_search_sol(
     sigma_t: float,
     eps_g: float,
     f_x: float,
-    f_full: float | None = None,
+    ray: dict[int, float] | None = None,
 ) -> LineSearchOutcome | None:
     """Search the bounded step-size window for a SOL direction.
 
@@ -78,26 +78,29 @@ def bounded_line_search_sol(
     (eps_g/sigma_t)^(1/4) / (3 ||d||^(1/2))} and accepts the smallest j with
     f(x + THETA^j d) <= f(x) - ETA (sigma_t eps_g)^(1/2) THETA^(2j) ||d||^2.
     None means the window closed; hitting J_MAX inside the window raises.
-    ``f_full`` recycles an already-computed f(x + d) as the j = 0 trial.
+    ``ray`` holds the f values already taken along d, by j (see ``newton_cg._backtrack``).
     """
     dn = _norm(d)
     window = min(1.0, 2.0 * (1.0 - ETA) * THETA * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
     decrease = ETA * math.sqrt(sigma_t * eps_g) * dn * dn
     message = "bounded SOL search exceeded its cap in-window"
-    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window, f_first=f_full)
+    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window, ray=ray)
 
 
-def bounded_line_search_nc(oracle, x: Array, d: Array, sigma_t: float, f_x: float) -> LineSearchOutcome | None:
+def bounded_line_search_nc(
+    oracle, x: Array, d: Array, sigma_t: float, f_x: float, ray: dict[int, float] | None = None
+) -> LineSearchOutcome | None:
     """Bounded-window search for a scaled negative-curvature direction.
 
     Window: THETA^(j-1) >= min{1, 1/sigma_t}, i.e. THETA^j >= THETA min{1, 1/sigma_t}.
     Decrease test:
     f(x + THETA^j d) <= f(x) - ETA min{1, sigma_t} THETA^(2j) ||d||^3 / 4.
+    ``ray`` holds the f values already taken along d, by j (see ``newton_cg._backtrack``).
     """
     window = THETA * min(1.0, 1.0 / sigma_t)
     decrease = ETA * min(1.0, sigma_t) * _cube(_norm(d), "bounded NC search") / 4.0
     message = "bounded NC search exceeded its cap in-window"
-    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
+    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window, ray=ray)
 
 
 def pf_newton_cg_solve(

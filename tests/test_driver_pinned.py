@@ -200,6 +200,20 @@ other entry moved.  Old -> new f_final, where * is both None and 1e-2:
     ('alg1', 'repu', 0, *)  3.341161665179258e-05  -> 3.3411616651390225e-05
     ('alg2', 'repu', 0, *)  0.00026831745298591295 -> 0.0002683174529859151
 
+The six alg2 'repu' f_evals were re-recorded once, when an outer
+iteration's damping trials started to share the point's last searched ray:
+a trial whose scaled direction has the bytes of the last one takes f from
+the step sizes already tried on it and evaluates f only at new ones.  A
+negative-curvature direction flagged at capped CG's first pass is the same
+at every weight, so each later trial there had evaluated f again across the
+window the earlier one rejected.  Only f_evals moved; statuses, the other
+counters, trace lengths and f_final did not, and no alg1, infeas, quartic
+or acrn entry moved.  Old -> new f_evals, where * is both None and 1e-2:
+
+    ('alg2', 'repu', 0, *)  109 -> 79
+    ('alg2', 'repu', 1, *)   34 -> 24
+    ('alg2', 'repu', 2, *)   39 -> 13
+
 Each case is (solver, problem, seed, eps_H).
 """
 import numpy as np
@@ -269,12 +283,12 @@ EXPECTED = {
     ('alg2', 'infeas', 3, 1e-2): ('SOSP_certified', (16, 16, 71, 1, 15), 6, '9.170211794478188e-11'),
     ('alg2', 'infeas', 4, None): ('FOSP', (20, 20, 58, 0, 19), 7, '2.6021465508034735e-11'),
     ('alg2', 'infeas', 4, 1e-2): ('SOSP_certified', (20, 20, 88, 1, 19), 7, '2.6021465508034735e-11'),
-    ('alg2', 'repu', 0, None): ('FOSP', (109, 14, 41, 0, 22), 13, '0.0002683174529859151'),
-    ('alg2', 'repu', 0, 1e-2): ('SOSP_certified', (109, 14, 46, 1, 22), 13, '0.0002683174529859151'),
-    ('alg2', 'repu', 1, None): ('FOSP', (34, 9, 29, 0, 10), 8, '0.0812941938846961'),
-    ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (34, 9, 34, 1, 10), 8, '0.0812941938846961'),
-    ('alg2', 'repu', 2, None): ('FOSP', (39, 5, 7, 0, 8), 4, '0.3593906110089125'),
-    ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (39, 5, 9, 1, 8), 4, '0.3593906110089125'),
+    ('alg2', 'repu', 0, None): ('FOSP', (79, 14, 41, 0, 22), 13, '0.0002683174529859151'),
+    ('alg2', 'repu', 0, 1e-2): ('SOSP_certified', (79, 14, 46, 1, 22), 13, '0.0002683174529859151'),
+    ('alg2', 'repu', 1, None): ('FOSP', (24, 9, 29, 0, 10), 8, '0.0812941938846961'),
+    ('alg2', 'repu', 1, 1e-2): ('SOSP_certified', (24, 9, 34, 1, 10), 8, '0.0812941938846961'),
+    ('alg2', 'repu', 2, None): ('FOSP', (13, 5, 7, 0, 8), 4, '0.3593906110089125'),
+    ('alg2', 'repu', 2, 1e-2): ('SOSP_certified', (13, 5, 9, 1, 8), 4, '0.3593906110089125'),
     ('alg2', 'quartic', 0, 1e-2): ('SOSP_certified', (12, 9, 47, 2, 7), 8, '-0.8468130835048804'),
     ('alg2', 'quartic', 1, 1e-2): ('SOSP_certified', (11, 8, 39, 2, 6), 7, '-0.7116571216427692'),
     ('acrn', 'infeas', 0, None): ('FOSP', (26, 8, 9669, 0, 25), 7, '4.45314399038366e-12'),

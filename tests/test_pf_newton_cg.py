@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -18,7 +19,7 @@ from ncgopt import (
 from ncgopt import pf_newton_cg as pf_newton_cg_module
 from ncgopt.bounds import c_nc, c_sol_hat, pf_bounds
 from ncgopt.capped_cg import capped_cg
-from ncgopt.newton_cg import ETA, THETA, gamma_nu
+from ncgopt.newton_cg import ETA, NO_VALID_J, THETA, _newton_trial, gamma_nu
 from ncgopt.oracle import CountingOracle
 from ncgopt.pf_newton_cg import (
     GAMMA_INIT,
@@ -105,7 +106,7 @@ def test_bounded_sol_reuses_full_step_value():
     oracle = CountingOracle(ProblemOracle(1, f, lambda x: x.copy(), lambda x, v: v.copy()))
     x = np.array([3.0])
     d = np.array([-2.0])
-    res = bounded_line_search_sol(oracle, x, d, 10.0, 1e-4, f_x=4.5, f_full=0.5)
+    res = bounded_line_search_sol(oracle, x, d, 10.0, 1e-4, f_x=4.5, ray={0: 0.5})
     assert res is not None and res.j == 0 and calls["f"] == 0
 
 
@@ -417,3 +418,103 @@ def test_solve_keeps_no_krylov_record(monkeypatch):
     grown = retained_bytes(lambda: solve("alg2", oracle, x0))
     assert largest >= 100_000
     assert grown < largest / 10
+
+
+def test_trials_at_one_point_search_a_repeated_ray_once():
+    # f = -x^2/2 + 2500 x^4 + y^2/2 at (1e-3, 0): capped CG flags negative
+    # curvature at its first pass at every weight, and with sigma >= 1 the
+    # scaled direction d = (0.97, -0.0) does not depend on sigma.  Trial t at
+    # sigma = 10 * 2^t searches j <= 4 + t and the first acceptance is j = 7,
+    # so without the shared ray the four trials would evaluate f 5 + 6 + 7 + 8
+    # times; with it, each trial after the first evaluates only its new j.
+    points = []  # the points of f's calls, as bytes
+
+    def f(z):
+        points.append(z.tobytes())
+        return float(-0.5 * z[0] ** 2 + 2500.0 * z[0] ** 4 + 0.5 * z[1] ** 2)
+
+    grad = lambda z: np.array([-z[0] + 1e4 * z[0] ** 3, z[1]])
+    hvp = lambda z, v: np.array([(-1.0 + 3e4 * z[0] ** 2) * v[0], v[1]])
+    oracle = ProblemOracle(2, f, grad, hvp)
+    x, eps_g = np.array([1e-3, 0.0]), 1e-5
+    fx, gx = oracle.eval_f(x), oracle.eval_grad(x)
+    flip = []  # while non-empty, capped CG's direction gets +0.0 in place of its -0.0
+
+    def cg(hvp, g, eps, record):
+        out = capped_cg(hvp, g, eps, record)
+        if flip:
+            out.d[1] = -out.d[1]
+        return out
+
+    def point_trials():
+        co = CountingOracle(oracle)
+        trial = _newton_trial(eps_g, cg, bounded_line_search_sol, bounded_line_search_nc, True)(
+            co, co.hvp_at(x), x, fx, gx
+        )
+
+        def run(t):
+            del points[:]
+            before = co.counters.f_evals
+            d_type, d, inner, step = trial(t, GAMMA_INIT * R**t)
+            assert len(points) == co.counters.f_evals - before
+            return (d_type, d.tobytes(), inner, step), list(points)
+
+        return run
+
+    def tried(d, js):
+        return [(x + THETA**j * np.frombuffer(d)).tobytes() for j in js]
+
+    fresh = [point_trials()(t) for t in range(4)]  # each trial at a point of its own
+    shared = point_trials()
+    for t in range(4):
+        outcome, evaluated = shared(t)
+        assert outcome == fresh[t][0]
+        assert fresh[t][1] == tried(outcome[1], range(5 + t))
+        assert evaluated == tried(outcome[1], range(4 + t if t else 0, 5 + t))
+        assert outcome[0] == "NC" and outcome[2] == 0
+        assert (outcome[3] == NO_VALID_J) if t < 3 else (outcome[3].j == 7)
+    assert np.signbit(np.frombuffer(outcome[1])[1])
+
+    # One bit apart is another ray: +0.0 in place of -0.0 gets every j again,
+    # and the ray it leaves behind replaces the first, which trial 2 then
+    # searches from scratch.
+    shared = point_trials()
+    shared(0)
+    flip.append(True)
+    outcome, evaluated = shared(1)
+    assert not np.signbit(np.frombuffer(outcome[1])[1]) and outcome[1] != fresh[1][0][1]
+    assert outcome[3] == NO_VALID_J and evaluated == tried(outcome[1], range(6))
+    flip.clear()
+    outcome, evaluated = shared(2)
+    assert outcome == fresh[2][0] and evaluated == fresh[2][1]
+
+
+@pytest.mark.parametrize("n,m,seed", [(30, 6, s) for s in range(3)] + [(100, 20, s) for s in range(4)])
+def test_no_point_reaches_f_twice_in_one_outer_iteration(n, m, seed):
+    # The recorder logs each point f is evaluated at; the iterates are where
+    # the solve binds its Hessian-vector operator, once per outer iteration.
+    oracle, x0 = gen_repu(n, m, 2.25, seed), np.full(n, 1.0 / n)
+    log = []  # the bytes of each point of f, and None at each new iterate
+
+    def recorder(x):
+        log.append(x.tobytes())
+        return oracle.eval_f(x)
+
+    def eval_hvp(x, v):
+        return oracle.eval_hvp(x, v)
+
+    def bind(x):
+        log.append(None)
+        return oracle.eval_hvp.at(x)
+
+    eval_hvp.at = bind
+    res = solve("alg2", dataclasses.replace(oracle, eval_f=recorder, eval_hvp=eval_hvp), x0)
+    assert fingerprint(res) == fingerprint(solve("alg2", oracle, x0))
+    assert res.status == FOSP
+    assert log.count(None) == len(res.trace)
+    assert len(log) - len(res.trace) == res.counters.f_evals
+    outer, start = [], 0
+    for end in [i for i, key in enumerate(log) if key is None] + [len(log)]:
+        outer.append(log[start:end])
+        start = end + 1
+    assert all(len(set(keys)) == len(keys) for keys in outer)
