@@ -1,8 +1,10 @@
-"""Print the runtime core of numpy's bundled OpenBLAS (e.g. SkylakeX, Haswell),
-numpy's enabled SIMD dispatch targets, and whether OpenBLAS's ddot depends on
-the alignment of its operands.
+"""Print the runtime core of numpy's bundled OpenBLAS (e.g. SkylakeX, Haswell)
+and its thread count, numpy's enabled SIMD dispatch targets, and whether
+OpenBLAS's ddot depends on the alignment of its operands.
 
-Prints "unknown" when the library or its core-name symbol is missing.  The
+Prints "unknown" when the library or its core-name or thread-count symbol is
+missing.  The thread count matters because OpenBLAS's threaded products round
+differently from its one-thread products (OPENBLAS_NUM_THREADS sets it).  The
 dispatch targets are the ones this CPU runs and NPY_ENABLE_CPU_FEATURES
 leaves enabled: ufunc loops such as np.log1p round some values one ulp apart
 between X86_V4 (AVX-512) and X86_V3 (AVX2), so generated instances and pinned
@@ -19,17 +21,25 @@ import os
 
 import numpy
 
-core = "unknown"
+core = threads = "unknown"
 libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
 for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
     try:
-        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-    except (OSError, AttributeError):
+        lib = ctypes.CDLL(path)
+    except OSError:
         continue
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    core = corename().decode()
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    num_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if num_threads is not None:
+        num_threads.argtypes = []
+        num_threads.restype = ctypes.c_int
+        threads = num_threads()
 print("OpenBLAS runtime core:", core)
+print("OpenBLAS threads:", threads)
 
 simd = numpy._core._multiarray_umath
 enabled = [target for target in simd.__cpu_dispatch__ if simd.__cpu_features__.get(target)]

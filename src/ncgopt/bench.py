@@ -25,8 +25,11 @@ follow the benchmark protocol: the origin for infeasibility, (1/n, ..., 1/n)
 for repu, and a scaled all-ones vector for the quadratic family.  Instance
 seeds are base seed + instance index; each instance is generated once and
 run by every solver, serially.  Wall time aside, runs are bit-reproducible
-per (instance seed, params.seed) on one numpy build and one OpenBLAS core;
-across cores, statuses held and counts moved by up to 2 HVPs.
+per (instance seed, params.seed) on one numpy build, one OpenBLAS core and
+one BLAS thread count: OpenBLAS's threaded products round differently, so
+set ``OPENBLAS_NUM_THREADS=1`` (as the benchmark does) to compare runs
+across machines.  Across cores, statuses held and counts moved by up to 2
+HVPs.
 
 Exit codes: 0 success, 1 a bad flag, an out-of-range value or an ``--out``
 path that cannot be written (checked before the first solve), 2 run failures

@@ -152,14 +152,12 @@ class PfSolveResult(SolveResult):
 
 @dataclass(frozen=True)
 class LineSearchOutcome:
-    """An accepted step size.  A damping trial adds how a SOL step was accepted and, when it
-    already has it, the gradient at the new point."""
+    """An accepted step size.  A damping trial adds how a SOL step was accepted."""
 
     alpha: float
     j: int
     f_new: float
     accepted_by: str | None = None  # full_step | armijo for SOL steps; None otherwise
-    grad_new: Array | None = None
 
 
 def gamma_nu(eps_g: float, holder: HolderClass) -> float:
@@ -213,65 +211,40 @@ def scale_meo_direction(v: Array, curvature: float, g: Array) -> Array:
 
 
 def _backtrack(
-    oracle,
-    x: Array,
-    d: Array,
-    f_x: float,
-    decrease: float,
-    cap_message: str,
-    lower: float = 0.0,
-    ray: dict[int, float] | None = None,
+    oracle, x: Array, d: Array, f_x: float, decrease: float, cap_message: str, lower: float = 0.0
 ) -> LineSearchOutcome | None:
     """The one backtracking loop behind every search.
 
     Scans j = 0, 1, ... while THETA^j >= lower and accepts the smallest j with
     f(x + THETA^j d) <= f_x - decrease THETA^(2j).  Returns None once the
     window THETA^j >= lower closes; passing J_MAX inside it raises.
-    ``ray`` maps each j already tried on this x and d to f(x + THETA^j d):
-    the loop takes f from it at those j, calls ``oracle.eval_f`` only at the
-    others and adds what it gets.  A value taken from the ray is the one the
-    oracle returned at the same point, so every decision keeps its bits.
     """
-    ray = {} if ray is None else ray
     j = 0
     while THETA**j >= lower:
         if j > J_MAX:
             raise LineSearchError(cap_message, j)
         a = THETA**j
-        f_trial = ray.get(j)
-        if f_trial is None:
-            f_trial = ray[j] = oracle.eval_f(x + a * d)
+        f_trial = oracle.eval_f(x + a * d)
         if f_trial <= f_x - decrease * a * a:
             return LineSearchOutcome(a, j, f_trial)
         j += 1
     return None
 
 
-def line_search_sol(
-    oracle,
-    x: Array,
-    d: Array,
-    sigma: float,
-    eps_g: float,
-    f_x: float,
-    ray: dict[int, float] | None = None,
-) -> LineSearchOutcome:
+def line_search_sol(oracle, x: Array, d: Array, sigma: float, eps_g: float, f_x: float) -> LineSearchOutcome:
     """Backtracking for approximate-solution directions.
 
     Accepts the smallest j with
     f(x + THETA^j d) <= f(x) - ETA (sigma eps_g)^(1/2) THETA^(2j) ||d||^2.
-    ``ray`` holds the f values already taken along d, by j (see ``_backtrack``).
     """
     decrease = ETA * math.sqrt(sigma * eps_g) * float(_squared_norm(d))
-    return _backtrack(oracle, x, d, f_x, decrease, "SOL backtracking exceeded its cap", ray=ray)
+    return _backtrack(oracle, x, d, f_x, decrease, "SOL backtracking exceeded its cap")
 
 
-def line_search_nc(
-    oracle, x: Array, d: Array, sigma: float, f_x: float, ray: dict[int, float] | None = None
-) -> LineSearchOutcome:
-    """Backtracking with the cubic decrease test for negative-curvature steps; ``ray`` as in ``_backtrack``."""
+def line_search_nc(oracle, x: Array, d: Array, sigma: float, f_x: float) -> LineSearchOutcome:
+    """Backtracking with the cubic decrease test for negative-curvature steps."""
     decrease = ETA * min(1.0, sigma) * _cube(_norm(d), "NC search") / 4.0
-    return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap", ray=ray)
+    return _backtrack(oracle, x, d, f_x, decrease, "NC backtracking exceeded its cap")
 
 
 def line_search_meo(oracle, x: Array, d: Array, f_x: float) -> LineSearchOutcome:
@@ -294,45 +267,27 @@ def _newton_trial(eps_g: float, cg: Callable, search_sol: Callable, search_nc: C
     weight.  That driver also tries growing weights at one point, so
     ``trials_at`` gives the point one ``KrylovRecord``: its first trial
     records the capped-CG passes and the later ones replay them.
-
-    ``trials_at`` also keeps the point's last searched ray: the bytes of its
-    direction d and f(x + THETA^j d) at each j tried on it.  A trial whose d
-    has the same bytes (as ``problems._point_key`` compares them, so -0.0 and
-    +0.0 differ) takes those values from it and evaluates f only at step
-    sizes not yet tried there; any other d replaces the ray.  This is what
-    a negative-curvature direction flagged at capped CG's first pass meets:
-    with every weight at least 1, its scaling does not depend on the weight,
-    so each trial at the point searches the same ray in a wider window.
     """
 
     def trials_at(co, hvp, x, fx, gx):
         record = KrylovRecord() if parameter_free else None
-        last = [None, None]  # the last searched direction's bytes, and its ray
 
         def trial(t, sigma):
             co.counters.subproblems += 1  # counted even if the call breaks down
             cg_out = cg(hvp, gx, math.sqrt(sigma * eps_g), record)
             d = scale_nc_direction(cg_out.d, cg_out.curvature, gx, sigma) if cg_out.d_type == NC else cg_out.d
-            key = d.tobytes()
-            if key != last[0]:
-                last[:] = key, {}
-            ray = last[1]
             if cg_out.d_type == NC:
-                step = search_nc(co, x, d, sigma, fx, ray)
+                step = search_nc(co, x, d, sigma, fx)
             else:
-                f_full = ray.get(0)
-                if f_full is None:
-                    f_full = ray[0] = co.eval_f(x + d)
-                grad_full = co.eval_grad(x + d) if f_full <= fx else None
-                if grad_full is not None and _norm(grad_full) <= eps_g:
-                    step = LineSearchOutcome(1.0, 0, f_full, FULL_STEP, grad_full)
+                f_full = co.eval_f(x + d)
+                if f_full <= fx and _norm(co.eval_grad(x + d)) <= eps_g:
+                    step = LineSearchOutcome(1.0, 0, f_full, FULL_STEP)
                 elif parameter_free and 6.0 * _norm(d) < math.sqrt(eps_g / sigma):
                     step = SMALL_STEP
                 else:
-                    step = search_sol(co, x, d, sigma, eps_g, fx, ray)
+                    step = search_sol(co, x, d, sigma, eps_g, fx)
                     if step is not None:
-                        grad_new = grad_full if step.j == 0 else None
-                        step = LineSearchOutcome(step.alpha, step.j, step.f_new, ARMIJO, grad_new)
+                        step = LineSearchOutcome(step.alpha, step.j, step.f_new, ARMIJO)
             return cg_out.d_type, d, cg_out.iterations, NO_VALID_J if step is None else step
 
         return trial
@@ -361,15 +316,17 @@ def _drive(
     t-th weight sigma, takes every product at x through ``hvp`` and counts
     its own subproblem.  It returns four values: the step type, the
     direction d, the inner iteration count and the step.  The step is a
-    LineSearchOutcome, which carries ``accepted_by`` and the gradient at the
-    new point when the trial has it, or the rejection reason (``small_step``
-    or ``no_valid_j``) to move on to the next weight.  The first trial with
-    a step ends the iteration; running out of weights ends the solve in
-    LineSearchFailure.  Returns the result, the trials of every outer
-    iteration and the weight carried out of each.  An overflow during the
-    solve gives inf quietly, whatever numpy's settings, and the loop's
-    finiteness tests turn it into NumericalFailure: one errstate per solve,
-    not one per norm.
+    LineSearchOutcome, which carries ``accepted_by``, or the rejection
+    reason (``small_step`` or ``no_valid_j``) to move on to the next weight.
+    The first trial with a step ends the iteration; running out of weights
+    ends the solve in LineSearchFailure.  Each iteration starts a fresh memo
+    of f and gradient values (``co.new_iterate``), so its trials evaluate
+    each point once, and the gradient read at the accepted point is a hit
+    when the full-step test took it.  Returns the result, the trials of
+    every outer iteration and the weight carried out of each.  An overflow
+    during the solve gives inf quietly, whatever numpy's settings, and the
+    loop's finiteness tests turn it into NumericalFailure: one errstate per
+    solve, not one per norm.
 
     The loop binds ``co.hvp_at`` only where it takes products: before
     damping trials and for each eigenvalue-oracle call.  A generated oracle
@@ -397,6 +354,7 @@ def _drive(
         fx = co.eval_f(x)
         gx = co.eval_grad(x)
         for _ in range(params.max_outer):
+            co.new_iterate()
             gnorm = _norm(gx)
             if not (math.isfinite(fx) and math.isfinite(gnorm)):
                 status = NUMERICAL_FAILURE
@@ -450,9 +408,8 @@ def _drive(
                 )
             )
             x = x + step.alpha * d
-            fx, gx = step.f_new, step.grad_new
-            if gx is None:
-                gx = co.eval_grad(x)
+            fx, gx = step.f_new, None  # no stale gradient if the next read raises
+            gx = co.eval_grad(x)
     except LineSearchError as err:
         status = LINE_SEARCH_FAILURE
         detail = str(err)

@@ -85,9 +85,8 @@ class Counters:
     """Work done by one solve; ``subproblems`` counts capped-CG calls or cubic models.
 
     ``f_evals``, ``grad_evals`` and ``hvp_evals`` count calls of the oracle's
-    callbacks.  A line search takes f at a step size already tried on the
-    same ray at the same iterate from that earlier call, and counts no new
-    one (see ``newton_cg._newton_trial``).
+    callbacks.  An f or gradient that ``CountingOracle`` returns from its
+    memo of the current outer iteration calls no callback and counts nothing.
     """
 
     f_evals: int = 0
@@ -112,9 +111,17 @@ class CountingOracle:
     any other form (a list, a tuple, a numpy scalar, another integer or
     floating dtype or byte order) are read as a new float64 array, and a
     native float64 array is taken as it is.  So every product comes back as
-    float64 of shape (dim,).  ``eval_grad`` returns each gradient as a new
-    array, since a solver keeps the gradient at its iterate across later
-    calls that may refill the callback's buffer.
+    float64 of shape (dim,).  ``eval_grad`` returns each gradient in an
+    array of its own, not the callback's, since a solver keeps the gradient
+    at its iterate across later calls that may refill the callback's buffer;
+    callers do not write to it.
+
+    ``eval_f`` and ``eval_grad`` keep what they return until ``new_iterate``,
+    which the outer loop calls once per iteration, keyed by the point's
+    bytes (``_point_key``): the damping trials at one iterate meet the same
+    trial points again, and a point seen before in the iteration gets its
+    earlier value back without a callback call or a count.  A callback that
+    raises leaves nothing in the memo.
     """
 
     def __init__(self, oracle: ProblemOracle):
@@ -122,17 +129,31 @@ class CountingOracle:
         self.dim = oracle.dim
         self._vector = (oracle.dim,)
         self.counters = Counters()
+        self.new_iterate()
+
+    def new_iterate(self) -> None:
+        """Forget the f and gradient values of the last outer iteration."""
+        self._f, self._grad = {}, {}
 
     def eval_f(self, x: Array) -> float:
-        self.counters.f_evals += 1
-        value = self._oracle.eval_f(x)
-        if not isinstance(value, float):
-            value = _require_shape("eval_f must return", value, ())
-        return float(value)
+        key = _point_key(x)
+        value = self._f.get(key)
+        if value is None:
+            self.counters.f_evals += 1
+            value = self._oracle.eval_f(x)
+            if not isinstance(value, float):
+                value = _require_shape("eval_f must return", value, ())
+            value = self._f[key] = float(value)
+        return value
 
     def eval_grad(self, x: Array) -> Array:
-        self.counters.grad_evals += 1
-        return _require_shape("eval_grad must return", self._oracle.eval_grad(x), self._vector).copy()
+        key = _point_key(x)
+        g = self._grad.get(key)
+        if g is None:
+            self.counters.grad_evals += 1
+            g = _require_shape("eval_grad must return", self._oracle.eval_grad(x), self._vector)
+            g = self._grad[key] = g.copy()
+        return g
 
     def hvp_at(self, x: Array) -> Callable[[Array], Array]:
         """The operator v -> H(x) v at the value x has now, counted and shape-checked.
@@ -151,6 +172,17 @@ class CountingOracle:
             return _require_shape("eval_hvp must return", product(v), vector)
 
         return hvp
+
+
+def _point_key(x) -> tuple:
+    """Memo key for the value of x: its dtype, shape and bytes.
+
+    Bitwise, not numeric, equality: -0.0 and +0.0 are different points, and
+    a NaN point never matches a finite one.  The dtype goes in as the dtype
+    object, which compares byte order too and costs less than its ``str``.
+    """
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
 
 
 _FLOAT64 = np.dtype(np.float64)  # native byte order

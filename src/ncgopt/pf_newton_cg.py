@@ -64,13 +64,7 @@ def sigma_start(gamma_prev: float) -> float:
 
 
 def bounded_line_search_sol(
-    oracle,
-    x: Array,
-    d: Array,
-    sigma_t: float,
-    eps_g: float,
-    f_x: float,
-    ray: dict[int, float] | None = None,
+    oracle, x: Array, d: Array, sigma_t: float, eps_g: float, f_x: float
 ) -> LineSearchOutcome | None:
     """Search the bounded step-size window for a SOL direction.
 
@@ -78,29 +72,25 @@ def bounded_line_search_sol(
     (eps_g/sigma_t)^(1/4) / (3 ||d||^(1/2))} and accepts the smallest j with
     f(x + THETA^j d) <= f(x) - ETA (sigma_t eps_g)^(1/2) THETA^(2j) ||d||^2.
     None means the window closed; hitting J_MAX inside the window raises.
-    ``ray`` holds the f values already taken along d, by j (see ``newton_cg._backtrack``).
     """
     dn = _norm(d)
     window = min(1.0, 2.0 * (1.0 - ETA) * THETA * (eps_g / sigma_t) ** 0.25 / (3.0 * math.sqrt(dn)))
     decrease = ETA * math.sqrt(sigma_t * eps_g) * dn * dn
     message = "bounded SOL search exceeded its cap in-window"
-    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window, ray=ray)
+    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
 
 
-def bounded_line_search_nc(
-    oracle, x: Array, d: Array, sigma_t: float, f_x: float, ray: dict[int, float] | None = None
-) -> LineSearchOutcome | None:
+def bounded_line_search_nc(oracle, x: Array, d: Array, sigma_t: float, f_x: float) -> LineSearchOutcome | None:
     """Bounded-window search for a scaled negative-curvature direction.
 
     Window: THETA^(j-1) >= min{1, 1/sigma_t}, i.e. THETA^j >= THETA min{1, 1/sigma_t}.
     Decrease test:
     f(x + THETA^j d) <= f(x) - ETA min{1, sigma_t} THETA^(2j) ||d||^3 / 4.
-    ``ray`` holds the f values already taken along d, by j (see ``newton_cg._backtrack``).
     """
     window = THETA * min(1.0, 1.0 / sigma_t)
     decrease = ETA * min(1.0, sigma_t) * _cube(_norm(d), "bounded NC search") / 4.0
     message = "bounded NC search exceeded its cap in-window"
-    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window, ray=ray)
+    return _backtrack(oracle, x, d, f_x, decrease, message, lower=window)
 
 
 def pf_newton_cg_solve(

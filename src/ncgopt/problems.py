@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .oracle import ProblemOracle, _integer, _require_shape
+from .oracle import ProblemOracle, _integer, _point_key, _require_shape
 
 Array = np.ndarray
 
@@ -108,16 +108,6 @@ def _read_only(*arrays: Array) -> tuple[Array, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _point_key(x) -> tuple:
-    """Cache key for the value of x: its dtype, shape and bytes.
-
-    Bitwise, not numeric, equality: -0.0 and +0.0 are different points, and
-    a NaN point never matches a finite one.
-    """
-    x = np.asarray(x)
-    return x.dtype.str, x.shape, x.tobytes()
 
 
 def _last_point(compute: Callable[[Array], object], slot: list | None = None) -> Callable[[Array], object]:

@@ -258,6 +258,69 @@ def test_counting_oracle_reads_outputs_as_native_float64(dtype):
         np.testing.assert_array_equal(got, exact.astype(dtype).astype(float))
 
 
+def memo_probe():
+    """A CountingOracle whose f and grad log each point they are called at."""
+    calls = []
+
+    def f(x):
+        calls.append(("f", x.tolist()))
+        return float(x @ x)
+
+    def grad(x):
+        calls.append(("grad", x.tolist()))
+        return 2.0 * x
+
+    return CountingOracle(ProblemOracle(2, f, grad, lambda x, v: 2.0 * v)), calls
+
+
+def test_counting_oracle_evaluates_a_point_once_per_iterate():
+    co, calls = memo_probe()
+    x = np.array([1.0, 2.0])
+    g = co.eval_grad(x)
+    assert (co.eval_f(x), co.eval_f(x.copy()), co.eval_f(x + 0.0)) == (5.0, 5.0, 5.0)
+    assert co.eval_grad(x.copy()) is g and g.tolist() == [2.0, 4.0]
+    assert calls == [("grad", [1.0, 2.0]), ("f", [1.0, 2.0])]
+    assert (co.counters.f_evals, co.counters.grad_evals) == (1, 1)
+    co.new_iterate()  # the next outer iteration starts with an empty memo
+    assert co.eval_f(x) == 5.0 and co.eval_grad(x).tolist() == [2.0, 4.0]
+    assert calls[2:] == [("f", [1.0, 2.0]), ("grad", [1.0, 2.0])]
+    assert (co.counters.f_evals, co.counters.grad_evals) == (2, 2)
+
+
+def test_counting_oracle_keys_points_by_their_bits():
+    # -0.0 == +0.0 numerically, but the memo compares bytes (oracle._point_key).
+    co, calls = memo_probe()
+    for x in (np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, 1.0])):
+        co.eval_f(x)
+        co.eval_grad(x)
+    assert [name for name, _ in calls] == ["f", "grad", "f", "grad"]
+    assert (co.counters.f_evals, co.counters.grad_evals) == (2, 2)
+
+
+def test_counting_oracle_memoizes_no_raising_callback():
+    failures = [OverflowError("f out of range"), OverflowError("grad out of range")]
+
+    def f(x):
+        if failures[0] is not None:
+            raise failures[0]
+        return 1.0
+
+    def grad(x):
+        if failures[1] is not None:
+            raise failures[1]
+        return np.ones(1)
+
+    co, x = CountingOracle(ProblemOracle(1, f, grad, lambda x, v: v)), np.zeros(1)
+    for _ in range(2):  # each call reaches the callback, and is counted
+        with pytest.raises(OverflowError, match="f out of range"):
+            co.eval_f(x)
+        with pytest.raises(OverflowError, match="grad out of range"):
+            co.eval_grad(x)
+    failures[:] = None, None
+    assert co.eval_f(x) == 1.0 and co.eval_grad(x).tolist() == [1.0]
+    assert (co.counters.f_evals, co.counters.grad_evals) == (3, 3)
+
+
 def test_counting_operator_copies_a_point_without_binding():
     # An eval_hvp without ``at`` gets every product as eval_hvp(x, v), at a
     # copy of x taken when the operator was bound.

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -103,11 +104,15 @@ def test_bounded_sol_reuses_full_step_value():
         calls["f"] += 1
         return 0.5 * float(x @ x)
 
+    # The full-step test's f(x + d) is in the iterate's memo, so the search's
+    # j = 0 trial at the same point calls no callback.
     oracle = CountingOracle(ProblemOracle(1, f, lambda x: x.copy(), lambda x, v: v.copy()))
     x = np.array([3.0])
     d = np.array([-2.0])
-    res = bounded_line_search_sol(oracle, x, d, 10.0, 1e-4, f_x=4.5, ray={0: 0.5})
-    assert res is not None and res.j == 0 and calls["f"] == 0
+    f_full = oracle.eval_f(x + d)
+    res = bounded_line_search_sol(oracle, x, d, 10.0, 1e-4, f_x=4.5)
+    assert res is not None and res.j == 0 and res.f_new == f_full == 0.5
+    assert calls["f"] == oracle.counters.f_evals == 1
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +430,9 @@ def test_trials_at_one_point_search_a_repeated_ray_once():
     # curvature at its first pass at every weight, and with sigma >= 1 the
     # scaled direction d = (0.97, -0.0) does not depend on sigma.  Trial t at
     # sigma = 10 * 2^t searches j <= 4 + t and the first acceptance is j = 7,
-    # so without the shared ray the four trials would evaluate f 5 + 6 + 7 + 8
-    # times; with it, each trial after the first evaluates only its new j.
+    # so without the iterate's memo of f the four trials would evaluate f
+    # 5 + 6 + 7 + 8 times; with it, each trial after the first evaluates only
+    # its new j.
     points = []  # the points of f's calls, as bytes
 
     def f(z):
@@ -475,30 +481,40 @@ def test_trials_at_one_point_search_a_repeated_ray_once():
         assert (outcome[3] == NO_VALID_J) if t < 3 else (outcome[3].j == 7)
     assert np.signbit(np.frombuffer(outcome[1])[1])
 
-    # One bit apart is another ray: +0.0 in place of -0.0 gets every j again,
-    # and the ray it leaves behind replaces the first, which trial 2 then
-    # searches from scratch.
+    # The memo is keyed by the point, not the direction: +0.0 in place of
+    # -0.0 in d leaves x[1] + a d[1] = +0.0 either way, so trial 1's flipped
+    # direction meets trial 0's points and the trials call f 5, 1, 1, 1 times.
     shared = point_trials()
-    shared(0)
+    assert len(shared(0)[1]) == 5
     flip.append(True)
     outcome, evaluated = shared(1)
     assert not np.signbit(np.frombuffer(outcome[1])[1]) and outcome[1] != fresh[1][0][1]
-    assert outcome[3] == NO_VALID_J and evaluated == tried(outcome[1], range(6))
+    assert outcome[3] == NO_VALID_J and evaluated == tried(outcome[1], [5]) == tried(fresh[1][0][1], [5])
     flip.clear()
-    outcome, evaluated = shared(2)
-    assert outcome == fresh[2][0] and evaluated == fresh[2][1]
+    for t in (2, 3):
+        outcome, evaluated = shared(t)
+        assert outcome == fresh[t][0] and evaluated == tried(outcome[1], [4 + t])
 
 
-@pytest.mark.parametrize("n,m,seed", [(30, 6, s) for s in range(3)] + [(100, 20, s) for s in range(4)])
-def test_no_point_reaches_f_twice_in_one_outer_iteration(n, m, seed):
-    # The recorder logs each point f is evaluated at; the iterates are where
-    # the solve binds its Hessian-vector operator, once per outer iteration.
+@functools.lru_cache(maxsize=None)
+def points_per_outer_iteration(solver, n, m, seed):
+    """Where a solve of repu n/m/2.25 (instance ``seed``) calls f and grad:
+    for each callback, the bytes of its points, one list per outer iteration.
+
+    Checks first that recording them changes no bit of the solve.  The
+    iterates are where the solve binds its Hessian-vector operator, once per
+    outer iteration, and an iteration's list ends with the gradient read at
+    the point it accepts.  Cached, so the f and grad tests share one solve.
+    """
     oracle, x0 = gen_repu(n, m, 2.25, seed), np.full(n, 1.0 / n)
-    log = []  # the bytes of each point of f, and None at each new iterate
+    log = []  # (callback, bytes of its point) per call, and None at each new iterate
 
-    def recorder(x):
-        log.append(x.tobytes())
-        return oracle.eval_f(x)
+    def recorder(callback):
+        def call(x):
+            log.append((callback, x.tobytes()))
+            return getattr(oracle, callback)(x)
+
+        return call
 
     def eval_hvp(x, v):
         return oracle.eval_hvp(x, v)
@@ -508,13 +524,33 @@ def test_no_point_reaches_f_twice_in_one_outer_iteration(n, m, seed):
         return oracle.eval_hvp.at(x)
 
     eval_hvp.at = bind
-    res = solve("alg2", dataclasses.replace(oracle, eval_f=recorder, eval_hvp=eval_hvp), x0)
-    assert fingerprint(res) == fingerprint(solve("alg2", oracle, x0))
+    recorded = dataclasses.replace(oracle, eval_f=recorder("eval_f"), eval_grad=recorder("eval_grad"), eval_hvp=eval_hvp)
+    res = solve(solver, recorded, x0)
+    assert fingerprint(res) == fingerprint(solve(solver, oracle, x0))
     assert res.status == FOSP
     assert log.count(None) == len(res.trace)
-    assert len(log) - len(res.trace) == res.counters.f_evals
     outer, start = [], 0
-    for end in [i for i, key in enumerate(log) if key is None] + [len(log)]:
+    for end in [i for i, entry in enumerate(log) if entry is None] + [len(log)]:
         outer.append(log[start:end])
         start = end + 1
-    assert all(len(set(keys)) == len(keys) for keys in outer)
+    points = {name: [[key for who, key in calls if who == name] for calls in outer] for name in ("eval_f", "eval_grad")}
+    assert sum(map(len, points["eval_f"])) == res.counters.f_evals
+    assert sum(map(len, points["eval_grad"])) == res.counters.grad_evals
+    return points
+
+
+REPU_CELLS = [(30, 6, s) for s in range(3)] + [(100, 20, s) for s in range(4)]
+
+
+@pytest.mark.parametrize("n,m,seed", REPU_CELLS)
+def test_no_point_reaches_f_twice_in_one_outer_iteration(n, m, seed):
+    for solver in ("alg1", "alg2", "acrn"):
+        outer = points_per_outer_iteration(solver, n, m, seed)["eval_f"]
+        assert all(len(set(keys)) == len(keys) for keys in outer)
+
+
+@pytest.mark.parametrize("n,m,seed", REPU_CELLS)
+def test_no_point_reaches_grad_twice_in_one_outer_iteration(n, m, seed):
+    for solver in ("alg1", "alg2", "acrn"):
+        outer = points_per_outer_iteration(solver, n, m, seed)["eval_grad"]
+        assert all(len(set(keys)) == len(keys) for keys in outer)
